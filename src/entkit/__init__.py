@@ -6,18 +6,7 @@ instruments, and optimization-based entanglement measures, all on dense
 numpy arrays at desk scale.
 """
 
-from .core import (
-    ComplexTensor,
-    ConvergenceError,
-    HermitianEig,
-    NotPSDError,
-    SizeLimitError,
-    hermitian_eig,
-    kron,
-    partial_trace_matrix,
-    permute_subsystems,
-    psd_sqrt,
-)
+from .core import ConvergenceError, SizeLimitError, partial_trace_matrix
 from .invariants import (
     AcinCanonicalForm,
     InvariantRecord,

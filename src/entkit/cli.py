@@ -21,7 +21,7 @@ from . import __version__
 from .core import ConvergenceError, SizeLimitError
 from .invariants import lu_invariants, polytope_coords, slocc_class_3qubit, tangles
 from .measures import geometric_measure
-from .partitions import Partition, all_bipartitions, classify_pure, ppt_check
+from .partitions import Partition, _ppt_sweep, classify_pure
 from .protocols import teleport, unlock_smolin
 from .schmidt import (
     entanglement_entropy,
@@ -121,6 +121,8 @@ def _parse_edges(text: str, vertices: int | None):
         edges.append((a, b))
         hi = max(hi, a, b)
     m = (hi + 1) if vertices is None else vertices
+    if hi >= m:
+        raise ValueError(f"edge endpoint {hi} outside the {m} vertices 0..{m - 1}")
     adj = np.zeros((m, m), dtype=int)
     for a, b in edges:
         adj[a, b] = adj[b, a] = 1
@@ -218,11 +220,10 @@ def cmd_analyze(args) -> int:
             if state.n_parties < 2:
                 report[w] = "inapplicable"
             else:
-                entry = {}
-                for part in all_bipartitions(state.n_parties):
-                    flag, mineig = ppt_check(state, part)
-                    entry[str(part)] = {"ppt": flag, "min_eigenvalue": mineig}
-                report[w] = entry
+                report[w] = {
+                    str(part): {"ppt": flag, "min_eigenvalue": mineig}
+                    for part, (flag, mineig) in _ppt_sweep(state).items()
+                }
         elif w == "polytope":
             report[w] = list(polytope_coords(state)) if (is_pure and is_3q) else "inapplicable"
         elif w == "geometric-measure":
@@ -321,8 +322,7 @@ def cmd_sweep(args) -> int:
                 raise ValueError(f"noise weight {p} outside [0, 1]")
             rho = DensityMatrix((1 - p) * proj + p * np.eye(8) / 8, (2, 2, 2))
             row = {"p": p, "purity": purity(rho)}
-            for part in all_bipartitions(3):
-                flag, mineig = ppt_check(rho, part)
+            for part, (flag, mineig) in _ppt_sweep(rho).items():
                 row[f"ppt_{part}"] = int(flag)
                 row[f"mineig_{part}"] = mineig
             rows.append(row)

@@ -1,18 +1,18 @@
-"""Dense complex linear and multilinear algebra primitives.
+"""Dimension checks, the package errors and the operator-level reshuffles.
 
 Everything in the package works with flat, row-major amplitude arrays over an
 ordered list of local dimensions.  A composite basis index decomposes as
 ``i = i_0 * d_1 * ... * d_{N-1} + ... + i_{N-1}`` (first subsystem is the
 slowest index), and all higher modules inherit this convention.
 
-Operations here are pure functions on immutable inputs; nothing keeps global
-state, so concurrent use is safe.  Dense arrays only: the supported total
-Hilbert-space dimension is capped at ``DIM_CAP`` = 4096.
+``permute_matrix`` and ``partial_trace_matrix`` act on plain square matrices;
+they are pure functions, so concurrent use is safe.  Dense arrays only: the
+supported total Hilbert-space dimension is capped at ``DIM_CAP`` = 4096.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import operator
 from math import prod
 from typing import Iterable, Sequence
 
@@ -25,10 +25,6 @@ HERMITIAN_ATOL = 1e-10
 DIM_CAP = 4096
 
 
-class NotPSDError(ValueError):
-    """Raised when a matrix required to be positive semi-definite is not."""
-
-
 class SizeLimitError(ValueError):
     """Raised when an input exceeds a documented desk-scale size cap."""
 
@@ -38,7 +34,11 @@ class ConvergenceError(RuntimeError):
 
 
 def _check_dims(dims: Sequence[int]) -> tuple[int, ...]:
-    dims = tuple(int(d) for d in dims)
+    dims = tuple(dims)
+    try:
+        dims = tuple(operator.index(d) for d in dims)
+    except TypeError:
+        raise ValueError(f"local dimensions must be integers, got {dims}") from None
     if not dims or any(d < 1 for d in dims):
         raise ValueError(f"local dimensions must all be >= 1, got {dims}")
     if prod(dims) > DIM_CAP:
@@ -46,56 +46,6 @@ def _check_dims(dims: Sequence[int]) -> tuple[int, ...]:
             f"total dimension {prod(dims)} exceeds the dense cap {DIM_CAP}"
         )
     return dims
-
-
-@dataclass(frozen=True)
-class ComplexTensor:
-    """A flat complex amplitude array over an ordered list of local dimensions."""
-
-    data: np.ndarray
-    dims: tuple[int, ...]
-
-    def __post_init__(self):
-        dims = _check_dims(self.dims)
-        data = np.array(self.data, dtype=complex, copy=True).ravel()
-        if data.size != prod(dims):
-            raise ValueError(
-                f"data length {data.size} does not match dims {dims} "
-                f"(product {prod(dims)})"
-            )
-        data.setflags(write=False)
-        object.__setattr__(self, "data", data)
-        object.__setattr__(self, "dims", dims)
-
-    @property
-    def n_parties(self) -> int:
-        return len(self.dims)
-
-    @property
-    def dim(self) -> int:
-        return self.data.size
-
-    def reshaped(self) -> np.ndarray:
-        """The amplitudes as an ``n_parties``-axis array (read-only view)."""
-        return self.data.reshape(self.dims)
-
-
-def kron(a: ComplexTensor, b: ComplexTensor) -> ComplexTensor:
-    """Tensor product; output dims are ``a.dims`` followed by ``b.dims``."""
-    return ComplexTensor(np.kron(a.data, b.data), a.dims + b.dims)
-
-
-def permute_subsystems(t: ComplexTensor, perm: Sequence[int]) -> ComplexTensor:
-    """Reorder subsystems so that output party ``i`` is input party ``perm[i]``.
-
-    ``perm`` must be a permutation of ``0..N-1``; applying ``perm`` and then
-    its inverse restores the input.
-    """
-    perm = list(perm)
-    if sorted(perm) != list(range(t.n_parties)):
-        raise ValueError(f"perm {perm} is not a permutation of 0..{t.n_parties - 1}")
-    data = t.reshaped().transpose(perm).ravel()
-    return ComplexTensor(data, tuple(t.dims[p] for p in perm))
 
 
 def permute_matrix(mat: np.ndarray, dims: Sequence[int], perm: Sequence[int]) -> np.ndarray:
@@ -138,38 +88,3 @@ def partial_trace_matrix(
     dd = d // dk
     t = t.reshape(dk, dk, dd, dd)
     return np.einsum("ijkk->ij", t)
-
-
-@dataclass(frozen=True)
-class HermitianEig:
-    """Eigenvalues (non-increasing) and matching eigenvector columns."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray = field(repr=False)
-
-
-def hermitian_eig(a: np.ndarray, atol: float = HERMITIAN_ATOL) -> HermitianEig:
-    """Eigendecomposition of a Hermitian matrix, eigenvalues sorted non-increasing."""
-    a = np.asarray(a, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    if np.abs(a - a.conj().T).max() > atol:
-        raise ValueError("matrix is not Hermitian within tolerance")
-    vals, vecs = np.linalg.eigh(a)
-    return HermitianEig(vals[::-1].copy(), vecs[:, ::-1].copy())
-
-
-def psd_sqrt(a: np.ndarray) -> np.ndarray:
-    """Principal square root of a positive semi-definite matrix.
-
-    Eigenvalues below ``-1e-8`` raise :class:`NotPSDError`; small negative
-    round-off above that is clipped to zero.
-    """
-    eig = hermitian_eig(a)
-    if eig.eigenvalues.min() < -1e-8:
-        raise NotPSDError(
-            f"matrix has eigenvalue {eig.eigenvalues.min():.3e}, not PSD"
-        )
-    vals = np.sqrt(np.clip(eig.eigenvalues, 0.0, None))
-    v = eig.eigenvectors
-    return (v * vals) @ v.conj().T

@@ -283,39 +283,58 @@ def _apply_locals(psi: PureState, us) -> np.ndarray:
     return np.einsum("ia,jb,kc,abc->ijk", us[0], us[1], us[2], t)
 
 
-def _residual(t0, t1, t, phi, order):
-    g = np.cos(t)
-    d = np.sin(t) * np.exp(1j * phi)
-    m = g * t0 + d * t1
-    nmat = np.conj(d) * t0 - np.conj(g) * t1
-    u, _, vh = np.linalg.svd(m)
-    if order:
-        u = u[:, ::-1]
-        vh = vh[::-1, :]
-    return (u.conj().T @ nmat @ vh.conj().T)[1, 1]
+def _mixed_svd(t0, t1, ts, phis, order):
+    """Mix the two slices over a batch of angles and SVD the new lower slice.
 
-
-def _residual_grid(t0, t1, ts, phis, order):
+    With ``g = cos(ts)`` and ``d = sin(ts) e^{i phis}`` the first qubit's new
+    basis turns the slices into ``g t0 + d t1`` (lower) and ``d* t0 - g* t1``
+    (upper).  Returns ``g, d``, the singular vectors ``u, vh`` of the lower
+    slice (``order = 1`` puts the smaller singular value first) and the upper
+    slice.
+    """
     g = np.cos(ts)
     d = np.sin(ts) * np.exp(1j * phis)
-    m = g[:, None, None] * t0 + d[:, None, None] * t1
-    nmat = np.conj(d)[:, None, None] * t0 - np.conj(g)[:, None, None] * t1
-    u, _, vh = np.linalg.svd(m)
+    gs, ds = g[:, None, None], d[:, None, None]
+    u, _, vh = np.linalg.svd(gs * t0 + ds * t1)
     if order:
         u = u[:, :, ::-1]
         vh = vh[:, ::-1, :]
-    return np.einsum("nji,njk,nlk->nil", u.conj(), nmat, vh.conj())[:, 1, 1]
+    return g, d, u, vh, np.conj(ds) * t0 - np.conj(gs) * t1
+
+
+def _residual_newton(t0, t1, ts, phis, order):
+    """``|011>`` amplitude of the upper slice once the lower one is diagonal."""
+    _, _, u, vh, upper = _mixed_svd(t0, t1, ts, phis, order)
+    return (u.conj().transpose(0, 2, 1) @ upper @ vh.conj().transpose(0, 2, 1))[:, 1, 1]
+
+
+def _residual_grid(t0, t1, ts, phis, order):
+    """The same residual in einsum summation order, for the seed scan.
+
+    On the ``ts = pi/2`` row the residual is flat in ``phis`` up to rounding,
+    so the seed taken from that row rests on the last bits, and Newton steps
+    from far-off seeds are just as sensitive.  Changing the summation order
+    here or in :func:`_residual_newton` changes the returned form of a few
+    Haar states in a thousand.
+    """
+    _, _, u, vh, upper = _mixed_svd(t0, t1, ts, phis, order)
+    return np.einsum("nji,njk,nlk->nil", u.conj(), upper, vh.conj())[:, 1, 1]
+
+
+#: Damping factors of the Newton line search, tried together, largest first.
+_HALVINGS = 0.5 ** np.arange(25)
 
 
 def _newton_root(t0, t1, x0, order, steps=60):
+    h = 1e-7
     x = np.array(x0, dtype=float)
     for _ in range(steps):
-        f = _residual(t0, t1, x[0], x[1], order)
+        # the residual and its two forward-difference points in one batch
+        f, f1, f2 = _residual_newton(
+            t0, t1, x[0] + np.array([0.0, h, 0.0]), x[1] + np.array([0.0, 0.0, h]), order
+        )
         if abs(f) < 1e-13:
             return x
-        h = 1e-7
-        f1 = _residual(t0, t1, x[0] + h, x[1], order)
-        f2 = _residual(t0, t1, x[0], x[1] + h, order)
         jac = np.array(
             [
                 [(f1 - f).real / h, (f2 - f).real / h],
@@ -326,13 +345,14 @@ def _newton_root(t0, t1, x0, order, steps=60):
             step = np.linalg.solve(jac, np.array([f.real, f.imag]))
         except np.linalg.LinAlgError:
             return None
-        lam = 1.0
-        for _ in range(25):
-            if abs(_residual(t0, t1, x[0] - lam * step[0], x[1] - lam * step[1], order)) < abs(f):
-                break
-            lam *= 0.5
+        # every halving in one batch; take the largest that lowers |f|
+        trial = _residual_newton(
+            t0, t1, x[0] - _HALVINGS * step[0], x[1] - _HALVINGS * step[1], order
+        )
+        lower = np.flatnonzero(np.abs(trial) < abs(f))
+        lam = _HALVINGS[lower[0]] if lower.size else 0.5 * _HALVINGS[-1]
         x = x - lam * step
-    return x if abs(_residual(t0, t1, x[0], x[1], order)) < 1e-12 else None
+    return x if abs(_residual_newton(t0, t1, x[:1], x[1:], order)[0]) < 1e-12 else None
 
 
 def _phase_gauge(tq: np.ndarray):
@@ -406,13 +426,8 @@ def acin_canonical_form(
             x = _newton_root(t0, t1, (ts[i], phis[i]), order)
             if x is None:
                 continue
-            g, d = np.cos(x[0]), np.sin(x[0]) * np.exp(1j * x[1])
+            g, d, u, vh, _ = (a[0] for a in _mixed_svd(t0, t1, x[:1], x[1:], order))
             ua = np.array([[np.conj(d), -np.conj(g)], [g, d]])
-            m = g * t0 + d * t1
-            u, _, vh = np.linalg.svd(m)
-            if order:
-                u = u[:, ::-1]
-                vh = vh[::-1, :]
             ub = u.conj().T
             uc = vh.conj()
             tp = _apply_locals(psi, (ua, ub, uc))

@@ -246,12 +246,21 @@ def ppt_check(rho: State, bipartition=None) -> tuple[bool, float]:
     return (min_eig >= -1e-10, min_eig)
 
 
+def _ppt_sweep(state: State) -> dict[Partition, tuple[bool, float]]:
+    """:func:`ppt_check` on every bipartition, capped at ``_PPT_SWEEP_CAP`` parties.
+
+    The cap is checked before a pure state becomes a projector, so an input
+    over it costs no eigensolve.
+    """
+    if state.n_parties > _PPT_SWEEP_CAP:
+        raise SizeLimitError(f"PPT sweep capped at {_PPT_SWEEP_CAP} parties")
+    rho = as_density(state)
+    return {bp: ppt_check(rho, bp) for bp in all_bipartitions(rho.n_parties)}
+
+
 def ppt_all_bipartitions(rho: State) -> dict[Partition, bool]:
     """PPT flag for every bipartition of the parties."""
-    rho = as_density(rho)
-    if rho.n_parties > _PPT_SWEEP_CAP:
-        raise SizeLimitError(f"PPT sweep capped at {_PPT_SWEEP_CAP} parties")
-    return {bp: ppt_check(rho, bp)[0] for bp in all_bipartitions(rho.n_parties)}
+    return {bp: flag for bp, (flag, _) in _ppt_sweep(rho).items()}
 
 
 def separability_verdict(rho: State, bipartition=None) -> str:

@@ -48,7 +48,7 @@ def from_document(doc: dict) -> State:
     if not isinstance(doc, dict):
         raise ValueError("state document must be a JSON object")
     try:
-        dims = tuple(int(d) for d in doc["dims"])
+        dims = tuple(doc["dims"])
         kind = doc["type"]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"missing or malformed document field: {exc}") from exc

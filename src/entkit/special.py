@@ -116,7 +116,9 @@ def ame_feasibility(n: int, d: int) -> AmeVerdict:
     ``n <= 2(d(d+1)-1)`` for odd ``n``), the qubit nonexistence results
     (``n = 4`` and ``n >= 7``), the qubit graph-state constructions
     (``n in {2,3,5,6}``), the prime-power construction (``n <= d``), the
-    four-party results (``d = 6`` and ``d >= 7``), else ``UNKNOWN``.
+    four-party results (``d = 6`` and ``d >= 7``), the Bell state
+    ``sum_i |i, i>`` for ``n = 2`` and ``sum_{i,j} |i, j, i+j mod d>`` for
+    ``n = 3`` at any ``d``, else ``UNKNOWN``.
     """
     if n < 2 or d < 2:
         raise ValueError(f"need n >= 2 parties and d >= 2 levels, got ({n}, {d})")
@@ -136,4 +138,8 @@ def ame_feasibility(n: int, d: int) -> AmeVerdict:
         return AmeVerdict(n, d, Feasibility.EXISTS, "four-party-dim-six")
     if n == 4 and d >= 7:
         return AmeVerdict(n, d, Feasibility.EXISTS, "four-party-large-dim")
+    if n == 2:
+        return AmeVerdict(n, d, Feasibility.EXISTS, "bell-state")
+    if n == 3:
+        return AmeVerdict(n, d, Feasibility.EXISTS, "three-party-sum-state")
     return AmeVerdict(n, d, Feasibility.UNKNOWN, "open")

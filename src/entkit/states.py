@@ -14,13 +14,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import (
-    HERMITIAN_ATOL,
-    ComplexTensor,
-    _check_dims,
-    partial_trace_matrix,
-    permute_matrix,
-)
+from .core import HERMITIAN_ATOL, _check_dims, partial_trace_matrix, permute_matrix
 
 _PHASE_TOL = 1e-12
 
@@ -40,7 +34,7 @@ class PureState:
                 f"amplitude length {amp.size} does not match dims {dims}"
             )
         norm = np.linalg.norm(amp)
-        if abs(norm - 1.0) > HERMITIAN_ATOL:
+        if not abs(norm - 1.0) <= HERMITIAN_ATOL:
             raise ValueError(
                 f"state norm {norm!r} is not 1 within 1e-10; "
                 "use PureState.normalized to rescale"
@@ -74,9 +68,6 @@ class PureState:
     @property
     def dim(self) -> int:
         return self.amplitudes.size
-
-    def tensor(self) -> ComplexTensor:
-        return ComplexTensor(self.amplitudes, self.dims)
 
     def reshaped(self) -> np.ndarray:
         return self.amplitudes.reshape(self.dims)
@@ -117,11 +108,12 @@ class DensityMatrix:
         d = prod(dims)
         if mat.shape != (d, d):
             raise ValueError(f"matrix shape {mat.shape} does not match dims {dims}")
-        if np.abs(mat - mat.conj().T).max() > HERMITIAN_ATOL:
+        # written so that NaN fails: it compares false with everything
+        if not np.abs(mat - mat.conj().T).max() <= HERMITIAN_ATOL:
             raise ValueError("density matrix is not Hermitian within 1e-10")
-        if abs(np.trace(mat).real - 1.0) > HERMITIAN_ATOL:
+        if not abs(np.trace(mat).real - 1.0) <= HERMITIAN_ATOL:
             raise ValueError(f"trace {np.trace(mat)!r} is not 1 within 1e-10")
-        if np.linalg.eigvalsh(mat).min() < -HERMITIAN_ATOL:
+        if not np.linalg.eigvalsh(mat).min() >= -HERMITIAN_ATOL:
             raise ValueError("density matrix has an eigenvalue below -1e-10")
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
@@ -255,9 +247,9 @@ def ghz_state(n: int = 3, d: int = 2, lam: Sequence[float] | None = None) -> Pur
     if lam is None:
         lam = np.full(d, 1.0 / d)
     lam = np.asarray(lam, dtype=float)
-    if lam.shape != (d,) or lam.min() < -1e-12:
+    if lam.shape != (d,) or not lam.min() >= -1e-12:
         raise ValueError(f"lambda must be {d} non-negative numbers")
-    if abs(lam.sum() - 1.0) > HERMITIAN_ATOL:
+    if not abs(lam.sum() - 1.0) <= HERMITIAN_ATOL:
         raise ValueError(f"lambda sums to {lam.sum()!r}, not 1 within 1e-10")
     dims = (d,) * n
     amp = np.zeros(d**n, dtype=complex)
@@ -378,9 +370,9 @@ def acin_state(r: Sequence[float], theta: float = 0.0) -> PureState:
     ``r`` holds five non-negative amplitudes with ``sum r_j^2 = 1``.
     """
     r = np.asarray(r, dtype=float)
-    if r.shape != (5,) or r.min() < -1e-12:
+    if r.shape != (5,) or not r.min() >= -1e-12:
         raise ValueError("r must be 5 non-negative reals")
-    if abs((r**2).sum() - 1.0) > HERMITIAN_ATOL:
+    if not abs((r**2).sum() - 1.0) <= HERMITIAN_ATOL:
         raise ValueError(f"sum of squares {float((r**2).sum())!r} is not 1 within 1e-10")
     amp = np.zeros(8, dtype=complex)
     amp[0b000] = r[0] * np.exp(1j * theta)

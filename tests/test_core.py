@@ -1,63 +1,10 @@
 import numpy as np
 import pytest
 
-from entkit.core import (
-    ComplexTensor,
-    NotPSDError,
-    hermitian_eig,
-    kron,
-    partial_trace_matrix,
-    permute_subsystems,
-    psd_sqrt,
-)
+from entkit.core import partial_trace_matrix
 from entkit.states import random_density_matrix, random_pure_state
 
 from conftest import ptrace_sum
-
-
-def test_kron_basis_product():
-    zero = ComplexTensor(np.array([1, 0]), (2,))
-    one = ComplexTensor(np.array([0, 1]), (2,))
-    out = kron(zero, one)
-    assert out.dims == (2, 2)
-    assert np.array_equal(out.data, np.array([0, 1, 0, 0], dtype=complex))
-
-
-def test_kron_identity_operators():
-    # I2 (x) I2 as a 4-axis tensor interleaves to the 4x4 identity
-    i2 = ComplexTensor(np.eye(2).ravel(), (2, 2))
-    out = permute_subsystems(kron(i2, i2), [0, 2, 1, 3])
-    assert np.abs(out.data.reshape(4, 4) - np.eye(4)).max() < 1e-15
-
-
-def test_kron_uniform_plus_states():
-    plus = ComplexTensor(np.array([1, 1]) / np.sqrt(2), (2,))
-    out = kron(kron(plus, plus), plus)
-    # direct expansion oracle
-    expected = np.zeros(8, dtype=complex)
-    for i in range(2):
-        for j in range(2):
-            for k in range(2):
-                expected[4 * i + 2 * j + k] = (1 / np.sqrt(2)) ** 3
-    assert np.abs(out.data - expected).max() < 1e-15
-
-
-def test_kron_associative():
-    rng = np.random.default_rng(0)
-    a = ComplexTensor(rng.standard_normal(2) + 1j * rng.standard_normal(2), (2,))
-    b = ComplexTensor(rng.standard_normal(3) + 1j * rng.standard_normal(3), (3,))
-    c = ComplexTensor(rng.standard_normal(2) + 1j * rng.standard_normal(2), (2,))
-    left = kron(kron(a, b), c)
-    right = kron(a, kron(b, c))
-    assert left.dims == right.dims == (2, 3, 2)
-    assert np.abs(left.data - right.data).max() < 1e-14
-
-
-def test_complex_tensor_validation():
-    with pytest.raises(ValueError):
-        ComplexTensor(np.zeros(3), (2, 2))
-    with pytest.raises(ValueError):
-        ComplexTensor(np.zeros(0), (0,))
 
 
 def test_partial_trace_bell():
@@ -113,77 +60,3 @@ def test_partial_trace_errors():
         partial_trace_matrix(rho, (2, 2), [])
     with pytest.raises(ValueError):
         partial_trace_matrix(rho, (2, 2), [2])
-
-
-def test_permute_subsystems_examples():
-    ket01 = ComplexTensor(np.array([0, 1, 0, 0]), (2, 2))
-    swapped = permute_subsystems(ket01, [1, 0])
-    assert np.array_equal(swapped.data, np.array([0, 0, 1, 0], dtype=complex))
-    ghz = np.zeros(8)
-    ghz[[0, 7]] = 1 / np.sqrt(2)
-    for perm in ([1, 0, 2], [2, 1, 0], [1, 2, 0]):
-        out = permute_subsystems(ComplexTensor(ghz, (2, 2, 2)), perm)
-        assert np.abs(out.data - ghz).max() < 1e-15
-    ket001 = ComplexTensor(np.eye(8)[1], (2, 2, 2))
-    assert np.array_equal(
-        permute_subsystems(ket001, [2, 1, 0]).data, np.eye(8)[4].astype(complex)
-    )
-
-
-def test_permute_inverse_roundtrip():
-    rng = np.random.default_rng(5)
-    t = ComplexTensor(rng.standard_normal(12) + 1j * rng.standard_normal(12), (2, 3, 2))
-    perm = [2, 0, 1]
-    inv = [perm.index(i) for i in range(3)]
-    back = permute_subsystems(permute_subsystems(t, perm), inv)
-    assert back.dims == t.dims
-    assert np.abs(back.data - t.data).max() < 1e-15
-    with pytest.raises(ValueError):
-        permute_subsystems(t, [0, 1])
-
-
-def test_hermitian_eig_simple():
-    eig = hermitian_eig(np.eye(2) / 2)
-    assert np.abs(eig.eigenvalues - np.array([0.5, 0.5])).max() < 1e-12
-    eig = hermitian_eig(np.diag([1 / 3, 2 / 3]))
-    assert np.abs(eig.eigenvalues - np.array([2 / 3, 1 / 3])).max() < 1e-12
-
-
-def test_hermitian_eig_invariants_and_svd_crosscheck():
-    rng = np.random.default_rng(6)
-    for _ in range(50):
-        g = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-        g /= np.linalg.norm(g)
-        rho_a = g @ g.conj().T
-        eig = hermitian_eig(rho_a)
-        v = eig.eigenvectors
-        # unitarity and reconstruction
-        assert np.abs(v @ v.conj().T - np.eye(3)).max() < 1e-10
-        rec = (v * eig.eigenvalues) @ v.conj().T
-        assert np.abs(rec - rho_a).max() < 1e-10
-        # spectrum equals squared singular values of the coefficient matrix
-        sv = np.linalg.svd(g, compute_uv=False)
-        assert np.abs(np.sort(eig.eigenvalues) - np.sort(sv**2)).max() < 1e-10
-        # both reductions of the purification share the spectrum
-        rho_b = g.conj().T @ g
-        assert np.abs(
-            hermitian_eig(rho_b).eigenvalues - eig.eigenvalues
-        ).max() < 1e-10
-
-
-def test_hermitian_eig_rejects_non_hermitian():
-    with pytest.raises(ValueError):
-        hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-
-def test_psd_sqrt():
-    assert np.abs(psd_sqrt(np.eye(3)) - np.eye(3)).max() < 1e-12
-    m = psd_sqrt(np.diag([4.0, 9.0]) / 13.0)
-    assert np.abs(m - np.diag([2.0, 3.0]) / np.sqrt(13)).max() < 1e-12
-    rng = np.random.default_rng(7)
-    g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    a = g @ g.conj().T
-    s = psd_sqrt(a)
-    assert np.abs(s @ s - a).max() < 1e-9 * max(1.0, np.abs(a).max())
-    with pytest.raises(NotPSDError):
-        psd_sqrt(np.diag([1.0, -1e-6]))

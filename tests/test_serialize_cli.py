@@ -48,6 +48,13 @@ def test_document_validation():
     # invariants revalidated on load
     with pytest.raises(ValueError):
         from_document({"dims": [2], "type": "pure", "amplitudes": [[1, 0], [1, 0]]})
+    with pytest.raises(ValueError):
+        from_document({"dims": [2.7], "type": "pure", "amplitudes": [[1, 0], [0, 0]]})
+    with pytest.raises(ValueError):
+        from_document(_NAN_DOCUMENT)
+
+
+_NAN_DOCUMENT = {"dims": [2], "type": "pure", "amplitudes": [[float("nan"), 0], [0, 0]]}
 
 
 def _run(tmp_path, *argv) -> tuple[int, str]:
@@ -126,6 +133,21 @@ def test_cli_exit_codes(tmp_path):
     assert main(["make", "acin"]) == 2           # --r required
     assert main(["make", "acin", "--r", "1,1,0,0,0"]) == 2
     assert main(["make", "ghz", "--lam", "0.9,0.9"]) == 2
+    assert main(["make", "graph", "--edges", "0-5", "--vertices", "3"]) == 2
+    nan_doc = tmp_path / "nan.json"
+    nan_doc.write_text(json.dumps(_NAN_DOCUMENT))    # json writes a bare NaN
+    assert main(["analyze", str(nan_doc)]) == 2
+
+
+def test_cli_ppt_sweep_cap(tmp_path, monkeypatch):
+    ghz7 = tmp_path / "ghz7.json"
+    assert main(["make", "ghz", "--n", "7", "--out", str(ghz7)]) == 0
+
+    def no_eigensolve(*args, **kwargs):
+        raise AssertionError("eigensolve before the PPT sweep cap")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", no_eigensolve)
+    assert main(["analyze", str(ghz7), "--which", "ppt"]) == 2
 
 
 def test_cli_convert_check_and_catalysis(tmp_path):

@@ -64,6 +64,8 @@ def test_ame_feasibility_fact_table():
         (3, 3): Feasibility.EXISTS,
         (2, 5): Feasibility.EXISTS,
         (5, 5): Feasibility.EXISTS,
+        (2, 6): Feasibility.EXISTS,                # Bell state
+        (3, 10): Feasibility.EXISTS,               # sum_ij |i, j, i+j mod d>
         (12, 2): Feasibility.NOT_EXISTS,   # even-party bound 2(d^2-1) = 6
         (11, 2): Feasibility.NOT_EXISTS,   # odd-party bound 2(d(d+1)-1) = 10
         (18, 3): Feasibility.NOT_EXISTS,   # even-party bound 16 for d = 3

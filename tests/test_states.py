@@ -14,6 +14,15 @@ def test_pure_state_validation_and_phase():
     assert psi.amplitudes[1] == pytest.approx(1.0)
     with pytest.raises(ValueError):
         ek.PureState.normalized(np.zeros(4), (2, 2))
+    with pytest.raises(ValueError):
+        ek.PureState(np.array([1.0, 0.0]), (2.7,))   # not truncated to 2
+    with pytest.raises(ValueError):
+        ek.PureState(np.zeros(0), (0,))
+    with pytest.raises(ValueError):
+        ek.PureState(np.array([1.0, 0.0, 0.0]), (2, 2))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError):
+            ek.PureState(np.array([bad, 0.0]), (2,))
 
 
 def test_states_do_not_alias_caller_arrays():
@@ -36,6 +45,11 @@ def test_density_matrix_validation():
         ek.DensityMatrix(np.array([[0.5, 0.5], [0.0, 0.5]]), (2,))
     with pytest.raises(ValueError):
         ek.DensityMatrix(np.diag([1.5, -0.5]), (2,))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError):
+            ek.DensityMatrix(np.array([[bad, 0.0], [0.0, 0.5]]), (2,))
+    with pytest.raises(ValueError):
+        ek.DensityMatrix(np.array([[0.5, np.nan], [np.nan, 0.5]]), (2,))
 
 
 def test_bell_state():
