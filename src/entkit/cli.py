@@ -289,16 +289,34 @@ def cmd_convert_check(args) -> int:
 # sweep
 # ---------------------------------------------------------------------------
 
+#: Most points a ``--grid`` range or list may hold.
+_GRID_CAP = 10_000
+
+
 def _grid_range(text: str) -> list[float]:
-    # "start:stop:step" inclusive of endpoints within half a step
+    """``start:stop:step`` (endpoints included within half a step) or a comma list.
+
+    Every value must be finite.  A grid of more than ``_GRID_CAP`` points
+    raises ``SizeLimitError``; a range is counted before any point is built.
+    """
     parts = text.split(":")
     if len(parts) == 3:
         start, stop, step = (float(x) for x in parts)
+        if not np.isfinite([start, stop, step]).all():
+            raise ValueError(f"grid {text!r} has a non-finite start, stop or step")
         if step <= 0:
             raise ValueError("grid step must be positive")
-        count = int(np.floor((stop - start) / step + 0.5)) + 1
-        return [start + i * step for i in range(count)]
-    return [float(x) for x in text.split(",") if x.strip() != ""]
+        # a float count, so that a huge range cannot overflow int()
+        count = np.floor((stop - start) / step + 0.5) + 1
+        if count > _GRID_CAP:
+            raise SizeLimitError(f"grid {text!r} has more than {_GRID_CAP} points")
+        return [start + i * step for i in range(int(count))]
+    values = [float(x) for x in text.split(",") if x.strip() != ""]
+    if not np.isfinite(values).all():
+        raise ValueError(f"grid {text!r} has a non-finite value")
+    if len(values) > _GRID_CAP:
+        raise SizeLimitError(f"grid has {len(values)} points, more than {_GRID_CAP}")
+    return values
 
 
 def _min_marginal_eigenvalues(psi: PureState) -> list[float]:
@@ -465,7 +483,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", parents=[common], help="parameter sweeps to CSV")
     p.add_argument("--family", required=True, choices=("ghz-noise", "phi-a", "acin-grid"))
-    p.add_argument("--grid", required=True, help="grid specification")
+    p.add_argument(
+        "--grid", required=True,
+        help="grid specification; ghz-noise takes start:stop:step or a comma list "
+        f"of at most {_GRID_CAP} points",
+    )
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("teleport-demo", parents=[common], help="teleportation outcome table")

@@ -1,9 +1,14 @@
 """Three-qubit algebra: local-unitary invariants, tangles, hyperdeterminant,
 Wootters concurrence, canonical form, polytope coordinates and SLOCC class.
 
-The six invariants are the norm, the three single-party reduction purities,
-the Kempe invariant and the squared-modulus hyperdeterminant invariant; the
-tangles derive from them and from the two-qubit reductions.
+One batched kernel, :func:`_reductions`, builds the one- and two-qubit
+reductions of stacked amplitudes ``(N, 8)``; batched helpers take from them
+the six invariants (norm, three purities, Kempe, hyperdeterminant), the
+tangles, the marginal ranks, the polytope point and the class.
+``lu_invariants``, ``tangles``, ``monogamy_gap``, ``kempe_invariant``,
+``kempe_symmetric_check``, ``polytope_coords`` and ``slocc_class_3qubit`` call
+it once on their state; ``wootters_concurrence`` and ``hyperdet3`` are
+batches of one.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ import numpy as np
 from scipy.linalg import null_space
 
 from .core import ConvergenceError
-from .states import DensityMatrix, PureState, partial_trace, purity
+from .states import DensityMatrix, PureState
 
 #: Below this value of the three-tangle, a rank-(2,2,2) state is labeled W class.
 TAU3_CLASS_TOL = 1e-8
@@ -65,16 +70,31 @@ def _require_3qubit(psi: PureState) -> None:
         raise ValueError(f"expected a 3-qubit state, got dims {psi.dims}")
 
 
-def hyperdet3(tensor) -> complex:
-    """Cayley hyperdeterminant of a ``2 x 2 x 2`` complex tensor.
+#: Amplitude orders that put qubit A, B or C first, and the pair AB, AC or BC.
+_ONE_FIRST, _PAIR_FIRST = (
+    np.array([np.arange(8).reshape(2, 2, 2).transpose(axes).ravel() for axes in orders])
+    for orders in (((0, 1, 2), (1, 0, 2), (2, 0, 1)), ((0, 1, 2), (0, 2, 1), (1, 2, 0)))
+)
+#: The two qubits of each pair, in the order of the two-qubit stack.
+_PAIR_X, _PAIR_Y = [0, 0, 1], [1, 2, 2]
 
-    Quartic polynomial with a squares group, a pair-coupling group and the two
-    odd diagonals; vanishes exactly on the closure of the W class.
-    """
-    t = np.asarray(tensor, dtype=complex)
-    if t.size != 8:
-        raise ValueError(f"expected 8 amplitudes, got shape {t.shape}")
-    t = t.reshape(2, 2, 2)
+
+def _reductions(amps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``rho_A, rho_B, rho_C`` as ``(N, 3, 2, 2)`` and ``rho_AB, rho_AC, rho_BC``
+    as ``(N, 3, 4, 4)`` of stacked 3-qubit amplitudes ``(N, 8)``."""
+    v1 = amps[:, _ONE_FIRST].reshape(-1, 3, 2, 4)
+    v2 = amps[:, _PAIR_FIRST].reshape(-1, 3, 4, 2)
+    return v1 @ v1.conj().swapaxes(-1, -2), v2 @ v2.conj().swapaxes(-1, -2)
+
+
+def _stack(psi: PureState) -> np.ndarray:
+    _require_3qubit(psi)
+    return psi.amplitudes[None]
+
+
+def _hyperdet(amps: np.ndarray) -> np.ndarray:
+    """Cayley hyperdeterminant of each row of stacked amplitudes ``(N, 8)``."""
+    t = amps.reshape(-1, 2, 2, 2).transpose(1, 2, 3, 0)
     squares = (
         t[0, 0, 0] ** 2 * t[1, 1, 1] ** 2
         + t[0, 0, 1] ** 2 * t[1, 1, 0] ** 2
@@ -91,11 +111,33 @@ def hyperdet3(tensor) -> complex:
         t[0, 0, 0] * t[1, 1, 0] * t[1, 0, 1] * t[0, 1, 1]
         + t[1, 1, 1] * t[0, 0, 1] * t[0, 1, 0] * t[1, 0, 0]
     )
-    return complex(squares - 2 * pairs + 4 * diagonals)
+    return squares - 2 * pairs + 4 * diagonals
+
+
+def hyperdet3(tensor) -> complex:
+    """Cayley hyperdeterminant of a ``2 x 2 x 2`` complex tensor.
+
+    Quartic polynomial with a squares group, a pair-coupling group and the two
+    odd diagonals; vanishes exactly on the closure of the W class.
+    """
+    t = np.asarray(tensor, dtype=complex)
+    if t.size != 8:
+        raise ValueError(f"expected 8 amplitudes, got shape {t.shape}")
+    return complex(_hyperdet(t.reshape(1, 8))[0])
 
 
 _SY = np.array([[0.0, -1j], [1j, 0.0]])
 _YY = np.kron(_SY, _SY)
+
+
+def _concurrences(rho: np.ndarray) -> np.ndarray:
+    """Wootters concurrence of each matrix of a ``(..., 4, 4)`` stack, with
+    eigenvalues below ``1e-12`` of the largest of the same matrix zeroed."""
+    ev = np.linalg.eigvals(rho @ _YY @ rho.conj() @ _YY).real
+    # the threshold is positive, so this also zeroes every negative eigenvalue
+    ev = np.where(ev < 1e-12 * np.maximum(ev.max(axis=-1, keepdims=True), 1e-300), 0.0, ev)
+    mu = np.sort(np.sqrt(ev), axis=-1)
+    return np.maximum(0.0, mu[..., 3] - mu[..., 2] - mu[..., 1] - mu[..., 0])
 
 
 def wootters_concurrence(rho: DensityMatrix) -> float:
@@ -109,35 +151,54 @@ def wootters_concurrence(rho: DensityMatrix) -> float:
     """
     if rho.dims != (2, 2):
         raise ValueError(f"expected a 2-qubit state, got dims {rho.dims}")
-    m = rho.matrix @ _YY @ rho.matrix.conj() @ _YY
-    ev = np.linalg.eigvals(m).real
-    ev[ev < 1e-12 * max(ev.max(), 1e-300)] = 0.0
-    mu = np.sort(np.sqrt(np.clip(ev, 0.0, None)))[::-1]
-    return float(max(0.0, mu[0] - mu[1] - mu[2] - mu[3]))
+    return float(_concurrences(rho.matrix[None])[0])
 
 
-def _marginals(psi: PureState):
-    return (
-        partial_trace(psi, [0]),
-        partial_trace(psi, [1]),
-        partial_trace(psi, [2]),
-    )
+def _tangle_terms(one: np.ndarray, two: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Single-party tangles ``4 det rho_X`` (X = A, B, C), squared concurrences
+    (AB, AC, BC) and the monogamy gap ``tau_{A|BC} - tau_AB - tau_AC``."""
+    det = one[..., 0, 0] * one[..., 1, 1] - one[..., 0, 1] * one[..., 1, 0]
+    single, pair = np.clip(4.0 * det.real, 0.0, 1.0), _concurrences(two) ** 2
+    return single, pair, single[:, 0] - pair[:, 0] - pair[:, 1]
 
 
-def _one_tangles(psi: PureState) -> tuple[float, float, float]:
-    # tau_{X|YZ} = 4 det rho_X for qubits
-    return tuple(
-        float(np.clip(4.0 * np.linalg.det(r.matrix).real, 0.0, 1.0))
-        for r in _marginals(psi)
-    )
+def _kempe_pairings(one: np.ndarray, two: np.ndarray) -> np.ndarray:
+    """``3 Tr[(rho_X (x) rho_Y) rho_XY] - Tr rho_X^3 - Tr rho_Y^3``, XY = AB, AC, BC."""
+    cubes = np.einsum("nkij,nkjl,nkli->nk", one, one, one).real
+    factors = one[:, _PAIR_X], one[:, _PAIR_Y], two.reshape(-1, 3, 2, 2, 2, 2)
+    mixed = np.einsum("nkij,nkab,nkjbia->nk", *factors).real
+    return 3.0 * mixed - cubes[:, _PAIR_X] - cubes[:, _PAIR_Y]
 
 
-def _pair_tangles(psi: PureState) -> tuple[float, float, float]:
-    # (A|B, B|C, C|A)
-    c_ab = wootters_concurrence(partial_trace(psi, [0, 1]))
-    c_bc = wootters_concurrence(partial_trace(psi, [1, 2]))
-    c_ca = wootters_concurrence(partial_trace(psi, [0, 2]))
-    return (c_ab**2, c_bc**2, c_ca**2)
+def _records(amps: np.ndarray, tau3_tol: float = TAU3_CLASS_TOL) -> list[InvariantRecord]:
+    """Invariant records of stacked 3-qubit amplitudes ``(N, 8)``."""
+    one, two = _reductions(amps)
+    single, pair, gap = _tangle_terms(one, two)
+    spectra = np.linalg.eigvalsh(one)
+    ranks = (spectra > _RANK_TOL).sum(-1)
+    hyper = _hyperdet(amps)
+    # indices into SloccClass in declaration order: GHZ or W by the three-tangle
+    # 4 |hyperdet3|, unless one marginal is pure (the biseparable cut) or all are
+    pure = ranks == 1
+    label = np.where(4.0 * np.abs(hyper) > tau3_tol, 5, 4)
+    label = np.where(pure.sum(-1) == 1, 1 + pure.argmax(-1), label)
+    label = np.where(pure.all(-1), 0, label)
+    # i1, (i2, i3, i4), i5, i6, tau1, tau2, tau3: the record's field order
+    scalars = np.column_stack([
+        np.einsum("ni,ni->n", amps.conj(), amps).real,
+        np.einsum("nkij,nkji->nk", one, one).real,
+        _kempe_pairings(one, two)[:, 0],
+        4.0 * np.abs(hyper) ** 2,
+        single.sum(-1) / 3.0,
+        pair.sum(-1) / 3.0,
+        np.maximum(0.0, gap),
+    ])
+    polytope = spectra.min(-1).clip(0.0, 0.5)
+    classes = list(SloccClass)
+    return [
+        InvariantRecord(*s, tuple(r), tuple(p), classes[c])
+        for s, r, p, c in zip(scalars.tolist(), ranks.tolist(), polytope.tolist(), label.tolist())
+    ]
 
 
 def tangles(psi: PureState) -> tuple[float, float, float]:
@@ -148,40 +209,18 @@ def tangles(psi: PureState) -> tuple[float, float, float]:
     two-qubit reductions, and ``tau3`` is the residual
     ``tau_{A|BC} - tau_{A|B} - tau_{A|C}``.
     """
-    _require_3qubit(psi)
-    one = _one_tangles(psi)
-    pair = _pair_tangles(psi)
-    tau1 = sum(one) / 3.0
-    tau2 = sum(pair) / 3.0
-    tau3 = max(0.0, one[0] - pair[0] - pair[2])
-    return (float(tau1), float(tau2), float(tau3))
+    rec = _records(_stack(psi))[0]
+    return (rec.tau1, rec.tau2, rec.tau3)
 
 
 def monogamy_gap(psi: PureState) -> float:
     """``tau_{A|BC} - tau_{A|B} - tau_{A|C}``; non-negative up to round-off."""
-    _require_3qubit(psi)
-    one = _one_tangles(psi)
-    pair = _pair_tangles(psi)
-    return float(one[0] - pair[0] - pair[2])
-
-
-def _kempe(rho_x: np.ndarray, rho_y: np.ndarray, rho_xy: np.ndarray) -> float:
-    val = (
-        3.0 * np.einsum("ij,ji->", np.kron(rho_x, rho_y), rho_xy)
-        - np.einsum("ij,jk,ki->", rho_x, rho_x, rho_x)
-        - np.einsum("ij,jk,ki->", rho_y, rho_y, rho_y)
-    )
-    return float(val.real)
+    return float(_tangle_terms(*_reductions(_stack(psi)))[2][0])
 
 
 def kempe_invariant(psi: PureState) -> float:
     """Sixth-order invariant ``3 Tr[(rho_A (x) rho_B) rho_AB] - Tr rho_A^3 - Tr rho_B^3``."""
-    _require_3qubit(psi)
-    return _kempe(
-        partial_trace(psi, [0]).matrix,
-        partial_trace(psi, [1]).matrix,
-        partial_trace(psi, [0, 1]).matrix,
-    )
+    return float(_kempe_pairings(*_reductions(_stack(psi)))[0, 0])
 
 
 def kempe_symmetric_check(psi: PureState) -> tuple[float, float, float]:
@@ -190,32 +229,12 @@ def kempe_symmetric_check(psi: PureState) -> tuple[float, float, float]:
     All three values agree for any state; returning them exposes the symmetry
     for verification.
     """
-    _require_3qubit(psi)
-    out = []
-    for x, y in ((0, 1), (0, 2), (1, 2)):
-        out.append(
-            _kempe(
-                partial_trace(psi, [x]).matrix,
-                partial_trace(psi, [y]).matrix,
-                partial_trace(psi, [x, y]).matrix,
-            )
-        )
-    return tuple(out)
+    return tuple(_kempe_pairings(*_reductions(_stack(psi)))[0].tolist())
 
 
 def polytope_coords(psi: PureState) -> tuple[float, float, float]:
     """Smaller eigenvalue of each single-party reduction, each in ``[0, 1/2]``."""
-    _require_3qubit(psi)
-    return tuple(
-        float(np.linalg.eigvalsh(r.matrix).min().clip(0.0, 0.5))
-        for r in _marginals(psi)
-    )
-
-
-def _marginal_ranks(psi: PureState) -> tuple[int, int, int]:
-    return tuple(
-        int((np.linalg.eigvalsh(r.matrix) > _RANK_TOL).sum()) for r in _marginals(psi)
-    )
+    return _records(_stack(psi))[0].polytope
 
 
 def slocc_class_3qubit(psi: PureState, tau3_tol: float = TAU3_CLASS_TOL) -> SloccClass:
@@ -225,16 +244,7 @@ def slocc_class_3qubit(psi: PureState, tau3_tol: float = TAU3_CLASS_TOL) -> Sloc
     biseparable cut; among genuinely tripartite states the three-tangle
     separates the GHZ orbit (positive) from the W orbit (zero).
     """
-    _require_3qubit(psi)
-    ranks = _marginal_ranks(psi)
-    if ranks == (1, 1, 1):
-        return SloccClass.PRODUCT
-    if ranks.count(1) == 1:
-        return (SloccClass.BISEP_A_BC, SloccClass.BISEP_B_AC, SloccClass.BISEP_C_AB)[
-            ranks.index(1)
-        ]
-    tau3 = 4.0 * abs(hyperdet3(psi.amplitudes))
-    return SloccClass.GHZ if tau3 > tau3_tol else SloccClass.W
+    return _records(_stack(psi), tau3_tol)[0].class_label
 
 
 def lu_invariants(psi: PureState) -> InvariantRecord:
@@ -246,19 +256,7 @@ def lu_invariants(psi: PureState) -> InvariantRecord:
     summed over the three parties), so ``tau2 = 1 - I_av - sqrt(i6)`` with
     ``I_av = (i2 + i3 + i4) / 3``.
     """
-    _require_3qubit(psi)
-    i1 = float(np.vdot(psi.amplitudes, psi.amplitudes).real)
-    i2, i3, i4 = (purity(r) for r in _marginals(psi))
-    i5 = kempe_invariant(psi)
-    i6 = float(4.0 * abs(hyperdet3(psi.amplitudes)) ** 2)
-    tau1, tau2, tau3 = tangles(psi)
-    return InvariantRecord(
-        i1=i1, i2=float(i2), i3=float(i3), i4=float(i4), i5=i5, i6=i6,
-        tau1=tau1, tau2=tau2, tau3=tau3,
-        ranks=_marginal_ranks(psi),
-        polytope=polytope_coords(psi),
-        class_label=slocc_class_3qubit(psi),
-    )
+    return _records(_stack(psi))[0]
 
 
 # ---------------------------------------------------------------------------

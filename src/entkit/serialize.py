@@ -55,14 +55,22 @@ def from_document(doc: dict) -> State:
     if kind == "pure":
         if "amplitudes" not in doc:
             raise ValueError("pure document lacks 'amplitudes'")
-        amp = np.array([complex(re, im) for re, im in doc["amplitudes"]])
+        try:
+            amp = np.array([complex(re, im) for re, im in doc["amplitudes"]])
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"amplitudes must be [re, im] number pairs: {exc}") from exc
         return PureState(amp, dims)
     if kind == "mixed":
         if "matrix" not in doc:
             raise ValueError("mixed document lacks 'matrix'")
-        mat = np.array(
-            [[complex(re, im) for re, im in row] for row in doc["matrix"]]
-        )
+        try:
+            mat = np.array(
+                [[complex(re, im) for re, im in row] for row in doc["matrix"]]
+            )
+        except (TypeError, ValueError) as exc:
+            raise ValueError(
+                f"matrix rows must be lists of [re, im] number pairs: {exc}"
+            ) from exc
         return DensityMatrix(mat, dims)
     raise ValueError(f"unknown state type {kind!r}")
 

@@ -108,7 +108,9 @@ class DensityMatrix:
         d = prod(dims)
         if mat.shape != (d, d):
             raise ValueError(f"matrix shape {mat.shape} does not match dims {dims}")
-        # written so that NaN fails: it compares false with everything
+        # before any arithmetic, which would warn on inf - inf
+        if not np.isfinite(mat).all():
+            raise ValueError("density matrix has a NaN or infinite entry")
         if not np.abs(mat - mat.conj().T).max() <= HERMITIAN_ATOL:
             raise ValueError("density matrix is not Hermitian within 1e-10")
         if not abs(np.trace(mat).real - 1.0) <= HERMITIAN_ATOL:

@@ -76,6 +76,8 @@ def test_wootters_concurrence():
     assert ek.wootters_concurrence(red) == pytest.approx(2 / 3, abs=1e-10)
     with pytest.raises(ValueError):
         ek.wootters_concurrence(ek.maximally_mixed([2, 2, 2]))
+    with pytest.raises(ValueError):
+        ek.wootters_concurrence(ek.maximally_mixed([4]))  # 4 x 4, but not two qubits
 
 
 def test_tangles_and_monogamy_examples():
@@ -200,3 +202,70 @@ def test_record_json_fields():
         "tau1", "tau2", "tau3", "ranks", "polytope", "class",
     }
     assert js["class"] == "GHZ"
+
+
+def _oracle(psi):
+    """Record fields, monogamy gap and Kempe triple from one validated
+    ``partial_trace`` per reduction and one concurrence per ``DensityMatrix``."""
+    one = [ek.partial_trace(psi, [k]).matrix for k in range(3)]
+    pairs = ((0, 1), (0, 2), (1, 2))
+    two = {xy: ek.partial_trace(psi, list(xy)) for xy in pairs}
+    c2 = {xy: ek.wootters_concurrence(two[xy]) ** 2 for xy in pairs}
+    single = [float(np.clip(4 * np.linalg.det(r).real, 0, 1)) for r in one]
+    spectra = [np.linalg.eigvalsh(r) for r in one]
+    ranks = tuple(int((s > 1e-10).sum()) for s in spectra)
+    # the hyperdeterminant as the discriminant of det(x T0 + y T1) over the slices
+    t0, t1 = psi.reshaped()
+    d0, d1 = np.linalg.det(t0), np.linalg.det(t1)
+    hyper = (np.linalg.det(t0 + t1) - d0 - d1) ** 2 - 4 * d0 * d1
+    triple = [
+        (3 * np.trace(np.kron(one[x], one[y]) @ two[x, y].matrix)
+         - np.trace(one[x] @ one[x] @ one[x]) - np.trace(one[y] @ one[y] @ one[y])).real
+        for x, y in pairs
+    ]
+    gap = single[0] - c2[0, 1] - c2[0, 2]
+    if ranks == (1, 1, 1):
+        label = ek.SloccClass.PRODUCT
+    elif ranks.count(1) == 1:
+        label = [ek.SloccClass.BISEP_A_BC, ek.SloccClass.BISEP_B_AC,
+                 ek.SloccClass.BISEP_C_AB][ranks.index(1)]
+    else:
+        label = ek.SloccClass.GHZ if 4 * abs(hyper) > 1e-8 else ek.SloccClass.W
+    floats = (
+        [np.vdot(psi.amplitudes, psi.amplitudes).real]
+        + [np.trace(r @ r).real for r in one]
+        + [triple[0], 4 * abs(hyper) ** 2, sum(single) / 3, sum(c2.values()) / 3, max(0.0, gap)]
+        + [s.min().clip(0, 0.5) for s in spectra]
+    )
+    return np.array(floats), ranks, label, gap, np.array(triple)
+
+
+def test_batched_kernel_matches_partial_trace_oracle():
+    rng = np.random.default_rng(10)
+    phi = [ek.random_pure_state([2], rng=rng) for _ in range(3)]
+    bell = ek.bell_state(2)
+    edge = [
+        ek.product_state(*phi),
+        ek.product_state(phi[0], bell),
+        ek.product_state(phi[1], bell).permute([1, 0, 2]),
+        ek.product_state(phi[2], bell).permute([1, 2, 0]),
+        ek.w_state(),
+        ek.ghz_state(3, 2, lam=[1, 0]),
+    ]
+    states = (
+        [ek.random_pure_state([2, 2, 2], rng=rng) for _ in range(200)]
+        + [row[0] for row in _table_rows()]
+        + edge
+    )
+    for psi in states:
+        floats, ranks, label, gap, triple = _oracle(psi)
+        rec = ek.lu_invariants(psi)
+        got = np.array(
+            [rec.i1, rec.i2, rec.i3, rec.i4, rec.i5, rec.i6, rec.tau1, rec.tau2, rec.tau3,
+             *rec.polytope]
+        )
+        assert np.abs(got - floats).max() < 1e-12
+        assert rec.ranks == ranks
+        assert rec.class_label is label
+        assert abs(ek.monogamy_gap(psi) - gap) < 1e-12
+        assert np.abs(np.array(ek.kempe_symmetric_check(psi)) - triple).max() < 1e-12

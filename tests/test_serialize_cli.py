@@ -52,9 +52,19 @@ def test_document_validation():
         from_document({"dims": [2.7], "type": "pure", "amplitudes": [[1, 0], [0, 0]]})
     with pytest.raises(ValueError):
         from_document(_NAN_DOCUMENT)
+    for doc in _MALFORMED_DOCUMENTS:
+        with pytest.raises(ValueError):
+            from_document(doc)
 
 
 _NAN_DOCUMENT = {"dims": [2], "type": "pure", "amplitudes": [[float("nan"), 0], [0, 0]]}
+#: Entries that are not [re, im] number pairs: ValueError (exit 2), not TypeError.
+_MALFORMED_DOCUMENTS = [
+    {"dims": [2], "type": "pure", "amplitudes": [["a", 0], [0, 0]]},
+    {"dims": [2], "type": "pure", "amplitudes": 5},
+    {"dims": [2], "type": "mixed", "matrix": [[["a", 0], [0, 0]], [[0, 0], [0.5, 0]]]},
+    {"dims": [2], "type": "mixed", "matrix": 5},
+]
 
 
 def _run(tmp_path, *argv) -> tuple[int, str]:
@@ -137,6 +147,14 @@ def test_cli_exit_codes(tmp_path):
     nan_doc = tmp_path / "nan.json"
     nan_doc.write_text(json.dumps(_NAN_DOCUMENT))    # json writes a bare NaN
     assert main(["analyze", str(nan_doc)]) == 2
+    for k, doc in enumerate(_MALFORMED_DOCUMENTS):
+        path = tmp_path / f"malformed{k}.json"
+        path.write_text(json.dumps(doc))
+        assert main(["analyze", str(path)]) == 2
+    # non-finite bounds, and a step whose point count is over the cap: the
+    # count is checked before any point is built
+    for grid in ("0:inf:0.1", "nan:1:0.1", "0,inf", "0:1:1e-12"):
+        assert main(["sweep", "--family", "ghz-noise", "--grid", grid]) == 2
 
 
 def test_cli_ppt_sweep_cap(tmp_path, monkeypatch):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -45,11 +47,16 @@ def test_density_matrix_validation():
         ek.DensityMatrix(np.array([[0.5, 0.5], [0.0, 0.5]]), (2,))
     with pytest.raises(ValueError):
         ek.DensityMatrix(np.diag([1.5, -0.5]), (2,))
-    for bad in (np.nan, np.inf):
+    # rejected before any arithmetic on them, so without a RuntimeWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError):
+                ek.DensityMatrix(np.array([[bad, 0.0], [0.0, 0.5]]), (2,))
         with pytest.raises(ValueError):
-            ek.DensityMatrix(np.array([[bad, 0.0], [0.0, 0.5]]), (2,))
-    with pytest.raises(ValueError):
-        ek.DensityMatrix(np.array([[0.5, np.nan], [np.nan, 0.5]]), (2,))
+            ek.DensityMatrix(np.array([[0.5, np.nan], [np.nan, 0.5]]), (2,))
+        with pytest.raises(ValueError):
+            ek.DensityMatrix(np.array([[0.5, np.inf], [np.inf, 0.5]]), (2,))
 
 
 def test_bell_state():
