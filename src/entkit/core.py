@@ -30,7 +30,17 @@ class SizeLimitError(ValueError):
 
 
 class ConvergenceError(RuntimeError):
-    """Raised when an iterative routine fails to reach its tolerance."""
+    """Raised when an iterative routine fails to reach its tolerance.
+
+    ``best_residual``, when the routine gives it, is the smallest residual it
+    reached; the message then ends with its value.
+    """
+
+    def __init__(self, message: str, best_residual: float | None = None):
+        if best_residual is not None:
+            message = f"{message} (best residual {best_residual:.3e})"
+        super().__init__(message)
+        self.best_residual = best_residual
 
 
 def _check_dims(dims: Sequence[int]) -> tuple[int, ...]:

@@ -13,6 +13,7 @@ batches of one.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -287,16 +288,16 @@ def _mixed_svd(t0, t1, ts, phis, order):
     With ``g = cos(ts)`` and ``d = sin(ts) e^{i phis}`` the first qubit's new
     basis turns the slices into ``g t0 + d t1`` (lower) and ``d* t0 - g* t1``
     (upper).  Returns ``g, d``, the singular vectors ``u, vh`` of the lower
-    slice (``order = 1`` puts the smaller singular value first) and the upper
-    slice.
+    slice (rows with a true ``order`` put the smaller singular value first)
+    and the upper slice.
     """
     g = np.cos(ts)
     d = np.sin(ts) * np.exp(1j * phis)
     gs, ds = g[:, None, None], d[:, None, None]
     u, _, vh = np.linalg.svd(gs * t0 + ds * t1)
-    if order:
-        u = u[:, :, ::-1]
-        vh = vh[:, ::-1, :]
+    flip = np.asarray(order, dtype=bool)[:, None, None]
+    u = np.where(flip, u[:, :, ::-1], u)
+    vh = np.where(flip, vh[:, ::-1, :], vh)
     return g, d, u, vh, np.conj(ds) * t0 - np.conj(gs) * t1
 
 
@@ -306,8 +307,9 @@ def _residual_newton(t0, t1, ts, phis, order):
     return (u.conj().transpose(0, 2, 1) @ upper @ vh.conj().transpose(0, 2, 1))[:, 1, 1]
 
 
-def _residual_grid(t0, t1, ts, phis, order):
-    """The same residual in einsum summation order, for the seed scan.
+def _residual_grid(t0, t1, ts, phis):
+    """The same residual in einsum summation order, for the seed scan, as
+    ``(2, N)``: one row per singular-value ordering, from one SVD.
 
     On the ``ts = pi/2`` row the residual is flat in ``phis`` up to rounding,
     so the seed taken from that row rests on the last bits, and Newton steps
@@ -315,42 +317,110 @@ def _residual_grid(t0, t1, ts, phis, order):
     here or in :func:`_residual_newton` changes the returned form of a few
     Haar states in a thousand.
     """
-    _, _, u, vh, upper = _mixed_svd(t0, t1, ts, phis, order)
-    return np.einsum("nji,njk,nlk->nil", u.conj(), upper, vh.conj())[:, 1, 1]
+    _, _, u, vh, upper = _mixed_svd(t0, t1, ts, phis, np.zeros(ts.size, dtype=bool))
+    return np.array([
+        np.einsum("nji,njk,nlk->nil", uo.conj(), upper, vo.conj())[:, 1, 1]
+        for uo, vo in ((u, vh), (u[:, :, ::-1], vh[:, ::-1, :]))
+    ])
 
 
-#: Damping factors of the Newton line search, tried together, largest first.
+def _seeds(t0, t1, grid_points):
+    """Newton seeds ``(S, 2)`` of ``(t, phi)`` and the ordering of each: per
+    ordering, the best grid point of each mixing-angle row, the eight best of
+    those, plus both boundary rows."""
+    tg = np.linspace(0.0, np.pi / 2, grid_points)
+    pg = np.linspace(0.0, 2 * np.pi, 2 * grid_points, endpoint=False)
+    tt, pp = np.meshgrid(tg, pg, indexing="ij")
+    ts, phis = tt.ravel(), pp.ravel()
+    picked, orders = [], []
+    for order, fvals in enumerate(np.abs(_residual_grid(t0, t1, ts, phis))):
+        # stratify seeds by mixing angle so distinct root branches all get
+        # polished; the boundary rows carry the degenerate-state roots
+        fgrid = fvals.reshape(tg.size, pg.size)
+        row_best = [ti * pg.size + int(np.argmin(fgrid[ti])) for ti in range(tg.size)]
+        seeds = sorted(row_best, key=lambda i: fvals[i])[:8]
+        for boundary in (row_best[0], row_best[-1]):
+            if boundary not in seeds:
+                seeds.append(boundary)
+        picked += seeds
+        orders += [order] * len(seeds)
+    return np.column_stack([ts[picked], phis[picked]]), np.array(orders, dtype=bool)
+
+
+#: Damping factors of the Newton line search, largest first.
 _HALVINGS = 0.5 ** np.arange(25)
 
 
-def _newton_root(t0, t1, x0, order, steps=60):
+def _solve_each(jac, rhs):
+    """Newton steps of a stack of 2x2 systems, and a mask of the solvable ones.
+
+    A stacked ``solve`` raises for the whole stack if one matrix is singular,
+    so that case is solved again one matrix at a time.
+    """
+    try:
+        return np.linalg.solve(jac, rhs[..., None])[..., 0], np.ones(len(rhs), dtype=bool)
+    except np.linalg.LinAlgError:
+        step, good = np.zeros_like(rhs), np.ones(len(rhs), dtype=bool)
+        for i in range(len(rhs)):
+            try:
+                step[i] = np.linalg.solve(jac[i], rhs[i])
+            except np.linalg.LinAlgError:
+                good[i] = False
+        return step, good
+
+
+def _polish(t0, t1, x, order, steps=60):
+    """Damped Newton on the residual from every seed ``(S, 2)`` at once.
+
+    Each seed keeps its own rules: forward differences with ``h = 1e-7``, the
+    largest halving that lowers ``|f|`` (else ``2^-25``), exit once
+    ``|f| < 1e-13``, and after ``steps`` a final check at ``1e-12``; a
+    singular Jacobian drops its seed.  A step makes one residual call for the
+    iterates and their difference points, one for the full steps, and one for
+    the other halvings of the seeds whose full step does not lower ``|f|``.
+    Returns the iterates, a mask of the seeds that reached a root and the
+    smallest ``|f|`` each seed reached.
+    """
     h = 1e-7
-    x = np.array(x0, dtype=float)
+    x = np.array(x, dtype=float)
+    ok = np.zeros(len(x), dtype=bool)
+    best = np.full(len(x), np.inf)
+    live = np.arange(len(x))
     for _ in range(steps):
-        # the residual and its two forward-difference points in one batch
+        if not live.size:
+            break
+        xl, ol = x[live], order[live]
         f, f1, f2 = _residual_newton(
-            t0, t1, x[0] + np.array([0.0, h, 0.0]), x[1] + np.array([0.0, 0.0, h]), order
-        )
-        if abs(f) < 1e-13:
-            return x
-        jac = np.array(
-            [
-                [(f1 - f).real / h, (f2 - f).real / h],
-                [(f1 - f).imag / h, (f2 - f).imag / h],
-            ]
-        )
-        try:
-            step = np.linalg.solve(jac, np.array([f.real, f.imag]))
-        except np.linalg.LinAlgError:
-            return None
-        # every halving in one batch; take the largest that lowers |f|
-        trial = _residual_newton(
-            t0, t1, x[0] - _HALVINGS * step[0], x[1] - _HALVINGS * step[1], order
-        )
-        lower = np.flatnonzero(np.abs(trial) < abs(f))
-        lam = _HALVINGS[lower[0]] if lower.size else 0.5 * _HALVINGS[-1]
-        x = x - lam * step
-    return x if abs(_residual_newton(t0, t1, x[:1], x[1:], order)[0]) < 1e-12 else None
+            t0, t1, (xl[:, :1] + [0.0, h, 0.0]).ravel(), (xl[:, 1:] + [0.0, 0.0, h]).ravel(),
+            np.repeat(ol, 3),
+        ).reshape(-1, 3).T
+        af = np.abs(f)
+        best[live] = np.minimum(best[live], af)
+        ok[live[af < 1e-13]] = True
+        go = ~(af < 1e-13)
+        d1, d2 = f1 - f, f2 - f
+        jac = np.array([[d1.real / h, d2.real / h], [d1.imag / h, d2.imag / h]]).transpose(2, 0, 1)
+        step, good = _solve_each(jac[go], np.column_stack([f.real, f.imag])[go])
+        keep = np.flatnonzero(go)[good]
+        live, xl, ol, af, step = live[keep], xl[keep], ol[keep], af[keep], step[good]
+        full = np.abs(_residual_newton(t0, t1, xl[:, 0] - step[:, 0], xl[:, 1] - step[:, 1], ol))
+        lam = np.where(full < af, 1.0, 0.5 * _HALVINGS[-1])
+        rest = np.flatnonzero(~(full < af))
+        if rest.size:
+            trial = np.abs(_residual_newton(
+                t0, t1,
+                (xl[rest, :1] - _HALVINGS[1:] * step[rest, :1]).ravel(),
+                (xl[rest, 1:] - _HALVINGS[1:] * step[rest, 1:]).ravel(),
+                np.repeat(ol[rest], _HALVINGS.size - 1),
+            )).reshape(rest.size, -1)
+            lower = trial < af[rest, None]
+            lam[rest] = np.where(lower.any(1), _HALVINGS[1:][lower.argmax(1)], lam[rest])
+        x[live] = xl - lam[:, None] * step
+    if live.size:
+        af = np.abs(_residual_newton(t0, t1, x[live, 0], x[live, 1], order[live]))
+        best[live] = np.minimum(best[live], af)
+        ok[live[af < 1e-12]] = True
+    return x, ok, best
 
 
 def _phase_gauge(tq: np.ndarray):
@@ -396,58 +466,61 @@ def acin_canonical_form(
     chosen so that, once the second and third qubits SVD-diagonalize the new
     lower slice (which zeroes ``|101>`` and ``|110>``), the ``|011>``
     amplitude of the upper slice vanishes too.  The root search scans a coarse
-    angle grid for both singular-value orderings and polishes seeds with a damped
-    Newton iteration; among the roots found, the one minimizing
-    ``(r4, r3, r2, r1)`` lexicographically is returned.  Remaining local
-    phases are absorbed so ``r1..r4 >= 0`` with a single phase left on ``r0``.
+    angle grid (``grid_points``, an integer >= 1, mixing angles by twice as
+    many phases) for both singular-value orderings, then polishes all seeds of
+    both orderings together in one batched, damped Newton iteration; among the
+    roots found, the one minimizing ``(r4, r3, r2, r1)`` lexicographically is
+    returned.  Remaining local phases are absorbed so ``r1..r4 >= 0`` with a
+    single phase left on ``r0``.  If no root reaches ``tol``, the
+    :class:`ConvergenceError` carries the smallest off-support amplitude of
+    the polished roots, or the smallest Newton residual if none converged.
+
+    The form differs from the one of Acin et al., PRL 85, 1560 (2000), which
+    keeps ``|000>, |100>, |101>, |110>, |111>`` with the phase on ``|100>``
+    (the ``|0>`` slice of the first qubit has rank one).  This one keeps
+    ``|000>, |100>, |010>, |001>, |111>`` with the phase on ``|000>``: it
+    zeroes the three amplitudes of Hamming weight two, which makes ``|111>`` a
+    critical point of the overlap with product states (Carteret, Higuchi and
+    Sudbery, J. Math. Phys. 41, 7932 (2000)).  Both have five moduli and one
+    phase, but their ``r`` are different numbers.
     """
     _require_3qubit(psi)
-    t = psi.reshaped()
-    t0, t1 = t[0], t[1]
-    tg = np.linspace(0.0, np.pi / 2, grid_points)
-    pg = np.linspace(0.0, 2 * np.pi, 2 * grid_points, endpoint=False)
-    tt, pp = np.meshgrid(tg, pg, indexing="ij")
-    ts, phis = tt.ravel(), pp.ravel()
-
-    candidates = []
-    for order in (0, 1):
-        fvals = np.abs(_residual_grid(t0, t1, ts, phis, order))
-        # stratify seeds by mixing angle so distinct root branches all get
-        # polished; the boundary rows carry the degenerate-state roots
-        fgrid = fvals.reshape(tg.size, pg.size)
-        row_best = [ti * pg.size + int(np.argmin(fgrid[ti])) for ti in range(tg.size)]
-        seeds = sorted(row_best, key=lambda i: fvals[i])[:8]
-        for boundary in (row_best[0], row_best[-1]):
-            if boundary not in seeds:
-                seeds.append(boundary)
-        for i in seeds:
-            x = _newton_root(t0, t1, (ts[i], phis[i]), order)
-            if x is None:
-                continue
-            g, d, u, vh, _ = (a[0] for a in _mixed_svd(t0, t1, x[:1], x[1:], order))
-            ua = np.array([[np.conj(d), -np.conj(g)], [g, d]])
-            ub = u.conj().T
-            uc = vh.conj()
-            tp = _apply_locals(psi, (ua, ub, uc))
-            za, zb, zc = _phase_gauge(tp)
-            locals_ = (za @ ua, zb @ ub, zc @ uc)
-            tq = _apply_locals(psi, locals_)
-            off = max(abs(tq[0, 1, 1]), abs(tq[1, 0, 1]), abs(tq[1, 1, 0]))
-            if off < tol:
-                r = np.array(
-                    [
-                        abs(tq[0, 0, 0]),
-                        abs(tq[1, 0, 0]),
-                        abs(tq[0, 1, 0]),
-                        abs(tq[0, 0, 1]),
-                        abs(tq[1, 1, 1]),
-                    ]
-                )
-                theta = float(np.angle(tq[0, 0, 0])) if r[0] > 1e-12 else 0.0
-                candidates.append((r, theta, locals_))
+    try:
+        grid_points = operator.index(grid_points)
+    except TypeError:
+        raise ValueError(f"grid_points must be an integer, got {grid_points!r}") from None
+    if grid_points < 1:
+        raise ValueError(f"grid_points must be >= 1, got {grid_points}")
+    t0, t1 = psi.reshaped()
+    seeds, orders = _seeds(t0, t1, grid_points)
+    x, ok, best = _polish(t0, t1, seeds, orders)
+    candidates, offs = [], []
+    for g, d, u, vh in zip(*_mixed_svd(t0, t1, x[ok, 0], x[ok, 1], orders[ok])[:4]):
+        ua = np.array([[np.conj(d), -np.conj(g)], [g, d]])
+        ub = u.conj().T
+        uc = vh.conj()
+        tp = _apply_locals(psi, (ua, ub, uc))
+        za, zb, zc = _phase_gauge(tp)
+        locals_ = (za @ ua, zb @ ub, zc @ uc)
+        tq = _apply_locals(psi, locals_)
+        off = max(abs(tq[0, 1, 1]), abs(tq[1, 0, 1]), abs(tq[1, 1, 0]))
+        offs.append(off)
+        if off < tol:
+            r = np.array(
+                [
+                    abs(tq[0, 0, 0]),
+                    abs(tq[1, 0, 0]),
+                    abs(tq[0, 1, 0]),
+                    abs(tq[0, 0, 1]),
+                    abs(tq[1, 1, 1]),
+                ]
+            )
+            theta = float(np.angle(tq[0, 0, 0])) if r[0] > 1e-12 else 0.0
+            candidates.append((r, theta, locals_))
     if not candidates:
         raise ConvergenceError(
-            "failed to zero the three target amplitudes below tolerance"
+            "failed to zero the three target amplitudes below tolerance",
+            best_residual=float(min(offs) if offs else best.min()),
         )
     candidates.sort(
         key=lambda c: tuple(np.round(c[0][[4, 3, 2, 1, 0]], 9)) + (round(abs(c[1]), 9),)

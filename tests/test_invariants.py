@@ -169,6 +169,13 @@ def test_acin_canonical_form_named_states():
     assert abs(form.theta) < 1e-9
     form = ek.acin_canonical_form(ek.w_state())
     assert np.abs(form.r - np.array([0, 1, 1, 1, 0]) / np.sqrt(3)).max() < 1e-9
+    for bad in (0, -1, 2.5):
+        with pytest.raises(ValueError, match="grid_points"):
+            ek.acin_canonical_form(ek.w_state(), grid_points=bad)
+    # no root meets a zero tolerance; the error says how close the best came
+    with pytest.raises(ek.ConvergenceError, match="best residual") as err:
+        ek.acin_canonical_form(ek.random_pure_state([2, 2, 2], rng=9), tol=0.0)
+    assert np.isfinite(err.value.best_residual) and err.value.best_residual >= 0.0
 
 
 def test_acin_canonical_form_random_states():
@@ -193,6 +200,27 @@ def test_acin_canonical_form_random_states():
         a, b = ek.lu_invariants(psi), ek.lu_invariants(canon)
         for name in ("i2", "i3", "i4", "i5", "i6"):
             assert getattr(a, name) == pytest.approx(getattr(b, name), abs=1e-8)
+
+
+def test_canonical_form_batch_composition():
+    """Polishing all seeds together gives each seed the roots it reaches alone."""
+    from entkit.invariants import _polish, _seeds
+
+    rng = np.random.default_rng(15)
+    c12 = [ek.random_pure_state([2, 2, 2], rng=rng) for _ in range(352)]
+    rng = np.random.default_rng(16)
+    states = [ek.random_pure_state([2, 2, 2], rng=rng) for _ in range(20)]
+    # the rounding-sensitive c12 states, and states whose Jacobians go singular
+    states += [c12[i] for i in (87, 325, 351)] + [row[0] for row in _table_rows()]
+    for psi in states:
+        t0, t1 = psi.reshaped()
+        seeds, orders = _seeds(t0, t1, 14)
+        x, ok, best = _polish(t0, t1, seeds, orders)
+        for i in range(len(seeds)):
+            xi, oki, besti = _polish(t0, t1, seeds[i:i + 1], orders[i:i + 1])
+            assert oki[0] == ok[i]
+            assert np.array_equal(xi[0], x[i], equal_nan=True)
+            assert besti[0] == best[i]
 
 
 def test_record_json_fields():
