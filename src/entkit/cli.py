@@ -35,6 +35,7 @@ from .special import ame_feasibility
 from .states import (
     DensityMatrix,
     PureState,
+    _check_vertex_count,
     acin_state,
     bell_state,
     ghz_state,
@@ -121,6 +122,7 @@ def _parse_edges(text: str, vertices: int | None):
         edges.append((a, b))
         hi = max(hi, a, b)
     m = (hi + 1) if vertices is None else vertices
+    _check_vertex_count(m)
     if hi >= m:
         raise ValueError(f"edge endpoint {hi} outside the {m} vertices 0..{m - 1}")
     adj = np.zeros((m, m), dtype=int)

@@ -58,6 +58,16 @@ def _check_dims(dims: Sequence[int]) -> tuple[int, ...]:
     return dims
 
 
+def _check_indices(indices: Iterable[int]) -> list[int]:
+    """Subsystem indices as Python ints; a non-integer such as ``0.5`` is
+    rejected, not truncated."""
+    indices = list(indices)
+    try:
+        return [operator.index(i) for i in indices]
+    except TypeError:
+        raise ValueError(f"subsystem indices must be integers, got {indices}") from None
+
+
 def permute_matrix(mat: np.ndarray, dims: Sequence[int], perm: Sequence[int]) -> np.ndarray:
     """Apply a subsystem permutation to both sides of an operator."""
     dims = _check_dims(dims)
@@ -80,7 +90,7 @@ def partial_trace_matrix(
     """
     dims = _check_dims(dims)
     n = len(dims)
-    keep = sorted(set(int(k) for k in keep))
+    keep = sorted(set(_check_indices(keep)))
     if not keep:
         raise ValueError("keep must be a non-empty set of subsystem indices")
     if keep[0] < 0 or keep[-1] >= n:

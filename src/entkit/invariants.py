@@ -13,12 +13,10 @@ batches of one.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
-from scipy.linalg import null_space
 
 from .core import ConvergenceError
 from .states import DensityMatrix, PureState
@@ -277,203 +275,227 @@ class AcinCanonicalForm:
     local_unitaries: tuple[np.ndarray, np.ndarray, np.ndarray] = field(repr=False)
 
 
-def _apply_locals(psi: PureState, us) -> np.ndarray:
-    t = psi.reshaped()
-    return np.einsum("ia,jb,kc,abc->ijk", us[0], us[1], us[2], t)
+#: Pauli matrices, identity first, and the six axis points of the Bloch sphere
+#: as first-qubit vectors.
+_PAULI = np.array([np.eye(2), [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], np.diag([1.0, -1.0])])
+_AXES = np.array([[1, 0], [0, 1], [1, 1], [1, -1], [1, 1j], [1, -1j]])
+_AXES = _AXES / np.linalg.norm(_AXES, axis=1, keepdims=True)
+
+#: Chebyshev points, least-squares fit matrix and the colleague matrix of
+#: ``T_12`` with the scale of its last column, as in ``numpy``'s ``chebroots``.
+_CHEB_NODES = np.cos(np.pi * (np.arange(25) + 0.5) / 25)
+_CHEB_FIT = np.linalg.pinv(np.polynomial.chebyshev.chebvander(_CHEB_NODES, 12))
+_COLLEAGUE = np.polynomial.chebyshev.chebcompanion(np.eye(13)[12])
+_COLLEAGUE_SCALE = np.r_[np.sqrt(0.5), np.full(11, 0.5)]
+
+#: Fit intervals of the secular polynomial on ``[-1, 1]``, cut at ``+-4^-j``
+#: (j = 0..10): one fit over all of it misses roots clustered near zero.
+_CUTS = np.r_[-(4.0 ** -np.arange(11)), 4.0 ** -np.arange(10, -1, -1)]
 
 
-def _mixed_svd(t0, t1, ts, phis, order):
-    """Mix the two slices over a batch of angles and SVD the new lower slice.
+def _rotate(t, a, order):
+    """Local unitaries ``(N, 2, 2)`` and rotated tensors ``(N, 2, 2, 2)`` for
+    each first-qubit vector ``(g, d)`` of ``a`` ``(N, 2)``.
 
-    With ``g = cos(ts)`` and ``d = sin(ts) e^{i phis}`` the first qubit's new
-    basis turns the slices into ``g t0 + d t1`` (lower) and ``d* t0 - g* t1``
-    (upper).  Returns ``g, d``, the singular vectors ``u, vh`` of the lower
-    slice (rows with a true ``order`` put the smaller singular value first)
-    and the upper slice.
+    The first qubit's new basis turns the slices into ``g t0 + d t1`` (lower,
+    the ``|1>`` slice) and ``d* t0 - g* t1`` (upper); the other two take the
+    singular vectors of the lower slice, with the smaller singular value first
+    on rows with a true ``order``, so ``|111>`` carries the other one.  The
+    ``|011>`` amplitude is the residual of the root search.
     """
-    g = np.cos(ts)
-    d = np.sin(ts) * np.exp(1j * phis)
-    gs, ds = g[:, None, None], d[:, None, None]
-    u, _, vh = np.linalg.svd(gs * t0 + ds * t1)
+    g, d = a[:, 0], a[:, 1]
+    ua = np.stack([np.stack([d.conj(), -g.conj()], -1), np.stack([g, d], -1)], -2)
+    slices = (ua @ t.reshape(2, 4)).reshape(-1, 2, 2, 2)
+    u, _, vh = np.linalg.svd(slices[:, 1])
     flip = np.asarray(order, dtype=bool)[:, None, None]
-    u = np.where(flip, u[:, :, ::-1], u)
-    vh = np.where(flip, vh[:, ::-1, :], vh)
-    return g, d, u, vh, np.conj(ds) * t0 - np.conj(gs) * t1
+    ub = np.where(flip, u[:, :, ::-1], u).conj().swapaxes(1, 2)
+    uc = np.where(flip, vh[:, ::-1, :], vh).conj()
+    return ua, ub, uc, ub[:, None] @ slices @ uc[:, None].swapaxes(2, 3)
 
 
-def _residual_newton(t0, t1, ts, phis, order):
-    """``|011>`` amplitude of the upper slice once the lower one is diagonal."""
-    _, _, u, vh, upper = _mixed_svd(t0, t1, ts, phis, order)
-    return (u.conj().transpose(0, 2, 1) @ upper @ vh.conj().transpose(0, 2, 1))[:, 1, 1]
+def _secular(nu, d, p, q, cc):
+    """The degree-12 secular polynomial at ``nu``.
 
-
-def _residual_grid(t0, t1, ts, phis):
-    """The same residual in einsum summation order, for the seed scan, as
-    ``(2, N)``: one row per singular-value ordering, from one SVD.
-
-    On the ``ts = pi/2`` row the residual is flat in ``phis`` up to rounding,
-    so the seed taken from that row rests on the last bits, and Newton steps
-    from far-off seeds are just as sensitive.  Changing the summation order
-    here or in :func:`_residual_newton` changes the returned form of a few
-    Haar states in a thousand.
+    With ``w_k = d_k - nu`` and ``pi = prod w_k``, :func:`_candidates` has
+    ``mu^2 = R(nu) = num / den`` and ``|n|^2 = 1`` reads ``mu^2 p2 + 2 mu pq
+    + q2 = pi^2``, all five polynomials in ``nu``.  Eliminating ``mu`` gives
+    ``(num p2 + den (q2 - pi^2))^2 = 4 num den pq^2``, of degree 18 with a
+    double root at each ``d_k``, which is divided out.
     """
-    _, _, u, vh, upper = _mixed_svd(t0, t1, ts, phis, np.zeros(ts.size, dtype=bool))
-    return np.array([
-        np.einsum("nji,njk,nlk->nil", uo.conj(), upper, vo.conj())[:, 1, 1]
-        for uo, vo in ((u, vh), (u[:, :, ::-1], vh[:, ::-1, :]))
-    ])
+    w = d[:, None, None] - nu
+    pi, pik = w.prod(0), np.stack([w[1] * w[2], w[0] * w[2], w[0] * w[1]])
+    num, den = np.tensordot(q * q, pik, 1) - (cc + nu) * pi, np.tensordot(p * p, pik, 1) - pi
+    p2, q2, pq = np.tensordot(np.array([p * p, q * q, p * q]), pik ** 2, 1)
+    return ((num * p2 + den * (q2 - pi ** 2)) ** 2 - 4.0 * num * den * pq ** 2) / pi ** 2
 
 
-def _seeds(t0, t1, grid_points):
-    """Newton seeds ``(S, 2)`` of ``(t, phi)`` and the ordering of each: per
-    ordering, the best grid point of each mixing-angle row, the eight best of
-    those, plus both boundary rows."""
-    tg = np.linspace(0.0, np.pi / 2, grid_points)
-    pg = np.linspace(0.0, 2 * np.pi, 2 * grid_points, endpoint=False)
-    tt, pp = np.meshgrid(tg, pg, indexing="ij")
-    ts, phis = tt.ravel(), pp.ravel()
-    picked, orders = [], []
-    for order, fvals in enumerate(np.abs(_residual_grid(t0, t1, ts, phis))):
-        # stratify seeds by mixing angle so distinct root branches all get
-        # polished; the boundary rows carry the degenerate-state roots
-        fgrid = fvals.reshape(tg.size, pg.size)
-        row_best = [ti * pg.size + int(np.argmin(fgrid[ti])) for ti in range(tg.size)]
-        seeds = sorted(row_best, key=lambda i: fvals[i])[:8]
-        for boundary in (row_best[0], row_best[-1]):
-            if boundary not in seeds:
-                seeds.append(boundary)
-        picked += seeds
-        orders += [order] * len(seeds)
-    return np.column_stack([ts[picked], phis[picked]]), np.array(orders, dtype=bool)
+def _secular_roots(d, p, q, cc, bound):
+    """Real roots in ``[-bound, bound]`` of :func:`_secular`: a degree-12
+    Chebyshev fit on each interval of ``_CUTS``, and the real eigenvalues of
+    all the colleague matrices from one stacked ``eigvals``."""
+    lo, hi = bound * _CUTS[:-1, None], bound * _CUTS[1:, None]
+    mid, half = (hi + lo) / 2, (hi - lo) / 2
+    coef = _secular(mid + half * _CHEB_NODES, d, p, q, cc) @ _CHEB_FIT.T
+    scale = np.abs(coef).max(1)
+    mid, half, coef = mid[scale > 0], half[scale > 0], coef[scale > 0] / scale[scale > 0, None]
+    # a leading coefficient below rounding moves no root inside [-1, 1]
+    lead = np.where(np.abs(coef[:, -1:]) < 1e-16, 1e-16, coef[:, -1:])
+    mats = np.repeat(_COLLEAGUE[None], len(coef), 0)
+    mats[:, :, -1] -= coef[:, :-1] / lead * _COLLEAGUE_SCALE
+    x = np.linalg.eigvals(mats[:, ::-1, ::-1])
+    return (mid + half * x.real)[(np.abs(x.imag) < 1e-6) & (np.abs(x.real) <= 1.0)]
 
 
-#: Damping factors of the Newton line search, largest first.
-_HALVINGS = 0.5 ** np.arange(25)
+def _candidates(t):
+    """First-qubit vectors ``(S, 2)`` and orderings that seed the root search.
 
-
-def _solve_each(jac, rhs):
-    """Newton steps of a stack of 2x2 systems, and a mask of the solvable ones.
-
-    A stacked ``solve`` raises for the whole stack if one matrix is singular,
-    so that case is solved again one matrix at a time.
+    With ``n`` the Bloch vector of ``a``, ``M M^dag = (alpha + beta.n) I +
+    (c + B n).sigma``, so a root is a critical point on the sphere of an
+    eigenvalue ``s = alpha + beta.n + mu``, ``mu = +-|c + B n|`` (a positive
+    ``mu`` puts the larger singular value on ``|111>``).  Lagrange gives
+    ``(B^T B - nu) n = -(mu beta + B^T c)``; in the eigenbasis ``d, V`` of
+    ``B^T B``, ``n_k = -(mu p_k + q_k) / (d_k - nu)`` with ``mu^2 = R(nu)``,
+    at each real root ``nu`` of :func:`_secular`.  Add the hard case ``nu =
+    d_k``, where ``n_k`` takes what the unit norm leaves, ``+-beta/|beta|``,
+    the roots when ``B = 0``, and the root with ``r4 = 0`` of the W class.
+    Every seed turns with the state.  A seed whose ``|n|`` misses 1 by half or
+    more (the wrong sign of ``mu``) is dropped.
     """
-    try:
-        return np.linalg.solve(jac, rhs[..., None])[..., 0], np.ones(len(rhs), dtype=bool)
-    except np.linalg.LinAlgError:
-        step, good = np.zeros_like(rhs), np.ones(len(rhs), dtype=bool)
-        for i in range(len(rhs)):
-            try:
-                step[i] = np.linalg.solve(jac[i], rhs[i])
-            except np.linalg.LinAlgError:
-                good[i] = False
-        return step, good
+    form = 0.25 * np.einsum("vij,mba,iac,jbc->vm", _PAULI, _PAULI, t, t.conj()).real
+    beta, c, b = form[1:, 0], form[0, 1:], form[1:, 1:].T
+    d, v = np.linalg.eigh(b.T @ b)
+    d = np.maximum(d, 0.0)
+    p, q, cc = v.T @ beta, v.T @ (b.T @ c), c @ c
+    bound = (np.sqrt(cc) + np.sqrt(d[-1])) * (np.linalg.norm(beta) + np.sqrt(d[-1]))
+    nu = _secular_roots(d, p, q, cc, bound) if bound > 0 else np.zeros(0)
+    gap = d[None, :] - d[:, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        winv = np.vstack([1.0 / (d - nu[:, None]),
+                          np.where(np.abs(gap) > 1e-12 * d[-1], 1.0 / gap, 0.0)])
+        nu = np.r_[nu, d]
+        mu2 = ((q * q * winv).sum(1) - cc - nu) / ((p * p * winv).sum(1) - 1.0)
+        m = -((np.sqrt(np.maximum(mu2, 0.0)) * [[1.0], [-1.0]])[..., None] * p + q) * winv
+        m[:, -3:][:, range(3), range(3)] = np.sqrt(np.maximum(1.0 - (m[:, -3:] ** 2).sum(-1), 0.0))
+        n = np.concatenate([m, m[:, -3:] * (1.0 - 2.0 * np.eye(3))], 1) @ v.T
+        order = np.repeat([True, False], n.shape[1])
+        n = n.reshape(-1, 3)
+        if beta @ beta > 0:
+            n = np.vstack([n, np.outer([1, -1, 1, -1], beta / np.sqrt(beta @ beta))])
+            order = np.r_[order, True, True, False, False]
+        norm = np.linalg.norm(n, axis=1, keepdims=True)
+        n /= norm
+        keep = np.isfinite(n).all(1) & (np.abs(norm[:, 0] - 1.0) < 0.5)
+    n, order = n[keep], order[keep]
+    # a with a^dag sigma a = n, from the column of 1 + n.sigma away from zero
+    a = np.where(n[:, 2:] >= 0,
+                 np.column_stack([1.0 + n[:, 2], n[:, 0] + 1j * n[:, 1]]),
+                 np.column_stack([n[:, 0] - 1j * n[:, 1], 1.0 - n[:, 2]]))
+    # det M(a) = a^T Q a with det Q = -hyperdet3 / 4: on the W class Q has
+    # rank one, and its null vector is a root with r4 = 0
+    det0, det1 = np.linalg.det(t)
+    cross = (np.linalg.det(t[0] + t[1]) - det0 - det1) / 2
+    null = np.linalg.svd([[det0, cross], [cross, det1]])[2][-1].conj()
+    return np.vstack([a / np.linalg.norm(a, axis=1, keepdims=True), null]), np.r_[order, False]
 
 
-def _polish(t0, t1, x, order, steps=60):
-    """Damped Newton on the residual from every seed ``(S, 2)`` at once.
-
-    Each seed keeps its own rules: forward differences with ``h = 1e-7``, the
-    largest halving that lowers ``|f|`` (else ``2^-25``), exit once
-    ``|f| < 1e-13``, and after ``steps`` a final check at ``1e-12``; a
-    singular Jacobian drops its seed.  A step makes one residual call for the
-    iterates and their difference points, one for the full steps, and one for
-    the other halvings of the seeds whose full step does not lower ``|f|``.
-    Returns the iterates, a mask of the seeds that reached a root and the
-    smallest ``|f|`` each seed reached.
-    """
+def _newton(t, a, order, steps=6):
+    """Undamped Newton steps on the residual from each row of ``a`` at once, in
+    the chart ``a(z) = normalize(a + z a_perp)``, ``z`` complex from 0:
+    forward differences with ``h = 1e-7``, one residual call per step.  A row
+    with a residual below ``1e-14`` or a singular Jacobian stays where it is."""
     h = 1e-7
-    x = np.array(x, dtype=float)
-    ok = np.zeros(len(x), dtype=bool)
-    best = np.full(len(x), np.inf)
-    live = np.arange(len(x))
+    perp = np.column_stack([-a[:, 1].conj(), a[:, 0].conj()])
+    z = np.zeros(len(a), dtype=complex)
+
+    def chart(z):
+        b = a + z[..., None] * perp
+        return b / np.linalg.norm(b, axis=-1, keepdims=True)
+
     for _ in range(steps):
-        if not live.size:
+        trial = chart((z[:, None] + [0.0, h, 1j * h]).T).reshape(-1, 2)
+        f, f1, f2 = _rotate(t, trial, np.tile(order, 3))[3][:, 0, 1, 1].reshape(3, -1)
+        j1, j2 = (f1 - f) / h, (f2 - f) / h
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = (f * j2.conj()).imag + 1j * (j1 * f.conj()).imag
+            step /= (j1 * j2.conj()).imag
+        z -= np.where(np.isfinite(step) & (np.abs(f) > 1e-14), step, 0.0)
+    return chart(z)
+
+
+def _roots(t):
+    """Every root the seeds of :func:`_candidates` reach, as :func:`_rotate`
+    gives it (rows with a residual below ``1e-12``), and the smallest residual.
+
+    The six axis points are seeds only when no candidate converges: on the
+    biseparable B|AC and C|AB states every first-qubit vector is a root, and
+    elsewhere frame-fixed seeds would make the root chosen depend on the frame.
+    """
+    best = np.inf
+    for a, order in (_candidates(t), (np.repeat(_AXES, 2, 0), np.tile([True, False], 6))):
+        *unitaries, x = _rotate(t, _newton(t, a, order), order)
+        res = np.abs(x[:, 0, 1, 1])
+        best = min(best, res.min(initial=np.inf))
+        if (res < 1e-12).any():
             break
-        xl, ol = x[live], order[live]
-        f, f1, f2 = _residual_newton(
-            t0, t1, (xl[:, :1] + [0.0, h, 0.0]).ravel(), (xl[:, 1:] + [0.0, 0.0, h]).ravel(),
-            np.repeat(ol, 3),
-        ).reshape(-1, 3).T
-        af = np.abs(f)
-        best[live] = np.minimum(best[live], af)
-        ok[live[af < 1e-13]] = True
-        go = ~(af < 1e-13)
-        d1, d2 = f1 - f, f2 - f
-        jac = np.array([[d1.real / h, d2.real / h], [d1.imag / h, d2.imag / h]]).transpose(2, 0, 1)
-        step, good = _solve_each(jac[go], np.column_stack([f.real, f.imag])[go])
-        keep = np.flatnonzero(go)[good]
-        live, xl, ol, af, step = live[keep], xl[keep], ol[keep], af[keep], step[good]
-        full = np.abs(_residual_newton(t0, t1, xl[:, 0] - step[:, 0], xl[:, 1] - step[:, 1], ol))
-        lam = np.where(full < af, 1.0, 0.5 * _HALVINGS[-1])
-        rest = np.flatnonzero(~(full < af))
-        if rest.size:
-            trial = np.abs(_residual_newton(
-                t0, t1,
-                (xl[rest, :1] - _HALVINGS[1:] * step[rest, :1]).ravel(),
-                (xl[rest, 1:] - _HALVINGS[1:] * step[rest, 1:]).ravel(),
-                np.repeat(ol[rest], _HALVINGS.size - 1),
-            )).reshape(rest.size, -1)
-            lower = trial < af[rest, None]
-            lam[rest] = np.where(lower.any(1), _HALVINGS[1:][lower.argmax(1)], lam[rest])
-        x[live] = xl - lam[:, None] * step
-    if live.size:
-        af = np.abs(_residual_newton(t0, t1, x[live, 0], x[live, 1], order[live]))
-        best[live] = np.minimum(best[live], af)
-        ok[live[af < 1e-12]] = True
-    return x, ok, best
+    return [u[res < 1e-12] for u in unitaries], x[res < 1e-12], best
 
 
-def _phase_gauge(tq: np.ndarray):
-    """Diagonal local phases making r1..r4 real positive, then theta best effort."""
-    rows = {
-        (1, 0, 0): (1.0, 1.0, 0.0, 0.0),
-        (0, 1, 0): (1.0, 0.0, 1.0, 0.0),
-        (0, 0, 1): (1.0, 0.0, 0.0, 1.0),
-        (1, 1, 1): (1.0, 1.0, 1.0, 1.0),
-    }
-    a_rows, b_vals = [], []
-    for k, row in rows.items():
-        if abs(tq[k]) > 1e-12:
-            a_rows.append(row)
-            b_vals.append(-np.angle(tq[k]))
-    if a_rows:
-        a = np.array(a_rows)
-        b = np.array(b_vals)
-        x, *_ = np.linalg.lstsq(a, b, rcond=None)
-        null = null_space(a)
-    else:
-        x = np.zeros(4)
-        null = np.eye(4)
-    if abs(tq[0, 0, 0]) > 1e-12 and null.shape[1]:
-        # spend leftover freedom on zeroing theta
-        c = null.T @ np.array([1.0, 0.0, 0.0, 0.0])
-        target = -np.angle(tq[0, 0, 0]) - x[0]
-        if np.linalg.norm(c) > 1e-12:
-            x = x + null @ (c * target / (c @ c))
-    mu, al, be, ga = x
-    za = np.exp(1j * mu) * np.diag([1.0, np.exp(1j * al)])
-    zb = np.diag([1.0, np.exp(1j * be)])
-    zc = np.diag([1.0, np.exp(1j * ga)])
-    return za, zb, zc
+def _theta(x):
+    """``arg(x000^2 x111 conj(x100 x010 x001)) / 2`` of each rotated tensor, in
+    ``(-pi/2, pi/2]``, or 0 if one of the five amplitudes is below ``1e-12``.
+    A value within ``1e-9`` of ``-pi/2``, as on the W class, moves to ``pi/2``."""
+    x = x.reshape(-1, 8)[:, [0b000, 0b000, 0b111, 0b100, 0b010, 0b001]]
+    theta = 0.5 * np.angle(x[:, :3].prod(1) * x[:, 3:].prod(1).conj())
+    theta = np.where(theta < 1e-9 - np.pi / 2, theta + np.pi, theta)
+    return np.where((np.abs(x) < 1e-12).any(1), 0.0, theta)
 
 
-def acin_canonical_form(
-    psi: PureState, grid_points: int = 14, tol: float = 1e-8
-) -> AcinCanonicalForm:
+def _phase_gauge(x, theta):
+    """Diagonal local phases making the nonzero ``r1..r4`` of ``x`` real
+    positive and the phase of ``|000>`` equal to ``theta``.
+
+    Phases ``mu + i alpha + j beta + k gamma`` on ``|ijk>``: the four
+    amplitudes of ``r1..r4`` fix ``mu`` mod pi, which ``theta`` picks; if one
+    of them vanishes, its phase is free and ``theta`` is 0.
+    """
+    ph, small = np.angle(x), np.abs(x) < 1e-12
+    ones = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    mu = 0.5 * (ph[1, 1, 1] - sum(ph[k] for k in ones)) if small[0, 0, 0] else theta - ph[0, 0, 0]
+    angles = np.array([0.0 if small[k] else -ph[k] - mu for k in ones])
+    free = np.flatnonzero([small[k] for k in ones])
+    if free.size and not small[1, 1, 1]:
+        angles[free[0]] -= ph[1, 1, 1] + mu + angles.sum()
+    za, zb, zc = (np.diag([1.0, np.exp(1j * g)]) for g in angles)
+    return np.exp(1j * mu) * za, zb, zc
+
+
+def acin_canonical_form(psi: PureState, tol: float = 1e-8) -> AcinCanonicalForm:
     """Local-unitary reduction to the five-component canonical form.
 
-    The first qubit's basis mixes the two tensor slices; the mixing angles are
-    chosen so that, once the second and third qubits SVD-diagonalize the new
-    lower slice (which zeroes ``|101>`` and ``|110>``), the ``|011>``
-    amplitude of the upper slice vanishes too.  The root search scans a coarse
-    angle grid (``grid_points``, an integer >= 1, mixing angles by twice as
-    many phases) for both singular-value orderings, then polishes all seeds of
-    both orderings together in one batched, damped Newton iteration; among the
-    roots found, the one minimizing ``(r4, r3, r2, r1)`` lexicographically is
-    returned.  Remaining local phases are absorbed so ``r1..r4 >= 0`` with a
-    single phase left on ``r0``.  If no root reaches ``tol``, the
+    The first qubit's basis mixes the two tensor slices; it is chosen so that,
+    once the second and third qubits SVD-diagonalize the new lower slice
+    (which zeroes ``|101>`` and ``|110>``), the ``|011>`` amplitude of the
+    upper slice vanishes too.  These roots are the critical points of the
+    overlap with product states, found in closed form: on the Bloch sphere of
+    the first-qubit vector they are the critical points of an eigenvalue of
+    ``M M^dag`` (``M`` the lower slice), and their Lagrange multipliers are
+    the real roots of one degree-12 secular polynomial, as in the constrained
+    eigenvalue problem of Gander, Golub and von Matt, Linear Algebra Appl.
+    114/115, 815 (1989).  Each candidate takes six undamped Newton steps;
+    among the roots reached, the one minimizing ``(r4, r3, r2, r1)``
+    lexicographically is returned.  Diagonal local phases then make ``r1..r4
+    >= 0`` with one phase ``theta`` left on ``r0``.  Those phases fix
+    ``theta`` only mod pi, so it is folded into ``(-pi/2, pi/2]``, which makes
+    it a local-unitary invariant of the root; it is 0 when one of the five
+    amplitudes vanishes.  If no root reaches ``tol``, the
     :class:`ConvergenceError` carries the smallest off-support amplitude of
-    the polished roots, or the smallest Newton residual if none converged.
+    the roots, or the smallest Newton residual if none converged.
+
+    On generic states the roots are isolated and the form is canonical: a
+    local rotation of the state returns the same ``r`` and ``theta``.  Where
+    the roots form a continuum, as for product states, GHZ or
+    ``acin_state([.5, .5, .5, .5, 0])``, the root returned can depend on the
+    frame.
 
     The form differs from the one of Acin et al., PRL 85, 1560 (2000), which
     keeps ``|000>, |100>, |101>, |110>, |111>`` with the phase on ``|100>``
@@ -485,45 +507,20 @@ def acin_canonical_form(
     phase, but their ``r`` are different numbers.
     """
     _require_3qubit(psi)
-    try:
-        grid_points = operator.index(grid_points)
-    except TypeError:
-        raise ValueError(f"grid_points must be an integer, got {grid_points!r}") from None
-    if grid_points < 1:
-        raise ValueError(f"grid_points must be >= 1, got {grid_points}")
-    t0, t1 = psi.reshaped()
-    seeds, orders = _seeds(t0, t1, grid_points)
-    x, ok, best = _polish(t0, t1, seeds, orders)
-    candidates, offs = [], []
-    for g, d, u, vh in zip(*_mixed_svd(t0, t1, x[ok, 0], x[ok, 1], orders[ok])[:4]):
-        ua = np.array([[np.conj(d), -np.conj(g)], [g, d]])
-        ub = u.conj().T
-        uc = vh.conj()
-        tp = _apply_locals(psi, (ua, ub, uc))
-        za, zb, zc = _phase_gauge(tp)
-        locals_ = (za @ ua, zb @ ub, zc @ uc)
-        tq = _apply_locals(psi, locals_)
-        off = max(abs(tq[0, 1, 1]), abs(tq[1, 0, 1]), abs(tq[1, 1, 0]))
-        offs.append(off)
-        if off < tol:
-            r = np.array(
-                [
-                    abs(tq[0, 0, 0]),
-                    abs(tq[1, 0, 0]),
-                    abs(tq[0, 1, 0]),
-                    abs(tq[0, 0, 1]),
-                    abs(tq[1, 1, 1]),
-                ]
-            )
-            theta = float(np.angle(tq[0, 0, 0])) if r[0] > 1e-12 else 0.0
-            candidates.append((r, theta, locals_))
-    if not candidates:
+    (ua, ub, uc), x, best = _roots(psi.reshaped())
+    off = np.abs(x.reshape(-1, 8)[:, [0b011, 0b101, 0b110]]).max(1, initial=0.0)
+    keep = off < tol
+    if not keep.any():
         raise ConvergenceError(
             "failed to zero the three target amplitudes below tolerance",
-            best_residual=float(min(offs) if offs else best.min()),
+            best_residual=float(off.min() if off.size else best),
         )
-    candidates.sort(
-        key=lambda c: tuple(np.round(c[0][[4, 3, 2, 1, 0]], 9)) + (round(abs(c[1]), 9),)
+    ua, ub, uc, x = ua[keep], ub[keep], uc[keep], x[keep]
+    r = np.abs(x.reshape(-1, 8)[:, [0b000, 0b100, 0b010, 0b001, 0b111]])
+    theta = _theta(x)
+    key = np.round(np.column_stack([r[:, [4, 3, 2, 1, 0]], np.abs(theta)]), 9)
+    i = np.lexsort(key.T[::-1])[0]
+    za, zb, zc = _phase_gauge(x[i], theta[i])
+    return AcinCanonicalForm(
+        r=r[i], theta=float(theta[i]), local_unitaries=(za @ ua[i], zb @ ub[i], zc @ uc[i])
     )
-    r, theta, locals_ = candidates[0]
-    return AcinCanonicalForm(r=r, theta=theta, local_unitaries=locals_)

@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import SizeLimitError
+from .core import SizeLimitError, _check_indices
 from .states import PureState, State, as_density, partial_trace, purity
 
 _PARTITION_ENUM_CAP = 8
@@ -31,7 +31,7 @@ class Partition:
     blocks: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        blocks = tuple(tuple(sorted(int(i) for i in b)) for b in self.blocks)
+        blocks = tuple(tuple(sorted(_check_indices(b))) for b in self.blocks)
         blocks = tuple(sorted(blocks, key=lambda b: b[0] if b else -1))
         if any(len(b) == 0 for b in blocks):
             raise ValueError("blocks must be non-empty")
@@ -218,7 +218,7 @@ def partial_transpose(rho: State, subset: Iterable[int]) -> np.ndarray:
     """
     rho = as_density(rho)
     n = rho.n_parties
-    subset = sorted(set(int(i) for i in subset))
+    subset = sorted(set(_check_indices(subset)))
     if not subset or len(subset) >= n:
         raise ValueError("subset must be non-empty and proper")
     if subset[0] < 0 or subset[-1] >= n:

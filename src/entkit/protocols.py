@@ -15,6 +15,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .core import _check_indices
 from .states import (
     DensityMatrix,
     PureState,
@@ -297,11 +298,11 @@ def combing_entropy_profile(
     the per-block entropies bound the achievable pair profile, and the total
     on the distinguished party is returned alongside.
     """
-    a = int(a)
+    [a] = _check_indices([a])
     seen = {a}
     profile = []
     for block in b_blocks:
-        block = sorted(set(int(i) for i in block))
+        block = sorted(set(_check_indices(block)))
         if not block or seen & set(block):
             raise ValueError("blocks must be disjoint and must not contain the A party")
         seen |= set(block)

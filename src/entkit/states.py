@@ -14,7 +14,15 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import HERMITIAN_ATOL, _check_dims, partial_trace_matrix, permute_matrix
+from .core import (
+    DIM_CAP,
+    HERMITIAN_ATOL,
+    SizeLimitError,
+    _check_dims,
+    _check_indices,
+    partial_trace_matrix,
+    permute_matrix,
+)
 
 _PHASE_TOL = 1e-12
 
@@ -153,7 +161,7 @@ def as_density(state: State) -> DensityMatrix:
 
 def partial_trace(state: State, keep: Iterable[int]) -> DensityMatrix:
     """Reduced state on the subsystems in ``keep`` (original order preserved)."""
-    keep = sorted(set(int(k) for k in keep))
+    keep = sorted(set(_check_indices(keep)))
     if isinstance(state, PureState):
         n = state.n_parties
         if not keep:
@@ -176,7 +184,7 @@ def partial_trace(state: State, keep: Iterable[int]) -> DensityMatrix:
 
 def basis_state(dims: Sequence[int], occupation: Sequence[int]) -> PureState:
     """Computational basis state ``|occupation[0], occupation[1], ...>``."""
-    dims = tuple(dims)
+    dims = _check_dims(dims)
     occ = list(occupation)
     if len(occ) != len(dims) or any(not 0 <= o < d for o, d in zip(occ, dims)):
         raise ValueError(f"occupation {occ} invalid for dims {dims}")
@@ -232,6 +240,7 @@ def bell_state(d: int = 2) -> PureState:
     """Maximally entangled two-qudit state ``sum_i |ii> / sqrt(d)``."""
     if d < 2:
         raise ValueError(f"local dimension must be >= 2, got {d}")
+    _check_dims((d, d))
     amp = np.zeros(d * d, dtype=complex)
     amp[[i * d + i for i in range(d)]] = 1.0 / np.sqrt(d)
     return PureState(amp, (d, d))
@@ -246,6 +255,11 @@ def ghz_state(n: int = 3, d: int = 2, lam: Sequence[float] | None = None) -> Pur
         raise ValueError(f"need at least 2 parties, got {n}")
     if d < 2:
         raise ValueError(f"local dimension must be >= 2, got {d}")
+    # d >= 2, so past DIM_CAP.bit_length() parties d^n exceeds the cap; this
+    # check comes before the tuple of n dimensions is built
+    if n > DIM_CAP.bit_length():
+        raise SizeLimitError(f"{n} parties of dimension {d} exceed the dense cap {DIM_CAP}")
+    dims = _check_dims((d,) * n)
     if lam is None:
         lam = np.full(d, 1.0 / d)
     lam = np.asarray(lam, dtype=float)
@@ -253,7 +267,6 @@ def ghz_state(n: int = 3, d: int = 2, lam: Sequence[float] | None = None) -> Pur
         raise ValueError(f"lambda must be {d} non-negative numbers")
     if not abs(lam.sum() - 1.0) <= HERMITIAN_ATOL:
         raise ValueError(f"lambda sums to {lam.sum()!r}, not 1 within 1e-10")
-    dims = (d,) * n
     amp = np.zeros(d**n, dtype=complex)
     stride = (d**n - 1) // (d - 1)
     amp[[i * stride for i in range(d)]] = np.sqrt(np.clip(lam, 0.0, None))
@@ -267,6 +280,15 @@ def w_state() -> PureState:
     return PureState(amp, (2, 2, 2))
 
 
+#: Largest vertex count of a graph state: 2^12 amplitudes is the dense cap.
+_GRAPH_VERTEX_CAP = 12
+
+
+def _check_vertex_count(m: int) -> None:
+    if not 1 <= m <= _GRAPH_VERTEX_CAP:
+        raise ValueError(f"vertex count {m} outside supported range 1..{_GRAPH_VERTEX_CAP}")
+
+
 def graph_state(adjacency) -> PureState:
     """Graph state: qubits in ``|+>`` with a controlled-phase gate per edge.
 
@@ -278,8 +300,7 @@ def graph_state(adjacency) -> PureState:
     m = adj.shape[0]
     if adj.ndim != 2 or adj.shape != (m, m):
         raise ValueError("adjacency must be a square matrix")
-    if m < 1 or m > 12:
-        raise ValueError(f"vertex count {m} outside supported range 1..12")
+    _check_vertex_count(m)
     if not np.array_equal(adj, adj.T) or np.any(np.diag(adj) != 0):
         raise ValueError("adjacency must be symmetric with zero diagonal")
     if not np.isin(adj, (0, 1)).all():
@@ -413,8 +434,8 @@ def conditional_entropy(
     state: State, a: Iterable[int], b: Iterable[int], base: float | None = None
 ) -> float:
     """Conditional entropy ``S(A|B) = S(rho_AB) - S(rho_B)``; may be negative."""
-    a = sorted(set(int(i) for i in a))
-    b = sorted(set(int(i) for i in b))
+    a = sorted(set(_check_indices(a)))
+    b = sorted(set(_check_indices(b)))
     if set(a) & set(b):
         raise ValueError(f"index sets overlap: {a} and {b}")
     if not a or not b:

@@ -323,13 +323,18 @@ def test_c11_convex_roof_vs_wootters():
     print(f"criterion 11 PASS: roof tangle matches Wootters^2 to {worst:.1e} on 20 mixes")
 
 
-def test_c12_acin_canonical_form():
+@pytest.fixture(scope="module")
+def c12_forms():
+    """The 1000 Haar states of criterion 12 (seed 15) and their canonical forms."""
     rng = np.random.default_rng(15)
+    states = [ek.random_pure_state([2, 2, 2], rng=rng) for _ in range(1000)]
+    return [(psi, ek.acin_canonical_form(psi)) for psi in states]
+
+
+def test_c12_acin_canonical_form(c12_forms):
     worst_off = 0.0
     worst_inv = 0.0
-    for _ in range(1000):
-        psi = ek.random_pure_state([2, 2, 2], rng=rng)
-        form = ek.acin_canonical_form(psi)
+    for psi, form in c12_forms:
         u = np.kron(
             np.kron(form.local_unitaries[0], form.local_unitaries[1]),
             form.local_unitaries[2],
@@ -349,6 +354,28 @@ def test_c12_acin_canonical_form():
     print(
         f"criterion 12 PASS: 1000 canonical forms, off-support <= {worst_off:.1e}, "
         f"invariant drift <= {worst_inv:.1e}"
+    )
+
+
+def test_c12_canonical_under_local_rotations(c12_forms):
+    """The form is a local-unitary invariant: after seeded Haar local
+    unitaries (seed 99), every state of criterion 12 gets the same ``r`` and
+    the same folded ``theta``."""
+    from scipy.stats import unitary_group
+
+    rng = np.random.default_rng(99)
+    worst_r = worst_theta = 0.0
+    for psi, form in c12_forms:
+        u = [unitary_group.rvs(2, random_state=rng) for _ in range(3)]
+        turned = ek.PureState(np.kron(np.kron(u[0], u[1]), u[2]) @ psi.amplitudes, (2, 2, 2))
+        other = ek.acin_canonical_form(turned)
+        assert -np.pi / 2 < form.theta <= np.pi / 2
+        worst_r = max(worst_r, np.abs(other.r - form.r).max())
+        worst_theta = max(worst_theta, abs(other.theta - form.theta))
+        assert worst_r < 1e-8 and worst_theta < 1e-8
+    print(
+        f"criterion 12 PASS under local rotations: r within {worst_r:.1e}, "
+        f"theta within {worst_theta:.1e}"
     )
 
 

@@ -60,3 +60,5 @@ def test_partial_trace_errors():
         partial_trace_matrix(rho, (2, 2), [])
     with pytest.raises(ValueError):
         partial_trace_matrix(rho, (2, 2), [2])
+    with pytest.raises(ValueError, match="integers"):
+        partial_trace_matrix(rho, (2, 2), [0.5])

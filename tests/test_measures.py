@@ -16,6 +16,20 @@ def test_geometric_measure_product_state():
     assert isinstance(res.argument, ek.PureState)
 
 
+def test_geometric_measure_reaches_the_canonical_form_roots():
+    """On three qubits the largest overlap with product states is the largest
+    ``|111>`` amplitude over all roots of the canonical form, which certifies
+    the alternating maximization."""
+    from entkit.invariants import _roots
+
+    rng = np.random.default_rng(23)
+    for _ in range(20):
+        psi = ek.random_pure_state([2, 2, 2], rng=rng)
+        exact = 1.0 - np.abs(_roots(psi.reshaped())[1][:, 1, 1, 1]).max() ** 2
+        value = ek.geometric_measure(psi, restarts=32, seed=0).value
+        assert value == pytest.approx(exact, abs=1e-8)
+
+
 def test_geometric_measure_named_states():
     res = ek.geometric_measure(ek.ghz_state(3, 2), restarts=16, seed=0)
     assert res.value == pytest.approx(0.5, abs=1e-8)

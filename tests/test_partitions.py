@@ -19,6 +19,8 @@ def test_partition_canonical_form_and_validation():
         ek.Partition(((0,), (2,)))
     with pytest.raises(ValueError):
         ek.Partition(((0,), ()))
+    with pytest.raises(ValueError, match="integers"):
+        ek.Partition(((0.2,), (1,)))
 
 
 def test_enumerate_partitions_bell_numbers():
@@ -166,6 +168,8 @@ def test_partial_transpose_properties():
         ek.partial_transpose(rho, [])
     with pytest.raises(ValueError):
         ek.partial_transpose(rho, [0, 1])
+    with pytest.raises(ValueError, match="integers"):
+        ek.partial_transpose(rho, [0.7])
 
 
 def test_ppt_check_examples():

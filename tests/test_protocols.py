@@ -192,6 +192,9 @@ def test_combing_entropy_profile():
     assert total == pytest.approx(0.0, abs=1e-10)
     with pytest.raises(ValueError):
         ek.combing_entropy_profile(ghz, 0, [[0, 1]])
+    for a, blocks in ((0.5, [[1], [2]]), (0, [[1.0], [2]])):
+        with pytest.raises(ValueError, match="integers"):
+            ek.combing_entropy_profile(ghz, a, blocks)
 
 
 def test_protocol_input_validation():

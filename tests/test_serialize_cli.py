@@ -1,7 +1,10 @@
 import json
+import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import entkit as ek
 from entkit.cli import main
@@ -144,6 +147,10 @@ def test_cli_exit_codes(tmp_path):
     assert main(["make", "acin", "--r", "1,1,0,0,0"]) == 2
     assert main(["make", "ghz", "--lam", "0.9,0.9"]) == 2
     assert main(["make", "graph", "--edges", "0-5", "--vertices", "3"]) == 2
+    # sizes far over the dense cap are refused before anything is allocated
+    assert main(["make", "ghz", "--n", "40"]) == 2
+    assert main(["make", "bell", "--d", "100000"]) == 2
+    assert main(["make", "graph", "--edges", "0-1", "--vertices", "1000000"]) == 2
     nan_doc = tmp_path / "nan.json"
     nan_doc.write_text(json.dumps(_NAN_DOCUMENT))    # json writes a bare NaN
     assert main(["analyze", str(nan_doc)]) == 2
@@ -155,6 +162,46 @@ def test_cli_exit_codes(tmp_path):
     # count is checked before any point is built
     for grid in ("0:inf:0.1", "nan:1:0.1", "0,inf", "0:1:1e-12"):
         assert main(["sweep", "--family", "ghz-noise", "--grid", grid]) == 2
+
+
+def _exit_code(argv) -> int:
+    try:
+        return main(argv)
+    except SystemExit as exc:  # argparse rejected the arguments
+        return exc.code
+
+
+def _csv(values):
+    return st.lists(values, max_size=6).map(lambda xs: ",".join(map(str, xs)))
+
+
+_MAKE_INTS = st.one_of(st.none(), st.integers(-10, 20), st.integers(-(10**15), 10**15))
+_MAKE_TEXTS = {
+    "--lam": _csv(st.floats()),
+    "--r": _csv(st.floats()),
+    "--a": st.complex_numbers().map(str),
+    "--edges": _csv(st.tuples(st.integers(-2, 10**12), st.integers(0, 14)).map(
+        lambda e: f"{e[0]}-{e[1]}")),
+    "--theta": st.floats().map(str),
+}
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(
+    name=st.sampled_from(
+        ["bell", "ghz", "w", "graph", "smolin", "upb", "psi25", "phi-a", "acin"]
+    ),
+    ints=st.fixed_dictionaries({flag: _MAKE_INTS for flag in ("--n", "--d", "--vertices")}),
+    texts=st.fixed_dictionaries(
+        {flag: st.one_of(st.none(), st.text(max_size=20), values)
+         for flag, values in _MAKE_TEXTS.items()}
+    ),
+)
+def test_cli_make_exit_code_contract(name, ints, texts):
+    """``make`` exits with 0 or 2 for any arguments, and never raises."""
+    argv = ["make", name, "--out", os.devnull]
+    argv += [f"{flag}={value}" for flag, value in {**ints, **texts}.items() if value is not None]
+    assert _exit_code(argv) in (0, 2)
 
 
 def test_cli_ppt_sweep_cap(tmp_path, monkeypatch):

@@ -70,6 +70,8 @@ def test_bell_state():
         assert ek.entanglement_entropy(ek.bell_state(d)) == pytest.approx(np.log(d), abs=1e-10)
     with pytest.raises(ValueError):
         ek.bell_state(1)
+    with pytest.raises(ek.SizeLimitError):
+        ek.bell_state(100000)
 
 
 def test_ghz_state():
@@ -84,6 +86,11 @@ def test_ghz_state():
     assert ek.tangles(degenerate)[2] == pytest.approx(0.0, abs=1e-12)
     with pytest.raises(ValueError):
         ek.ghz_state(3, 2, [0.7, 0.7])
+    for n, d in ((13, 2), (40, 2), (10**15, 2), (2, 65)):
+        with pytest.raises(ek.SizeLimitError):
+            ek.ghz_state(n, d)
+    with pytest.raises(ek.SizeLimitError):
+        ek.basis_state([2] * 40, [0] * 40)
 
 
 def test_w_state():
@@ -240,6 +247,12 @@ def test_conditional_entropy():
     assert ek.conditional_entropy(ghz.density(), [0], [1]) == pytest.approx(0.0, abs=1e-10)
     with pytest.raises(ValueError):
         ek.conditional_entropy(prod, [0], [0])
+    # a non-integer index is rejected, not truncated
+    with pytest.raises(ValueError, match="integers"):
+        ek.conditional_entropy(prod, [0.4], [1])
+    for state in (prod, ghz):
+        with pytest.raises(ValueError, match="integers"):
+            ek.partial_trace(state, [0.5])
 
 
 def test_marginal_purity_bounds_and_product_detection():
