@@ -21,30 +21,25 @@ from . import __version__
 from .core import ConvergenceError, SizeLimitError
 from .invariants import lu_invariants, polytope_coords, slocc_class_3qubit, tangles
 from .measures import geometric_measure
-from .partitions import Partition, _ppt_sweep, classify_pure
+from .partitions import Partition, _ppt_sweep, classify_pure, single_party_bipartition
 from .protocols import teleport, unlock_smolin
-from .schmidt import (
-    entanglement_entropy,
-    find_catalyst,
-    nielsen_convertible,
-    schmidt_rank,
-    schmidt_vector,
-)
+from .schmidt import RANK_TOL, find_catalyst, nielsen_convertible, schmidt_vector
 from .serialize import from_document, to_document
 from .special import ame_feasibility
 from .states import (
     DensityMatrix,
     PureState,
     _check_vertex_count,
+    _marginal_spectrum,
     acin_state,
     bell_state,
     ghz_state,
     graph_state,
-    partial_trace,
     phi_a_state,
     psi25_state,
     purity,
     random_pure_state,
+    shannon_entropy,
     smolin_state,
     upb_state,
     w_state,
@@ -214,7 +209,7 @@ def cmd_analyze(args) -> int:
                 report[w] = {
                     str(part): _schmidt_entry(state, part)
                     for part in (
-                        Partition(((k,), tuple(i for i in range(state.n_parties) if i != k)))
+                        single_party_bipartition(k, state.n_parties)
                         for k in range(state.n_parties)
                     )
                 }
@@ -245,11 +240,12 @@ def cmd_analyze(args) -> int:
 
 
 def _schmidt_entry(state: PureState, part) -> dict:
+    # entanglement_entropy and schmidt_rank, read from one Schmidt vector
     lam = schmidt_vector(state, part)
     return {
         "lambda": [float(x) for x in lam],
-        "entropy": entanglement_entropy(state, part),
-        "rank": schmidt_rank(state, part),
+        "entropy": shannon_entropy(lam),
+        "rank": int((lam > RANK_TOL).sum()),
     }
 
 
@@ -321,13 +317,6 @@ def _grid_range(text: str) -> list[float]:
     return values
 
 
-def _min_marginal_eigenvalues(psi: PureState) -> list[float]:
-    return [
-        float(np.linalg.eigvalsh(partial_trace(psi, [k]).matrix).min())
-        for k in range(psi.n_parties)
-    ]
-
-
 def cmd_sweep(args) -> int:
     family = args.family
     rows: list[dict] = []
@@ -355,8 +344,8 @@ def cmd_sweep(args) -> int:
         for a in values:
             psi = phi_a_state(a)
             row = {"a_re": a.real, "a_im": a.imag}
-            for k, lam in enumerate(_min_marginal_eigenvalues(psi)):
-                row[f"lambda_{k}"] = lam
+            for k in range(psi.n_parties):
+                row[f"lambda_{k}"] = float(_marginal_spectrum(psi, [k]).min())
             rows.append(row)
     elif family == "acin-grid":
         points = [tok for tok in args.grid.split(";") if tok.strip() != ""]
@@ -386,8 +375,7 @@ def cmd_teleport_demo(args) -> int:
     d = args.d
     rng = np.random.default_rng(args.seed)
     psi = random_pure_state([d], rng=rng)
-    rho_in = psi.density()
-    outcomes = teleport(rho_in, d)
+    outcomes = teleport(psi, d)
     branches = []
     for br in outcomes:
         fid = float(np.vdot(psi.amplitudes, br.post_state.matrix @ psi.amplitudes).real)
@@ -423,9 +411,14 @@ def _parse_span(text: str) -> range:
 
 
 def cmd_ame_table(args) -> int:
+    ns, ds = _parse_span(args.n), _parse_span(args.d)
+    # range lengths from the bounds: len() overflows past sys.maxsize
+    count = max(0, ns.stop - ns.start) * max(0, ds.stop - ds.start)
+    if count > _GRID_CAP:
+        raise SizeLimitError(f"ame-table spans have {count} rows, more than {_GRID_CAP}")
     rows = []
-    for n in _parse_span(args.n):
-        for d in _parse_span(args.d):
+    for n in ns:
+        for d in ds:
             verdict = ame_feasibility(n, d)
             rows.append(
                 {"n": n, "d": d, "verdict": verdict.feasible.value, "rule": verdict.reason}
@@ -502,7 +495,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ame-table", parents=[common], help="AME feasibility table")
     p.add_argument("--n", default="2:8", help="party range lo:hi")
-    p.add_argument("--d", default="2:8", help="dimension range lo:hi")
+    p.add_argument("--d", default="2:8", help=f"dimension range lo:hi; {_GRID_CAP} rows at most")
     p.set_defaults(func=cmd_ame_table)
     return parser
 

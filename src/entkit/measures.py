@@ -17,7 +17,7 @@ import numpy as np
 from scipy.linalg import expm
 from scipy.optimize import minimize
 
-from .states import DensityMatrix, PureState
+from .states import DensityMatrix, PureState, _marginal_spectrum
 
 _GM_DIM_CAP = 1024
 _ROOF_DIM_CAP = 16
@@ -120,12 +120,9 @@ def meyer_wallach(psi: PureState) -> float:
     """Average single-qubit linear entropy ``(1/n) sum_k 2 (1 - Tr rho_k^2)``."""
     if any(d != 2 for d in psi.dims):
         raise ValueError(f"qubit systems only, got dims {psi.dims}")
-    from .states import partial_trace, purity
-
     n = psi.n_parties
-    return float(
-        sum(2.0 * (1.0 - purity(partial_trace(psi, [k]))) for k in range(n)) / n
-    )
+    purities = [(_marginal_spectrum(psi, [k]) ** 2).sum() for k in range(n)]
+    return float(sum(2.0 * (1.0 - p) for p in purities) / n)
 
 
 def multipartite_concurrence(

@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .core import SizeLimitError, _check_indices
-from .states import PureState, State, as_density, partial_trace, purity
+from .states import PureState, State, _marginal_spectrum, as_density
 
 _PARTITION_ENUM_CAP = 8
 _PPT_SWEEP_CAP = 6
@@ -146,12 +146,13 @@ def is_product_across(psi: PureState, partition: Partition, tol: float = 1e-9) -
     """True iff ``psi`` factorizes across ``partition``.
 
     A pure state is product across a partition iff the reduced state of every
-    block is pure; block purity is compared against ``1 - tol``.
+    block is pure; block purity, the sum of the squared marginal eigenvalues,
+    is compared against ``1 - tol``.
     """
     if partition.n_parties != psi.n_parties:
         raise ValueError("partition does not match the state's party count")
     return all(
-        purity(partial_trace(psi, block)) >= 1.0 - tol
+        (_marginal_spectrum(psi, block) ** 2).sum() >= 1.0 - tol
         for block in partition.blocks
         if len(block) < psi.n_parties
     )
@@ -170,34 +171,24 @@ class ClassificationReport:
 def classify_pure(psi: PureState, tol: float = 1e-9) -> ClassificationReport:
     """Finest product partition, producibility ``M`` and biseparability flags.
 
-    Blocks are split greedily: any sub-block whose marginal is pure factors
-    off from the whole state, so recursive bipartition of blocks is sound.
+    Each bipartition gets one flag from :func:`is_product_across`.  Two parties
+    share a block of the finest product partition iff no product cut separates
+    them: the cuts a pure state factorizes across are closed under
+    intersection, so the finest partition's blocks are the classes of parties
+    that lie on the same side of every product cut.
     """
     n = psi.n_parties
     if n > _PARTITION_ENUM_CAP:
         raise SizeLimitError(f"classification capped at {_PARTITION_ENUM_CAP} parties")
-
-    def split(block: tuple[int, ...]) -> list[tuple[int, ...]]:
-        if len(block) == 1:
-            return [block]
-        members = list(block)
-        # candidate sub-blocks containing members[0]; the complement cases
-        # are equivalent because both marginals of a pure factor share a spectrum
-        for mask in range(2 ** (len(members) - 1) - 1):
-            sub = [members[0]] + [
-                members[i] for i in range(1, len(members)) if (mask >> (i - 1)) & 1
-            ]
-            if purity(partial_trace(psi, sub)) >= 1.0 - tol:
-                rest = tuple(i for i in members if i not in sub)
-                return split(tuple(sub)) + split(rest)
-        return [block]
-
-    blocks = split(tuple(range(n)))
-    finest = Partition(tuple(blocks))
-    m = max(len(b) for b in finest.blocks)
     flags = {
         bp: is_product_across(psi, bp, tol) for bp in all_bipartitions(n)
     } if n >= 2 else {}
+    blocks: dict[tuple[bool, ...], list[int]] = {}
+    for i in range(n):
+        side = tuple(i in bp.blocks[0] for bp, product in flags.items() if product)
+        blocks.setdefault(side, []).append(i)
+    finest = Partition(tuple(tuple(b) for b in blocks.values()))
+    m = max(len(b) for b in finest.blocks)
     return ClassificationReport(
         finest_product_partition=finest,
         producibility_m=m,
@@ -238,24 +229,37 @@ def ppt_check(rho: State, bipartition=None) -> tuple[bool, float]:
     Positivity of the partial transpose is necessary for separability across
     the cut; a negative eigenvalue certifies entanglement, a non-negative
     spectrum is inconclusive for mixed states.
+
+    A pure state never becomes a projector.  With Schmidt coefficients
+    ``l_1 >= l_2 >= ...``, the partial transpose of ``|psi><psi|`` has the
+    spectrum ``{l_i} u {+-sqrt(l_i l_j), i < j}`` padded with zeros, so its
+    minimum is ``-sqrt(l_1 l_2)`` (Vidal & Werner, PRA 65, 032314 (2002)).
+    It is 0 at Schmidt rank one, and 1 when the total dimension is 1.
     """
-    rho = as_density(rho)
+    if not isinstance(rho, PureState):
+        rho = as_density(rho)
     part = as_bipartition(bipartition, rho.n_parties)
-    pt = partial_transpose(rho, part.blocks[1])
-    min_eig = float(np.linalg.eigvalsh(pt).min())
+    if isinstance(rho, PureState):
+        lam = _marginal_spectrum(rho, part.blocks[0])
+        if lam.size > 1:
+            min_eig = float(-np.sqrt(lam[0] * lam[1])) or 0.0  # no negative zero
+        else:  # the left side is one-dimensional: no entry of lam is paired
+            min_eig = 1.0 if rho.dim == 1 else 0.0
+    else:
+        pt = partial_transpose(rho, part.blocks[1])
+        min_eig = float(np.linalg.eigvalsh(pt).min())
     return (min_eig >= -1e-10, min_eig)
 
 
 def _ppt_sweep(state: State) -> dict[Partition, tuple[bool, float]]:
     """:func:`ppt_check` on every bipartition, capped at ``_PPT_SWEEP_CAP`` parties.
 
-    The cap is checked before a pure state becomes a projector, so an input
-    over it costs no eigensolve.
+    The cap is checked before any cut is computed, so an input over it costs
+    no eigensolve.
     """
     if state.n_parties > _PPT_SWEEP_CAP:
         raise SizeLimitError(f"PPT sweep capped at {_PPT_SWEEP_CAP} parties")
-    rho = as_density(state)
-    return {bp: ppt_check(rho, bp) for bp in all_bipartitions(rho.n_parties)}
+    return {bp: ppt_check(state, bp) for bp in all_bipartitions(state.n_parties)}
 
 
 def ppt_all_bipartitions(rho: State) -> dict[Partition, bool]:

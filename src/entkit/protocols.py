@@ -15,7 +15,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import _check_indices
+from .core import _check_dims, _check_indices
 from .states import (
     DensityMatrix,
     PureState,
@@ -49,22 +49,23 @@ class Instrument:
     dims: tuple[int, ...]
 
     def __post_init__(self):
-        d = prod(self.dims)
+        dims = _check_dims(self.dims)
+        d = prod(dims)
         total = np.zeros((d, d), dtype=complex)
         branches = []
         for label, kraus in self.branches:
             kraus = tuple(np.asarray(k, dtype=complex) for k in kraus)
             for k in kraus:
-                if k.shape[1] != d:
+                if k.ndim != 2 or k.shape[1] != d:
                     raise ValueError(
-                        f"Kraus operator shape {k.shape} incompatible with dim {d}"
+                        f"Kraus operator shape {k.shape} is not (m, {d})"
                     )
                 total += k.conj().T @ k
             branches.append((label, kraus))
         if np.abs(total - np.eye(d)).max() > _COMPLETENESS_ATOL:
             raise ValueError("instrument is not trace preserving within 1e-9")
         object.__setattr__(self, "branches", tuple(branches))
-        object.__setattr__(self, "dims", tuple(int(x) for x in self.dims))
+        object.__setattr__(self, "dims", dims)
 
     def apply(self, rho: State) -> list[BranchOutcome]:
         """Born-rule outcome list; branch order follows the label order."""
@@ -100,13 +101,13 @@ def generalized_bell_basis(d: int) -> list[PureState]:
     """The ``d^2`` maximally entangled states ``(U_mn (x) I)|psi^{+,d}>``."""
     if d < 2:
         raise ValueError(f"local dimension must be >= 2, got {d}")
-    base = bell_state(d).amplitudes
-    out = []
-    for m in range(d):
-        for n in range(d):
-            u = shift_multiply_unitary(m, n, d)
-            out.append(PureState(np.kron(u, np.eye(d)) @ base, (d, d)))
-    return out
+    # (U (x) I)|psi+> reshaped to d x d is U @ B, with B the reshaped |psi+>
+    bell = bell_state(d).amplitudes.reshape(d, d)
+    return [
+        PureState((shift_multiply_unitary(m, n, d) @ bell).ravel(), (d, d))
+        for m in range(d)
+        for n in range(d)
+    ]
 
 
 def teleportation_kraus(d: int) -> list[tuple[tuple[int, int], np.ndarray]]:
@@ -118,13 +119,12 @@ def teleportation_kraus(d: int) -> list[tuple[tuple[int, int], np.ndarray]]:
     """
     if d < 2:
         raise ValueError(f"local dimension must be >= 2, got {d}")
-    bell_vec = bell_state(d).amplitudes
-    bell = bell_vec.reshape(d, d)
+    bell = bell_state(d).amplitudes.reshape(d, d)
     out = []
     for m in range(d):
         for n in range(d):
             u = shift_multiply_unitary(m, n, d)
-            proj = (np.kron(u, np.eye(d)) @ bell_vec).reshape(d, d)
+            proj = u @ bell  # (U (x) I)|psi+>, reshaped to d x d
             # M[b, a'] = sum_a conj(proj[a', a]) bell[a, b]
             m_eff = np.einsum("xa,ab->bx", proj.conj(), bell)
             out.append(((m, n), u @ m_eff))
@@ -134,17 +134,16 @@ def teleportation_kraus(d: int) -> list[tuple[tuple[int, int], np.ndarray]]:
 def teleport(input_state: State, d: int | None = None) -> list[BranchOutcome]:
     """Teleport a ``d``-level state through ``|psi^{+,d}>``; all branches return it.
 
-    Outcome probabilities are ``1/d^2`` regardless of the input.
+    Outcome probabilities are ``1/d^2`` regardless of the input.  The
+    channel, and with it the dense cap on ``d``, comes before a pure input
+    becomes a projector.
     """
-    rho = as_density(input_state)
     if d is None:
-        d = rho.dim
-    if rho.dim != d:
-        raise ValueError(f"input dimension {rho.dim} != d={d}")
+        d = input_state.dim
     branches = tuple(
         (label, (k,)) for label, k in teleportation_kraus(d)
     )
-    return Instrument(branches=branches, dims=(d,)).apply(rho)
+    return Instrument(branches=branches, dims=(d,)).apply(input_state)
 
 
 def entanglement_swap(rho_xa: DensityMatrix, d: int | None = None) -> DensityMatrix:

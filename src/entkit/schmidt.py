@@ -14,7 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from .partitions import Partition, as_bipartition
-from .states import PureState, shannon_entropy
+from .states import PureState, _cut_matrix, shannon_entropy
 
 RANK_TOL = 1e-10
 _MAJ_SLACK = 1e-12
@@ -34,17 +34,10 @@ class SchmidtData:
     bipartition: Partition
 
 
-def _coefficient_matrix(psi: PureState, part: Partition) -> np.ndarray:
-    left, right = part.blocks
-    t = psi.reshaped().transpose(list(left) + list(right))
-    dl = prod(psi.dims[i] for i in left)
-    return t.reshape(dl, -1)
-
-
 def schmidt(psi: PureState, bipartition=None) -> SchmidtData:
     """Schmidt decomposition across a bipartition via SVD of the coefficient matrix."""
     part = as_bipartition(bipartition, psi.n_parties)
-    g = _coefficient_matrix(psi, part)
+    g = _cut_matrix(psi, part.blocks[0])
     u, s, vh = np.linalg.svd(g, full_matrices=True)
     # with V = conj(vh), the SVD g = u diag(s) vh matches (U (x) V^dag) sum sqrt(l)|ii>
     return SchmidtData(
@@ -58,7 +51,7 @@ def schmidt(psi: PureState, bipartition=None) -> SchmidtData:
 def schmidt_vector(psi: PureState, bipartition=None) -> np.ndarray:
     """Just the non-increasing Schmidt probability vector."""
     part = as_bipartition(bipartition, psi.n_parties)
-    s = np.linalg.svd(_coefficient_matrix(psi, part), compute_uv=False)
+    s = np.linalg.svd(_cut_matrix(psi, part.blocks[0]), compute_uv=False)
     return s**2
 
 

@@ -8,6 +8,7 @@ of local dimensions and use the package-wide row-major basis convention.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from math import prod
 from typing import Iterable, Sequence
@@ -159,6 +160,23 @@ def as_density(state: State) -> DensityMatrix:
     raise TypeError(f"expected PureState or DensityMatrix, got {type(state)!r}")
 
 
+def _cut_matrix(psi: PureState, block: Sequence[int]) -> np.ndarray:
+    """Amplitudes of ``psi`` with rows over ``block``, in its order, and columns
+    over the other parties; ``M M^dag`` is the reduced state on ``block``.
+    ``block`` must already be a valid list of distinct indices: no check here."""
+    rest = [i for i in range(psi.n_parties) if i not in block]
+    t = psi.reshaped().transpose(list(block) + rest)
+    return t.reshape(prod(psi.dims[i] for i in block), -1)
+
+
+def _marginal_spectrum(psi: PureState, block: Sequence[int]) -> np.ndarray:
+    """Non-increasing spectrum of the reduced state of ``psi`` on ``block``: the
+    squared singular values of the cut matrix, zero-padded to the block's dimension."""
+    m = _cut_matrix(psi, block)
+    lam = np.linalg.svd(m, compute_uv=False) ** 2
+    return np.pad(lam, (0, m.shape[0] - lam.size))
+
+
 def partial_trace(state: State, keep: Iterable[int]) -> DensityMatrix:
     """Reduced state on the subsystems in ``keep`` (original order preserved)."""
     keep = sorted(set(_check_indices(keep)))
@@ -168,11 +186,8 @@ def partial_trace(state: State, keep: Iterable[int]) -> DensityMatrix:
             raise ValueError("keep must be a non-empty set of subsystem indices")
         if keep[0] < 0 or keep[-1] >= n:
             raise ValueError(f"keep {keep} out of range for {n} subsystems")
-        drop = [i for i in range(n) if i not in keep]
-        v = state.reshaped().transpose(keep + drop)
-        dk = prod(state.dims[i] for i in keep)
-        v = v.reshape(dk, -1)
-        return DensityMatrix(v @ v.conj().T, tuple(state.dims[i] for i in keep))
+        m = _cut_matrix(state, keep)
+        return DensityMatrix(m @ m.conj().T, tuple(state.dims[i] for i in keep))
     rho = as_density(state)
     red = partial_trace_matrix(rho.matrix, rho.dims, keep)
     return DensityMatrix(red, tuple(rho.dims[i] for i in keep))
@@ -207,18 +222,19 @@ def product_state(*factors: PureState) -> PureState:
 
 def random_pure_state(dims: Sequence[int], rng=None) -> PureState:
     """Haar-random pure state."""
+    dims = _check_dims(dims)
     rng = np.random.default_rng(rng)
-    d = prod(tuple(dims))
+    d = prod(dims)
     z = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-    return PureState(z / np.linalg.norm(z), tuple(dims))
+    return PureState(z / np.linalg.norm(z), dims)
 
 
 def random_density_matrix(dims: Sequence[int], rank: int | None = None, rng=None) -> DensityMatrix:
     """Random mixed state ``G G^dag / Tr`` with Ginibre factor of given rank."""
     rng = np.random.default_rng(rng)
-    dims = tuple(dims)
+    dims = _check_dims(dims)
     d = prod(dims)
-    r = d if rank is None else int(rank)
+    r = d if rank is None else operator.index(rank)
     if not 1 <= r <= d:
         raise ValueError(f"rank must be in 1..{d}")
     g = rng.standard_normal((d, r)) + 1j * rng.standard_normal((d, r))
@@ -227,7 +243,7 @@ def random_density_matrix(dims: Sequence[int], rank: int | None = None, rng=None
 
 
 def maximally_mixed(dims: Sequence[int]) -> DensityMatrix:
-    dims = tuple(dims)
+    dims = _check_dims(dims)
     d = prod(dims)
     return DensityMatrix(np.eye(d) / d, dims)
 

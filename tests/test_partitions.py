@@ -187,6 +187,58 @@ def test_ppt_check_examples():
         assert ek.ppt_check(ek.upb_state(), bp)[0]
 
 
+def test_ppt_check_pure_matches_dense_partial_transpose():
+    """The pure-state formula ``-sqrt(l1 l2)`` against the spectrum of the
+    dense partial transpose of ``|psi><psi|``, on every cut."""
+    rng = np.random.default_rng(7)
+    dims_list = ((2, 3), (1, 4), (4, 1, 2), (1, 1), (2, 2, 2, 2))
+    states = [ek.random_pure_state(dims, rng=rng) for dims in dims_list]
+    states += [  # Schmidt rank one on some or all cuts
+        ek.product_state(ek.random_pure_state([2], rng=rng), ek.random_pure_state([3], rng=rng)),
+        ek.product_state(ek.random_pure_state([2], rng=rng), ek.bell_state(2)),
+        ek.basis_state([2, 2, 2], [0, 1, 0]),
+        ek.ghz_state(4, 2, lam=[1 - 1e-12, 1e-12]),
+    ]
+    for psi in states:
+        for bp in ek.all_bipartitions(psi.n_parties):
+            flag, mineig = ek.ppt_check(psi, bp)
+            dense = np.linalg.eigvalsh(ek.partial_transpose(psi.density(), bp.blocks[1]))
+            assert abs(mineig - dense.min()) < 1e-12
+            assert flag == ek.ppt_check(psi.density(), bp)[0]
+    assert ek.ppt_check(ek.ghz_state(4, 2, lam=[1 - 1e-12, 1e-12]), ek.Partition(((0,), (1, 2, 3))))[
+        1
+    ] == pytest.approx(-1e-6, rel=1e-6)
+
+
+def test_classify_pure_recovers_the_generating_partition():
+    """Products of Haar blocks over every set partition of up to 5 parties,
+    with the parties relabeled at random and local unitaries applied."""
+    rng = np.random.default_rng(8)
+    for n in range(1, 6):
+        for base in ek.enumerate_partitions(n):
+            sigma = rng.permutation(n)
+            gen = ek.Partition(tuple(tuple(int(sigma[i]) for i in b) for b in base.blocks))
+            dims = tuple(int(d) for d in rng.integers(2, 4, size=n))
+            # the product lists the parties block by block; permute them back
+            order = [i for b in gen.blocks for i in b]
+            psi = ek.product_state(
+                *(ek.random_pure_state([dims[i] for i in b], rng=rng) for b in gen.blocks)
+            ).permute([order.index(i) for i in range(n)])
+            u = np.eye(1)
+            for m in _random_local_unitaries(dims, rng):
+                u = np.kron(u, m)
+            psi = ek.PureState(u @ psi.amplitudes, dims)
+
+            rep = ek.classify_pure(psi)
+            assert rep.finest_product_partition == gen
+            assert rep.producibility_m == max(len(b) for b in gen.blocks)
+            cuts = ek.all_bipartitions(n) if n >= 2 else []
+            assert rep.bipartition_product_flags == {
+                bp: ek.is_product_across(psi, bp) for bp in cuts
+            }
+            assert all(rep.bipartition_product_flags[bp] == ek.refines(gen, bp) for bp in cuts)
+
+
 def test_separability_verdict_is_only_necessary():
     assert ek.separability_verdict(ek.bell_state(2).density()) == "entangled"
     assert ek.separability_verdict(ek.maximally_mixed([2, 2])) == "inconclusive"

@@ -214,6 +214,19 @@ def test_protocol_input_validation():
         ek.generalized_bell_basis(1)
 
 
+def test_instrument_rejects_bad_dims_and_kraus_shapes():
+    with pytest.raises(ValueError, match="integers"):
+        ek.Instrument((("id", (np.eye(2),)),), dims=(2.7,))
+    with pytest.raises(ValueError, match="shape"):
+        ek.Instrument((("id", (np.ones(2),)),), dims=(2,))
+    with pytest.raises(ValueError, match="shape"):
+        ek.Instrument((("id", (np.eye(3),)),), dims=(2,))
+    # a pure input is teleported as its projector
+    psi = ek.random_pure_state([3], rng=4)
+    for br in ek.teleport(psi):
+        assert br.post_state.isclose(psi.density(), atol=1e-10)
+
+
 def test_shift_multiply_unitaries_are_unitary():
     for d in (2, 3, 5):
         for m in range(d):

@@ -162,6 +162,12 @@ def test_cli_exit_codes(tmp_path):
     # count is checked before any point is built
     for grid in ("0:inf:0.1", "nan:1:0.1", "0,inf", "0:1:1e-12"):
         assert main(["sweep", "--family", "ghz-noise", "--grid", grid]) == 2
+    # bell_state's dense cap bounds the teleportation channel at d = 64
+    for d in ("65", "1000000"):
+        assert main(["teleport-demo", "--d", d]) == 2
+    # ame-table spans are counted before any row is built
+    assert main(["ame-table", "--n", "2:1000000000"]) == 2
+    assert main(["ame-table", "--n", "2:3", "--d", "2:" + "9" * 30]) == 2
 
 
 def _exit_code(argv) -> int:

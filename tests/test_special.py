@@ -11,6 +11,10 @@ def test_is_lme():
     assert not ek.is_lme(ek.w_state())
     assert ek.is_lme(ek.psi25_state())
     assert ek.is_lme(ek.ghz_state(4, 3))
+    # the 4-level party holds diag(1/2, 1/2, 0, 0): the zero eigenvalues count
+    lopsided = ek.PureState(np.array([1, 0, 0, 1, 0, 0, 0, 0]) / np.sqrt(2), (4, 2))
+    assert not ek.is_lme(lopsided)
+    assert not ek.is_ame(lopsided)
 
 
 def test_ghz_stabilizer():

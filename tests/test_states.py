@@ -255,6 +255,22 @@ def test_conditional_entropy():
             ek.partial_trace(state, [0.5])
 
 
+def test_random_and_mixed_constructors_check_dims_first():
+    # each would otherwise ask numpy for terabytes before any check
+    for make in (ek.maximally_mixed, ek.random_density_matrix):
+        with pytest.raises(ek.SizeLimitError):
+            make([10**6])
+    with pytest.raises(ek.SizeLimitError):
+        ek.random_pure_state([10**6, 10**6])
+    for make in (ek.maximally_mixed, ek.random_density_matrix, ek.random_pure_state):
+        with pytest.raises(ValueError, match="integers"):
+            make([2.5])
+    # a fractional rank is rejected, not truncated
+    with pytest.raises(TypeError):
+        ek.random_density_matrix([2, 2], rank=1.5)
+    assert np.linalg.matrix_rank(ek.random_density_matrix([2, 2], rank=2, rng=0).matrix) == 2
+
+
 def test_marginal_purity_bounds_and_product_detection():
     rng = np.random.default_rng(12)
     for _ in range(20):
