@@ -304,8 +304,8 @@ def _grid_range(text: str) -> list[float]:
             raise ValueError(f"grid {text!r} has a non-finite start, stop or step")
         if step <= 0:
             raise ValueError("grid step must be positive")
-        # a float count, so that a huge range cannot overflow int()
-        count = np.floor((stop - start) / step + 0.5) + 1
+        # a float count (a huge range cannot overflow int()); a reversed range is empty
+        count = max(0.0, np.floor((stop - start) / step + 0.5) + 1)
         if count > _GRID_CAP:
             raise SizeLimitError(f"grid {text!r} has more than {_GRID_CAP} points")
         return [start + i * step for i in range(int(count))]
@@ -465,7 +465,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input", help="state document path, or - for stdin")
     p.add_argument("--which", default="class,schmidt,ppt", help="comma-separated sections")
     p.add_argument("--bipartition", default=None, help="cut, e.g. 0,1|2")
-    p.add_argument("--restarts", type=int, default=32)
+    p.add_argument("--restarts", type=int, default=32, help="geometric-measure restarts, 1-1000")
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("convert-check", parents=[common], help="Nielsen convertibility")

@@ -68,6 +68,18 @@ def _check_indices(indices: Iterable[int]) -> list[int]:
         raise ValueError(f"subsystem indices must be integers, got {indices}") from None
 
 
+def _check_count(value, name: str, lo: int = 1, hi: int = 1000) -> int:
+    """``value`` as a Python int in ``lo..hi``, by default a restart count; a
+    non-integer such as ``4.7`` is rejected, not truncated."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if not lo <= value <= hi:
+        raise ValueError(f"{name} must be in {lo}..{hi}, got {value}")
+    return value
+
+
 def permute_matrix(mat: np.ndarray, dims: Sequence[int], perm: Sequence[int]) -> np.ndarray:
     """Apply a subsystem permutation to both sides of an operator."""
     dims = _check_dims(dims)

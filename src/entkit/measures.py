@@ -17,6 +17,7 @@ import numpy as np
 from scipy.linalg import expm
 from scipy.optimize import minimize
 
+from .core import _check_count
 from .states import DensityMatrix, PureState, _marginal_spectrum
 
 _GM_DIM_CAP = 1024
@@ -59,7 +60,7 @@ def geometric_measure(
     psi : PureState
         State to analyze; total dimension at most 1024.
     restarts : int
-        Number of independent starts; the best result is kept.
+        Number of independent starts, 1 to 1000; the best result is kept.
     tol : float
         Convergence threshold on the overlap improvement.
     seed
@@ -67,13 +68,14 @@ def geometric_measure(
     """
     if psi.dim > _GM_DIM_CAP:
         raise ValueError(f"total dimension {psi.dim} exceeds cap {_GM_DIM_CAP}")
+    restarts = _check_count(restarts, "restarts")
     rng = np.random.default_rng(seed)
     t = psi.reshaped()
     n = psi.n_parties
     best_overlap = -1.0
     best_factors = None
     best_converged = False
-    for _ in range(max(1, restarts)):
+    for _ in range(restarts):
         factors = [_random_factor(d, rng) for d in psi.dims]
         last = 0.0
         converged = False
@@ -104,7 +106,7 @@ def geometric_measure(
     return OptimizationResult(
         value=float(max(0.0, 1.0 - best_overlap**2)),
         argument=PureState.normalized(closest, psi.dims),
-        restarts_used=max(1, restarts),
+        restarts_used=restarts,
         converged=best_converged,
     )
 
@@ -167,11 +169,12 @@ def convex_roof(
     """Convex-roof extension ``inf sum_i p_i f(psi_i)`` over ensembles of ``rho``.
 
     Every size-``m`` decomposition of ``rho`` arises from an ``m x r`` isometry
-    mixing the eigen-ensemble (``r`` the rank), so the search space is the
-    unitary group acting on a purification; the isometry is parametrized by
-    the matrix exponential of a Hermitian generator and optimized with
-    L-BFGS-B from random starts.  The result is an upper bound that never
-    increases with more restarts.
+    mixing the eigen-ensemble (``r`` the rank): the first ``r`` columns of
+    ``expm(iH)``.  L-BFGS-B optimizes the ``m^2`` real coordinates of the
+    Hermitian generator ``H`` (its diagonal, the real parts below it and the
+    imaginary parts above it) from random starts.  The result is an upper
+    bound that never increases with more restarts; ``argument`` holds the
+    best ensemble as ``(p_i, psi_i)`` pairs.
 
     Parameters
     ----------
@@ -180,56 +183,44 @@ def convex_roof(
     f : callable
         Pure-state functional being extended.
     ensemble_size : int, optional
-        Number of ensemble members ``m``; defaults to the rank, and must not
-        be smaller.
+        Number of ensemble members ``m``; defaults to the rank, and must lie
+        between the rank and ``rho.dim ** 2``, the most an optimal decomposition
+        needs (Uhlmann 1998).
+    restarts : int
+        Number of independent starts, 1 to 1000; the best result is kept.
     """
     if rho.dim > _ROOF_DIM_CAP:
         raise ValueError(f"total dimension {rho.dim} exceeds cap {_ROOF_DIM_CAP}")
+    restarts = _check_count(restarts, "restarts")
     vals, vecs = np.linalg.eigh(rho.matrix)
     keep = vals > 1e-12
     vals, vecs = vals[keep], vecs[:, keep]
     rank = int(vals.size)
-    m = rank if ensemble_size is None else int(ensemble_size)
-    if m < rank:
-        raise ValueError(f"ensemble_size {m} is below the state rank {rank}")
+    m = rank if ensemble_size is None else _check_count(
+        ensemble_size, "ensemble_size", rank, rho.dim**2
+    )
     b = vecs * np.sqrt(vals)  # columns sqrt(p_i)|e_i>, so b @ b^dag = rho
     rng = np.random.default_rng(seed)
-    n_par = m * m
 
-    def ensemble(x: np.ndarray):
-        h = x[:n_par].reshape(m, m) + 1j * x[n_par:].reshape(m, m)
-        h = (h + h.conj().T) / 2.0
-        iso = expm(1j * h)[:, :rank]
-        return b @ iso.conj().T  # d x m, subnormalized member columns
+    def members(x: np.ndarray) -> list[tuple[float, PureState]]:
+        a = x.reshape(m, m)
+        h = np.tril(a) + np.tril(a, -1).T + 1j * (np.triu(a, 1) - np.triu(a, 1).T)
+        s = b @ expm(1j * h)[:, :rank].conj().T  # d x m, subnormalized member columns
+        p = (np.abs(s) ** 2).sum(axis=0)
+        return [(float(pj), PureState(v / np.sqrt(pj), rho.dims))
+                for pj, v in zip(p, s.T) if pj > 1e-14]
 
     def cost(x: np.ndarray) -> float:
-        s = ensemble(x)
-        total = 0.0
-        for j in range(s.shape[1]):
-            pj = float(np.vdot(s[:, j], s[:, j]).real)
-            if pj > 1e-14:
-                total += pj * f(PureState(s[:, j] / np.sqrt(pj), rho.dims))
-        return total
+        return sum(pj * f(psi) for pj, psi in members(x))
 
-    best = None
-    best_x = None
-    best_ok = False
-    for _ in range(max(1, restarts)):
-        x0 = 0.7 * rng.standard_normal(2 * n_par)
-        res = minimize(cost, x0, method="L-BFGS-B", options={"maxiter": maxiter})
-        if best is None or res.fun < best:
-            best, best_x, best_ok = float(res.fun), res.x, bool(res.success)
-    s = ensemble(best_x)
-    members = []
-    for j in range(s.shape[1]):
-        pj = float(np.vdot(s[:, j], s[:, j]).real)
-        if pj > 1e-14:
-            members.append((pj, PureState(s[:, j] / np.sqrt(pj), rho.dims)))
+    starts = (0.7 * rng.standard_normal(m * m) for _ in range(restarts))
+    best = min((minimize(cost, x0, method="L-BFGS-B", options={"maxiter": maxiter})
+                for x0 in starts), key=lambda res: res.fun)
     return OptimizationResult(
-        value=best,
-        argument=members,
-        restarts_used=max(1, restarts),
-        converged=best_ok,
+        value=float(best.fun),
+        argument=members(best.x),
+        restarts_used=restarts,
+        converged=bool(best.success),
     )
 
 
@@ -252,12 +243,13 @@ def tensor_rank_upper_bound(
     """
     if psi.dim > _RANK_DIM_CAP:
         raise ValueError(f"total dimension {psi.dim} exceeds cap {_RANK_DIM_CAP}")
+    restarts = _check_count(restarts, "restarts")
     rng = np.random.default_rng(seed)
     t = psi.reshaped()
     dims = psi.dims
     n = len(dims)
     for r in range(1, max_rank + 1):
-        for _ in range(max(1, restarts)):
+        for _ in range(restarts):
             factors = [
                 rng.standard_normal((d, r)) + 1j * rng.standard_normal((d, r))
                 for d in dims
@@ -271,13 +263,8 @@ def tensor_rank_upper_bound(
                     tk = np.moveaxis(t, k, 0).reshape(dims[k], -1)
                     sol, *_ = np.linalg.lstsq(kr, tk.T, rcond=None)
                     factors[k] = sol.T
-                rec = np.zeros(dims, dtype=complex)
-                for j in range(r):
-                    v = factors[0][:, j]
-                    for i in range(1, n):
-                        v = np.multiply.outer(v, factors[i][:, j])
-                    rec += v
-                residual = float(np.linalg.norm((rec - t).ravel()))
+                # the last fit reconstructs the whole tensor
+                residual = float(np.linalg.norm(kr @ sol - tk.T))
                 if residual < residual_tol:
                     break
             term = max(

@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import SizeLimitError, _check_indices
+from .core import SizeLimitError, _check_count, _check_indices
 from .states import PureState, State, _marginal_spectrum, as_density
 
 _PARTITION_ENUM_CAP = 8
@@ -307,7 +307,7 @@ def upb_unextendibility_check(
     tensors = [v.reshaped().conj() for v in basis]
 
     best = np.inf
-    for _ in range(restarts):
+    for _ in range(_check_count(restarts, "restarts")):
         facs = []
         for d in dims:
             z = rng.standard_normal(d) + 1j * rng.standard_normal(d)

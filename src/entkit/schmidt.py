@@ -8,7 +8,6 @@ parties reordered as (left block, right block).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import prod
 from typing import Sequence
 
 import numpy as np
@@ -67,14 +66,11 @@ def tangle_pure(psi: PureState, bipartition=None) -> float:
     dimension; for a qubit cut this is ``2(1 - sum lambda_i^2) = 4 |det G|^2``,
     and the concurrence is ``sqrt(tau)``.
     """
-    part = as_bipartition(bipartition, psi.n_parties)
-    lam = schmidt_vector(psi, part)
-    d = min(
-        prod(psi.dims[i] for i in part.blocks[0]),
-        prod(psi.dims[i] for i in part.blocks[1]),
-    )
+    g = _cut_matrix(psi, as_bipartition(bipartition, psi.n_parties).blocks[0])
+    d = min(g.shape)
     if d < 2:
         return 0.0
+    lam = np.linalg.svd(g, compute_uv=False) ** 2
     return float(np.clip((1.0 - (lam**2).sum()) * d / (d - 1), 0.0, 1.0))
 
 

@@ -395,12 +395,14 @@ def psi25_state() -> PureState:
 
 def phi_a_state(a: complex) -> PureState:
     """Four-qubit family ``a(|0000>+|1111>) + |0011>+|0101>+|0110>``, normalized."""
+    a = complex(a)
+    if not np.isfinite(a):
+        raise ValueError(f"a must be finite, got {a}")
     amp = np.zeros(16, dtype=complex)
-    amp[0] = amp[15] = complex(a)
+    amp[0] = amp[15] = a
     amp[[3, 5, 6]] = 1.0
-    if np.linalg.norm(amp) < 1e-14:
-        raise ValueError("resulting vector is zero")
-    return PureState.normalized(amp, (2, 2, 2, 2))
+    # no entry above 1, so that the norm of a huge a cannot overflow
+    return PureState.normalized(amp / max(1.0, abs(a.real), abs(a.imag)), (2, 2, 2, 2))
 
 
 def acin_state(r: Sequence[float], theta: float = 0.0) -> PureState:
@@ -413,6 +415,8 @@ def acin_state(r: Sequence[float], theta: float = 0.0) -> PureState:
         raise ValueError("r must be 5 non-negative reals")
     if not abs((r**2).sum() - 1.0) <= HERMITIAN_ATOL:
         raise ValueError(f"sum of squares {float((r**2).sum())!r} is not 1 within 1e-10")
+    if not np.isfinite(theta):
+        raise ValueError(f"theta must be finite, got {theta}")
     amp = np.zeros(8, dtype=complex)
     amp[0b000] = r[0] * np.exp(1j * theta)
     amp[0b100] = r[1]

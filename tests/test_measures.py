@@ -180,6 +180,50 @@ def test_convex_roof_ensemble_size_validation():
         ek.convex_roof(rho, _tangle2q, ensemble_size=2)
 
 
+def test_convex_roof_ensemble_is_a_decomposition():
+    """The returned members decompose rho, and their weighted values add up
+    to the reported roof value, for every rank and ensemble size tried."""
+    for rank in (1, 2, 3, 4):
+        rho = ek.random_density_matrix([2, 2], rank=rank, rng=20 + rank)
+        for m in range(rank, rank + 3):
+            res = ek.convex_roof(rho, _tangle2q, ensemble_size=m, restarts=2, seed=m,
+                                 maxiter=40)
+            mix = sum(p * np.outer(psi.amplitudes, psi.amplitudes.conj())
+                      for p, psi in res.argument)
+            assert np.abs(mix - rho.matrix).max() < 1e-10
+            value = sum(p * _tangle2q(psi) for p, psi in res.argument)
+            assert value == pytest.approx(res.value, abs=1e-12)
+            assert len(res.argument) <= m
+
+
+def test_convex_roof_ensemble_size_is_an_integer_up_to_dim_squared(monkeypatch):
+    rho = ek.random_density_matrix([2, 2], rank=3, rng=16)
+    # refused before any optimization starts
+    monkeypatch.setattr(ek.measures, "minimize", None)
+    for size in (4.7, 10**6, rho.dim**2 + 1, np.float64(4.0)):
+        with pytest.raises(ValueError):
+            ek.convex_roof(rho, _tangle2q, ensemble_size=size)
+    monkeypatch.undo()
+    res = ek.convex_roof(rho, _tangle2q, ensemble_size=np.int64(rho.dim**2), restarts=1,
+                         seed=0, maxiter=2)
+    assert sum(p for p, _ in res.argument) == pytest.approx(1.0, abs=1e-10)
+
+
+@pytest.mark.parametrize("solver", [
+    lambda k: ek.geometric_measure(ek.w_state(), restarts=k, seed=0),
+    lambda k: ek.convex_roof(ek.bell_state(2).density(), _tangle2q, restarts=k, seed=0),
+    lambda k: ek.tensor_rank_upper_bound(ek.w_state(), max_rank=3, restarts=k, seed=0),
+    lambda k: ek.upb_unextendibility_check(ek.upb_basis()[:1], restarts=k, rng=0),
+], ids=["geometric_measure", "convex_roof", "tensor_rank_upper_bound", "upb_check"])
+def test_restart_count_is_checked(solver):
+    """Restarts are an integer from 1 to 1000: zero no longer certifies a lone
+    product vector as unextendible, and nothing is clamped or truncated."""
+    for k in (0, -1, 1001, 10**9, 2.5, "3", None):
+        with pytest.raises(ValueError):
+            solver(k)
+    solver(1)
+
+
 def test_tensor_rank_upper_bound():
     prod = ek.product_state(*(ek.random_pure_state([2], rng=k) for k in (17, 18, 19)))
     assert ek.tensor_rank_upper_bound(prod, max_rank=3, seed=0) == 1

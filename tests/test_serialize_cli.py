@@ -3,7 +3,7 @@ import os
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import entkit as ek
@@ -208,6 +208,122 @@ def test_cli_make_exit_code_contract(name, ints, texts):
     argv = ["make", name, "--out", os.devnull]
     argv += [f"{flag}={value}" for flag, value in {**ints, **texts}.items() if value is not None]
     assert _exit_code(argv) in (0, 2)
+
+
+def test_cli_restarts_cap(tmp_path):
+    """``--restarts`` takes 1 to 1000; other counts exit 2 before any restart."""
+    ghz = tmp_path / "ghz.json"
+    assert main(["make", "ghz", "--out", str(ghz)]) == 0
+    for k in ("0", "-3", "1001", "1000000000"):
+        argv = ["analyze", str(ghz), "--which", "geometric-measure", f"--restarts={k}"]
+        assert main(argv) == 2
+    code, text = _run(tmp_path, "analyze", str(ghz), "--which", "geometric-measure",
+                      "--restarts", "1")
+    assert code == 0
+    assert json.loads(text)["geometric-measure"]["restarts_used"] == 1
+
+
+_JUNK = st.text(max_size=8)
+
+
+def _documents():
+    """Small state documents: seeded valid ones, the same with one field
+    replaced by junk, and free-form objects."""
+    junk = st.recursive(
+        st.none() | st.booleans() | st.integers(-3, 9) | st.floats() | _JUNK,
+        lambda inner: st.lists(inner, max_size=4),
+        max_leaves=12,
+    )
+    dims = st.sampled_from([[1], [2], [3], [2, 2], [2, 3], [2, 2, 2]])
+
+    def valid(dims, mixed, seed):
+        state = (ek.random_density_matrix(dims, rng=seed) if mixed
+                 else ek.random_pure_state(dims, rng=seed))
+        return to_document(state)
+
+    docs = st.builds(valid, dims, st.booleans(), st.integers(0, 99))
+    fields = st.sampled_from(["dims", "type", "amplitudes", "matrix"])
+    broken = st.tuples(docs, fields, junk).map(lambda t: {**t[0], t[1]: t[2]})
+    return st.one_of(docs, st.one_of(broken, st.dictionaries(fields, junk), junk))
+
+
+def _flags(**values):
+    """``--flag=value`` arguments, each flag absent or drawn from its values."""
+    return st.fixed_dictionaries(
+        {f"--{flag}": st.one_of(st.none(), v) for flag, v in values.items()}
+    ).map(lambda d: [f"{k}={v}" for k, v in d.items() if v is not None])
+
+
+def _acin_point(r, theta):
+    r = np.array(r) / np.linalg.norm(r)
+    return ",".join(map(str, [*r, *theta]))
+
+
+_NUMBER = st.one_of(st.integers(-5, 5), st.floats(-2, 2), st.sampled_from(
+    ["nan", "inf", "-inf", "1e308", "1e-320", "0x10"]))
+_GRIDS = {
+    "ghz-noise": st.one_of(
+        st.tuples(st.floats(0, 1), st.floats(0, 1), st.sampled_from(
+            [0.05, 0.25, 1, 0, -0.1, 1e-12, "nan", "inf"])),
+        st.tuples(_NUMBER, _NUMBER, _NUMBER),
+    ).map(lambda t: ":".join(map(str, t))) | _csv(_NUMBER) | _JUNK,
+    "phi-a": _csv(st.one_of(_NUMBER, st.complex_numbers(max_magnitude=1e300))) | _JUNK,
+    "acin-grid": st.lists(st.one_of(
+        st.builds(_acin_point, st.lists(st.floats(1e-3, 1), min_size=5, max_size=5),
+                  st.lists(_NUMBER, max_size=1)),
+        _csv(_NUMBER),
+    ), max_size=3).map(";".join) | _JUNK,
+}
+_SPANS = st.one_of(
+    st.integers(-3, 40), st.integers(10**4, 10**15),
+    st.tuples(st.integers(-3, 40), st.integers(-3, 60)).map(lambda t: f"{t[0]}:{t[1]}"),
+    st.tuples(st.integers(-3, 9), st.integers(10**4, 10**30)).map(lambda t: f"{t[0]}:{t[1]}"),
+    _JUNK,
+)
+_SECTIONS = ["invariants", "tangles", "class", "schmidt", "ppt", "polytope",
+             "geometric-measure", "bogus"]
+_COMMANDS = st.one_of(
+    st.tuples(st.just("analyze"), _documents(), _flags(
+        which=st.lists(st.sampled_from(_SECTIONS), min_size=1, max_size=3).map(",".join)
+        | _JUNK,
+        restarts=st.one_of(st.integers(-2, 4), st.integers(1, 4), st.integers(1001, 10**12),
+                           _JUNK),
+        tol=st.one_of(st.floats(1e-12, 1e-2), _NUMBER, _JUNK),
+        bipartition=st.sampled_from(["0|1", "0|1,2", "1|0,2", "0|0", "|", "0,1"]) | _JUNK,
+    )),
+    *(st.tuples(st.just("sweep"), st.none(), _flags(grid=grid)).map(
+        lambda t, family=family: (t[0], t[1], [f"--family={family}", *t[2]]))
+      for family, grid in _GRIDS.items()),
+    # d = 64 runs for seconds, so only sizes up to 8 and past the cap
+    st.tuples(st.just("teleport-demo"), st.none(), _flags(
+        d=st.one_of(st.integers(-2, 8), st.integers(65, 10**12), _JUNK))),
+    st.tuples(st.just("ame-table"), st.none(), _flags(
+        n=_SPANS, d=_SPANS, format=st.sampled_from(["json", "csv"]) | _JUNK)),
+)
+
+
+@pytest.fixture(scope="module")
+def document_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("contract") / "doc.json"
+
+
+@settings(derandomize=True, database=None, max_examples=600, deadline=None)
+@given(command=_COMMANDS)
+# numpy warnings (errors under the test configuration), and an OverflowError
+# from a range that ends before it starts
+@example(command=("sweep", None, ["--family=phi-a", "--grid=nan"]))
+@example(command=("sweep", None, ["--family=phi-a", "--grid=1e308"]))
+@example(command=("sweep", None, ["--family=acin-grid", "--grid=1,0,0,0,0,inf"]))
+@example(command=("sweep", None, ["--family=ghz-noise", "--grid=0:-1:1e-320"]))
+def test_cli_exit_code_contract(document_path, command):
+    """``analyze``, ``sweep``, ``teleport-demo`` and ``ame-table`` exit with 0,
+    2 or 3 for any arguments and documents, and never raise."""
+    name, doc, flags = command
+    argv = [name, *flags, "--out", os.devnull]
+    if doc is not None:
+        document_path.write_text(json.dumps(doc))
+        argv.insert(1, str(document_path))
+    assert _exit_code(argv) in (0, 2, 3)
 
 
 def test_cli_ppt_sweep_cap(tmp_path, monkeypatch):
