@@ -10,29 +10,39 @@ for a fixed seed; multi-restart results always report the best value found.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import prod
+from math import isqrt, prod
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
-from scipy.linalg import expm
+from scipy.linalg import expm, expm_frechet
 from scipy.optimize import minimize
 
 from .core import _check_count
+from .partitions import as_bipartition
+from .schmidt import _tangle_terms, tangle_pure
 from .states import DensityMatrix, PureState, _marginal_spectrum
 
 _GM_DIM_CAP = 1024
 _ROOF_DIM_CAP = 16
 _RANK_DIM_CAP = 256
+_RANK_ITERATIONS_CAP = 10_000
 
 
 @dataclass(frozen=True)
 class OptimizationResult:
-    """Best value over restarts, the optimizing argument, and bookkeeping."""
+    """Best value over restarts, the optimizing argument, and bookkeeping.
+
+    ``converged`` is the flag of the best restart; ``evaluations`` counts the
+    cost evaluations (or sweeps) of all restarts together, and
+    ``restart_values`` holds the best value each restart reached, in order.
+    """
 
     value: float
     argument: object = field(repr=False)
     restarts_used: int
     converged: bool
+    evaluations: int
+    restart_values: tuple[float, ...]
 
 
 def _random_factor(d: int, rng) -> np.ndarray:
@@ -53,7 +63,8 @@ def geometric_measure(
     factor is the normalized contraction of the state against the others, so
     each sweep is closed form.  Restarts draw fresh random product states; a
     restart counts as converged when the overlap gain per sweep drops below
-    ``tol`` before ``max_iterations``.
+    ``tol`` before ``max_iterations``.  ``evaluations`` counts the sweeps of
+    all restarts and ``restart_values`` the measure each restart reached.
 
     Parameters
     ----------
@@ -75,12 +86,15 @@ def geometric_measure(
     best_overlap = -1.0
     best_factors = None
     best_converged = False
+    sweeps = 0
+    overlaps = []
     for _ in range(restarts):
         factors = [_random_factor(d, rng) for d in psi.dims]
         last = 0.0
         converged = False
         overlap = 0.0
         for _ in range(max_iterations):
+            sweeps += 1
             for k in range(n):
                 # optimal factor k is the normalized contraction of the state
                 # against the other (conjugated) factors; the new overlap is
@@ -96,6 +110,7 @@ def geometric_measure(
                 converged = True
                 break
             last = overlap
+        overlaps.append(overlap)
         if overlap > best_overlap:
             best_overlap = overlap
             best_factors = [f.copy() for f in factors]
@@ -108,6 +123,8 @@ def geometric_measure(
         argument=PureState.normalized(closest, psi.dims),
         restarts_used=restarts,
         converged=best_converged,
+        evaluations=sweeps,
+        restart_values=tuple(float(max(0.0, 1.0 - v**2)) for v in overlaps),
     )
 
 
@@ -158,6 +175,45 @@ def multipartite_concurrence(
     return float(2.0 * np.sqrt(max(0.0, total)))
 
 
+def _generator(x: np.ndarray, m: int) -> np.ndarray:
+    """The Hermitian ``m x m`` matrix whose diagonal, real parts below it and
+    imaginary parts above it are the ``m^2`` real coordinates ``x``."""
+    a = x.reshape(m, m)
+    return np.tril(a) + np.tril(a, -1).T + 1j * (np.triu(a, 1) - np.triu(a, 1).T)
+
+
+def _members(h: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Weights ``p`` ``(m,)`` and subnormalized member columns
+    ``S = b expm(ih)[:, :r]^dag`` ``(d, m)`` of the ensemble that ``h`` mixes
+    from the ``r`` columns of ``b``."""
+    s = b @ expm(1j * h)[:, : b.shape[1]].conj().T
+    return (np.abs(s) ** 2).sum(axis=0), s
+
+
+def _tangle_roof(x: np.ndarray, b: np.ndarray, dims) -> tuple[float, np.ndarray]:
+    """Roof cost ``sum_j p_j tangle_pure(psi_j)`` at the generator coordinates
+    ``x``, and its gradient in ``x``.
+
+    The member gradient ``dS`` maps back through ``S = b V^dag``, with ``V``
+    the first ``r`` columns of ``U = expm(iH)``, to ``G_U = [(b^dag dS)^dag, 0]``.
+    The adjoint of the Frechet derivative ``L(iH, .)`` is ``L(-iH, .)``
+    (Al-Mohy & Higham 2009), so one ``expm_frechet`` call gives ``Z`` and
+    ``q = 2i conj(Z)`` holds the gradient in ``H``: ``q_kk`` on the diagonal,
+    ``q_kl + q_lk`` below it and ``i(q_kl - q_lk)`` above it (real parts).
+    """
+    m = isqrt(x.size)
+    h = _generator(x, m)
+    _, s = _members(h, b)
+    value, ds = _tangle_terms(s.T.reshape(m, *dims))
+    w = b.conj().T @ ds.reshape(m, -1).T
+    g_u = np.zeros((m, m), dtype=complex)
+    g_u[:, : b.shape[1]] = w.conj().T
+    z = expm_frechet(-1j * h, g_u, compute_expm=False)
+    q = 2j * z.conj()
+    grad = np.tril(q + q.T, -1) + np.diag(np.diag(q)) + 1j * np.triu(q - q.T, 1)
+    return value, grad.real.ravel()
+
+
 def convex_roof(
     rho: DensityMatrix,
     f: Callable[[PureState], float],
@@ -172,9 +228,15 @@ def convex_roof(
     mixing the eigen-ensemble (``r`` the rank): the first ``r`` columns of
     ``expm(iH)``.  L-BFGS-B optimizes the ``m^2`` real coordinates of the
     Hermitian generator ``H`` (its diagonal, the real parts below it and the
-    imaginary parts above it) from random starts.  The result is an upper
-    bound that never increases with more restarts; ``argument`` holds the
-    best ensemble as ``(p_i, psi_i)`` pairs.
+    imaginary parts above it) from random starts.  When ``f`` is
+    :func:`~entkit.schmidt.tangle_pure` (on a 2-party ``rho``) the cost comes
+    with its analytic gradient, one batched tangle kernel over the members and
+    one ``expm_frechet`` adjoint per step; any other callable is evaluated on
+    each member as a :class:`PureState` and differentiated by finite
+    differences.  The result is an upper bound that never increases with more
+    restarts; ``argument`` holds the best ensemble as ``(p_i, psi_i)`` pairs,
+    ``evaluations`` the cost evaluations of all restarts and
+    ``restart_values`` the value each restart reached.
 
     Parameters
     ----------
@@ -192,6 +254,9 @@ def convex_roof(
     if rho.dim > _ROOF_DIM_CAP:
         raise ValueError(f"total dimension {rho.dim} exceeds cap {_ROOF_DIM_CAP}")
     restarts = _check_count(restarts, "restarts")
+    analytic = f is tangle_pure
+    if analytic:
+        as_bipartition(None, len(rho.dims))  # the error tangle_pure would raise
     vals, vecs = np.linalg.eigh(rho.matrix)
     keep = vals > 1e-12
     vals, vecs = vals[keep], vecs[:, keep]
@@ -202,25 +267,29 @@ def convex_roof(
     b = vecs * np.sqrt(vals)  # columns sqrt(p_i)|e_i>, so b @ b^dag = rho
     rng = np.random.default_rng(seed)
 
-    def members(x: np.ndarray) -> list[tuple[float, PureState]]:
-        a = x.reshape(m, m)
-        h = np.tril(a) + np.tril(a, -1).T + 1j * (np.triu(a, 1) - np.triu(a, 1).T)
-        s = b @ expm(1j * h)[:, :rank].conj().T  # d x m, subnormalized member columns
-        p = (np.abs(s) ** 2).sum(axis=0)
+    def ensemble(x: np.ndarray) -> list[tuple[float, PureState]]:
+        p, s = _members(_generator(x, m), b)
         return [(float(pj), PureState(v / np.sqrt(pj), rho.dims))
                 for pj, v in zip(p, s.T) if pj > 1e-14]
 
-    def cost(x: np.ndarray) -> float:
-        return sum(pj * f(psi) for pj, psi in members(x))
+    if analytic:
+        def cost(x: np.ndarray) -> tuple[float, np.ndarray]:
+            return _tangle_roof(x, b, rho.dims)
+    else:
+        def cost(x: np.ndarray) -> float:
+            return sum(pj * f(psi) for pj, psi in ensemble(x))
 
     starts = (0.7 * rng.standard_normal(m * m) for _ in range(restarts))
-    best = min((minimize(cost, x0, method="L-BFGS-B", options={"maxiter": maxiter})
-                for x0 in starts), key=lambda res: res.fun)
+    runs = [minimize(cost, x0, jac=analytic, method="L-BFGS-B",
+                     options={"maxiter": maxiter}) for x0 in starts]
+    best = min(runs, key=lambda res: res.fun)
     return OptimizationResult(
         value=float(best.fun),
-        argument=members(best.x),
+        argument=ensemble(best.x),
         restarts_used=restarts,
         converged=bool(best.success),
+        evaluations=sum(int(res.nfev) for res in runs),
+        restart_values=tuple(float(res.fun) for res in runs),
     )
 
 
@@ -239,11 +308,16 @@ def tensor_rank_upper_bound(
     residual drops below ``residual_tol`` while the largest term norm stays
     under ``term_norm_cap`` (diverging terms indicate a border-rank limit
     point, not an exact decomposition).  Returns ``max_rank + 1`` when no
-    tested rank fits; the result is an upper bound, never claimed tight.
+    tested rank fits; the result is an upper bound, never claimed tight.  A
+    one-party state has tensor rank 1.  ``iterations``, the sweeps per
+    restart, must be 1 to 10,000.
     """
     if psi.dim > _RANK_DIM_CAP:
         raise ValueError(f"total dimension {psi.dim} exceeds cap {_RANK_DIM_CAP}")
     restarts = _check_count(restarts, "restarts")
+    iterations = _check_count(iterations, "iterations", hi=_RANK_ITERATIONS_CAP)
+    if psi.n_parties == 1:
+        return 1
     rng = np.random.default_rng(seed)
     t = psi.reshaped()
     dims = psi.dims

@@ -74,6 +74,30 @@ def tangle_pure(psi: PureState, bipartition=None) -> float:
     return float(np.clip((1.0 - (lam**2).sum()) * d / (d - 1), 0.0, 1.0))
 
 
+def _tangle_terms(g: np.ndarray) -> tuple[float, np.ndarray]:
+    """Weighted tangle ``sum_j p_j tau(g_j / sqrt(p_j))`` of a batch of
+    unnormalized cut matrices ``g`` ``(m, dA, dB)`` with ``p_j = |g_j|^2``,
+    and its gradient with respect to ``conj(g)``.
+
+    With ``rho_j = g_j g_j^dag``, ``P_j = tr rho_j^2`` and ``k = d/(d-1)``
+    the value is ``k sum_j (p_j - P_j/p_j)`` and the gradient is
+    ``k (g_j - 2 rho_j g_j / p_j + P_j g_j / p_j^2)``; members with
+    ``p_j <= 1e-14`` add nothing to either.
+    """
+    d = min(g.shape[1:])
+    grad = np.zeros_like(g)
+    if d < 2:
+        return 0.0, grad
+    p = (np.abs(g) ** 2).sum(axis=(1, 2))
+    keep = p > 1e-14
+    g, p = g[keep], p[keep, None, None]
+    rho = g @ g.conj().transpose(0, 2, 1)
+    big_p = (np.abs(rho) ** 2).sum(axis=(1, 2))[:, None, None]
+    k = d / (d - 1)
+    grad[keep] = k * (g - 2.0 * (rho @ g) / p + big_p * g / p**2)
+    return k * float((p - big_p / p).sum()), grad
+
+
 def concurrence_pure(psi: PureState, bipartition=None) -> float:
     return float(np.sqrt(tangle_pure(psi, bipartition)))
 

@@ -63,12 +63,21 @@ class PureState:
 
     @classmethod
     def normalized(cls, amplitudes, dims) -> "PureState":
-        """Build a state from an unnormalized, nonzero amplitude vector."""
+        """Build a state from an unnormalized, nonzero, finite amplitude vector.
+
+        The amplitudes are divided by their largest real or imaginary part
+        first, so the norm stays finite for any finite entries.
+        """
         amp = np.asarray(amplitudes, dtype=complex).ravel()
-        norm = np.linalg.norm(amp)
-        if norm < 1e-14:
+        if not np.isfinite(amp).all():
+            raise ValueError("amplitudes must be finite")
+        scale = np.abs(amp.view(float)).max(initial=0.0)  # real and imaginary parts
+        # the norm is at least ``scale``: it can fall under 1e-14 only when
+        # ``scale`` does, and then it cannot overflow
+        if scale < 1e-14 and np.linalg.norm(amp) < 1e-14:
             raise ValueError("cannot normalize a zero vector")
-        return cls(amp / norm, tuple(dims))
+        amp = amp / scale
+        return cls(amp / np.linalg.norm(amp), tuple(dims))
 
     @property
     def n_parties(self) -> int:
@@ -401,8 +410,7 @@ def phi_a_state(a: complex) -> PureState:
     amp = np.zeros(16, dtype=complex)
     amp[0] = amp[15] = a
     amp[[3, 5, 6]] = 1.0
-    # no entry above 1, so that the norm of a huge a cannot overflow
-    return PureState.normalized(amp / max(1.0, abs(a.real), abs(a.imag)), (2, 2, 2, 2))
+    return PureState.normalized(amp, (2, 2, 2, 2))
 
 
 def acin_state(r: Sequence[float], theta: float = 0.0) -> PureState:

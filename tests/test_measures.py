@@ -182,18 +182,76 @@ def test_convex_roof_ensemble_size_validation():
 
 def test_convex_roof_ensemble_is_a_decomposition():
     """The returned members decompose rho, and their weighted values add up
-    to the reported roof value, for every rank and ensemble size tried."""
-    for rank in (1, 2, 3, 4):
-        rho = ek.random_density_matrix([2, 2], rank=rank, rng=20 + rank)
-        for m in range(rank, rank + 3):
-            res = ek.convex_roof(rho, _tangle2q, ensemble_size=m, restarts=2, seed=m,
-                                 maxiter=40)
-            mix = sum(p * np.outer(psi.amplitudes, psi.amplitudes.conj())
-                      for p, psi in res.argument)
-            assert np.abs(mix - rho.matrix).max() < 1e-10
-            value = sum(p * _tangle2q(psi) for p, psi in res.argument)
-            assert value == pytest.approx(res.value, abs=1e-12)
-            assert len(res.argument) <= m
+    to the reported roof value, for every rank and ensemble size tried, on
+    the analytic-gradient path (``tangle_pure`` itself) and on the
+    finite-difference path (any other callable)."""
+    for f in (ek.tangle_pure, _tangle2q):
+        for rank in (1, 2, 3, 4):
+            rho = ek.random_density_matrix([2, 2], rank=rank, rng=20 + rank)
+            for m in range(rank, rank + 3):
+                res = ek.convex_roof(rho, f, ensemble_size=m, restarts=2, seed=m,
+                                     maxiter=40)
+                mix = sum(p * np.outer(psi.amplitudes, psi.amplitudes.conj())
+                          for p, psi in res.argument)
+                assert np.abs(mix - rho.matrix).max() < 1e-10
+                value = sum(p * ek.tangle_pure(psi) for p, psi in res.argument)
+                assert value == pytest.approx(res.value, abs=1e-12)
+                assert len(res.argument) <= m
+
+
+def _eigen_factor(rho):
+    vals, vecs = np.linalg.eigh(rho.matrix)
+    keep = vals > 1e-12
+    return vecs[:, keep] * np.sqrt(vals[keep])
+
+
+def test_tangle_roof_gradient_matches_central_differences():
+    """The analytic gradient of the tangle roof cost (batched member kernel and
+    one expm_frechet adjoint) agrees with central differences."""
+    from entkit.measures import _tangle_roof
+
+    rng = np.random.default_rng(40)
+    step = 1e-6
+    for dims in ((2, 2), (2, 3), (3, 3)):
+        for rank in (1, 2, 3, 4):
+            b = _eigen_factor(ek.random_density_matrix(list(dims), rank=rank, rng=rng))
+            for m in range(rank, rank + 3):
+                x = 0.7 * rng.standard_normal(m * m)
+                _, grad = _tangle_roof(x, b, dims)
+                assert grad.shape == x.shape and grad.dtype == float
+                central = np.array([
+                    (_tangle_roof(x + step * e, b, dims)[0]
+                     - _tangle_roof(x - step * e, b, dims)[0]) / (2 * step)
+                    for e in np.eye(m * m)
+                ])
+                assert np.abs(grad - central).max() < 1e-6
+    # a cut with a one-dimensional side carries no tangle
+    b = _eigen_factor(ek.random_density_matrix([1, 4], rank=3, rng=rng))
+    value, grad = _tangle_roof(rng.standard_normal(16), b, (1, 4))
+    assert value == 0.0 and not grad.any()
+
+
+def test_convex_roof_of_tangle_needs_two_parties(monkeypatch):
+    rho = ek.random_density_matrix([2, 2, 2], rank=2, rng=41)
+    monkeypatch.setattr(ek.measures, "minimize", None)
+    with pytest.raises(ValueError, match="2-party"):
+        ek.convex_roof(rho, ek.tangle_pure, restarts=1, seed=0)
+
+
+def test_solver_diagnostics():
+    """Evaluations and per-restart values come back with the result; the
+    analytic gradient keeps a c11-style roof to a few dozen evaluations per
+    restart."""
+    bell = ek.bell_state(2).density().matrix
+    rho = ek.DensityMatrix(0.7 * bell + 0.3 * np.eye(4) / 4, (2, 2))
+    res = ek.convex_roof(rho, ek.tangle_pure, ensemble_size=4, restarts=6, seed=14)
+    assert len(res.restart_values) == res.restarts_used == 6
+    assert min(res.restart_values) == res.value
+    assert 6 <= res.evaluations <= 60 * 6
+    res = ek.geometric_measure(ek.w_state(), restarts=5, seed=0)
+    assert len(res.restart_values) == 5
+    assert min(res.restart_values) == res.value
+    assert 5 <= res.evaluations <= 5 * 500
 
 
 def test_convex_roof_ensemble_size_is_an_integer_up_to_dim_squared(monkeypatch):
@@ -229,3 +287,15 @@ def test_tensor_rank_upper_bound():
     assert ek.tensor_rank_upper_bound(prod, max_rank=3, seed=0) == 1
     assert ek.tensor_rank_upper_bound(ek.ghz_state(3, 2), max_rank=3, seed=0) == 2
     assert ek.tensor_rank_upper_bound(ek.w_state(), max_rank=4, seed=0) == 3
+
+
+def test_tensor_rank_upper_bound_edge_cases():
+    # every vector of a single party has tensor rank 1
+    assert ek.tensor_rank_upper_bound(ek.random_pure_state([3], rng=0), seed=0) == 1
+    for iterations in (0, -1, 10_001, 2.5):
+        with pytest.raises(ValueError):
+            ek.tensor_rank_upper_bound(ek.w_state(), iterations=iterations)
+    prod = ek.product_state(ek.basis_state([2], [0]), ek.basis_state([3], [2]))
+    assert ek.tensor_rank_upper_bound(prod, seed=0, iterations=10_000) == 1
+    assert ek.tensor_rank_upper_bound(ek.ghz_state(3, 2), max_rank=3, seed=0,
+                                      iterations=1) >= 2

@@ -27,6 +27,21 @@ def test_pure_state_validation_and_phase():
             ek.PureState(np.array([bad, 0.0]), (2,))
 
 
+def test_normalized_scales_huge_amplitudes_and_refuses_non_finite():
+    # under the suite's warnings-as-errors filter: no overflow on the way
+    psi = ek.PureState.normalized([1e200, 1e200], (2,))
+    assert np.allclose(psi.amplitudes, [2**-0.5, 2**-0.5], atol=1e-15)
+    psi = ek.PureState.normalized([1.7e308, -1.7e308j], (2,))
+    assert np.allclose(psi.amplitudes, [2**-0.5, -1j * 2**-0.5], atol=1e-15)
+    # an entry whose modulus exceeds the largest float
+    psi = ek.PureState.normalized([1.7e308 + 1.7e308j, 0.0], (2,))
+    assert np.allclose(psi.amplitudes, [1.0, 0.0], atol=1e-15)
+    for bad in ([np.inf, 1.0], [np.nan, 0.0], [1.0, complex(0, np.inf)], [0.0, 0.0],
+                [1e-20, 0.0], [5e-324, 0.0]):
+        with pytest.raises(ValueError):
+            ek.PureState.normalized(bad, (2,))
+
+
 def test_states_do_not_alias_caller_arrays():
     a = np.array([1 + 0j, 0, 0, 0])
     psi = ek.PureState(a, (2, 2))
