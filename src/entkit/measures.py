@@ -10,7 +10,7 @@ for a fixed seed; multi-restart results always report the best value found.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import isqrt, prod
+from math import isfinite, isqrt, prod
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -25,7 +25,7 @@ from .states import DensityMatrix, PureState, _marginal_spectrum
 _GM_DIM_CAP = 1024
 _ROOF_DIM_CAP = 16
 _RANK_DIM_CAP = 256
-_RANK_ITERATIONS_CAP = 10_000
+_ITERATIONS_CAP = 10_000
 
 
 @dataclass(frozen=True)
@@ -61,10 +61,12 @@ def geometric_measure(
 
     Alternating maximization: with all factors but one fixed, the optimal
     factor is the normalized contraction of the state against the others, so
-    each sweep is closed form.  Restarts draw fresh random product states; a
-    restart counts as converged when the overlap gain per sweep drops below
-    ``tol`` before ``max_iterations``.  ``evaluations`` counts the sweeps of
-    all restarts and ``restart_values`` the measure each restart reached.
+    each sweep is closed form.  Restarts draw fresh random product states and
+    run together, factor ``k`` of all of them held as one ``(restarts, d_k)``
+    array; each restart stops on its own, and counts as converged, when its
+    overlap gain per sweep drops below ``tol`` before ``max_iterations``.
+    ``evaluations`` counts the sweeps of all restarts and ``restart_values``
+    the measure each restart reached.
 
     Parameters
     ----------
@@ -73,65 +75,74 @@ def geometric_measure(
     restarts : int
         Number of independent starts, 1 to 1000; the best result is kept.
     tol : float
-        Convergence threshold on the overlap improvement.
+        Convergence threshold on the overlap improvement; finite, >= 0.
     seed
         Seed for the restart generator; fixed seed, fixed result.
+    max_iterations : int
+        Sweeps per restart, 1 to 10,000.
     """
     if psi.dim > _GM_DIM_CAP:
         raise ValueError(f"total dimension {psi.dim} exceeds cap {_GM_DIM_CAP}")
     restarts = _check_count(restarts, "restarts")
+    max_iterations = _check_count(max_iterations, "max_iterations", hi=_ITERATIONS_CAP)
+    if not (isfinite(tol) and tol >= 0):
+        raise ValueError(f"tol must be finite and >= 0, got {tol!r}")
     rng = np.random.default_rng(seed)
+    starts = [[_random_factor(d, rng) for d in psi.dims] for _ in range(restarts)]
+    factors = [np.array(f) for f in zip(*starts)]  # factor k as (restarts, d_k)
     t = psi.reshaped()
-    n = psi.n_parties
-    best_overlap = -1.0
-    best_factors = None
-    best_converged = False
+    moved = [np.ascontiguousarray(np.moveaxis(t, k, -1)) for k in range(t.ndim)]  # party k last
+    overlaps = np.zeros(restarts)
+    converged = np.zeros(restarts, dtype=bool)
+    live, last, cur = np.arange(restarts), np.zeros(restarts), list(factors)
     sweeps = 0
-    overlaps = []
-    for _ in range(restarts):
-        factors = [_random_factor(d, rng) for d in psi.dims]
-        last = 0.0
-        converged = False
-        overlap = 0.0
-        for _ in range(max_iterations):
-            sweeps += 1
-            for k in range(n):
-                # optimal factor k is the normalized contraction of the state
-                # against the other (conjugated) factors; the new overlap is
-                # the contraction norm
-                v = _contract_all_but(t, factors, k)
-                nv = np.linalg.norm(v)
-                if nv < 1e-15:
-                    factors[k] = _random_factor(psi.dims[k], rng)
-                    continue
-                factors[k] = v / nv
-                overlap = float(nv)
-            if overlap - last < tol:
-                converged = True
-                break
-            last = overlap
-        overlaps.append(overlap)
-        if overlap > best_overlap:
-            best_overlap = overlap
-            best_factors = [f.copy() for f in factors]
-            best_converged = converged
-    closest = best_factors[0]
-    for f in best_factors[1:]:
-        closest = np.kron(closest, f)
+    for _ in range(max_iterations):
+        sweeps += live.size
+        overlap = last
+        for k, d in enumerate(psi.dims):
+            # optimal factor k is the normalized contraction of the state
+            # against the other (conjugated) factors; the new overlap is
+            # the contraction norm
+            v = _contract_all_but(moved[k], cur, k)
+            nv = np.linalg.norm(v, axis=1)
+            zero = nv < 1e-15
+            cur[k] = v / np.where(zero, 1.0, nv)[:, None]
+            for i in np.flatnonzero(zero):
+                cur[k][i] = _random_factor(d, rng)
+            overlap = np.where(zero, overlap, nv)
+        for f, c in zip(factors, cur):
+            f[live] = c
+        overlaps[live] = overlap
+        done = overlap - last < tol
+        converged[live[done]] = True
+        live, last, cur = live[~done], overlap[~done], [c[~done] for c in cur]
+        if not live.size:
+            break
+    best = int(np.argmax(overlaps))
+    closest = factors[0][best]
+    for f in factors[1:]:
+        closest = np.kron(closest, f[best])
     return OptimizationResult(
-        value=float(max(0.0, 1.0 - best_overlap**2)),
+        value=float(max(0.0, 1.0 - overlaps[best] ** 2)),
         argument=PureState.normalized(closest, psi.dims),
         restarts_used=restarts,
-        converged=best_converged,
+        converged=bool(converged[best]),
         evaluations=sweeps,
         restart_values=tuple(float(max(0.0, 1.0 - v**2)) for v in overlaps),
     )
 
 
-def _contract_all_but(t: np.ndarray, factors, k: int) -> np.ndarray:
-    v = np.moveaxis(t, k, -1)
-    for j in (x for x in range(len(factors)) if x != k):
-        v = np.tensordot(factors[j].conj(), v, axes=(0, 0))
+def _contract_all_but(tk: np.ndarray, factors, k: int) -> np.ndarray:
+    """Contract ``tk`` (party ``k`` last) against the other conjugated factors,
+    ``(r, d_j)`` each, in party order, one row per restart: ``(r, d_k)``."""
+    r = len(factors[k])
+    others = [j for j in range(len(factors)) if j != k]
+    if not others:
+        return np.broadcast_to(tk, (r, tk.size))
+    v = factors[others[0]].conj() @ tk.reshape(tk.shape[0], -1)
+    for j in others[1:]:
+        f = factors[j].conj()[:, None, :]
+        v = (f @ v.reshape(r, f.shape[2], -1)).reshape(r, -1)
     return v
 
 
@@ -309,13 +320,15 @@ def tensor_rank_upper_bound(
     under ``term_norm_cap`` (diverging terms indicate a border-rank limit
     point, not an exact decomposition).  Returns ``max_rank + 1`` when no
     tested rank fits; the result is an upper bound, never claimed tight.  A
-    one-party state has tensor rank 1.  ``iterations``, the sweeps per
-    restart, must be 1 to 10,000.
+    one-party state has tensor rank 1.  ``max_rank`` must be 1 to 256, the
+    dimension cap, which no tensor under the cap exceeds in rank;
+    ``iterations``, the sweeps per restart, must be 1 to 10,000.
     """
     if psi.dim > _RANK_DIM_CAP:
         raise ValueError(f"total dimension {psi.dim} exceeds cap {_RANK_DIM_CAP}")
+    max_rank = _check_count(max_rank, "max_rank", hi=_RANK_DIM_CAP)
     restarts = _check_count(restarts, "restarts")
-    iterations = _check_count(iterations, "iterations", hi=_RANK_ITERATIONS_CAP)
+    iterations = _check_count(iterations, "iterations", hi=_ITERATIONS_CAP)
     if psi.n_parties == 1:
         return 1
     rng = np.random.default_rng(seed)

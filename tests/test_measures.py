@@ -86,6 +86,75 @@ def test_geometric_measure_monotone_on_average_under_filtering():
         assert p * after <= before + 1e-6
 
 
+def _gm_one_restart_at_a_time(psi, restarts, seed, max_iterations):
+    """Alternating maximization as written on paper: restart after restart,
+    each factor the normalized ``tensordot`` contraction of the state against
+    the others, starts drawn restart by restart, party by party."""
+    rng = np.random.default_rng(seed)
+    t = psi.reshaped()
+    values, flags, sweeps = [], [], 0
+    for _ in range(restarts):
+        factors = []
+        for d in psi.dims:
+            z = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+            factors.append(z / np.linalg.norm(z))
+        last, converged = 0.0, False
+        for _ in range(max_iterations):
+            sweeps += 1
+            for k in range(len(factors)):
+                v = np.moveaxis(t, k, -1)
+                for j in range(len(factors)):
+                    if j != k:
+                        v = np.tensordot(factors[j].conj(), v, axes=(0, 0))
+                overlap = np.linalg.norm(v)
+                factors[k] = v / overlap
+            if overlap - last < 1e-10:
+                converged = True
+                break
+            last = overlap
+        values.append(max(0.0, 1.0 - overlap**2))
+        flags.append(converged)
+    return values, flags, sweeps
+
+
+@pytest.mark.parametrize("psi", [
+    ek.ghz_state(3, 2),
+    ek.w_state(),
+    ek.random_pure_state([2, 3, 4], rng=30),
+    ek.random_pure_state([3, 3, 3], rng=31),
+    ek.random_pure_state([2] * 5, rng=32),
+    ek.random_pure_state([2] * 8, rng=33),
+    ek.random_pure_state([1, 2, 3], rng=34),
+    ek.random_pure_state([3], rng=35),
+], ids=["ghz", "w", "haar234", "haar333", "haar5q", "haar8q", "haar123", "one-party"])
+def test_geometric_measure_matches_one_restart_at_a_time(psi):
+    """The restarts run as one batch, each stopping on its own, and reach what
+    they reach one at a time from the same starts; a cap of 3 sweeps leaves
+    some of them unconverged."""
+    for seed, max_iterations in ((0, 500), (1, 500), (2, 3)):
+        values, flags, sweeps = _gm_one_restart_at_a_time(psi, 6, seed, max_iterations)
+        res = ek.geometric_measure(psi, restarts=6, seed=seed, max_iterations=max_iterations)
+        np.testing.assert_allclose(res.restart_values, values, rtol=0, atol=1e-12)
+        assert res.value == pytest.approx(min(values), abs=1e-12)
+        assert res.evaluations == sweeps
+        # the best restart is the one of least value, up to rounding on ties
+        assert res.converged in {f for v, f in zip(values, flags) if v <= min(values) + 1e-12}
+
+
+def test_geometric_measure_checks_iterations_and_tol():
+    """A sweep cap outside 1..10,000 or a tolerance that is not finite and
+    non-negative is refused, not reported as a value after no sweep."""
+    w = ek.w_state()
+    for max_iterations in (0, -3, 10_001, 2.5):
+        with pytest.raises(ValueError, match="max_iterations"):
+            ek.geometric_measure(w, restarts=2, seed=0, max_iterations=max_iterations)
+    for tol in (float("nan"), float("inf"), -1e-3):
+        with pytest.raises(ValueError, match="tol"):
+            ek.geometric_measure(w, restarts=2, seed=0, tol=tol)
+    res = ek.geometric_measure(w, restarts=2, seed=0, tol=0.0, max_iterations=1)
+    assert res.evaluations == 2 and not res.converged
+
+
 def test_multipartite_concurrence_bipartite_pattern():
     rng = np.random.default_rng(7)
     for _ in range(500):
@@ -295,6 +364,11 @@ def test_tensor_rank_upper_bound_edge_cases():
     for iterations in (0, -1, 10_001, 2.5):
         with pytest.raises(ValueError):
             ek.tensor_rank_upper_bound(ek.w_state(), iterations=iterations)
+    # max_rank is checked too: GHZ has tensor rank 2, and no tensor under the
+    # dimension cap of 256 has a larger rank than 256
+    for max_rank in (0, -5, 2.5, 257):
+        with pytest.raises(ValueError, match="max_rank"):
+            ek.tensor_rank_upper_bound(ek.ghz_state(3, 2), max_rank=max_rank, seed=0)
     prod = ek.product_state(ek.basis_state([2], [0]), ek.basis_state([3], [2]))
     assert ek.tensor_rank_upper_bound(prod, seed=0, iterations=10_000) == 1
     assert ek.tensor_rank_upper_bound(ek.ghz_state(3, 2), max_rank=3, seed=0,

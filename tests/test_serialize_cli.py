@@ -142,6 +142,10 @@ def test_cli_exit_codes(tmp_path):
     good = tmp_path / "ghz.json"
     assert main(["make", "ghz", "--out", str(good)]) == 0
     assert main(["analyze", str(good), "--which", "bogus"]) == 2
+    # a tolerance the geometric measure cannot stop on is refused at once,
+    # not run to the sweep cap and reported as unconverged (exit 3)
+    for tol in ("nan", "inf", "-1"):
+        assert main(["analyze", str(good), "--which", "geometric-measure", "--tol", tol]) == 2
     assert main(["make", "graph"]) == 2          # --edges required
     assert main(["make", "acin"]) == 2           # --r required
     assert main(["make", "acin", "--r", "1,1,0,0,0"]) == 2
