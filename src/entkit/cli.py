@@ -24,7 +24,7 @@ from .measures import geometric_measure
 from .partitions import Partition, _ppt_sweep, classify_pure, single_party_bipartition
 from .protocols import teleport, unlock_smolin
 from .schmidt import RANK_TOL, find_catalyst, nielsen_convertible, schmidt_vector
-from .serialize import from_document, to_document
+from .serialize import load_state, to_document
 from .special import ame_feasibility
 from .states import (
     DensityMatrix,
@@ -76,9 +76,9 @@ def _emit_rows(rows: list[dict], columns: list[str], fmt: str, out_path: str | N
 
 def _read_state(path: str):
     if path == "-":
-        return from_document(json.load(sys.stdin))
+        return load_state(sys.stdin)
     with open(path, encoding="utf-8") as fh:
-        return from_document(json.load(fh))
+        return load_state(fh)
 
 
 def _parse_complex(text: str) -> complex:
@@ -126,34 +126,35 @@ def _parse_edges(text: str, vertices: int | None):
     return adj
 
 
+def _make_graph(args):
+    if not args.edges:
+        raise ValueError("graph requires --edges, e.g. --edges 0-1,1-2")
+    return graph_state(_parse_edges(args.edges, args.vertices))
+
+
+def _make_acin(args):
+    if not args.r:
+        raise ValueError("acin requires --r r0,r1,r2,r3,r4")
+    return acin_state(_parse_floats(args.r), args.theta)
+
+
+#: state name -> constructor(args)
+_STATES = {
+    "bell": lambda args: bell_state(args.d),
+    "ghz": lambda args: ghz_state(args.n, args.d, _parse_floats(args.lam) if args.lam else None),
+    "w": lambda args: w_state(),
+    "graph": _make_graph,
+    "smolin": lambda args: smolin_state(),
+    "upb": lambda args: upb_state(),
+    "psi25": lambda args: psi25_state(),
+    "phi-a": lambda args: phi_a_state(_parse_complex(args.a)),
+    "acin": _make_acin,
+}
+
+
 def cmd_make(args) -> int:
-    name = args.state
-    if name == "bell":
-        state = bell_state(args.d)
-    elif name == "ghz":
-        lam = _parse_floats(args.lam) if args.lam else None
-        state = ghz_state(args.n, args.d, lam)
-    elif name == "w":
-        state = w_state()
-    elif name == "graph":
-        if not args.edges:
-            raise ValueError("graph requires --edges, e.g. --edges 0-1,1-2")
-        state = graph_state(_parse_edges(args.edges, args.vertices))
-    elif name == "smolin":
-        state = smolin_state()
-    elif name == "upb":
-        state = upb_state()
-    elif name == "psi25":
-        state = psi25_state()
-    elif name == "phi-a":
-        state = phi_a_state(_parse_complex(args.a))
-    elif name == "acin":
-        if not args.r:
-            raise ValueError("acin requires --r r0,r1,r2,r3,r4")
-        state = acin_state(_parse_floats(args.r), args.theta)
-    else:
-        raise ValueError(f"unknown state name {name!r}")
-    _emit_json(to_document(state, name=name), args.out)
+    state = _STATES[args.state](args)
+    _emit_json(to_document(state, name=args.state), args.out)
     return EXIT_OK
 
 
@@ -161,82 +162,24 @@ def cmd_make(args) -> int:
 # analyze
 # ---------------------------------------------------------------------------
 
-_ANALYSES = ("invariants", "tangles", "class", "schmidt", "ppt", "polytope", "geometric-measure")
+def _pure(state) -> bool:
+    return isinstance(state, PureState)
 
 
-def cmd_analyze(args) -> int:
-    state = _read_state(args.input)
-    which = [w.strip() for w in args.which.split(",") if w.strip()]
-    for w in which:
-        if w not in _ANALYSES:
-            raise ValueError(f"unknown analysis {w!r}; choose from {', '.join(_ANALYSES)}")
-    report: dict = {"dims": list(state.dims)}
-    exit_code = EXIT_OK
-    is_pure = isinstance(state, PureState)
-    is_3q = state.dims == (2, 2, 2)
+def _pure_3qubit(state) -> bool:
+    return _pure(state) and state.dims == (2, 2, 2)
 
-    for w in which:
-        if w == "invariants":
-            report[w] = lu_invariants(state).to_json() if (is_pure and is_3q) else "inapplicable"
-        elif w == "tangles":
-            if is_pure and is_3q:
-                t1, t2, t3 = tangles(state)
-                report[w] = {"tau1": t1, "tau2": t2, "tau3": t3}
-            else:
-                report[w] = "inapplicable"
-        elif w == "class":
-            if is_pure:
-                rep = classify_pure(state)
-                entry = {
-                    "finest_product_partition": rep.finest_product_partition.to_json(),
-                    "producibility_m": rep.producibility_m,
-                    "genuinely_multipartite": rep.genuinely_multipartite,
-                }
-                if is_3q:
-                    entry["slocc_class"] = slocc_class_3qubit(state).value
-                report[w] = entry
-            else:
-                report[w] = "inapplicable"
-        elif w == "schmidt":
-            if not is_pure or state.n_parties < 2:
-                report[w] = "inapplicable"
-            elif args.bipartition:
-                part = _parse_bipartition(args.bipartition, state.n_parties)
-                report[w] = _schmidt_entry(state, part)
-            elif state.n_parties == 2:
-                report[w] = _schmidt_entry(state, None)
-            else:
-                report[w] = {
-                    str(part): _schmidt_entry(state, part)
-                    for part in (
-                        single_party_bipartition(k, state.n_parties)
-                        for k in range(state.n_parties)
-                    )
-                }
-        elif w == "ppt":
-            if state.n_parties < 2:
-                report[w] = "inapplicable"
-            else:
-                report[w] = {
-                    str(part): {"ppt": flag, "min_eigenvalue": mineig}
-                    for part, (flag, mineig) in _ppt_sweep(state).items()
-                }
-        elif w == "polytope":
-            report[w] = list(polytope_coords(state)) if (is_pure and is_3q) else "inapplicable"
-        elif w == "geometric-measure":
-            if is_pure:
-                res = geometric_measure(state, restarts=args.restarts, tol=args.tol, seed=args.seed)
-                report[w] = {
-                    "value": res.value,
-                    "restarts_used": res.restarts_used,
-                    "converged": res.converged,
-                }
-                if not res.converged:
-                    exit_code = EXIT_NO_CONVERGENCE
-            else:
-                report[w] = "inapplicable"
-    _emit_json(report, args.out)
-    return exit_code
+
+def _class_entry(state: PureState, args) -> dict:
+    rep = classify_pure(state)
+    entry = {
+        "finest_product_partition": rep.finest_product_partition.to_json(),
+        "producibility_m": rep.producibility_m,
+        "genuinely_multipartite": rep.genuinely_multipartite,
+    }
+    if _pure_3qubit(state):
+        entry["slocc_class"] = slocc_class_3qubit(state).value
+    return entry
 
 
 def _schmidt_entry(state: PureState, part) -> dict:
@@ -247,6 +190,56 @@ def _schmidt_entry(state: PureState, part) -> dict:
         "entropy": shannon_entropy(lam),
         "rank": int((lam > RANK_TOL).sum()),
     }
+
+
+def _schmidt_section(state: PureState, args) -> dict:
+    if args.bipartition:
+        return _schmidt_entry(state, _parse_bipartition(args.bipartition, state.n_parties))
+    if state.n_parties == 2:
+        return _schmidt_entry(state, None)
+    cuts = (single_party_bipartition(k, state.n_parties) for k in range(state.n_parties))
+    return {str(part): _schmidt_entry(state, part) for part in cuts}
+
+
+def _ppt_section(state, args) -> dict:
+    sweep = _ppt_sweep(state).items()
+    return {str(part): {"ppt": flag, "min_eigenvalue": mineig} for part, (flag, mineig) in sweep}
+
+
+def _geometric_measure_entry(state: PureState, args) -> dict:
+    res = geometric_measure(state, restarts=args.restarts, tol=args.tol, seed=args.seed)
+    return {"value": res.value, "restarts_used": res.restarts_used, "converged": res.converged}
+
+
+#: section name -> (applies(state), entry(state, args)); a section that does
+#: not apply to the state reports "inapplicable", and a solver's entry carries
+#: its ``converged`` flag
+_SECTIONS = {
+    "invariants": (_pure_3qubit, lambda state, args: lu_invariants(state).to_json()),
+    "tangles": (
+        _pure_3qubit, lambda state, args: dict(zip(("tau1", "tau2", "tau3"), tangles(state)))
+    ),
+    "class": (_pure, _class_entry),
+    "schmidt": (lambda state: _pure(state) and state.n_parties >= 2, _schmidt_section),
+    "ppt": (lambda state: state.n_parties >= 2, _ppt_section),
+    "polytope": (_pure_3qubit, lambda state, args: list(polytope_coords(state))),
+    "geometric-measure": (_pure, _geometric_measure_entry),
+}
+
+
+def cmd_analyze(args) -> int:
+    state = _read_state(args.input)
+    which = [w.strip() for w in args.which.split(",") if w.strip()]
+    for w in which:
+        if w not in _SECTIONS:
+            raise ValueError(f"unknown analysis {w!r}; choose from {', '.join(_SECTIONS)}")
+    report: dict = {"dims": list(state.dims)}
+    for w in which:
+        applies, entry = _SECTIONS[w]
+        report[w] = entry(state, args) if applies(state) else "inapplicable"
+    _emit_json(report, args.out)
+    solved = [e["converged"] for e in report.values() if isinstance(e, dict) and "converged" in e]
+    return EXIT_OK if all(solved) else EXIT_NO_CONVERGENCE
 
 
 # ---------------------------------------------------------------------------
@@ -273,7 +266,7 @@ def cmd_convert_check(args) -> int:
         "schmidt_source": [float(x) for x in schmidt_vector(source, part)],
         "schmidt_target": [float(x) for x in schmidt_vector(target, part)],
     }
-    if not forward and args.catalyst_dim:
+    if not forward and args.catalyst_dim is not None:
         eta = find_catalyst(
             source, target, catalyst_dim=args.catalyst_dim,
             grid_resolution=args.catalyst_grid, bipartition=part,
@@ -448,9 +441,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("make", parents=[common], help="construct a named state")
-    p.add_argument("state", choices=(
-        "bell", "ghz", "w", "graph", "smolin", "upb", "psi25", "phi-a", "acin",
-    ))
+    p.add_argument("state", choices=tuple(_STATES))
     p.add_argument("--d", type=int, default=2, help="local dimension")
     p.add_argument("--n", type=int, default=3, help="party count")
     p.add_argument("--lam", default=None, help="comma-separated probability vector")

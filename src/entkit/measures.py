@@ -26,6 +26,8 @@ _GM_DIM_CAP = 1024
 _ROOF_DIM_CAP = 16
 _RANK_DIM_CAP = 256
 _ITERATIONS_CAP = 10_000
+_RANK_RESIDUAL_TOL = 1e-6
+_RANK_TERM_NORM_CAP = 100.0
 
 
 @dataclass(frozen=True)
@@ -261,10 +263,13 @@ def convex_roof(
         needs (Uhlmann 1998).
     restarts : int
         Number of independent starts, 1 to 1000; the best result is kept.
+    maxiter : int
+        L-BFGS-B iterations per restart, 1 to 10,000.
     """
     if rho.dim > _ROOF_DIM_CAP:
         raise ValueError(f"total dimension {rho.dim} exceeds cap {_ROOF_DIM_CAP}")
     restarts = _check_count(restarts, "restarts")
+    maxiter = _check_count(maxiter, "maxiter", hi=_ITERATIONS_CAP)
     analytic = f is tangle_pure
     if analytic:
         as_bipartition(None, len(rho.dims))  # the error tangle_pure would raise
@@ -310,19 +315,17 @@ def tensor_rank_upper_bound(
     restarts: int = 4,
     seed=None,
     iterations: int = 400,
-    residual_tol: float = 1e-6,
-    term_norm_cap: float = 100.0,
 ) -> int:
     """Smallest ``r <= max_rank`` admitting a rank-``r`` product-sum fit.
 
     Alternating least squares on the factor matrices; a fit counts only if the
-    residual drops below ``residual_tol`` while the largest term norm stays
-    under ``term_norm_cap`` (diverging terms indicate a border-rank limit
-    point, not an exact decomposition).  Returns ``max_rank + 1`` when no
-    tested rank fits; the result is an upper bound, never claimed tight.  A
-    one-party state has tensor rank 1.  ``max_rank`` must be 1 to 256, the
-    dimension cap, which no tensor under the cap exceeds in rank;
-    ``iterations``, the sweeps per restart, must be 1 to 10,000.
+    residual drops below 1e-6 while the largest term norm stays at most 100
+    (diverging terms indicate a border-rank limit point, not an exact
+    decomposition).  Returns ``max_rank + 1`` when no tested rank fits; the
+    result is an upper bound, never claimed tight.  A one-party state has
+    tensor rank 1.  ``max_rank`` must be 1 to 256, the dimension cap, which no
+    tensor under the cap exceeds in rank; ``iterations``, the sweeps per
+    restart, must be 1 to 10,000.
     """
     if psi.dim > _RANK_DIM_CAP:
         raise ValueError(f"total dimension {psi.dim} exceeds cap {_RANK_DIM_CAP}")
@@ -352,12 +355,12 @@ def tensor_rank_upper_bound(
                     factors[k] = sol.T
                 # the last fit reconstructs the whole tensor
                 residual = float(np.linalg.norm(kr @ sol - tk.T))
-                if residual < residual_tol:
+                if residual < _RANK_RESIDUAL_TOL:
                     break
             term = max(
                 prod(float(np.linalg.norm(factors[i][:, j])) for i in range(n))
                 for j in range(r)
             )
-            if residual < residual_tol and term <= term_norm_cap:
+            if residual < _RANK_RESIDUAL_TOL and term <= _RANK_TERM_NORM_CAP:
                 return r
     return max_rank + 1

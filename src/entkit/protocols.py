@@ -243,7 +243,7 @@ def local_filter_pure(
 # unlocking the Smolin state
 # ---------------------------------------------------------------------------
 
-_PARTY_NAMES = "ABCD"
+_PARTY_NAMES = {name: i for i, name in enumerate("ABCD")}
 
 
 def unlock_smolin(pair: Iterable[int | str]) -> list[BranchOutcome]:
@@ -256,7 +256,7 @@ def unlock_smolin(pair: Iterable[int | str]) -> list[BranchOutcome]:
     idx = []
     for p in pair:
         if isinstance(p, str):
-            p = _PARTY_NAMES.index(p.upper())
+            p = _PARTY_NAMES.get(p.upper(), -1)
         idx.append(int(p))
     if len(idx) != 2 or len(set(idx)) != 2 or not all(0 <= i < 4 for i in idx):
         raise ValueError("pair must name two distinct parties among A, B, C, D")

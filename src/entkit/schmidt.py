@@ -12,6 +12,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .core import _check_count
 from .partitions import Partition, as_bipartition
 from .states import PureState, _cut_matrix, shannon_entropy
 
@@ -191,11 +192,10 @@ def find_catalyst(
     convertible pairs return the flag vector ``(1, 0, ...)``) whose catalyst
     enables the conversion, or ``None`` when the grid holds no catalyst.
     Catalysis is invariant under relabeling, so only ordered vectors are swept.
+    ``catalyst_dim`` must be 1 to 4 and ``grid_resolution`` 1 to 200.
     """
-    if catalyst_dim > 4:
-        raise ValueError("catalyst_dim capped at 4")
-    if grid_resolution > 200:
-        raise ValueError("grid_resolution capped at 200")
+    catalyst_dim = _check_count(catalyst_dim, "catalyst_dim", hi=4)
+    grid_resolution = _check_count(grid_resolution, "grid_resolution", hi=200)
     part = as_bipartition(bipartition, psi.n_parties)
     lam_s = schmidt_vector(psi, part)
     lam_t = schmidt_vector(phi, part)

@@ -43,6 +43,19 @@ def to_document(state: State, name: str | None = None, note: str | None = None) 
     return doc
 
 
+def _complex_array(values, ndim: int, field: str) -> np.ndarray:
+    """``values``, an ``ndim``-dimensional array of ``[re, im]`` number pairs,
+    as a complex array.  The pairs are viewed as complex, not summed, so every
+    bit is kept."""
+    pairs = np.array(values)
+    if pairs.dtype.kind not in "biuf" or pairs.ndim != ndim + 1 or pairs.shape[-1] != 2:
+        raise ValueError(
+            f"{field} must be a {ndim}-dimensional array of [re, im] number pairs, "
+            f"got {pairs.dtype} entries of shape {pairs.shape}"
+        )
+    return np.ascontiguousarray(pairs, dtype=float).view(complex)[..., 0]
+
+
 def from_document(doc: dict) -> State:
     """Rebuild a state, revalidating all type invariants."""
     if not isinstance(doc, dict):
@@ -55,23 +68,11 @@ def from_document(doc: dict) -> State:
     if kind == "pure":
         if "amplitudes" not in doc:
             raise ValueError("pure document lacks 'amplitudes'")
-        try:
-            amp = np.array([complex(re, im) for re, im in doc["amplitudes"]])
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"amplitudes must be [re, im] number pairs: {exc}") from exc
-        return PureState(amp, dims)
+        return PureState(_complex_array(doc["amplitudes"], 1, "amplitudes"), dims)
     if kind == "mixed":
         if "matrix" not in doc:
             raise ValueError("mixed document lacks 'matrix'")
-        try:
-            mat = np.array(
-                [[complex(re, im) for re, im in row] for row in doc["matrix"]]
-            )
-        except (TypeError, ValueError) as exc:
-            raise ValueError(
-                f"matrix rows must be lists of [re, im] number pairs: {exc}"
-            ) from exc
-        return DensityMatrix(mat, dims)
+        return DensityMatrix(_complex_array(doc["matrix"], 2, "matrix"), dims)
     raise ValueError(f"unknown state type {kind!r}")
 
 

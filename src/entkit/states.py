@@ -421,8 +421,10 @@ def acin_state(r: Sequence[float], theta: float = 0.0) -> PureState:
     r = np.asarray(r, dtype=float)
     if r.shape != (5,) or not r.min() >= -1e-12:
         raise ValueError("r must be 5 non-negative reals")
-    if not abs((r**2).sum() - 1.0) <= HERMITIAN_ATOL:
-        raise ValueError(f"sum of squares {float((r**2).sum())!r} is not 1 within 1e-10")
+    with np.errstate(over="ignore"):  # an amplitude near 1e308 squares to inf, refused below
+        total = float((r**2).sum())
+    if not abs(total - 1.0) <= HERMITIAN_ATOL:
+        raise ValueError(f"sum of squares {total!r} is not 1 within 1e-10")
     if not np.isfinite(theta):
         raise ValueError(f"theta must be finite, got {theta}")
     amp = np.zeros(8, dtype=complex)

@@ -300,6 +300,21 @@ def test_tangle_roof_gradient_matches_central_differences():
     assert value == 0.0 and not grad.any()
 
 
+def test_convex_roof_checks_maxiter(monkeypatch):
+    """An iteration cap outside 1..10,000 is refused before any start, not
+    reported as the value of a start point after no iteration."""
+    bell = ek.bell_state(2).density().matrix
+    rho = ek.DensityMatrix(0.7 * bell + 0.3 * np.eye(4) / 4, (2, 2))
+    monkeypatch.setattr(ek.measures, "minimize", None)
+    for maxiter in (0, -3, 2.5, 10_001):
+        with pytest.raises(ValueError, match="maxiter"):
+            ek.convex_roof(rho, ek.tangle_pure, ensemble_size=4, restarts=1, seed=0,
+                           maxiter=maxiter)
+    monkeypatch.undo()
+    res = ek.convex_roof(rho, ek.tangle_pure, ensemble_size=4, restarts=1, seed=0, maxiter=1)
+    assert res.evaluations >= 1
+
+
 def test_convex_roof_of_tangle_needs_two_parties(monkeypatch):
     rho = ek.random_density_matrix([2, 2, 2], rank=2, rng=41)
     monkeypatch.setattr(ek.measures, "minimize", None)

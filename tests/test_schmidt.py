@@ -232,5 +232,6 @@ def test_find_catalyst():
     assert np.array_equal(eta, [1.0, 0.0])
     eta = ek.find_catalyst(bell, ek.bell_state(2), catalyst_dim=2, grid_resolution=10)
     assert np.array_equal(eta, [1.0, 0.0])
-    with pytest.raises(ValueError):
-        ek.find_catalyst(src, tgt, catalyst_dim=5)
+    for dim, grid in ((5, 100), (0, 100), (-1, 100), (2.5, 100), (2, 0), (2, -1), (2, 201)):
+        with pytest.raises(ValueError, match="catalyst_dim|grid_resolution"):
+            ek.find_catalyst(src, tgt, catalyst_dim=dim, grid_resolution=grid)

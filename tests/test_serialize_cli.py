@@ -67,6 +67,9 @@ _MALFORMED_DOCUMENTS = [
     {"dims": [2], "type": "pure", "amplitudes": 5},
     {"dims": [2], "type": "mixed", "matrix": [[["a", 0], [0, 0]], [[0, 0], [0.5, 0]]]},
     {"dims": [2], "type": "mixed", "matrix": 5},
+    # an integer too large for a float
+    {"dims": [2], "type": "pure", "amplitudes": [[10**400, 0], [0, 0]]},
+    {"dims": [2], "type": "mixed", "matrix": [[[10**400, 0], [0, 0]], [[0, 0], [0, 0]]]},
 ]
 
 
@@ -128,6 +131,90 @@ def test_cli_analyze_inapplicable_section(tmp_path):
     report = json.loads(text)
     assert report["invariants"] == "inapplicable"
     assert report["schmidt"]["rank"] == 2
+
+
+_ALL_SECTIONS = ("invariants", "tangles", "class", "schmidt", "ppt", "polytope",
+                 "geometric-measure")
+
+
+def _expected_sections(state, restarts: int, seed: int) -> dict:
+    """Every ``analyze`` section from the library: "inapplicable" for
+    ``invariants``, ``tangles`` and ``polytope`` unless pure 3-qubit, for
+    ``class`` and ``geometric-measure`` unless pure, for ``schmidt`` unless
+    pure with two or more parties, and for ``ppt`` on one party."""
+    from entkit.schmidt import RANK_TOL
+    from entkit.states import shannon_entropy
+
+    pure = isinstance(state, ek.PureState)
+    n = state.n_parties
+    out = dict.fromkeys(_ALL_SECTIONS, "inapplicable")
+    if pure and state.dims == (2, 2, 2):
+        out["invariants"] = ek.lu_invariants(state).to_json()
+        out["tangles"] = dict(zip(("tau1", "tau2", "tau3"), ek.tangles(state)))
+        out["polytope"] = list(ek.polytope_coords(state))
+    if pure:
+        rep = ek.classify_pure(state)
+        out["class"] = {
+            "finest_product_partition": rep.finest_product_partition.to_json(),
+            "producibility_m": rep.producibility_m,
+            "genuinely_multipartite": rep.genuinely_multipartite,
+        }
+        if state.dims == (2, 2, 2):
+            out["class"]["slocc_class"] = ek.slocc_class_3qubit(state).value
+        res = ek.geometric_measure(state, restarts=restarts, seed=seed)
+        out["geometric-measure"] = {
+            "value": res.value, "restarts_used": res.restarts_used, "converged": res.converged,
+        }
+    if pure and n >= 2:
+        def entry(part):
+            lam = ek.schmidt_vector(state, part)
+            return {"lambda": list(lam), "entropy": shannon_entropy(lam),
+                    "rank": int((lam > RANK_TOL).sum())}
+
+        cuts = [ek.Partition(((k,), tuple(i for i in range(n) if i != k))) for k in range(n)]
+        out["schmidt"] = entry(None) if n == 2 else {str(part): entry(part) for part in cuts}
+    if n >= 2:
+        out["ppt"] = {}
+        for part in ek.all_bipartitions(n):
+            flag, mineig = ek.ppt_check(state, part)
+            out["ppt"][str(part)] = {"ppt": flag, "min_eigenvalue": mineig}
+    return json.loads(json.dumps(out))
+
+
+def test_cli_analyze_section_table(tmp_path):
+    """Each section of ``analyze`` is the library call where it applies and
+    "inapplicable" exactly where it does not."""
+    states = [
+        ek.random_pure_state([2, 2, 2], rng=1),
+        ek.random_pure_state([2, 3], rng=2),
+        ek.random_pure_state([2, 2, 2, 2], rng=3),
+        ek.random_pure_state([3], rng=4),
+        ek.random_density_matrix([2, 2, 2], rng=5),
+        ek.random_density_matrix([2, 2], rng=6),
+    ]
+    path = tmp_path / "state.json"
+    for state in states:
+        path.write_text(json.dumps(to_document(state)))
+        code, text = _run(tmp_path, "analyze", str(path), "--which", ",".join(_ALL_SECTIONS),
+                          "--restarts", "3", "--seed", "5")
+        assert code == 0
+        report = json.loads(text)
+        assert report == {"dims": list(state.dims), **_expected_sections(state, 3, 5)}
+
+
+def test_cli_analyze_no_convergence_keeps_the_report(tmp_path, monkeypatch):
+    """An unconverged geometric measure exits 3 after the whole report is written."""
+    w_file = tmp_path / "w.json"
+    assert main(["make", "w", "--out", str(w_file)]) == 0
+    result = ek.OptimizationResult(value=0.5, argument=None, restarts_used=2, converged=False,
+                                   evaluations=4, restart_values=(0.5, 0.6))
+    monkeypatch.setattr("entkit.cli.geometric_measure", lambda *args, **kwargs: result)
+    code, text = _run(tmp_path, "analyze", str(w_file), "--which", "class,geometric-measure,ppt")
+    assert code == 3
+    report = json.loads(text)
+    assert list(report) == ["dims", "class", "geometric-measure", "ppt"]
+    assert report["geometric-measure"] == {"value": 0.5, "restarts_used": 2, "converged": False}
+    assert report["ppt"] == _expected_sections(ek.w_state(), 1, 0)["ppt"]
 
 
 def test_cli_exit_codes(tmp_path):
@@ -234,7 +321,8 @@ def _documents():
     """Small state documents: seeded valid ones, the same with one field
     replaced by junk, and free-form objects."""
     junk = st.recursive(
-        st.none() | st.booleans() | st.integers(-3, 9) | st.floats() | _JUNK,
+        st.none() | st.booleans() | st.integers(-3, 9) | st.floats() | _JUNK
+        | st.just(10**400),
         lambda inner: st.lists(inner, max_size=4),
         max_leaves=12,
     )
@@ -286,6 +374,10 @@ _SPANS = st.one_of(
 )
 _SECTIONS = ["invariants", "tangles", "class", "schmidt", "ppt", "polytope",
              "geometric-measure", "bogus"]
+_CONVERT_SOURCES = _documents() | st.builds(
+    lambda seed: to_document(ek.random_pure_state([2, 2], rng=seed)), st.integers(0, 99))
+# grids of at most 20 points, or past the cap: dimension 4 at grid 200 takes seconds
+_CATALYST_GRIDS = st.integers(-2, 20) | st.sampled_from([201, 10**9]) | _JUNK
 _COMMANDS = st.one_of(
     st.tuples(st.just("analyze"), _documents(), _flags(
         which=st.lists(st.sampled_from(_SECTIONS), min_size=1, max_size=3).map(",".join)
@@ -303,12 +395,29 @@ _COMMANDS = st.one_of(
         d=st.one_of(st.integers(-2, 8), st.integers(65, 10**12), _JUNK))),
     st.tuples(st.just("ame-table"), st.none(), _flags(
         n=_SPANS, d=_SPANS, format=st.sampled_from(["json", "csv"]) | _JUNK)),
+    # the target is a Bell pair, so a (2, 2) source that is not one runs the search
+    st.tuples(st.just("convert-check"), _CONVERT_SOURCES, st.tuples(_flags(**{
+        "catalyst-dim": st.integers(-3, 6) | _JUNK,
+        "bipartition": st.sampled_from(["0|1", "0|1,2", "1|0,2", "0|0", "|", "0,1"]) | _JUNK,
+    }), _CATALYST_GRIDS).map(lambda t: [*t[0], f"--catalyst-grid={t[1]}"])),
+    st.tuples(st.just("unlock-demo"), st.none(), _flags(
+        pair=st.sampled_from(["AB", "dc", "AE", "EA", "A", "ABC"]) | _JUNK)),
 )
 
 
 @pytest.fixture(scope="module")
 def document_path(tmp_path_factory):
     return tmp_path_factory.mktemp("contract") / "doc.json"
+
+
+@pytest.fixture(scope="module")
+def bell_path(tmp_path_factory):
+    path = tmp_path_factory.mktemp("contract") / "bell.json"
+    path.write_text(json.dumps(to_document(ek.bell_state(2))))
+    return path
+
+
+_HAAR_2X2 = to_document(ek.random_pure_state([2, 2], rng=0))
 
 
 @settings(derandomize=True, database=None, max_examples=600, deadline=None)
@@ -319,14 +428,20 @@ def document_path(tmp_path_factory):
 @example(command=("sweep", None, ["--family=phi-a", "--grid=1e308"]))
 @example(command=("sweep", None, ["--family=acin-grid", "--grid=1,0,0,0,0,inf"]))
 @example(command=("sweep", None, ["--family=ghz-noise", "--grid=0:-1:1e-320"]))
-def test_cli_exit_code_contract(document_path, command):
-    """``analyze``, ``sweep``, ``teleport-demo`` and ``ame-table`` exit with 0,
-    2 or 3 for any arguments and documents, and never raise."""
+@example(command=("sweep", None, ["--family=acin-grid", "--grid=0,0,0,0,1e308"]))
+# a RecursionError, and a division by zero (a numpy warning)
+@example(command=("convert-check", _HAAR_2X2, ["--catalyst-dim=-1", "--catalyst-grid=5"]))
+@example(command=("convert-check", _HAAR_2X2, ["--catalyst-dim=2", "--catalyst-grid=0"]))
+def test_cli_exit_code_contract(document_path, bell_path, command):
+    """``analyze``, ``sweep``, ``teleport-demo``, ``ame-table``,
+    ``convert-check`` and ``unlock-demo`` exit with 0, 2 or 3 for any
+    arguments and documents, and never raise."""
     name, doc, flags = command
     argv = [name, *flags, "--out", os.devnull]
     if doc is not None:
         document_path.write_text(json.dumps(doc))
-        argv.insert(1, str(document_path))
+        argv[1:1] = ([str(document_path)] if name == "analyze"
+                     else ["--source", str(document_path), "--target", str(bell_path)])
     assert _exit_code(argv) in (0, 2, 3)
 
 
@@ -374,6 +489,15 @@ def test_cli_convert_check_and_catalysis(tmp_path):
     assert verdict["convertible"] is False
     assert verdict["reverse_convertible"] is False
     assert np.abs(np.array(verdict["catalyst"]) - [0.62, 0.38]).max() < 1e-12
+    # a search takes a catalyst dimension of 1 to 4 and a grid resolution of 1 to 200
+    search = ["convert-check", "--source", str(src), "--target", str(tgt)]
+    for dim, grid in (("-1", "100"), ("0", "100"), ("5", "100"),
+                      ("2", "0"), ("2", "-1"), ("2", "201")):
+        assert main([*search, "--catalyst-dim", dim, "--catalyst-grid", grid]) == 2
+    # no search when the conversion needs no catalyst
+    code, text = _run(tmp_path, "convert-check", "--source", str(bell_file),
+                      "--target", str(prod_file), "--catalyst-dim", "0")
+    assert code == 0 and "catalyst" not in json.loads(text)
 
 
 def test_cli_sweeps(tmp_path):
@@ -410,6 +534,8 @@ def test_cli_demos_and_ame_table(tmp_path):
     assert all(
         br["remaining_pair_tangle"] == pytest.approx(1.0, abs=1e-9) for br in branches
     )
+    with pytest.raises(ValueError, match="two distinct parties among A, B, C, D"):
+        ek.unlock_smolin("AE")
 
     code, text = _run(tmp_path, "ame-table", "--n", "4", "--d", "2:7", "--format", "json")
     rows = json.loads(text)
