@@ -29,6 +29,7 @@ from .measures import (
     meyer_wallach,
     multipartite_concurrence,
     tensor_rank_upper_bound,
+    upb_unextendibility_check,
 )
 from .partitions import (
     ClassificationReport,
@@ -42,7 +43,6 @@ from .partitions import (
     ppt_check,
     refines,
     separability_verdict,
-    upb_unextendibility_check,
 )
 from .protocols import (
     BranchOutcome,

@@ -19,11 +19,17 @@ import numpy as np
 
 from . import __version__
 from .core import ConvergenceError, SizeLimitError
-from .invariants import lu_invariants, polytope_coords, slocc_class_3qubit, tangles
+from .invariants import (
+    lu_invariants,
+    polytope_coords,
+    slocc_class_3qubit,
+    tangles,
+    wootters_concurrence,
+)
 from .measures import geometric_measure
 from .partitions import Partition, _ppt_sweep, classify_pure, single_party_bipartition
 from .protocols import teleport, unlock_smolin
-from .schmidt import RANK_TOL, find_catalyst, nielsen_convertible, schmidt_vector
+from .schmidt import RANK_TOL, find_catalyst, majorizes, schmidt_vector
 from .serialize import load_state, to_document
 from .special import ame_feasibility
 from .states import (
@@ -258,13 +264,13 @@ def cmd_convert_check(args) -> int:
         if args.bipartition
         else None
     )
-    forward = nielsen_convertible(source, target, part)
-    backward = nielsen_convertible(target, source, part)
+    lam_source, lam_target = schmidt_vector(source, part), schmidt_vector(target, part)
+    forward = majorizes(lam_target, lam_source)  # Nielsen: the target majorizes
     out = {
         "convertible": forward,
-        "reverse_convertible": backward,
-        "schmidt_source": [float(x) for x in schmidt_vector(source, part)],
-        "schmidt_target": [float(x) for x in schmidt_vector(target, part)],
+        "reverse_convertible": majorizes(lam_source, lam_target),
+        "schmidt_source": [float(x) for x in lam_source],
+        "schmidt_target": [float(x) for x in lam_target],
     }
     if not forward and args.catalyst_dim is not None:
         eta = find_catalyst(
@@ -380,8 +386,6 @@ def cmd_teleport_demo(args) -> int:
 
 
 def cmd_unlock_demo(args) -> int:
-    from .invariants import wootters_concurrence
-
     outcomes = unlock_smolin(tuple(args.pair))
     branches = [
         {

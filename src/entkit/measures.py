@@ -1,10 +1,12 @@
 """Optimization-based entanglement measures.
 
 Geometric measure by alternating maximization over product states, the
-projector-based multipartite concurrence, Meyer-Wallach global entanglement,
-small-scale convex roofs over pure-state ensembles, and a best-effort tensor
-rank upper bound.  All optimizers take an explicit seed and are deterministic
-for a fixed seed; multi-restart results always report the best value found.
+unextendibility check of a product basis by alternating minimization on the
+same contraction kernel, the projector-based multipartite concurrence,
+Meyer-Wallach global entanglement, small-scale convex roofs over pure-state
+ensembles, and a best-effort tensor rank upper bound.  All optimizers take an
+explicit seed and are deterministic for a fixed seed; multi-restart results
+always report the best value found.
 """
 
 from __future__ import annotations
@@ -135,17 +137,62 @@ def geometric_measure(
 
 
 def _contract_all_but(tk: np.ndarray, factors, k: int) -> np.ndarray:
-    """Contract ``tk`` (party ``k`` last) against the other conjugated factors,
-    ``(r, d_j)`` each, in party order, one row per restart: ``(r, d_k)``."""
+    """Contract ``tk`` (the other parties in order, then party ``k``, then any
+    trailing axes) against the other conjugated factors, ``(r, d_j)`` each,
+    one row per restart: ``(r, d_k * trailing)``, ``(r, d_k)`` with none."""
     r = len(factors[k])
     others = [j for j in range(len(factors)) if j != k]
     if not others:
-        return np.broadcast_to(tk, (r, tk.size))
+        return np.broadcast_to(tk.ravel(), (r, tk.size))
     v = factors[others[0]].conj() @ tk.reshape(tk.shape[0], -1)
     for j in others[1:]:
         f = factors[j].conj()[:, None, :]
         v = (f @ v.reshape(r, f.shape[2], -1)).reshape(r, -1)
     return v
+
+
+def upb_unextendibility_check(
+    basis: Sequence[PureState],
+    restarts: int = 100,
+    tol: float = 1e-6,
+    rng=None,
+) -> bool:
+    """True iff no product vector is orthogonal to every member of ``basis``.
+
+    Alternating minimization of the residual ``sum_v |<v|a,b,c,...>|^2`` over
+    product vectors: with all factors but one fixed, the residual is the
+    quadratic form ``W W^dag`` in the free factor, ``W`` the contraction of the
+    members against the others, so the lowest eigenvector minimizes it.
+    Restarts draw random product vectors and run together, factor ``k`` of all
+    of them held as one ``(restarts, d_k)`` array, until no residual falls by
+    1e-14 in a sweep, one falls below ``tol * 1e-3``, or 200 sweeps have run.
+    The basis is unextendible iff the smallest residual stays at or above
+    ``tol``.  Qubit systems with at most 3 parties; ``restarts`` is 1 to 1000.
+    """
+    if not basis:
+        raise ValueError("basis must be non-empty")
+    dims = basis[0].dims
+    if any(v.dims != dims for v in basis):
+        raise ValueError("basis members have inconsistent dims")
+    if len(dims) > 3 or any(d != 2 for d in dims):
+        raise ValueError("supported systems: up to 3 parties of qubits")
+    restarts = _check_count(restarts, "restarts")
+    rng = np.random.default_rng(rng)
+    starts = [[_random_factor(d, rng) for d in dims] for _ in range(restarts)]
+    factors = [np.array(f) for f in zip(*starts)]  # factor k as (restarts, d_k)
+    t = np.stack([v.reshaped() for v in basis], axis=-1)  # members last
+    moved = [np.ascontiguousarray(np.moveaxis(t, k, -2)) for k in range(len(dims))]
+    last = np.full(restarts, np.inf)
+    for _ in range(200):
+        for k, d in enumerate(dims):
+            w = _contract_all_but(moved[k], factors, k).reshape(restarts, d, -1)
+            vals, vecs = np.linalg.eigh(w @ w.conj().transpose(0, 2, 1))
+            factors[k] = vecs[:, :, 0]
+        residual = vals[:, 0]
+        if np.all(last - residual < 1e-14) or residual.min() < tol * 1e-3:
+            break
+        last = residual
+    return bool(residual.min() >= tol)
 
 
 def meyer_wallach(psi: PureState) -> float:

@@ -13,11 +13,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import prod
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
-from .core import SizeLimitError, _check_count, _check_indices
+from .core import SizeLimitError, _check_indices
 from .states import PureState, State, _marginal_spectrum, as_density
 
 _PARTITION_ENUM_CAP = 8
@@ -277,59 +277,3 @@ def separability_verdict(rho: State, bipartition=None) -> str:
     flag, _ = ppt_check(rho, bipartition)
     return "inconclusive" if flag else "entangled"
 
-
-# ---------------------------------------------------------------------------
-# unextendible product bases
-# ---------------------------------------------------------------------------
-
-def upb_unextendibility_check(
-    basis: Sequence[PureState],
-    restarts: int = 100,
-    tol: float = 1e-6,
-    rng=None,
-) -> bool:
-    """True iff no product vector is orthogonal to every member of ``basis``.
-
-    Runs an alternating minimization of ``sum_v |<v|a,b,c,...>|^2`` over
-    product vectors from random starts; the basis is unextendible iff the
-    smallest residual found stays at or above ``tol``.  Qubit systems with at
-    most 3 parties.
-    """
-    if not basis:
-        raise ValueError("basis must be non-empty")
-    dims = basis[0].dims
-    if any(v.dims != dims for v in basis):
-        raise ValueError("basis members have inconsistent dims")
-    if len(dims) > 3 or any(d != 2 for d in dims):
-        raise ValueError("supported systems: up to 3 parties of qubits")
-    rng = np.random.default_rng(rng)
-    n = len(dims)
-    tensors = [v.reshaped().conj() for v in basis]
-
-    best = np.inf
-    for _ in range(_check_count(restarts, "restarts")):
-        facs = []
-        for d in dims:
-            z = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-            facs.append(z / np.linalg.norm(z))
-        last = np.inf
-        for _ in range(200):
-            for k in range(n):
-                # residual is a quadratic form in factor k; minimize by eigenvector
-                mats = np.zeros((dims[k], dims[k]), dtype=complex)
-                for vt in tensors:
-                    h = np.moveaxis(vt, k, 0)
-                    for j, f in enumerate(x for x in range(n) if x != k):
-                        h = np.tensordot(h, facs[f], axes=(1, 0))
-                    # h_i = <v|...factor slot k = e_i...>, residual term |h . a_k|^2
-                    mats += np.outer(h.conj(), h)
-                vals, vecs = np.linalg.eigh(mats)
-                facs[k] = vecs[:, 0]
-            res = float(vals[0].real)
-            if last - res < 1e-14:
-                break
-            last = res
-        best = min(best, res)
-        if best < tol * 1e-3:
-            break
-    return bool(best >= tol)

@@ -16,6 +16,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .core import _check_dims, _check_indices
+from .partitions import Partition
 from .states import (
     DensityMatrix,
     PureState,
@@ -126,7 +127,7 @@ def teleportation_kraus(d: int) -> list[tuple[tuple[int, int], np.ndarray]]:
             u = shift_multiply_unitary(m, n, d)
             proj = u @ bell  # (U (x) I)|psi+>, reshaped to d x d
             # M[b, a'] = sum_a conj(proj[a', a]) bell[a, b]
-            m_eff = np.einsum("xa,ab->bx", proj.conj(), bell)
+            m_eff = (proj.conj() @ bell).T
             out.append(((m, n), u @ m_eff))
     return out
 
@@ -253,11 +254,9 @@ def unlock_smolin(pair: Iterable[int | str]) -> list[BranchOutcome]:
     each branch carries maximal two-qubit entanglement; the four outcomes are
     equiprobable.
     """
-    idx = []
-    for p in pair:
-        if isinstance(p, str):
-            p = _PARTY_NAMES.get(p.upper(), -1)
-        idx.append(int(p))
+    idx = _check_indices(
+        _PARTY_NAMES.get(p.upper(), -1) if isinstance(p, str) else p for p in pair
+    )
     if len(idx) != 2 or len(set(idx)) != 2 or not all(0 <= i < 4 for i in idx):
         raise ValueError("pair must name two distinct parties among A, B, C, D")
     joined = sorted(idx)
@@ -297,16 +296,11 @@ def combing_entropy_profile(
     the per-block entropies bound the achievable pair profile, and the total
     on the distinguished party is returned alongside.
     """
-    [a] = _check_indices([a])
-    seen = {a}
-    profile = []
-    for block in b_blocks:
-        block = sorted(set(_check_indices(block)))
-        if not block or seen & set(block):
-            raise ValueError("blocks must be disjoint and must not contain the A party")
-        seen |= set(block)
-        profile.append(von_neumann_entropy(partial_trace(psi, block)))
-    if seen != set(range(psi.n_parties)):
-        raise ValueError("A party plus blocks must cover all parties")
+    blocks = [tuple(b) for b in b_blocks]
+    part = Partition(((a,), *blocks))
+    if part.n_parties != psi.n_parties:
+        raise ValueError(f"A party plus blocks cover {part.n_parties} parties, "
+                         f"state has {psi.n_parties}")
+    profile = [von_neumann_entropy(partial_trace(psi, block)) for block in blocks]
     total = von_neumann_entropy(partial_trace(psi, [a]))
     return (profile, float(total))

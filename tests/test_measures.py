@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -139,6 +141,60 @@ def test_geometric_measure_matches_one_restart_at_a_time(psi):
         assert res.evaluations == sweeps
         # the best restart is the one of least value, up to rounding on ties
         assert res.converged in {f for v, f in zip(values, flags) if v <= min(values) + 1e-12}
+
+
+def _upb_one_restart_at_a_time(basis, restarts, seed):
+    """Alternating minimization as written on paper: restart after restart,
+    the residual matrix of each factor summed member by member from
+    ``tensordot`` contractions, starts drawn restart by restart, party by
+    party; every restart runs to its own stop and reports its residual."""
+    rng = np.random.default_rng(seed)
+    dims = basis[0].dims
+    tensors = [v.reshaped().conj() for v in basis]
+    residuals = []
+    for _ in range(restarts):
+        factors = []
+        for d in dims:
+            z = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+            factors.append(z / np.linalg.norm(z))
+        last = np.inf
+        for _ in range(200):
+            for k, d in enumerate(dims):
+                mat = np.zeros((d, d), dtype=complex)
+                for vt in tensors:
+                    h = np.moveaxis(vt, k, 0)
+                    for j in range(len(dims)):
+                        if j != k:
+                            h = np.tensordot(h, factors[j], axes=(1, 0))
+                    mat += np.outer(h.conj(), h)
+                vals, vecs = np.linalg.eigh(mat)
+                factors[k] = vecs[:, 0]
+            if last - vals[0] < 1e-14:
+                break
+            last = vals[0]
+        residuals.append(vals[0])
+    return residuals
+
+
+def test_upb_unextendibility_matches_one_restart_at_a_time():
+    """The restarts run as one batch and give the verdict they give one at a
+    time from the same starts, on the UPB, on each of its proper subsets, which
+    a product vector extends, on complete one- and two-qubit bases, and on
+    three and four random complex product vectors."""
+    upb = ek.upb_basis()
+    cases = [(upb, seed) for seed in (0, 1, 2)]
+    cases += [(list(sub), 0) for m in (1, 2, 3) for sub in itertools.combinations(upb, m)]
+    cases += [([ek.basis_state([2] * n, idx) for idx in itertools.product((0, 1), repeat=n)], 0)
+              for n in (1, 2)]
+    cases += [([ek.product_state(*(ek.random_pure_state([2], rng=3 * i + k) for k in range(3)))
+                for i in range(m)], 0) for m in (3, 4)]
+    tol = 1e-6
+    for basis, seed in cases:
+        least = min(_upb_one_restart_at_a_time(basis, 20, seed))
+        # far from tol on either side, so rounding decides no verdict
+        assert least < tol * 1e-3 or least > tol * 1e3
+        verdict = ek.upb_unextendibility_check(basis, restarts=20, tol=tol, rng=seed)
+        assert verdict == (least >= tol)
 
 
 def test_geometric_measure_checks_iterations_and_tol():

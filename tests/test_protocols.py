@@ -162,6 +162,9 @@ def test_unlock_smolin():
             )
     with pytest.raises(ValueError):
         ek.unlock_smolin("AA")
+    for pair in ([0.5, 2.7], [0, 2.0]):
+        with pytest.raises(ValueError, match="integers"):
+            ek.unlock_smolin(pair)
 
 
 def test_merging_rate():
