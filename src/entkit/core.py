@@ -13,7 +13,7 @@ supported total Hilbert-space dimension is capped at ``DIM_CAP`` = 4096.
 from __future__ import annotations
 
 import operator
-from math import prod
+from math import isfinite, prod
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -78,6 +78,12 @@ def _check_count(value, name: str, lo: int = 1, hi: int = 1000) -> int:
     if not lo <= value <= hi:
         raise ValueError(f"{name} must be in {lo}..{hi}, got {value}")
     return value
+
+
+def _check_tol(value, name: str = "tol") -> None:
+    """Reject a tolerance that is NaN, infinite or negative."""
+    if not (isfinite(value) and value >= 0):
+        raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
 
 
 def permute_matrix(mat: np.ndarray, dims: Sequence[int], perm: Sequence[int]) -> np.ndarray:

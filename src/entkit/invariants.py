@@ -18,7 +18,7 @@ from enum import Enum
 
 import numpy as np
 
-from .core import ConvergenceError
+from .core import ConvergenceError, _check_tol
 from .states import DensityMatrix, PureState
 
 #: Below this value of the three-tangle, a rank-(2,2,2) state is labeled W class.
@@ -241,8 +241,10 @@ def slocc_class_3qubit(psi: PureState, tau3_tol: float = TAU3_CLASS_TOL) -> Sloc
 
     Rank pattern (1,1,1) is product; exactly one rank-1 marginal marks the
     biseparable cut; among genuinely tripartite states the three-tangle
-    separates the GHZ orbit (positive) from the W orbit (zero).
+    separates the GHZ orbit (above ``tau3_tol``, which must be finite and
+    >= 0) from the W orbit.
     """
+    _check_tol(tau3_tol, "tau3_tol")
     return _records(_stack(psi), tau3_tol)[0].class_label
 
 
@@ -273,6 +275,10 @@ class AcinCanonicalForm:
     r: np.ndarray
     theta: float
     local_unitaries: tuple[np.ndarray, np.ndarray, np.ndarray] = field(repr=False)
+    #: Newton steps taken by the batch of seeds that reached the roots, 0 to 6.
+    newton_steps: int = field(default=0, repr=False)
+    #: Distinct roots within ``tol``, told apart by their rounded ``(r, |theta|)``.
+    roots: int = field(default=1, repr=False)
 
 
 #: Pauli matrices, identity first, and the six axis points of the Bloch sphere
@@ -346,11 +352,22 @@ def _secular_roots(d, p, q, cc, bound):
     return (mid + half * x.real)[(np.abs(x.imag) < 1e-6) & (np.abs(x.real) <= 1.0)]
 
 
-def _candidates(t):
+def _slice_forms(t):
+    """``alpha, beta, c, B`` of ``M M^dag = (alpha + beta.n) I + (c + B n).sigma``
+    and the symmetric ``Q`` of ``det M = a^T Q a``, with ``M = a_0 t_0 + a_1
+    t_1`` the lower slice of the first-qubit vector ``a`` and ``n`` its Bloch
+    vector.  ``det Q = -hyperdet3 / 4``."""
+    form = 0.25 * np.einsum("vij,mba,iac,jbc->vm", _PAULI, _PAULI, t, t.conj()).real
+    det0, det1 = np.linalg.det(t)
+    cross = (np.linalg.det(t[0] + t[1]) - det0 - det1) / 2
+    return form[0, 0], form[1:, 0], form[0, 1:], form[1:, 1:].T, np.array([[det0, cross], [cross, det1]])
+
+
+def _candidates(beta, c, b, quad):
     """First-qubit vectors ``(S, 2)`` and orderings that seed the root search.
 
-    With ``n`` the Bloch vector of ``a``, ``M M^dag = (alpha + beta.n) I +
-    (c + B n).sigma``, so a root is a critical point on the sphere of an
+    With ``n`` the Bloch vector of ``a`` and ``M M^dag`` as in
+    :func:`_slice_forms`, a root is a critical point on the sphere of an
     eigenvalue ``s = alpha + beta.n + mu``, ``mu = +-|c + B n|`` (a positive
     ``mu`` puts the larger singular value on ``|111>``).  Lagrange gives
     ``(B^T B - nu) n = -(mu beta + B^T c)``; in the eigenbasis ``d, V`` of
@@ -361,8 +378,6 @@ def _candidates(t):
     Every seed turns with the state.  A seed whose ``|n|`` misses 1 by half or
     more (the wrong sign of ``mu``) is dropped.
     """
-    form = 0.25 * np.einsum("vij,mba,iac,jbc->vm", _PAULI, _PAULI, t, t.conj()).real
-    beta, c, b = form[1:, 0], form[0, 1:], form[1:, 1:].T
     d, v = np.linalg.eigh(b.T @ b)
     d = np.maximum(d, 0.0)
     p, q, cc = v.T @ beta, v.T @ (b.T @ c), c @ c
@@ -390,54 +405,99 @@ def _candidates(t):
     a = np.where(n[:, 2:] >= 0,
                  np.column_stack([1.0 + n[:, 2], n[:, 0] + 1j * n[:, 1]]),
                  np.column_stack([n[:, 0] - 1j * n[:, 1], 1.0 - n[:, 2]]))
-    # det M(a) = a^T Q a with det Q = -hyperdet3 / 4: on the W class Q has
-    # rank one, and its null vector is a root with r4 = 0
-    det0, det1 = np.linalg.det(t)
-    cross = (np.linalg.det(t[0] + t[1]) - det0 - det1) / 2
-    null = np.linalg.svd([[det0, cross], [cross, det1]])[2][-1].conj()
+    # on the W class Q has rank one, and its null vector is a root with r4 = 0
+    null = np.linalg.svd(quad)[2][-1].conj()
     return np.vstack([a / np.linalg.norm(a, axis=1, keepdims=True), null]), np.r_[order, False]
 
 
-def _newton(t, a, order, steps=6):
-    """Undamped Newton steps on the residual from each row of ``a`` at once, in
-    the chart ``a(z) = normalize(a + z a_perp)``, ``z`` complex from 0:
-    forward differences with ``h = 1e-7``, one residual call per step.  A row
-    with a residual below ``1e-14`` or a singular Jacobian stays where it is."""
-    h = 1e-7
-    perp = np.column_stack([-a[:, 1].conj(), a[:, 0].conj()])
-    z = np.zeros(len(a), dtype=complex)
+def _chart_terms(a, mu, alpha, beta, c, b, quad):
+    """Gradient and Hessian of ``h = log sigma^2`` at ``z = 0`` in the chart
+    ``a(z) = (a + z a_perp) / sqrt(1 + |z|^2)``, ``z = x + iy``, of each row
+    of ``a`` ``(S, 2)``, and ``sigma`` ``(S,)``: the larger singular value of
+    the lower slice on rows with a positive ``mu``, the smaller one elsewhere.
 
-    def chart(z):
-        b = a + z[..., None] * perp
-        return b / np.linalg.norm(b, axis=-1, keepdims=True)
+    In complex form, the gradient is ``G = h_x - i h_y``, and the Hessian is
+    ``A = (h_xx + h_yy) / 2`` and ``C = (h_xx - h_yy) / 2 - i h_xy``.  The
+    Bloch vector moves as ``n(z) = n (1 - 2|z|^2) + 2 Re(z m)`` to second
+    order, with ``m = a^dag sigma a_perp``, so the chart turns the sphere
+    derivatives of the larger eigenvalue ``S = alpha + beta.n + |w|`` of
+    :func:`_slice_forms`' ``M M^dag``, ``w = c + B n``, into ``2 g.m`` and ``4
+    (H - g.n)`` on ``Re m, -Im m``, with ``g = beta + B^T w / |w|`` and ``H =
+    B^T B / |w| - B^T w w^T B / |w|^3``.  The smaller eigenvalue is ``|det
+    M|^2 / S``, not ``alpha + beta.n - |w|``, which loses all its digits as it
+    nears zero; ``det M(a(z)) = (D0 + 2 D1 z + D2 z^2) / (1 + |z|^2)``, so
+    ``log |det M|^2`` adds ``2 Re log`` of that quadratic less ``2 log(1 +
+    |z|^2)``.
+    """
+    g, d = a.T
+    gc, dc = g.conj(), d.conj()
+    gd = gc * d
+    n = np.array([2.0 * gd.real, 2.0 * gd.imag, (g * gc - d * dc).real])
+    m = np.array([gc * gc - dc * dc, -1j * (gc * gc + dc * dc), -2.0 * gc * dc])
+    w = c[:, None] + b @ n
+    norm = np.sqrt((w * w).sum(0))
+    u = b.T @ w
+    smax = alpha + beta @ n + norm
+    grad = beta[:, None] + u / norm
+    bm, um = b @ m, (u * m).sum(0) / norm
+    gs = 2.0 * (grad * m).sum(0) / smax
+    k = 2.0 / (smax * norm)
+    diag = k * ((bm * bm.conj()).sum(0).real - abs(um) ** 2) - 4.0 * (grad * n).sum(0) / smax - abs(gs) ** 2 / 2
+    off = k * ((bm * bm).sum(0) - um * um) - gs * gs / 2
+    perp = np.array([-dc, gc])
+    aq, pq = quad @ a.T, quad @ perp
+    d0, d1, d2 = (aq * a.T).sum(0), (aq * perp).sum(0), (pq * perp).sum(0)
+    f1 = 2.0 * d1 / d0
+    f2 = 2.0 * d2 / d0 - f1 * f1
+    low = mu < 0
+    sigma = np.sqrt(np.where(low, abs(d0) ** 2 / smax, smax))
+    return mu * gs + 2.0 * low * f1, mu * diag - 4.0 * low, mu * off + 2.0 * low * f2, sigma
 
-    for _ in range(steps):
-        trial = chart((z[:, None] + [0.0, h, 1j * h]).T).reshape(-1, 2)
-        f, f1, f2 = _rotate(t, trial, np.tile(order, 3))[3][:, 0, 1, 1].reshape(3, -1)
-        j1, j2 = (f1 - f) / h, (f2 - f) / h
-        with np.errstate(divide="ignore", invalid="ignore"):
-            step = (f * j2.conj()).imag + 1j * (j1 * f.conj()).imag
-            step /= (j1 * j2.conj()).imag
-        z -= np.where(np.isfinite(step) & (np.abs(f) > 1e-14), step, 0.0)
-    return chart(z)
+
+def _newton(a, order, forms, steps=6):
+    """Newton steps on the Bloch sphere from each row of ``a`` at once, toward
+    a critical point of the singular value of the lower slice that
+    :func:`_rotate` puts on ``|111>``, the larger one on rows with a true
+    ``order``: the zeros of the residual.  Each row takes one 2-D solve on
+    :func:`_chart_terms` per step, ``A z* + C z = -G``, with no SVD.
+
+    A row stays where it is once ``sigma |G| / 2``, which tracks the residual,
+    is below ``1e-15``, and so does a row with ``|w| = 0``, ``det M = 0`` or a
+    singular Hessian.  The steps stop when no row moves, or after ``steps``.
+    Returns the polished rows and the steps taken.
+    """
+    mu = np.where(order, 1.0, -1.0)
+    for taken in range(steps):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            grad, diag, off, sigma = _chart_terms(a, mu, *forms)
+            z = (off * grad.conj() - diag * grad).conj() / (diag * diag - abs(off) ** 2)
+            move = np.isfinite(z) & (sigma * abs(grad) > 2e-15)
+            if not move.any():
+                return a, taken
+            moved = a + z[:, None] * np.column_stack([-a[:, 1].conj(), a[:, 0].conj()])
+            a = np.where(move[:, None], moved / np.linalg.norm(moved, axis=1, keepdims=True), a)
+    return a, steps
 
 
 def _roots(t):
     """Every root the seeds of :func:`_candidates` reach, as :func:`_rotate`
-    gives it (rows with a residual below ``1e-12``), and the smallest residual.
+    gives it (rows with a residual below ``1e-12``), the smallest residual and
+    the Newton steps of the seeds that reached them.
 
     The six axis points are seeds only when no candidate converges: on the
     biseparable B|AC and C|AB states every first-qubit vector is a root, and
     elsewhere frame-fixed seeds would make the root chosen depend on the frame.
     """
     best = np.inf
-    for a, order in (_candidates(t), (np.repeat(_AXES, 2, 0), np.tile([True, False], 6))):
-        *unitaries, x = _rotate(t, _newton(t, a, order), order)
+    forms = _slice_forms(t)
+    for a, order in (_candidates(*forms[1:]), (np.repeat(_AXES, 2, 0), np.tile([True, False], 6))):
+        a, steps = _newton(a, order, forms)
+        *unitaries, x = _rotate(t, a, order)
         res = np.abs(x[:, 0, 1, 1])
         best = min(best, res.min(initial=np.inf))
         if (res < 1e-12).any():
             break
-    return [u[res < 1e-12] for u in unitaries], x[res < 1e-12], best
+    return [u[res < 1e-12] for u in unitaries], x[res < 1e-12], best, steps
 
 
 def _theta(x):
@@ -481,15 +541,17 @@ def acin_canonical_form(psi: PureState, tol: float = 1e-8) -> AcinCanonicalForm:
     ``M M^dag`` (``M`` the lower slice), and their Lagrange multipliers are
     the real roots of one degree-12 secular polynomial, as in the constrained
     eigenvalue problem of Gander, Golub and von Matt, Linear Algebra Appl.
-    114/115, 815 (1989).  Each candidate takes six undamped Newton steps;
-    among the roots reached, the one minimizing ``(r4, r3, r2, r1)``
-    lexicographically is returned.  Diagonal local phases then make ``r1..r4
+    114/115, 815 (1989).  Newton steps on the singular value that ``|111>``
+    takes, with an analytic Hessian and no SVD, polish the candidates, at
+    most six (``newton_steps``); among the distinct ``roots`` reached, the
+    one minimizing ``(r4, r3, r2, r1)`` lexicographically is returned.  Diagonal local phases then make ``r1..r4
     >= 0`` with one phase ``theta`` left on ``r0``.  Those phases fix
     ``theta`` only mod pi, so it is folded into ``(-pi/2, pi/2]``, which makes
     it a local-unitary invariant of the root; it is 0 when one of the five
-    amplitudes vanishes.  If no root reaches ``tol``, the
-    :class:`ConvergenceError` carries the smallest off-support amplitude of
-    the roots, or the smallest Newton residual if none converged.
+    amplitudes vanishes.  ``tol`` must be finite and >= 0.  If no root
+    reaches it, the :class:`ConvergenceError` carries the smallest
+    off-support amplitude of the roots, or the smallest Newton residual if
+    none converged.
 
     On generic states the roots are isolated and the form is canonical: a
     local rotation of the state returns the same ``r`` and ``theta``.  Where
@@ -506,8 +568,9 @@ def acin_canonical_form(psi: PureState, tol: float = 1e-8) -> AcinCanonicalForm:
     Sudbery, J. Math. Phys. 41, 7932 (2000)).  Both have five moduli and one
     phase, but their ``r`` are different numbers.
     """
+    _check_tol(tol)
     _require_3qubit(psi)
-    (ua, ub, uc), x, best = _roots(psi.reshaped())
+    (ua, ub, uc), x, best, steps = _roots(psi.reshaped())
     off = np.abs(x.reshape(-1, 8)[:, [0b011, 0b101, 0b110]]).max(1, initial=0.0)
     keep = off < tol
     if not keep.any():
@@ -522,5 +585,6 @@ def acin_canonical_form(psi: PureState, tol: float = 1e-8) -> AcinCanonicalForm:
     i = np.lexsort(key.T[::-1])[0]
     za, zb, zc = _phase_gauge(x[i], theta[i])
     return AcinCanonicalForm(
-        r=r[i], theta=float(theta[i]), local_unitaries=(za @ ua[i], zb @ ub[i], zc @ uc[i])
+        r=r[i], theta=float(theta[i]), local_unitaries=(za @ ua[i], zb @ ub[i], zc @ uc[i]),
+        newton_steps=steps, roots=len(np.unique(key, axis=0)),
     )

@@ -12,14 +12,14 @@ always report the best value found.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import isfinite, isqrt, prod
+from math import isqrt, prod
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
 from scipy.linalg import expm, expm_frechet
 from scipy.optimize import minimize
 
-from .core import _check_count
+from .core import _check_count, _check_tol
 from .partitions import as_bipartition
 from .schmidt import _tangle_terms, tangle_pure
 from .states import DensityMatrix, PureState, _marginal_spectrum
@@ -89,8 +89,7 @@ def geometric_measure(
         raise ValueError(f"total dimension {psi.dim} exceeds cap {_GM_DIM_CAP}")
     restarts = _check_count(restarts, "restarts")
     max_iterations = _check_count(max_iterations, "max_iterations", hi=_ITERATIONS_CAP)
-    if not (isfinite(tol) and tol >= 0):
-        raise ValueError(f"tol must be finite and >= 0, got {tol!r}")
+    _check_tol(tol)
     rng = np.random.default_rng(seed)
     starts = [[_random_factor(d, rng) for d in psi.dims] for _ in range(restarts)]
     factors = [np.array(f) for f in zip(*starts)]  # factor k as (restarts, d_k)

@@ -45,6 +45,16 @@ def test_slocc_class_labels():
         ek.slocc_class_3qubit(ek.bell_state(2))
 
 
+def test_slocc_class_tolerance_is_checked():
+    # unchecked, a negative tolerance would call W a GHZ state, and NaN GHZ a W
+    for tol in (-1.0, np.nan, np.inf, -np.inf):
+        for psi in (ek.w_state(), ek.ghz_state(3, 2)):
+            with pytest.raises(ValueError, match="tau3_tol must be finite"):
+                ek.slocc_class_3qubit(psi, tau3_tol=tol)
+    assert ek.slocc_class_3qubit(ek.ghz_state(3, 2), tau3_tol=0.0) is ek.SloccClass.GHZ
+    assert ek.slocc_class_3qubit(ek.w_state(), tau3_tol=0.5) is ek.SloccClass.W
+
+
 def test_hyperdet3():
     ghz = ek.ghz_state(3, 2)
     det = ek.hyperdet3(ghz.amplitudes)
@@ -167,8 +177,12 @@ def test_acin_canonical_form_named_states():
     form = ek.acin_canonical_form(ek.ghz_state(3, 2))
     assert np.abs(form.r - np.array([1, 0, 0, 0, 1]) / np.sqrt(2)).max() < 1e-9
     assert abs(form.theta) < 1e-9
+    # every seed is a root already, so the polish takes no step
+    assert form.newton_steps == 0 and form.roots >= 1
     form = ek.acin_canonical_form(ek.w_state())
     assert np.abs(form.r - np.array([0, 1, 1, 1, 0]) / np.sqrt(3)).max() < 1e-9
+    assert form.newton_steps == 0 and form.roots >= 1
+    assert "newton_steps" not in repr(form) and "roots" not in repr(form)
     # every W-class state has a root with r4 = 0, the minimal key
     rng = np.random.default_rng(2024)
     for _ in range(10):
@@ -180,6 +194,10 @@ def test_acin_canonical_form_named_states():
     with pytest.raises(ek.ConvergenceError, match="best residual") as err:
         ek.acin_canonical_form(ek.random_pure_state([2, 2, 2], rng=9), tol=0.0)
     assert np.isfinite(err.value.best_residual) and err.value.best_residual >= 0.0
+    # a tolerance that is not a finite non-negative number is refused up front
+    for tol in (np.nan, np.inf, -1e-8):
+        with pytest.raises(ValueError, match="tol must be finite"):
+            ek.acin_canonical_form(ek.w_state(), tol=tol)
 
 
 def test_acin_canonical_form_random_states():
@@ -199,6 +217,7 @@ def test_acin_canonical_form_random_states():
         expected[0b001] = form.r[3]
         expected[0b111] = form.r[4]
         assert np.abs(amp - expected).max() < 1e-8
+        assert 0 <= form.newton_steps <= 6 and form.roots >= 1
         # all invariants preserved
         canon = ek.PureState.normalized(expected, (2, 2, 2))
         a, b = ek.lu_invariants(psi), ek.lu_invariants(canon)
@@ -209,6 +228,97 @@ def test_acin_canonical_form_random_states():
         r = rng.random(5)
         form = ek.acin_canonical_form(ek.acin_state(r / np.linalg.norm(r), np.pi / 2))
         assert -np.pi / 2 < form.theta <= np.pi / 2 + 1e-9
+
+
+def test_canonical_form_chart_derivatives_match_central_differences():
+    """Gradient, Hessian and value of ``log sigma^2`` in the Newton chart
+    against central differences of the singular values of the lower slice,
+    for both orderings: this pins the sign of ``mu``, the orientation of the
+    chart frame and the transpose of ``B``."""
+    from entkit.invariants import _chart_terms, _slice_forms
+
+    rng = np.random.default_rng(4)
+    eps = 1e-4
+    for _ in range(20):
+        t = ek.random_pure_state([2, 2, 2], rng=rng).reshaped()
+        forms = _slice_forms(t)
+        a = rng.normal(size=(1, 2)) + 1j * rng.normal(size=(1, 2))
+        a /= np.linalg.norm(a)
+        perp = np.array([[-a[0, 1].conj(), a[0, 0].conj()]])
+
+        def h(z, k):
+            b = (a + z * perp)[0] / np.linalg.norm(a + z * perp)
+            return np.log(np.linalg.svd(b[0] * t[0] + b[1] * t[1], compute_uv=False)[k] ** 2)
+
+        for mu, k in ((1.0, 0), (-1.0, 1)):
+            g, diag, off, sigma = (x[0] for x in _chart_terms(a, np.array([mu]), *forms))
+            grad = np.array([g.real, -g.imag])
+            hess = np.array([[diag + off.real, -off.imag], [-off.imag, diag - off.real]])
+            steps = (eps, 1j * eps)
+            fd_grad = np.array([(h(s, k) - h(-s, k)) / (2 * eps) for s in steps])
+            fd_hess = np.array([[(h(s + r, k) - h(s - r, k) - h(r - s, k) + h(-s - r, k)) / (4 * eps ** 2)
+                                 for r in steps] for s in steps])
+            exact = np.linalg.svd(a[0, 0] * t[0] + a[0, 1] * t[1], compute_uv=False)[k]
+            assert abs(sigma - exact) < 1e-12
+            assert np.abs(grad - fd_grad).max() < 1e-6 * (1 + np.abs(fd_grad).max())
+            assert np.abs(hess - fd_hess).max() < 1e-5 * (1 + np.abs(fd_hess).max())
+
+
+def _forward_difference_newton(t, a, order, steps=6, h=1e-7):
+    """The earlier polish of the root search, as a reference: six undamped
+    Newton steps on the ``|011>`` residual in the chart ``a(z) = normalize(a
+    + z a_perp)``, with a forward-difference Jacobian from three rotated rows
+    per seed and step.  A row with a residual below ``1e-14`` or a singular
+    Jacobian stays where it is."""
+    from entkit.invariants import _rotate
+
+    perp = np.column_stack([-a[:, 1].conj(), a[:, 0].conj()])
+    z = np.zeros(len(a), dtype=complex)
+
+    def chart(z):
+        b = a + z[..., None] * perp
+        return b / np.linalg.norm(b, axis=-1, keepdims=True)
+
+    for _ in range(steps):
+        trial = chart((z[:, None] + [0.0, h, 1j * h]).T).reshape(-1, 2)
+        f, f1, f2 = _rotate(t, trial, np.tile(order, 3))[3][:, 0, 1, 1].reshape(3, -1)
+        j1, j2 = (f1 - f) / h, (f2 - f) / h
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = (f * j2.conj()).imag + 1j * (j1 * f.conj()).imag
+            step /= (j1 * j2.conj()).imag
+        z -= np.where(np.isfinite(step) & (np.abs(f) > 1e-14), step, 0.0)
+    return chart(z)
+
+
+def test_canonical_form_matches_forward_difference_newton(monkeypatch):
+    """The analytic Newton polish reaches the roots the forward-difference
+    polish reached: the same ``r`` and ``theta`` on Haar states, W- and
+    GHZ-class SLOCC images, SLOCC images of W plus a little GHZ (whose
+    smallest root has ``r4`` near 1e-5) and forms on the ``theta`` fold."""
+    from entkit import invariants
+
+    rng = np.random.default_rng(7)
+
+    def image(amp):
+        ops = [rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)) for _ in range(3)]
+        return ek.PureState.normalized(np.kron(np.kron(ops[0], ops[1]), ops[2]) @ amp, (2, 2, 2))
+
+    w, ghz = ek.w_state().amplitudes, ek.ghz_state(3, 2).amplitudes
+    states = [ek.random_pure_state([2, 2, 2], rng=rng) for _ in range(200)]
+    states += [image(w) for _ in range(10)] + [image(ghz) for _ in range(10)]
+    states += [image(w + 1e-2 * ghz) for _ in range(10)]
+    for _ in range(10):
+        r = rng.random(5)
+        states.append(ek.acin_state(r / np.linalg.norm(r), np.pi / 2))
+    for psi in states:
+        form = ek.acin_canonical_form(psi)
+        t = psi.reshaped()
+        with monkeypatch.context() as m:
+            m.setattr(invariants, "_newton",
+                      lambda a, order, forms: (_forward_difference_newton(t, a, order), 6))
+            ref = ek.acin_canonical_form(psi)
+        assert np.abs(form.r - ref.r).max() < 1e-10
+        assert abs(form.theta - ref.theta) < 1e-10
 
 
 def test_record_json_fields():
