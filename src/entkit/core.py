@@ -81,7 +81,7 @@ def _check_count(value, name: str, lo: int = 1, hi: int = 1000) -> int:
 
 
 def _check_tol(value, name: str = "tol") -> None:
-    """Reject a tolerance that is NaN, infinite or negative."""
+    """Reject a tolerance (or weight) that is NaN, infinite or negative."""
     if not (isfinite(value) and value >= 0):
         raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
 

@@ -16,8 +16,6 @@ from math import isqrt, prod
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
-from scipy.linalg import expm, expm_frechet
-from scipy.optimize import minimize
 
 from .core import _check_count, _check_tol
 from .partitions import as_bipartition
@@ -37,8 +35,9 @@ class OptimizationResult:
     """Best value over restarts, the optimizing argument, and bookkeeping.
 
     ``converged`` is the flag of the best restart; ``evaluations`` counts the
-    cost evaluations (or sweeps) of all restarts together, and
-    ``restart_values`` holds the best value each restart reached, in order.
+    cost evaluations (or sweeps) of all restarts together, ``restart_values``
+    holds the best value each restart reached, in order, and
+    ``restart_iterations`` the iterations (or sweeps) each restart ran.
     """
 
     value: float
@@ -47,6 +46,7 @@ class OptimizationResult:
     converged: bool
     evaluations: int
     restart_values: tuple[float, ...]
+    restart_iterations: tuple[int, ...]
 
 
 def _random_factor(d: int, rng) -> np.ndarray:
@@ -69,8 +69,9 @@ def geometric_measure(
     run together, factor ``k`` of all of them held as one ``(restarts, d_k)``
     array; each restart stops on its own, and counts as converged, when its
     overlap gain per sweep drops below ``tol`` before ``max_iterations``.
-    ``evaluations`` counts the sweeps of all restarts and ``restart_values``
-    the measure each restart reached.
+    ``evaluations`` counts the sweeps of all restarts, ``restart_iterations``
+    those of each restart and ``restart_values`` the measure each restart
+    reached.
 
     Parameters
     ----------
@@ -98,9 +99,9 @@ def geometric_measure(
     overlaps = np.zeros(restarts)
     converged = np.zeros(restarts, dtype=bool)
     live, last, cur = np.arange(restarts), np.zeros(restarts), list(factors)
-    sweeps = 0
+    sweeps = np.zeros(restarts, dtype=int)
     for _ in range(max_iterations):
-        sweeps += live.size
+        sweeps[live] += 1
         overlap = last
         for k, d in enumerate(psi.dims):
             # optimal factor k is the normalized contraction of the state
@@ -130,8 +131,9 @@ def geometric_measure(
         argument=PureState.normalized(closest, psi.dims),
         restarts_used=restarts,
         converged=bool(converged[best]),
-        evaluations=sweeps,
+        evaluations=int(sweeps.sum()),
         restart_values=tuple(float(max(0.0, 1.0 - v**2)) for v in overlaps),
+        restart_iterations=tuple(int(k) for k in sweeps),
     )
 
 
@@ -210,17 +212,17 @@ def multipartite_concurrence(
 
     ``A`` is the weighted sum, over sign patterns ``s in {-1,+1}^N``, of
     tensor products of symmetric (``+1``) / antisymmetric (``-1``) projectors
-    acting on each doubled local space; weights must be non-negative.
+    acting on each doubled local space; every sign must be exactly -1 or +1
+    and every weight finite and non-negative.
     """
     n = psi.n_parties
     weights = {}
     for pattern, w in p.items():
-        pattern = tuple(int(s) for s in pattern)
+        pattern = tuple(pattern)
         if len(pattern) != n or any(s not in (-1, 1) for s in pattern):
             raise ValueError(f"pattern {pattern} is not a +-1 tuple of length {n}")
-        if w < 0:
-            raise ValueError("weights must be non-negative")
-        weights[pattern] = float(w)
+        _check_tol(w, "weight")
+        weights[tuple(int(s) for s in pattern)] = float(w)
     doubled = np.tensordot(psi.reshaped(), psi.reshaped(), axes=0)
     # axes: parties 0..n-1 of the first copy, then of the second copy
     total = 0.0
@@ -241,11 +243,26 @@ def _generator(x: np.ndarray, m: int) -> np.ndarray:
     return np.tril(a) + np.tril(a, -1).T + 1j * (np.triu(a, 1) - np.triu(a, 1).T)
 
 
-def _members(h: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def expm(h: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``U = exp(ih)`` of a Hermitian ``h``, with the eigenvalues ``lam`` and
+    eigenvectors ``v`` of ``h`` it is built from: ``U = v diag(exp(i lam)) v^dag``."""
+    lam, v = np.linalg.eigh(h)
+    return (v * np.exp(1j * lam)) @ v.conj().T, lam, v
+
+
+def minimize(*args, **kwargs):
+    """``scipy.optimize.minimize``, imported on the first call so that
+    importing entkit does not load scipy."""
+    from scipy.optimize import minimize as scipy_minimize
+
+    return scipy_minimize(*args, **kwargs)
+
+
+def _members(u: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Weights ``p`` ``(m,)`` and subnormalized member columns
-    ``S = b expm(ih)[:, :r]^dag`` ``(d, m)`` of the ensemble that ``h`` mixes
-    from the ``r`` columns of ``b``."""
-    s = b @ expm(1j * h)[:, : b.shape[1]].conj().T
+    ``S = b u[:, :r]^dag`` ``(d, m)`` of the ensemble that the unitary ``u``
+    mixes from the ``r`` columns of ``b``."""
+    s = b @ u[:, : b.shape[1]].conj().T
     return (np.abs(s) ** 2).sum(axis=0), s
 
 
@@ -253,21 +270,28 @@ def _tangle_roof(x: np.ndarray, b: np.ndarray, dims) -> tuple[float, np.ndarray]
     """Roof cost ``sum_j p_j tangle_pure(psi_j)`` at the generator coordinates
     ``x``, and its gradient in ``x``.
 
-    The member gradient ``dS`` maps back through ``S = b V^dag``, with ``V``
-    the first ``r`` columns of ``U = expm(iH)``, to ``G_U = [(b^dag dS)^dag, 0]``.
-    The adjoint of the Frechet derivative ``L(iH, .)`` is ``L(-iH, .)``
-    (Al-Mohy & Higham 2009), so one ``expm_frechet`` call gives ``Z`` and
+    One ``eigh`` per step, ``H = V diag(lam) V^dag``, gives both
+    ``U = exp(iH)`` and the gradient.  The member gradient ``dS`` maps back
+    through ``S = b U[:, :r]^dag`` to ``G_U = [(b^dag dS)^dag, 0]``.  The
+    adjoint of the Frechet derivative ``L(iH, .)`` is ``L(-iH, .)`` (Al-Mohy &
+    Higham 2009), and by the Daleckii-Krein formula (Higham, *Functions of
+    Matrices*, Thm 3.11) ``Z = L(-iH, G_U) = V (Gamma o (V^dag G_U V)) V^dag``
+    with the divided differences of ``exp`` at ``-i lam``:
+    ``Gamma_kl = exp(-i(lam_k + lam_l)/2) sinc((lam_k - lam_l)/2pi)``, a form
+    that does not cancel when eigenvalues are close or equal.
     ``q = 2i conj(Z)`` holds the gradient in ``H``: ``q_kk`` on the diagonal,
     ``q_kl + q_lk`` below it and ``i(q_kl - q_lk)`` above it (real parts).
     """
     m = isqrt(x.size)
-    h = _generator(x, m)
-    _, s = _members(h, b)
+    u, lam, v = expm(_generator(x, m))
+    _, s = _members(u, b)
     value, ds = _tangle_terms(s.T.reshape(m, *dims))
     w = b.conj().T @ ds.reshape(m, -1).T
-    g_u = np.zeros((m, m), dtype=complex)
-    g_u[:, : b.shape[1]] = w.conj().T
-    z = expm_frechet(-1j * h, g_u, compute_expm=False)
+    # V^dag G_U V, G_U being zero beyond its first r columns
+    a = v.conj().T @ (w.conj().T @ v[: b.shape[1]])
+    phase = np.exp(-0.5j * lam)
+    gamma = np.outer(phase, phase) * np.sinc((lam[:, None] - lam[None, :]) / (2 * np.pi))
+    z = v @ (gamma * a) @ v.conj().T
     q = 2j * z.conj()
     grad = np.tril(q + q.T, -1) + np.diag(np.diag(q)) + 1j * np.triu(q - q.T, 1)
     return value, grad.real.ravel()
@@ -289,13 +313,16 @@ def convex_roof(
     Hermitian generator ``H`` (its diagonal, the real parts below it and the
     imaginary parts above it) from random starts.  When ``f`` is
     :func:`~entkit.schmidt.tangle_pure` (on a 2-party ``rho``) the cost comes
-    with its analytic gradient, one batched tangle kernel over the members and
-    one ``expm_frechet`` adjoint per step; any other callable is evaluated on
-    each member as a :class:`PureState` and differentiated by finite
-    differences.  The result is an upper bound that never increases with more
-    restarts; ``argument`` holds the best ensemble as ``(p_i, psi_i)`` pairs,
-    ``evaluations`` the cost evaluations of all restarts and
-    ``restart_values`` the value each restart reached.
+    with its analytic gradient: one ``eigh`` of ``H`` per step gives the
+    isometry and the adjoint of its derivative, around one batched tangle
+    kernel over the members.  Any other callable is evaluated on each member,
+    built from the same ``eigh``, as a :class:`PureState` and differentiated
+    by finite differences.  ``scipy.optimize`` is imported on the first call.
+    The result is an upper bound that never increases with more restarts;
+    ``argument`` holds the best ensemble as ``(p_i, psi_i)`` pairs,
+    ``evaluations`` the cost evaluations of all restarts, ``restart_values``
+    the value each restart reached and ``restart_iterations`` the L-BFGS-B
+    iterations each restart took.
 
     Parameters
     ----------
@@ -330,7 +357,7 @@ def convex_roof(
     rng = np.random.default_rng(seed)
 
     def ensemble(x: np.ndarray) -> list[tuple[float, PureState]]:
-        p, s = _members(_generator(x, m), b)
+        p, s = _members(expm(_generator(x, m))[0], b)
         return [(float(pj), PureState(v / np.sqrt(pj), rho.dims))
                 for pj, v in zip(p, s.T) if pj > 1e-14]
 
@@ -352,6 +379,7 @@ def convex_roof(
         converged=bool(best.success),
         evaluations=sum(int(res.nfev) for res in runs),
         restart_values=tuple(float(res.fun) for res in runs),
+        restart_iterations=tuple(int(res.nit) for res in runs),
     )
 
 

@@ -94,15 +94,16 @@ def _gm_one_restart_at_a_time(psi, restarts, seed, max_iterations):
     the others, starts drawn restart by restart, party by party."""
     rng = np.random.default_rng(seed)
     t = psi.reshaped()
-    values, flags, sweeps = [], [], 0
+    values, flags, sweeps = [], [], []
     for _ in range(restarts):
         factors = []
         for d in psi.dims:
             z = rng.standard_normal(d) + 1j * rng.standard_normal(d)
             factors.append(z / np.linalg.norm(z))
         last, converged = 0.0, False
+        sweeps.append(0)
         for _ in range(max_iterations):
-            sweeps += 1
+            sweeps[-1] += 1
             for k in range(len(factors)):
                 v = np.moveaxis(t, k, -1)
                 for j in range(len(factors)):
@@ -138,7 +139,8 @@ def test_geometric_measure_matches_one_restart_at_a_time(psi):
         res = ek.geometric_measure(psi, restarts=6, seed=seed, max_iterations=max_iterations)
         np.testing.assert_allclose(res.restart_values, values, rtol=0, atol=1e-12)
         assert res.value == pytest.approx(min(values), abs=1e-12)
-        assert res.evaluations == sweeps
+        assert res.restart_iterations == tuple(sweeps)
+        assert res.evaluations == sum(sweeps)
         # the best restart is the one of least value, up to rounding on ties
         assert res.converged in {f for v, f in zip(values, flags) if v <= min(values) + 1e-12}
 
@@ -225,10 +227,19 @@ def test_multipartite_concurrence_ghz_and_product():
     assert ek.multipartite_concurrence(ek.ghz_state(3, 2), pairs) > 0.5
     prod = ek.product_state(*(ek.random_pure_state([2], rng=k) for k in (8, 9, 10)))
     assert ek.multipartite_concurrence(prod, pairs) == pytest.approx(0.0, abs=1e-10)
-    with pytest.raises(ValueError):
-        ek.multipartite_concurrence(ek.ghz_state(3, 2), {(-1, -1, -1): -1.0})
-    with pytest.raises(ValueError):
-        ek.multipartite_concurrence(ek.ghz_state(3, 2), {(-1, -1): 1.0})
+    ghz = ek.ghz_state(3, 2)
+    assert ek.multipartite_concurrence(ghz, {(-1, -1, 1): 1.0}) == pytest.approx(
+        np.sqrt(0.5), abs=1e-12)
+    assert ek.multipartite_concurrence(ghz, {(-1.0, -1, np.int64(1)): 1.0}) == (
+        ek.multipartite_concurrence(ghz, {(-1, -1, 1): 1.0}))
+    # a NaN weight no longer reads as "not entangled", nor an infinite one as inf
+    for w in (-1.0, float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValueError, match="weight"):
+            ek.multipartite_concurrence(ghz, {(-1, -1, 1): w})
+    # a sign is exactly -1 or +1, not truncated to one
+    for pattern in ((-1, -1), (-1, -1, 1.7), (-1, -1, 0), (-1, -1, 2), (-1, -1, float("nan"))):
+        with pytest.raises(ValueError, match="pattern"):
+            ek.multipartite_concurrence(ghz, {pattern: 1.0})
 
 
 def test_meyer_wallach():
@@ -332,7 +343,8 @@ def _eigen_factor(rho):
 
 def test_tangle_roof_gradient_matches_central_differences():
     """The analytic gradient of the tangle roof cost (batched member kernel and
-    one expm_frechet adjoint) agrees with central differences."""
+    the Daleckii-Krein adjoint from the one ``eigh`` of the generator) agrees
+    with central differences."""
     from entkit.measures import _tangle_roof
 
     rng = np.random.default_rng(40)
@@ -356,6 +368,79 @@ def test_tangle_roof_gradient_matches_central_differences():
     assert value == 0.0 and not grad.any()
 
 
+def _scipy_members(h, b):
+    """The ensemble as built before the one-``eigh`` kernel, on scipy's ``expm``."""
+    from scipy.linalg import expm
+
+    s = b @ expm(1j * h)[:, : b.shape[1]].conj().T
+    return (np.abs(s) ** 2).sum(axis=0), s
+
+
+def _scipy_tangle_roof(x, b, dims):
+    """The tangle roof cost and gradient as built before the one-``eigh``
+    kernel: the adjoint Frechet derivative from scipy's ``expm_frechet``."""
+    from scipy.linalg import expm_frechet
+
+    from entkit.measures import _generator
+    from entkit.schmidt import _tangle_terms
+
+    m = int(np.sqrt(x.size))
+    h = _generator(x, m)
+    _, s = _scipy_members(h, b)
+    value, ds = _tangle_terms(s.T.reshape(m, *dims))
+    w = b.conj().T @ ds.reshape(m, -1).T
+    g_u = np.zeros((m, m), dtype=complex)
+    g_u[:, : b.shape[1]] = w.conj().T
+    z = expm_frechet(-1j * h, g_u, compute_expm=False)
+    q = 2j * z.conj()
+    grad = np.tril(q + q.T, -1) + np.diag(np.diag(q)) + 1j * np.triu(q - q.T, 1)
+    return value, grad.real.ravel()
+
+
+def test_tangle_roof_matches_scipy_expm_frechet():
+    """The one-``eigh`` kernel gives the value, members and gradient of the
+    scipy path to 1e-12: on random generators, and on degenerate ones (zero,
+    repeated eigenvalues, eigenvalue gaps of 1e-9 and 1e-12) where a divided
+    difference written as a quotient would cancel."""
+    from entkit.measures import _generator, _members, _tangle_roof, expm
+
+    rng = np.random.default_rng(42)
+
+    def coordinates(h):
+        # inverse of _generator: the diagonal and the real parts below it,
+        # the imaginary parts above it
+        return (np.tril(h.real) + np.triu(h.imag, 1)).ravel()
+
+    def with_spectrum(lam):
+        q, _ = np.linalg.qr(rng.standard_normal((lam.size, lam.size))
+                            + 1j * rng.standard_normal((lam.size, lam.size)))
+        return coordinates((q * lam) @ q.conj().T)
+
+    for dims in ((2, 2), (2, 3), (3, 3)):
+        for rank in (1, 2, 3, 4):
+            b = _eigen_factor(ek.random_density_matrix(list(dims), rank=rank, rng=rng))
+            for m in range(rank, rank + 3):
+                lam = rng.standard_normal(m)
+                points = [0.7 * rng.standard_normal(m * m), np.zeros(m * m),
+                          coordinates(np.diag(0.8 * (np.arange(m) // 2)).astype(complex)),
+                          with_spectrum(np.full(m, 0.3))]
+                for gap in (1e-9, 1e-12):
+                    close = lam.copy()
+                    close[-1] = close[0] + gap
+                    points.append(with_spectrum(close))
+                for x in points:
+                    assert np.array_equal(_generator(coordinates(_generator(x, m)), m),
+                                          _generator(x, m))
+                    value, grad = _tangle_roof(x, b, dims)
+                    ref_value, ref_grad = _scipy_tangle_roof(x, b, dims)
+                    assert abs(value - ref_value) < 1e-12
+                    assert np.abs(grad - ref_grad).max() < 1e-12
+                    p, s = _members(expm(_generator(x, m))[0], b)
+                    ref_p, ref_s = _scipy_members(_generator(x, m), b)
+                    assert np.abs(s - ref_s).max() < 1e-12
+                    assert np.abs(p - ref_p).max() < 1e-12
+
+
 def test_convex_roof_checks_maxiter(monkeypatch):
     """An iteration cap outside 1..10,000 is refused before any start, not
     reported as the value of a start point after no iteration."""
@@ -368,7 +453,7 @@ def test_convex_roof_checks_maxiter(monkeypatch):
                            maxiter=maxiter)
     monkeypatch.undo()
     res = ek.convex_roof(rho, ek.tangle_pure, ensemble_size=4, restarts=1, seed=0, maxiter=1)
-    assert res.evaluations >= 1
+    assert res.evaluations >= 1 and res.restart_iterations[0] <= 1
 
 
 def test_convex_roof_of_tangle_needs_two_parties(monkeypatch):
@@ -378,20 +463,32 @@ def test_convex_roof_of_tangle_needs_two_parties(monkeypatch):
         ek.convex_roof(rho, ek.tangle_pure, restarts=1, seed=0)
 
 
-def test_solver_diagnostics():
-    """Evaluations and per-restart values come back with the result; the
-    analytic gradient keeps a c11-style roof to a few dozen evaluations per
-    restart."""
+def test_solver_diagnostics(monkeypatch):
+    """Evaluations, per-restart values and per-restart iterations come back
+    with the result: L-BFGS-B's own iteration count for each roof restart, the
+    sweeps of each geometric-measure restart.  The analytic gradient keeps a
+    c11-style roof to a few dozen evaluations per restart."""
     bell = ek.bell_state(2).density().matrix
     rho = ek.DensityMatrix(0.7 * bell + 0.3 * np.eye(4) / 4, (2, 2))
+    runs, lbfgsb = [], ek.measures.minimize
+
+    def recording(*args, **kwargs):
+        runs.append(lbfgsb(*args, **kwargs))
+        return runs[-1]
+
+    monkeypatch.setattr(ek.measures, "minimize", recording)
     res = ek.convex_roof(rho, ek.tangle_pure, ensemble_size=4, restarts=6, seed=14)
     assert len(res.restart_values) == res.restarts_used == 6
     assert min(res.restart_values) == res.value
     assert 6 <= res.evaluations <= 60 * 6
+    assert res.restart_iterations == tuple(run.nit for run in runs)
+    assert all(1 <= k <= 400 for k in res.restart_iterations)
+    assert sum(res.restart_iterations) <= res.evaluations == sum(run.nfev for run in runs)
     res = ek.geometric_measure(ek.w_state(), restarts=5, seed=0)
     assert len(res.restart_values) == 5
     assert min(res.restart_values) == res.value
     assert 5 <= res.evaluations <= 5 * 500
+    assert len(res.restart_iterations) == 5 and sum(res.restart_iterations) == res.evaluations
 
 
 def test_convex_roof_ensemble_size_is_an_integer_up_to_dim_squared(monkeypatch):

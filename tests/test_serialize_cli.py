@@ -207,7 +207,8 @@ def test_cli_analyze_no_convergence_keeps_the_report(tmp_path, monkeypatch):
     w_file = tmp_path / "w.json"
     assert main(["make", "w", "--out", str(w_file)]) == 0
     result = ek.OptimizationResult(value=0.5, argument=None, restarts_used=2, converged=False,
-                                   evaluations=4, restart_values=(0.5, 0.6))
+                                   evaluations=4, restart_values=(0.5, 0.6),
+                                   restart_iterations=(2, 2))
     monkeypatch.setattr("entkit.cli.geometric_measure", lambda *args, **kwargs: result)
     code, text = _run(tmp_path, "analyze", str(w_file), "--which", "class,geometric-measure,ppt")
     assert code == 3
