@@ -338,12 +338,25 @@ def _secular(nu, d, p, q, cc):
 def _secular_roots(d, p, q, cc, bound):
     """Real roots in ``[-bound, bound]`` of :func:`_secular`: a degree-12
     Chebyshev fit on each interval of ``_CUTS``, and the real eigenvalues of
-    all the colleague matrices from one stacked ``eigvals``."""
+    the colleague matrices of the intervals that can hold a root, from one
+    stacked ``eigvals``.
+
+    Since ``|T_k| <= 1`` on ``[-1, 1]``, a fit ``p = sum c_k T_k`` has
+    ``|p| >= |c_0| - sum_{k>=1} |c_k|`` there, so it has no zero when that
+    bound is positive (Boyd, SIAM J. Numer. Anal. 40, 1666 (2002)).  An
+    interval whose fit has ``|c_0| > 1.001 sum_{k>=1} |c_k|`` keeps ``|p|``
+    above ``1e-3 sum_{k>=1} |c_k|``, a margin far beyond the rounding of its
+    colleague matrix, so it would give no eigenvalue that passes the cuts
+    below, and it is not solved; about two intervals in three on Haar
+    states.  ``eigvals`` solves each matrix of the stack on its own, so the
+    roots are bit for bit those of a solve of all 21 intervals.
+    """
     lo, hi = bound * _CUTS[:-1, None], bound * _CUTS[1:, None]
     mid, half = (hi + lo) / 2, (hi - lo) / 2
     coef = _secular(mid + half * _CHEB_NODES, d, p, q, cc) @ _CHEB_FIT.T
     scale = np.abs(coef).max(1)
-    mid, half, coef = mid[scale > 0], half[scale > 0], coef[scale > 0] / scale[scale > 0, None]
+    keep = (scale > 0) & (np.abs(coef[:, 0]) <= 1.001 * np.abs(coef[:, 1:]).sum(1))
+    mid, half, coef = mid[keep], half[keep], coef[keep] / scale[keep, None]
     # a leading coefficient below rounding moves no root inside [-1, 1]
     lead = np.where(np.abs(coef[:, -1:]) < 1e-16, 1e-16, coef[:, -1:])
     mats = np.repeat(_COLLEAGUE[None], len(coef), 0)
@@ -387,7 +400,7 @@ def _candidates(beta, c, b, quad):
     with np.errstate(divide="ignore", invalid="ignore"):
         winv = np.vstack([1.0 / (d - nu[:, None]),
                           np.where(np.abs(gap) > 1e-12 * d[-1], 1.0 / gap, 0.0)])
-        nu = np.r_[nu, d]
+        nu = np.concatenate([nu, d])
         mu2 = ((q * q * winv).sum(1) - cc - nu) / ((p * p * winv).sum(1) - 1.0)
         m = -((np.sqrt(np.maximum(mu2, 0.0)) * [[1.0], [-1.0]])[..., None] * p + q) * winv
         m[:, -3:][:, range(3), range(3)] = np.sqrt(np.maximum(1.0 - (m[:, -3:] ** 2).sum(-1), 0.0))
@@ -396,7 +409,7 @@ def _candidates(beta, c, b, quad):
         n = n.reshape(-1, 3)
         if beta @ beta > 0:
             n = np.vstack([n, np.outer([1, -1, 1, -1], beta / np.sqrt(beta @ beta))])
-            order = np.r_[order, True, True, False, False]
+            order = np.concatenate([order, [True, True, False, False]])
         norm = np.linalg.norm(n, axis=1, keepdims=True)
         n /= norm
         keep = np.isfinite(n).all(1) & (np.abs(norm[:, 0] - 1.0) < 0.5)
@@ -407,7 +420,7 @@ def _candidates(beta, c, b, quad):
                  np.column_stack([n[:, 0] - 1j * n[:, 1], 1.0 - n[:, 2]]))
     # on the W class Q has rank one, and its null vector is a root with r4 = 0
     null = np.linalg.svd(quad)[2][-1].conj()
-    return np.vstack([a / np.linalg.norm(a, axis=1, keepdims=True), null]), np.r_[order, False]
+    return np.vstack([a / np.linalg.norm(a, axis=1, keepdims=True), null]), np.append(order, False)
 
 
 def _chart_terms(a, mu, alpha, beta, c, b, quad):
@@ -586,5 +599,5 @@ def acin_canonical_form(psi: PureState, tol: float = 1e-8) -> AcinCanonicalForm:
     za, zb, zc = _phase_gauge(x[i], theta[i])
     return AcinCanonicalForm(
         r=r[i], theta=float(theta[i]), local_unitaries=(za @ ua[i], zb @ ub[i], zc @ uc[i]),
-        newton_steps=steps, roots=len(np.unique(key, axis=0)),
+        newton_steps=steps, roots=len(set(map(tuple, key.tolist()))),
     )

@@ -12,7 +12,7 @@ always report the best value found.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import isqrt, prod
+from math import prod
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -34,8 +34,9 @@ _RANK_TERM_NORM_CAP = 100.0
 class OptimizationResult:
     """Best value over restarts, the optimizing argument, and bookkeeping.
 
-    ``converged`` is the flag of the best restart; ``evaluations`` counts the
-    cost evaluations (or sweeps) of all restarts together, ``restart_values``
+    ``converged`` is the flag of the best restart and ``converged_restarts``
+    the number of restarts that converged; ``evaluations`` counts the cost
+    evaluations (or sweeps) of all restarts together, ``restart_values``
     holds the best value each restart reached, in order, and
     ``restart_iterations`` the iterations (or sweeps) each restart ran.
     """
@@ -47,6 +48,7 @@ class OptimizationResult:
     evaluations: int
     restart_values: tuple[float, ...]
     restart_iterations: tuple[int, ...]
+    converged_restarts: int
 
 
 def _random_factor(d: int, rng) -> np.ndarray:
@@ -98,7 +100,8 @@ def geometric_measure(
     moved = [np.ascontiguousarray(np.moveaxis(t, k, -1)) for k in range(t.ndim)]  # party k last
     overlaps = np.zeros(restarts)
     converged = np.zeros(restarts, dtype=bool)
-    live, last, cur = np.arange(restarts), np.zeros(restarts), list(factors)
+    # the factors of the live restarts, conjugated once, when they change
+    live, last, cur = np.arange(restarts), np.zeros(restarts), [f.conj() for f in factors]
     sweeps = np.zeros(restarts, dtype=int)
     for _ in range(max_iterations):
         sweeps[live] += 1
@@ -110,18 +113,25 @@ def geometric_measure(
             v = _contract_all_but(moved[k], cur, k)
             nv = np.linalg.norm(v, axis=1)
             zero = nv < 1e-15
-            cur[k] = v / np.where(zero, 1.0, nv)[:, None]
+            cur[k] = (v / np.where(zero, 1.0, nv)[:, None]).conj()
             for i in np.flatnonzero(zero):
-                cur[k][i] = _random_factor(d, rng)
+                cur[k][i] = _random_factor(d, rng).conj()
             overlap = np.where(zero, overlap, nv)
-        for f, c in zip(factors, cur):
-            f[live] = c
-        overlaps[live] = overlap
         done = overlap - last < tol
-        converged[live[done]] = True
-        live, last, cur = live[~done], overlap[~done], [c[~done] for c in cur]
+        if done.any():
+            retired = live[done]
+            converged[retired] = True
+            overlaps[retired] = overlap[done]
+            for f, c in zip(factors, cur):
+                f[retired] = c[done].conj()
+            live, overlap, cur = live[~done], overlap[~done], [c[~done] for c in cur]
+        last = overlap
         if not live.size:
             break
+    # restarts still live at the sweep cap
+    overlaps[live] = last
+    for f, c in zip(factors, cur):
+        f[live] = c.conj()
     best = int(np.argmax(overlaps))
     closest = factors[0][best]
     for f in factors[1:]:
@@ -134,20 +144,23 @@ def geometric_measure(
         evaluations=int(sweeps.sum()),
         restart_values=tuple(float(max(0.0, 1.0 - v**2)) for v in overlaps),
         restart_iterations=tuple(int(k) for k in sweeps),
+        converged_restarts=int(converged.sum()),
     )
 
 
-def _contract_all_but(tk: np.ndarray, factors, k: int) -> np.ndarray:
+def _contract_all_but(tk: np.ndarray, conjugated, k: int) -> np.ndarray:
     """Contract ``tk`` (the other parties in order, then party ``k``, then any
-    trailing axes) against the other conjugated factors, ``(r, d_j)`` each,
-    one row per restart: ``(r, d_k * trailing)``, ``(r, d_k)`` with none."""
-    r = len(factors[k])
-    others = [j for j in range(len(factors)) if j != k]
+    trailing axes) against the other factors, ``(r, d_j)`` each, one row per
+    restart: ``(r, d_k * trailing)``, ``(r, d_k)`` with none.  The factors
+    come in ``conjugated`` already, so a caller conjugates each factor once,
+    when it changes, not once per contraction."""
+    r = len(conjugated[k])
+    others = [j for j in range(len(conjugated)) if j != k]
     if not others:
         return np.broadcast_to(tk.ravel(), (r, tk.size))
-    v = factors[others[0]].conj() @ tk.reshape(tk.shape[0], -1)
+    v = conjugated[others[0]] @ tk.reshape(tk.shape[0], -1)
     for j in others[1:]:
-        f = factors[j].conj()[:, None, :]
+        f = conjugated[j][:, None, :]
         v = (f @ v.reshape(r, f.shape[2], -1)).reshape(r, -1)
     return v
 
@@ -168,7 +181,8 @@ def upb_unextendibility_check(
     of them held as one ``(restarts, d_k)`` array, until no residual falls by
     1e-14 in a sweep, one falls below ``tol * 1e-3``, or 200 sweeps have run.
     The basis is unextendible iff the smallest residual stays at or above
-    ``tol``.  Qubit systems with at most 3 parties; ``restarts`` is 1 to 1000.
+    ``tol``, which must be finite and >= 0.  Qubit systems with at most 3
+    parties; ``restarts`` is 1 to 1000.
     """
     if not basis:
         raise ValueError("basis must be non-empty")
@@ -178,17 +192,19 @@ def upb_unextendibility_check(
     if len(dims) > 3 or any(d != 2 for d in dims):
         raise ValueError("supported systems: up to 3 parties of qubits")
     restarts = _check_count(restarts, "restarts")
+    _check_tol(tol)
     rng = np.random.default_rng(rng)
     starts = [[_random_factor(d, rng) for d in dims] for _ in range(restarts)]
-    factors = [np.array(f) for f in zip(*starts)]  # factor k as (restarts, d_k)
+    # factor k as (restarts, d_k), held conjugated
+    conjugated = [np.array(f).conj() for f in zip(*starts)]
     t = np.stack([v.reshaped() for v in basis], axis=-1)  # members last
     moved = [np.ascontiguousarray(np.moveaxis(t, k, -2)) for k in range(len(dims))]
     last = np.full(restarts, np.inf)
     for _ in range(200):
         for k, d in enumerate(dims):
-            w = _contract_all_but(moved[k], factors, k).reshape(restarts, d, -1)
+            w = _contract_all_but(moved[k], conjugated, k).reshape(restarts, d, -1)
             vals, vecs = np.linalg.eigh(w @ w.conj().transpose(0, 2, 1))
-            factors[k] = vecs[:, :, 0]
+            conjugated[k] = vecs[:, :, 0].conj()
         residual = vals[:, 0]
         if np.all(last - residual < 1e-14) or residual.min() < tol * 1e-3:
             break
@@ -236,11 +252,16 @@ def multipartite_concurrence(
     return float(2.0 * np.sqrt(max(0.0, total)))
 
 
-def _generator(x: np.ndarray, m: int) -> np.ndarray:
+def _generator(x: np.ndarray, low: np.ndarray) -> np.ndarray:
     """The Hermitian ``m x m`` matrix whose diagonal, real parts below it and
-    imaginary parts above it are the ``m^2`` real coordinates ``x``."""
-    a = x.reshape(m, m)
-    return np.tril(a) + np.tril(a, -1).T + 1j * (np.triu(a, 1) - np.triu(a, 1).T)
+    imaginary parts above it are the ``m^2`` real coordinates ``x``.
+
+    ``low`` is the boolean mask below the diagonal, ``np.tri(m, k=-1,
+    dtype=bool)``, built once per roof; the sums are those of ``np.tril`` and
+    ``np.triu``, term for term, which build a mask on every call."""
+    a = x.reshape(low.shape)
+    upper = np.where(low.T, a, 0.0)
+    return np.where(low.T, 0.0, a) + np.where(low, a, 0.0).T + 1j * (upper - upper.T)
 
 
 def expm(h: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -266,9 +287,9 @@ def _members(u: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return (np.abs(s) ** 2).sum(axis=0), s
 
 
-def _tangle_roof(x: np.ndarray, b: np.ndarray, dims) -> tuple[float, np.ndarray]:
+def _tangle_roof(x: np.ndarray, b: np.ndarray, dims, low: np.ndarray) -> tuple[float, np.ndarray]:
     """Roof cost ``sum_j p_j tangle_pure(psi_j)`` at the generator coordinates
-    ``x``, and its gradient in ``x``.
+    ``x``, and its gradient in ``x``; ``low`` is the mask of :func:`_generator`.
 
     One ``eigh`` per step, ``H = V diag(lam) V^dag``, gives both
     ``U = exp(iH)`` and the gradient.  The member gradient ``dS`` maps back
@@ -279,11 +300,12 @@ def _tangle_roof(x: np.ndarray, b: np.ndarray, dims) -> tuple[float, np.ndarray]
     with the divided differences of ``exp`` at ``-i lam``:
     ``Gamma_kl = exp(-i(lam_k + lam_l)/2) sinc((lam_k - lam_l)/2pi)``, a form
     that does not cancel when eigenvalues are close or equal.
-    ``q = 2i conj(Z)`` holds the gradient in ``H``: ``q_kk`` on the diagonal,
-    ``q_kl + q_lk`` below it and ``i(q_kl - q_lk)`` above it (real parts).
+    ``q = 2i conj(Z)`` holds the gradient in ``H``: the real parts of
+    ``q_kk`` on the diagonal, of ``q_kl + q_lk`` below it and of ``i(q_kl -
+    q_lk)``, that is ``Im(q_lk - q_kl)``, above it.
     """
-    m = isqrt(x.size)
-    u, lam, v = expm(_generator(x, m))
+    m = len(low)
+    u, lam, v = expm(_generator(x, low))
     _, s = _members(u, b)
     value, ds = _tangle_terms(s.T.reshape(m, *dims))
     w = b.conj().T @ ds.reshape(m, -1).T
@@ -293,8 +315,8 @@ def _tangle_roof(x: np.ndarray, b: np.ndarray, dims) -> tuple[float, np.ndarray]
     gamma = np.outer(phase, phase) * np.sinc((lam[:, None] - lam[None, :]) / (2 * np.pi))
     z = v @ (gamma * a) @ v.conj().T
     q = 2j * z.conj()
-    grad = np.tril(q + q.T, -1) + np.diag(np.diag(q)) + 1j * np.triu(q - q.T, 1)
-    return value, grad.real.ravel()
+    grad = np.where(low, (q + q.T).real, np.where(low.T, (q.T - q).imag, q.real))
+    return value, grad.ravel()
 
 
 def convex_roof(
@@ -354,16 +376,17 @@ def convex_roof(
         ensemble_size, "ensemble_size", rank, rho.dim**2
     )
     b = vecs * np.sqrt(vals)  # columns sqrt(p_i)|e_i>, so b @ b^dag = rho
+    low = np.tri(m, k=-1, dtype=bool)
     rng = np.random.default_rng(seed)
 
     def ensemble(x: np.ndarray) -> list[tuple[float, PureState]]:
-        p, s = _members(expm(_generator(x, m))[0], b)
+        p, s = _members(expm(_generator(x, low))[0], b)
         return [(float(pj), PureState(v / np.sqrt(pj), rho.dims))
                 for pj, v in zip(p, s.T) if pj > 1e-14]
 
     if analytic:
         def cost(x: np.ndarray) -> tuple[float, np.ndarray]:
-            return _tangle_roof(x, b, rho.dims)
+            return _tangle_roof(x, b, rho.dims, low)
     else:
         def cost(x: np.ndarray) -> float:
             return sum(pj * f(psi) for pj, psi in ensemble(x))
@@ -380,6 +403,7 @@ def convex_roof(
         evaluations=sum(int(res.nfev) for res in runs),
         restart_values=tuple(float(res.fun) for res in runs),
         restart_iterations=tuple(int(res.nit) for res in runs),
+        converged_restarts=sum(bool(res.success) for res in runs),
     )
 
 

@@ -17,7 +17,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .core import SizeLimitError, _check_indices
+from .core import SizeLimitError, _check_indices, _check_tol
 from .states import PureState, State, _marginal_spectrum, as_density
 
 _PARTITION_ENUM_CAP = 8
@@ -147,8 +147,9 @@ def is_product_across(psi: PureState, partition: Partition, tol: float = 1e-9) -
 
     A pure state is product across a partition iff the reduced state of every
     block is pure; block purity, the sum of the squared marginal eigenvalues,
-    is compared against ``1 - tol``.
+    is compared against ``1 - tol``, which must be finite and >= 0.
     """
+    _check_tol(tol)
     if partition.n_parties != psi.n_parties:
         raise ValueError("partition does not match the state's party count")
     return all(
@@ -175,8 +176,10 @@ def classify_pure(psi: PureState, tol: float = 1e-9) -> ClassificationReport:
     share a block of the finest product partition iff no product cut separates
     them: the cuts a pure state factorizes across are closed under
     intersection, so the finest partition's blocks are the classes of parties
-    that lie on the same side of every product cut.
+    that lie on the same side of every product cut.  ``tol`` must be finite
+    and >= 0.
     """
+    _check_tol(tol)
     n = psi.n_parties
     if n > _PARTITION_ENUM_CAP:
         raise SizeLimitError(f"classification capped at {_PARTITION_ENUM_CAP} parties")

@@ -12,7 +12,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import _check_count
+from .core import _check_count, _check_tol
 from .partitions import Partition, as_bipartition
 from .states import PureState, _cut_matrix, shannon_entropy
 
@@ -104,7 +104,8 @@ def concurrence_pure(psi: PureState, bipartition=None) -> float:
 
 
 def schmidt_rank(psi: PureState, bipartition=None, tol: float = RANK_TOL) -> int:
-    """Number of Schmidt coefficients above ``tol``."""
+    """Number of Schmidt coefficients above ``tol``, which must be finite and >= 0."""
+    _check_tol(tol)
     return int((schmidt_vector(psi, bipartition) > tol).sum())
 
 

@@ -15,12 +15,15 @@ from itertools import combinations
 
 import numpy as np
 
+from .core import _check_tol
 from .states import PureState, _marginal_spectrum, ghz_state
 
 
 def _maximally_mixed_on(psi: PureState, blocks, tol: float) -> bool:
     """True iff each block's reduced state is within trace distance ``tol`` of
-    ``I/d``: half the 1-norm of its spectrum minus ``1/d``."""
+    ``I/d``: half the 1-norm of its spectrum minus ``1/d``.  ``tol`` must be
+    finite and >= 0."""
+    _check_tol(tol)
     for block in blocks:
         lam = _marginal_spectrum(psi, block)
         if 0.5 * np.abs(lam - 1.0 / lam.size).sum() > tol:
@@ -49,7 +52,9 @@ _SZ = np.diag([1.0, -1.0]).astype(complex)
 
 
 def stabilizes(unitary: np.ndarray, psi: PureState, tol: float = 1e-10) -> bool:
-    """True iff ``unitary`` fixes ``psi`` up to a global phase within ``tol``."""
+    """True iff ``unitary`` fixes ``psi`` up to a global phase within ``tol``,
+    which must be finite and >= 0."""
+    _check_tol(tol)
     v = np.asarray(unitary, dtype=complex) @ psi.amplitudes
     phase = np.vdot(psi.amplitudes, v)
     return bool(np.abs(v - phase * psi.amplitudes).max() <= tol and abs(abs(phase) - 1.0) <= tol)
@@ -68,7 +73,8 @@ def ghz_stabilizer_elements(phi1: float, phi2: float) -> tuple[np.ndarray, np.nd
 
 
 def ghz_stabilizer_check(phi1: float, phi2: float, tol: float = 1e-10) -> bool:
-    """Verify both GHZ stabilizer family elements fix the 3-qubit GHZ state."""
+    """Verify both GHZ stabilizer family elements fix the 3-qubit GHZ state;
+    ``tol`` as in :func:`stabilizes`."""
     ghz = ghz_state(3, 2)
     flip, phase = ghz_stabilizer_elements(phi1, phi2)
     return stabilizes(flip, ghz, tol) and stabilizes(phase, ghz, tol)

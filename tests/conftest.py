@@ -1,11 +1,51 @@
-"""Shared independent oracles for the test suite.
+"""Shared independent oracles for the test suite, and its closing line.
 
 These helpers deliberately avoid the library code paths they are used to
 check: partial traces by explicit index summation, partial transposition by
 element shuffling, and majorization by a plain partial-sum loop.
+
+After the summary, the run prints the median time of the benchmark's
+reference kernel, so that a wall time of the suite can be read against the
+speed of the machine that ran it.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
+
+REFERENCE = Path(__file__).resolve().parents[1] / "bench" / "reference.py"
+REFERENCE_SAMPLES = 5
+#: Loads ``bench/reference.py`` by path and prints the median of its samples.
+_REFERENCE_RUN = """
+import importlib.util, statistics, sys
+spec = importlib.util.spec_from_file_location("reference", sys.argv[1])
+module = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(module)
+ref = module.Reference()
+for _ in range(int(sys.argv[2])):
+    ref.sample()
+print(statistics.median(ref.totals()))
+"""
+
+
+def pytest_terminal_summary(terminalreporter):
+    """Print the median of ``REFERENCE_SAMPLES`` timings of the kernel in
+    ``bench/reference.py``.  It runs in a fresh interpreter with one BLAS
+    thread, as ``bench/run.py`` runs it, so the number compares with the
+    benchmark's ``reference_ms``."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    run = subprocess.run([sys.executable, "-c", _REFERENCE_RUN, str(REFERENCE),
+                          str(REFERENCE_SAMPLES)], env=env, capture_output=True, text=True)
+    if run.returncode:
+        terminalreporter.write_line(f"bench reference kernel: failed: {run.stderr.strip()}")
+        return
+    median = float(run.stdout) * 1e3
+    terminalreporter.write_line(
+        f"bench reference kernel: median {median:.1f} ms of {REFERENCE_SAMPLES} samples, "
+        "one BLAS thread")
 
 
 def ptrace_sum(mat: np.ndarray, dims, keep) -> np.ndarray:

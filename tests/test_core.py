@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import entkit as ek
 from entkit.core import partial_trace_matrix
 from entkit.states import random_density_matrix, random_pure_state
 
@@ -62,3 +63,29 @@ def test_partial_trace_errors():
         partial_trace_matrix(rho, (2, 2), [2])
     with pytest.raises(ValueError, match="integers"):
         partial_trace_matrix(rho, (2, 2), [0.5])
+
+
+_PRODUCT = ek.basis_state([2, 2, 2], [0, 0, 0])
+
+
+@pytest.mark.parametrize("call, valid", [
+    (lambda tol: ek.is_product_across(_PRODUCT, ek.Partition(((0,), (1, 2))), tol), True),
+    (lambda tol: ek.classify_pure(_PRODUCT, tol).producibility_m, 1),
+    (lambda tol: ek.classify_pure(ek.basis_state([2], [0]), tol).producibility_m, 1),
+    (lambda tol: ek.schmidt_rank(ek.basis_state([2, 2], [0, 0]), tol=tol), 1),
+    (lambda tol: ek.is_ame(ek.ghz_state(3, 2), tol), True),
+    (lambda tol: ek.is_lme(_PRODUCT, tol), False),
+    (lambda tol: ek.stabilizes(np.eye(8), ek.ghz_state(3, 2), tol), True),
+    (lambda tol: ek.ghz_stabilizer_check(0.3, 0.5, tol), True),
+    (lambda tol: ek.upb_unextendibility_check([ek.basis_state([2, 2], [0, 0])], restarts=2,
+                                              tol=tol, rng=0), False),
+], ids=["is_product_across", "classify_pure", "classify_pure-1party", "schmidt_rank", "is_ame",
+        "is_lme", "stabilizes", "ghz_stabilizer_check", "upb_unextendibility_check"])
+def test_public_tolerances_are_checked(call, valid):
+    """A NaN, infinite or negative ``tol`` is refused, not compared: NaN used
+    to report ``|000>`` as genuinely multipartite and a Schmidt rank of 0,
+    and -1 called a lone product vector unextendible."""
+    for tol in (float("nan"), float("inf"), -1.0):
+        with pytest.raises(ValueError, match="tol must be finite"):
+            call(tol)
+    assert call(1e-9) == valid

@@ -321,6 +321,63 @@ def test_canonical_form_matches_forward_difference_newton(monkeypatch):
         assert abs(form.theta - ref.theta) < 1e-10
 
 
+def _secular_roots_every_interval(d, p, q, cc, bound):
+    """The root finder of the secular polynomial before intervals were
+    screened: the colleague matrices of all 21 fit intervals go to ``eigvals``.
+    Also returns how many intervals the screen ``|c_0| > 1.001 sum_{k>=1}
+    |c_k|`` would skip."""
+    from entkit.invariants import (_CHEB_FIT, _CHEB_NODES, _COLLEAGUE, _COLLEAGUE_SCALE, _CUTS,
+                                   _secular)
+
+    lo, hi = bound * _CUTS[:-1, None], bound * _CUTS[1:, None]
+    mid, half = (hi + lo) / 2, (hi - lo) / 2
+    coef = _secular(mid + half * _CHEB_NODES, d, p, q, cc) @ _CHEB_FIT.T
+    skipped = int((np.abs(coef[:, 0]) > 1.001 * np.abs(coef[:, 1:]).sum(1)).sum())
+    scale = np.abs(coef).max(1)
+    mid, half, coef = mid[scale > 0], half[scale > 0], coef[scale > 0] / scale[scale > 0, None]
+    lead = np.where(np.abs(coef[:, -1:]) < 1e-16, 1e-16, coef[:, -1:])
+    mats = np.repeat(_COLLEAGUE[None], len(coef), 0)
+    mats[:, :, -1] -= coef[:, :-1] / lead * _COLLEAGUE_SCALE
+    x = np.linalg.eigvals(mats[:, ::-1, ::-1])
+    return (mid + half * x.real)[(np.abs(x.imag) < 1e-6) & (np.abs(x.real) <= 1.0)], skipped
+
+
+def test_secular_roots_match_a_solve_of_every_interval(monkeypatch):
+    """Screening out the fit intervals that cannot hold a root leaves the
+    roots bit for bit as a solve of all 21 intervals gives them: on Haar
+    states, SLOCC images of W, GHZ and W plus a little GHZ, and forms on the
+    ``theta`` fold.  The screen does skip intervals on these states."""
+    from entkit import invariants
+
+    secular_roots, calls, skipped = invariants._secular_roots, [], []
+
+    def both(*args):
+        roots = secular_roots(*args)
+        ref, skip = _secular_roots_every_interval(*args)
+        assert np.array_equal(roots, ref)
+        calls.append(roots.size)
+        skipped.append(skip)
+        return roots
+
+    monkeypatch.setattr(invariants, "_secular_roots", both)
+    rng = np.random.default_rng(16)
+
+    def image(amp):
+        ops = [rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)) for _ in range(3)]
+        return ek.PureState.normalized(np.kron(np.kron(ops[0], ops[1]), ops[2]) @ amp, (2, 2, 2))
+
+    w, ghz = ek.w_state().amplitudes, ek.ghz_state(3, 2).amplitudes
+    states = [ek.random_pure_state([2, 2, 2], rng=rng) for _ in range(150)]
+    states += [image(amp) for amp in (w, ghz, w + 1e-2 * ghz) for _ in range(30)]
+    for _ in range(20):
+        r = rng.random(5)
+        states.append(ek.acin_state(r / np.linalg.norm(r), np.pi / 2))
+    for psi in states:
+        ek.acin_canonical_form(psi)
+    assert len(calls) >= len(states) and sum(calls) > 0
+    assert sum(skipped) > 0.3 * 21 * len(calls)
+
+
 def test_record_json_fields():
     js = ek.lu_invariants(ek.ghz_state(3, 2)).to_json()
     assert set(js) == {

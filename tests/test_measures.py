@@ -145,6 +145,83 @@ def test_geometric_measure_matches_one_restart_at_a_time(psi):
         assert res.converged in {f for v, f in zip(values, flags) if v <= min(values) + 1e-12}
 
 
+def _gm_conjugating_per_contraction(psi, restarts, seed, max_iterations, tol=1e-10):
+    """The batched sweep as it was written before the factors were held
+    conjugated: every contraction conjugates the other factors again, and
+    every sweep writes all live factors and overlaps back."""
+    from entkit.measures import _random_factor
+
+    def contract_all_but(tk, factors, k):
+        r = len(factors[k])
+        others = [j for j in range(len(factors)) if j != k]
+        if not others:
+            return np.broadcast_to(tk.ravel(), (r, tk.size))
+        v = factors[others[0]].conj() @ tk.reshape(tk.shape[0], -1)
+        for j in others[1:]:
+            f = factors[j].conj()[:, None, :]
+            v = (f @ v.reshape(r, f.shape[2], -1)).reshape(r, -1)
+        return v
+
+    rng = np.random.default_rng(seed)
+    starts = [[_random_factor(d, rng) for d in psi.dims] for _ in range(restarts)]
+    factors = [np.array(f) for f in zip(*starts)]
+    t = psi.reshaped()
+    moved = [np.ascontiguousarray(np.moveaxis(t, k, -1)) for k in range(t.ndim)]
+    overlaps = np.zeros(restarts)
+    converged = np.zeros(restarts, dtype=bool)
+    live, last, cur = np.arange(restarts), np.zeros(restarts), list(factors)
+    sweeps = np.zeros(restarts, dtype=int)
+    for _ in range(max_iterations):
+        sweeps[live] += 1
+        overlap = last
+        for k, d in enumerate(psi.dims):
+            v = contract_all_but(moved[k], cur, k)
+            nv = np.linalg.norm(v, axis=1)
+            zero = nv < 1e-15
+            cur[k] = v / np.where(zero, 1.0, nv)[:, None]
+            for i in np.flatnonzero(zero):
+                cur[k][i] = _random_factor(d, rng)
+            overlap = np.where(zero, overlap, nv)
+        for f, c in zip(factors, cur):
+            f[live] = c
+        overlaps[live] = overlap
+        done = overlap - last < tol
+        converged[live[done]] = True
+        live, last, cur = live[~done], overlap[~done], [c[~done] for c in cur]
+        if not live.size:
+            break
+    best = int(np.argmax(overlaps))
+    closest = factors[0][best]
+    for f in factors[1:]:
+        closest = np.kron(closest, f[best])
+    values = tuple(float(max(0.0, 1.0 - v**2)) for v in overlaps)
+    argument = ek.PureState.normalized(closest, psi.dims)
+    return values[best], values, tuple(int(k) for k in sweeps), converged, best, argument
+
+
+def test_geometric_measure_matches_the_sweep_conjugating_per_contraction():
+    """Holding the live factors conjugated, and writing factors back only when
+    a restart retires, changes no bit: value, per-restart values, sweeps,
+    evaluations, flags and argument, on GHZ, W and Haar states of 3 to 8
+    qubits, run to convergence and cut at 3 sweeps."""
+    def w_state(n):
+        amp = np.zeros(2**n)
+        amp[[1 << k for k in range(n)]] = 1 / np.sqrt(n)
+        return ek.PureState(amp, (2,) * n)
+
+    for n in range(3, 9):
+        for psi in (ek.ghz_state(n, 2), w_state(n), ek.random_pure_state([2] * n, rng=50 + n)):
+            for seed, max_iterations in ((n, 500), (n + 10, 3)):
+                res = ek.geometric_measure(psi, restarts=16, seed=seed,
+                                           max_iterations=max_iterations)
+                value, values, sweeps, flags, best, argument = _gm_conjugating_per_contraction(
+                    psi, 16, seed, max_iterations)
+                assert res.value == value and res.restart_values == values
+                assert res.restart_iterations == sweeps and res.evaluations == sum(sweeps)
+                assert res.converged == flags[best] and res.converged_restarts == flags.sum()
+                assert np.array_equal(res.argument.amplitudes, argument.amplitudes)
+
+
 def _upb_one_restart_at_a_time(basis, restarts, seed):
     """Alternating minimization as written on paper: restart after restart,
     the residual matrix of each factor summed member by member from
@@ -210,7 +287,7 @@ def test_geometric_measure_checks_iterations_and_tol():
         with pytest.raises(ValueError, match="tol"):
             ek.geometric_measure(w, restarts=2, seed=0, tol=tol)
     res = ek.geometric_measure(w, restarts=2, seed=0, tol=0.0, max_iterations=1)
-    assert res.evaluations == 2 and not res.converged
+    assert res.evaluations == 2 and not res.converged and res.converged_restarts == 0
 
 
 def test_multipartite_concurrence_bipartite_pattern():
@@ -353,18 +430,18 @@ def test_tangle_roof_gradient_matches_central_differences():
         for rank in (1, 2, 3, 4):
             b = _eigen_factor(ek.random_density_matrix(list(dims), rank=rank, rng=rng))
             for m in range(rank, rank + 3):
-                x = 0.7 * rng.standard_normal(m * m)
-                _, grad = _tangle_roof(x, b, dims)
+                x, low = 0.7 * rng.standard_normal(m * m), np.tri(m, k=-1, dtype=bool)
+                _, grad = _tangle_roof(x, b, dims, low)
                 assert grad.shape == x.shape and grad.dtype == float
                 central = np.array([
-                    (_tangle_roof(x + step * e, b, dims)[0]
-                     - _tangle_roof(x - step * e, b, dims)[0]) / (2 * step)
+                    (_tangle_roof(x + step * e, b, dims, low)[0]
+                     - _tangle_roof(x - step * e, b, dims, low)[0]) / (2 * step)
                     for e in np.eye(m * m)
                 ])
                 assert np.abs(grad - central).max() < 1e-6
     # a cut with a one-dimensional side carries no tangle
     b = _eigen_factor(ek.random_density_matrix([1, 4], rank=3, rng=rng))
-    value, grad = _tangle_roof(rng.standard_normal(16), b, (1, 4))
+    value, grad = _tangle_roof(rng.standard_normal(16), b, (1, 4), np.tri(4, k=-1, dtype=bool))
     assert value == 0.0 and not grad.any()
 
 
@@ -385,7 +462,7 @@ def _scipy_tangle_roof(x, b, dims):
     from entkit.schmidt import _tangle_terms
 
     m = int(np.sqrt(x.size))
-    h = _generator(x, m)
+    h = _generator(x, np.tri(m, k=-1, dtype=bool))
     _, s = _scipy_members(h, b)
     value, ds = _tangle_terms(s.T.reshape(m, *dims))
     w = b.conj().T @ ds.reshape(m, -1).T
@@ -420,6 +497,7 @@ def test_tangle_roof_matches_scipy_expm_frechet():
         for rank in (1, 2, 3, 4):
             b = _eigen_factor(ek.random_density_matrix(list(dims), rank=rank, rng=rng))
             for m in range(rank, rank + 3):
+                low = np.tri(m, k=-1, dtype=bool)
                 lam = rng.standard_normal(m)
                 points = [0.7 * rng.standard_normal(m * m), np.zeros(m * m),
                           coordinates(np.diag(0.8 * (np.arange(m) // 2)).astype(complex)),
@@ -429,16 +507,78 @@ def test_tangle_roof_matches_scipy_expm_frechet():
                     close[-1] = close[0] + gap
                     points.append(with_spectrum(close))
                 for x in points:
-                    assert np.array_equal(_generator(coordinates(_generator(x, m)), m),
-                                          _generator(x, m))
-                    value, grad = _tangle_roof(x, b, dims)
+                    assert np.array_equal(_generator(coordinates(_generator(x, low)), low),
+                                          _generator(x, low))
+                    value, grad = _tangle_roof(x, b, dims, low)
                     ref_value, ref_grad = _scipy_tangle_roof(x, b, dims)
                     assert abs(value - ref_value) < 1e-12
                     assert np.abs(grad - ref_grad).max() < 1e-12
-                    p, s = _members(expm(_generator(x, m))[0], b)
-                    ref_p, ref_s = _scipy_members(_generator(x, m), b)
+                    p, s = _members(expm(_generator(x, low))[0], b)
+                    ref_p, ref_s = _scipy_members(_generator(x, low), b)
                     assert np.abs(s - ref_s).max() < 1e-12
                     assert np.abs(p - ref_p).max() < 1e-12
+
+
+def _generator_tril(x, m):
+    """The generator as built with ``np.tril`` and ``np.triu``."""
+    a = x.reshape(m, m)
+    return np.tril(a) + np.tril(a, -1).T + 1j * (np.triu(a, 1) - np.triu(a, 1).T)
+
+
+def _tangle_roof_tril(x, b, dims):
+    """The tangle roof cost and gradient with the generator and the gradient
+    fold on ``np.tril`` and ``np.triu``."""
+    from entkit.measures import _members, expm
+    from entkit.schmidt import _tangle_terms
+
+    m = int(np.sqrt(x.size))
+    u, lam, v = expm(_generator_tril(x, m))
+    _, s = _members(u, b)
+    value, ds = _tangle_terms(s.T.reshape(m, *dims))
+    w = b.conj().T @ ds.reshape(m, -1).T
+    a = v.conj().T @ (w.conj().T @ v[: b.shape[1]])
+    phase = np.exp(-0.5j * lam)
+    gamma = np.outer(phase, phase) * np.sinc((lam[:, None] - lam[None, :]) / (2 * np.pi))
+    z = v @ (gamma * a) @ v.conj().T
+    q = 2j * z.conj()
+    grad = np.tril(q + q.T, -1) + np.diag(np.diag(q)) + 1j * np.triu(q - q.T, 1)
+    return value, grad.real.ravel()
+
+
+def test_generator_and_gradient_fold_match_tril_triu(monkeypatch):
+    """The generator and the gradient fold on one below-diagonal mask are bit
+    for bit those built with ``np.tril`` and ``np.triu``, for m = 1 to 6, and
+    so are the roofs on the mask that ``convex_roof`` builds."""
+    from entkit.measures import _generator, _tangle_roof
+
+    rng = np.random.default_rng(43)
+    for m in range(1, 7):
+        low = np.tri(m, k=-1, dtype=bool)
+        for x in (rng.standard_normal(m * m), np.zeros(m * m), np.arange(m * m) - 3.0):
+            assert np.array_equal(_generator(x, low), _generator_tril(x, m))
+        for dims in ((2, 2), (2, 3)):
+            for rank in range(1, min(m, 4) + 1):
+                b = _eigen_factor(ek.random_density_matrix(list(dims), rank=rank, rng=rng))
+                for _ in range(3):
+                    x = 0.7 * rng.standard_normal(m * m)
+                    value, grad = _tangle_roof(x, b, dims, low)
+                    ref_value, ref_grad = _tangle_roof_tril(x, b, dims)
+                    assert value == ref_value and np.array_equal(grad, ref_grad)
+    bell = ek.bell_state(2).density().matrix
+    for rho in (ek.DensityMatrix(0.8 * bell + 0.2 * np.eye(4) / 4, (2, 2)),
+                ek.random_density_matrix([2, 3], rank=3, rng=44)):
+        for size in (None, 5):
+            runs = []
+            for _ in range(2):
+                runs.append(ek.convex_roof(rho, ek.tangle_pure, ensemble_size=size, restarts=2,
+                                           seed=8))
+                monkeypatch.setattr(ek.measures, "_tangle_roof",
+                                    lambda x, b, dims, low: _tangle_roof_tril(x, b, dims))
+            monkeypatch.undo()
+            res, ref = runs
+            assert res.restart_values == ref.restart_values and res.evaluations == ref.evaluations
+            assert len(res.argument) == len(ref.argument) and all(p == q and np.array_equal(a.amplitudes, c.amplitudes)
+                       for (p, a), (q, c) in zip(res.argument, ref.argument))
 
 
 def test_convex_roof_checks_maxiter(monkeypatch):
@@ -484,6 +624,7 @@ def test_solver_diagnostics(monkeypatch):
     assert res.restart_iterations == tuple(run.nit for run in runs)
     assert all(1 <= k <= 400 for k in res.restart_iterations)
     assert sum(res.restart_iterations) <= res.evaluations == sum(run.nfev for run in runs)
+    assert res.converged_restarts == sum(run.success for run in runs)
     res = ek.geometric_measure(ek.w_state(), restarts=5, seed=0)
     assert len(res.restart_values) == 5
     assert min(res.restart_values) == res.value

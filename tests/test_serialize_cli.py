@@ -208,7 +208,7 @@ def test_cli_analyze_no_convergence_keeps_the_report(tmp_path, monkeypatch):
     assert main(["make", "w", "--out", str(w_file)]) == 0
     result = ek.OptimizationResult(value=0.5, argument=None, restarts_used=2, converged=False,
                                    evaluations=4, restart_values=(0.5, 0.6),
-                                   restart_iterations=(2, 2))
+                                   restart_iterations=(2, 2), converged_restarts=0)
     monkeypatch.setattr("entkit.cli.geometric_measure", lambda *args, **kwargs: result)
     code, text = _run(tmp_path, "analyze", str(w_file), "--which", "class,geometric-measure,ppt")
     assert code == 3
