@@ -1,14 +1,14 @@
 """Three-qubit algebra: local-unitary invariants, tangles, hyperdeterminant,
 Wootters concurrence, canonical form, polytope coordinates and SLOCC class.
 
-One batched kernel, :func:`_reductions`, builds the one- and two-qubit
-reductions of stacked amplitudes ``(N, 8)``; batched helpers take from them
-the six invariants (norm, three purities, Kempe, hyperdeterminant), the
-tangles, the marginal ranks, the polytope point and the class.
-``lu_invariants``, ``tangles``, ``monogamy_gap``, ``kempe_invariant``,
-``kempe_symmetric_check``, ``polytope_coords`` and ``slocc_class_3qubit`` call
-it once on their state; ``wootters_concurrence`` and ``hyperdet3`` are
-batches of one.
+Two batched kernels over stacked amplitudes ``(N, 8)`` feed the invariants,
+with no eigensolve.  :func:`_reductions` builds the one- and two-qubit
+reductions: the norm, purities, Kempe invariant, single-party tangles and
+the closed-form marginal spectra (ranks, polytope point).
+:func:`_slice_dets` takes the 2 x 2 slice determinants along each qubit: the
+pair tangles and the hyperdeterminant, and so ``tau3`` and the class.  Each
+public function calls what it reads once per state; ``hyperdet3`` is a batch
+of one.  Only ``wootters_concurrence``, on a mixed state, runs ``eigvals``.
 """
 
 from __future__ import annotations
@@ -91,52 +91,32 @@ def _stack(psi: PureState) -> np.ndarray:
     return psi.amplitudes[None]
 
 
-def _hyperdet(amps: np.ndarray) -> np.ndarray:
-    """Cayley hyperdeterminant of each row of stacked amplitudes ``(N, 8)``."""
-    t = amps.reshape(-1, 2, 2, 2).transpose(1, 2, 3, 0)
-    squares = (
-        t[0, 0, 0] ** 2 * t[1, 1, 1] ** 2
-        + t[0, 0, 1] ** 2 * t[1, 1, 0] ** 2
-        + t[0, 1, 0] ** 2 * t[1, 0, 1] ** 2
-        + t[1, 0, 0] ** 2 * t[0, 1, 1] ** 2
-    )
-    pairs = (
-        t[0, 0, 0] * t[1, 1, 1]
-        * (t[0, 1, 1] * t[1, 0, 0] + t[1, 0, 1] * t[0, 1, 0] + t[1, 1, 0] * t[0, 0, 1])
-        + t[0, 1, 1] * t[1, 0, 0] * (t[1, 0, 1] * t[0, 1, 0] + t[1, 1, 0] * t[0, 0, 1])
-        + t[1, 0, 1] * t[0, 1, 0] * t[1, 1, 0] * t[0, 0, 1]
-    )
-    diagonals = (
-        t[0, 0, 0] * t[1, 1, 0] * t[1, 0, 1] * t[0, 1, 1]
-        + t[1, 1, 1] * t[0, 0, 1] * t[0, 1, 0] * t[1, 0, 0]
-    )
-    return squares - 2 * pairs + 4 * diagonals
+def _slice_dets(amps: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``D_0, D_1, x`` ``(N, 3)`` over Z = A, B, C of amplitudes ``(N, 8)``:
+    ``D_k = det M_k`` of the 2 x 2 slices along Z, ``x = (det(M_0 + M_1) - D_0
+    - D_1) / 2``, so ``det(s M_0 + t M_1) = D_0 s^2 + 2 x s t + D_1 t^2``."""
+    m = amps[:, _ONE_FIRST].reshape(-1, 3, 2, 2, 2)
+    m = np.concatenate([m, m[:, :, :1] + m[:, :, 1:]], 2)
+    det = m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
+    return det[..., 0], det[..., 1], (det[..., 2] - det[..., 0] - det[..., 1]) / 2
 
 
 def hyperdet3(tensor) -> complex:
-    """Cayley hyperdeterminant of a ``2 x 2 x 2`` complex tensor.
-
-    Quartic polynomial with a squares group, a pair-coupling group and the two
-    odd diagonals; vanishes exactly on the closure of the W class.
+    """Cayley hyperdeterminant of a ``2 x 2 x 2`` complex tensor, refusing
+    NaN or infinite entries: ``4 (x^2 - D_0 D_1)`` along the first axis
+    (:func:`_slice_dets`).  Vanishes exactly on the closure of the W class.
     """
     t = np.asarray(tensor, dtype=complex)
     if t.size != 8:
         raise ValueError(f"expected 8 amplitudes, got shape {t.shape}")
-    return complex(_hyperdet(t.reshape(1, 8))[0])
+    if not np.isfinite(t).all():
+        raise ValueError("tensor entries must be finite")
+    d0, d1, x = _slice_dets(t.reshape(1, 8))
+    return complex(4.0 * (x[0, 0] ** 2 - d0[0, 0] * d1[0, 0]))
 
 
 _SY = np.array([[0.0, -1j], [1j, 0.0]])
 _YY = np.kron(_SY, _SY)
-
-
-def _concurrences(rho: np.ndarray) -> np.ndarray:
-    """Wootters concurrence of each matrix of a ``(..., 4, 4)`` stack, with
-    eigenvalues below ``1e-12`` of the largest of the same matrix zeroed."""
-    ev = np.linalg.eigvals(rho @ _YY @ rho.conj() @ _YY).real
-    # the threshold is positive, so this also zeroes every negative eigenvalue
-    ev = np.where(ev < 1e-12 * np.maximum(ev.max(axis=-1, keepdims=True), 1e-300), 0.0, ev)
-    mu = np.sort(np.sqrt(ev), axis=-1)
-    return np.maximum(0.0, mu[..., 3] - mu[..., 2] - mu[..., 1] - mu[..., 0])
 
 
 def wootters_concurrence(rho: DensityMatrix) -> float:
@@ -146,18 +126,30 @@ def wootters_concurrence(rho: DensityMatrix) -> float:
     non-increasing square roots of the eigenvalues of
     ``rho (sy (x) sy) rho* (sy (x) sy)``.  Eigenvalues below ``1e-12`` of the
     largest are treated as exact zeros so rank-deficient inputs do not inject
-    square-root noise.
+    square-root noise.  The zeroing is on this mixed-state route only: the
+    pair tangles of a 3-qubit pure state have a closed form.
     """
     if rho.dims != (2, 2):
         raise ValueError(f"expected a 2-qubit state, got dims {rho.dims}")
-    return float(_concurrences(rho.matrix[None])[0])
+    m = rho.matrix
+    ev = np.linalg.eigvals(m @ _YY @ m.conj() @ _YY).real
+    # the threshold is positive, so this also zeroes every negative eigenvalue
+    mu = np.sort(np.sqrt(np.where(ev < 1e-12 * max(ev.max(), 1e-300), 0.0, ev)))
+    return float(max(0.0, mu[3] - mu[2] - mu[1] - mu[0]))
 
 
-def _tangle_terms(one: np.ndarray, two: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Single-party tangles ``4 det rho_X`` (X = A, B, C), squared concurrences
-    (AB, AC, BC) and the monogamy gap ``tau_{A|BC} - tau_AB - tau_AC``."""
+def _tangle_terms(one: np.ndarray, dets) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``4 det rho_X`` of a stack ``one`` ``(N, K, 2, 2)`` (X = A first), the
+    pair tangles AB, AC, BC and the monogamy gap ``tau_{A|BC} - tau_AB -
+    tau_AC``.  The pair opposite Z has a reduction of rank two at most, and
+    its squared concurrence is ``(s_1 - s_2)^2`` for the singular values of
+    ``S = -2 [[D_0, x], [x, D_1]]`` from ``dets`` (:func:`_slice_dets`), that
+    is ``|S|_F^2 - 2 |det S|`` (Wootters, PRL 80, 2245 (1998))."""
+    d0, d1, x = dets
     det = one[..., 0, 0] * one[..., 1, 1] - one[..., 0, 1] * one[..., 1, 0]
-    single, pair = np.clip(4.0 * det.real, 0.0, 1.0), _concurrences(two) ** 2
+    single = np.clip(4.0 * det.real, 0.0, 1.0)
+    pair = 4.0 * (abs(d0) ** 2 + 2.0 * abs(x) ** 2 + abs(d1) ** 2) - 8.0 * abs(x * x - d0 * d1)
+    pair = np.maximum(0.0, pair[:, ::-1])  # Z = C, B, A is the pair AB, AC, BC
     return single, pair, single[:, 0] - pair[:, 0] - pair[:, 1]
 
 
@@ -172,10 +164,14 @@ def _kempe_pairings(one: np.ndarray, two: np.ndarray) -> np.ndarray:
 def _records(amps: np.ndarray, tau3_tol: float = TAU3_CLASS_TOL) -> list[InvariantRecord]:
     """Invariant records of stacked 3-qubit amplitudes ``(N, 8)``."""
     one, two = _reductions(amps)
-    single, pair, gap = _tangle_terms(one, two)
-    spectra = np.linalg.eigvalsh(one)
+    d0, d1, x = dets = _slice_dets(amps)
+    single, pair, gap = _tangle_terms(one, dets)
+    # ascending spectra (p + q -+ hypot(p - q, 2|z|)) / 2 of each [[p, z], [z*, q]]
+    p, q = one[..., 0, 0].real, one[..., 1, 1].real
+    root = np.hypot(p - q, 2.0 * abs(one[..., 0, 1]))
+    spectra = ((p + q)[..., None] + root[..., None] * [-1.0, 1.0]) / 2
     ranks = (spectra > _RANK_TOL).sum(-1)
-    hyper = _hyperdet(amps)
+    hyper = 4.0 * (x[:, 0] ** 2 - d0[:, 0] * d1[:, 0])
     # indices into SloccClass in declaration order: GHZ or W by the three-tangle
     # 4 |hyperdet3|, unless one marginal is pure (the biseparable cut) or all are
     pure = ranks == 1
@@ -192,7 +188,7 @@ def _records(amps: np.ndarray, tau3_tol: float = TAU3_CLASS_TOL) -> list[Invaria
         pair.sum(-1) / 3.0,
         np.maximum(0.0, gap),
     ])
-    polytope = spectra.min(-1).clip(0.0, 0.5)
+    polytope = spectra[..., 0].clip(0.0, 0.5)
     classes = list(SloccClass)
     return [
         InvariantRecord(*s, tuple(r), tuple(p), classes[c])
@@ -204,17 +200,20 @@ def tangles(psi: PureState) -> tuple[float, float, float]:
     """One-, two- and three-tangle of a 3-qubit pure state.
 
     ``tau1`` averages the single-party tangles ``4 det rho_X`` over the three
-    splittings, ``tau2`` averages the squared Wootters concurrences of the
-    two-qubit reductions, and ``tau3`` is the residual
-    ``tau_{A|BC} - tau_{A|B} - tau_{A|C}``.
+    splittings, ``tau2`` the squared concurrences of the two-qubit reductions,
+    in closed form from the slice determinants, and ``tau3`` is the residual
+    ``tau_{A|BC} - tau_{A|B} - tau_{A|C}``.  No eigensolve.
     """
     rec = _records(_stack(psi))[0]
     return (rec.tau1, rec.tau2, rec.tau3)
 
 
 def monogamy_gap(psi: PureState) -> float:
-    """``tau_{A|BC} - tau_{A|B} - tau_{A|C}``; non-negative up to round-off."""
-    return float(_tangle_terms(*_reductions(_stack(psi)))[2][0])
+    """``tau_{A|BC} - tau_{A|B} - tau_{A|C}``, from ``rho_A`` and the slice
+    determinants; non-negative up to round-off."""
+    amps = _stack(psi)
+    v = amps.reshape(-1, 1, 2, 4)
+    return float(_tangle_terms(v @ v.conj().swapaxes(-1, -2), _slice_dets(amps))[2][0])
 
 
 def kempe_invariant(psi: PureState) -> float:
@@ -255,7 +254,8 @@ def lu_invariants(psi: PureState) -> InvariantRecord:
     this normalization ``tau3 = 2 sqrt(i6)``, and the tangles obey
     ``tau1 = 2*tau2 + tau3`` (the Coffman-Kundu-Wootters monogamy relation
     summed over the three parties), so ``tau2 = 1 - I_av - sqrt(i6)`` with
-    ``I_av = (i2 + i3 + i4) / 3``.
+    ``I_av = (i2 + i3 + i4) / 3``.  The pair tangles, ``hyperdet3`` and the
+    marginal spectra are closed forms, so no eigensolve's zeroing breaks these.
     """
     return _records(_stack(psi))[0]
 

@@ -7,14 +7,23 @@ element shuffling, and majorization by a plain partial-sum loop.
 After the summary, the run prints the median time of the benchmark's
 reference kernel, so that a wall time of the suite can be read against the
 speed of the machine that ran it.
+
+BLAS runs on one thread, as in ``bench/run.py``: on a shared machine a
+second BLAS thread that waits for a busy core stalls mid-size LAPACK calls.
+The defaults are set before numpy loads, and a thread count already in the
+environment wins.
 """
 
 import os
-import subprocess
-import sys
-from pathlib import Path
 
-import numpy as np
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import subprocess  # noqa: E402
+import sys  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+import numpy as np  # noqa: E402
 
 REFERENCE = Path(__file__).resolve().parents[1] / "bench" / "reference.py"
 REFERENCE_SAMPLES = 5

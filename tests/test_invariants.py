@@ -64,6 +64,54 @@ def test_hyperdet3():
     assert ek.hyperdet3(np.zeros(8)) == 0
     with pytest.raises(ValueError):
         ek.hyperdet3(np.zeros(4))
+    # non-finite entries are refused before any arithmetic (no RuntimeWarning)
+    for bad in (np.nan, np.inf, -np.inf, complex(0, np.inf), complex(np.nan, 0)):
+        amp = np.zeros(8, dtype=complex)
+        amp[3] = bad
+        with pytest.raises(ValueError, match="finite"):
+            ek.hyperdet3(amp)
+    with pytest.raises(ValueError, match="finite"):
+        ek.hyperdet3([np.nan] * 8)
+
+
+def _hyperdet_monomials(amp):
+    """Cayley's hyperdeterminant as its expansion in the amplitudes: the
+    squares group, the pair-coupling group and the two odd diagonals."""
+    t = np.asarray(amp, dtype=complex).reshape(2, 2, 2)
+    squares = (t[0, 0, 0] ** 2 * t[1, 1, 1] ** 2 + t[0, 0, 1] ** 2 * t[1, 1, 0] ** 2
+               + t[0, 1, 0] ** 2 * t[1, 0, 1] ** 2 + t[1, 0, 0] ** 2 * t[0, 1, 1] ** 2)
+    pairs = (
+        t[0, 0, 0] * t[1, 1, 1]
+        * (t[0, 1, 1] * t[1, 0, 0] + t[1, 0, 1] * t[0, 1, 0] + t[1, 1, 0] * t[0, 0, 1])
+        + t[0, 1, 1] * t[1, 0, 0] * (t[1, 0, 1] * t[0, 1, 0] + t[1, 1, 0] * t[0, 0, 1])
+        + t[1, 0, 1] * t[0, 1, 0] * t[1, 1, 0] * t[0, 0, 1]
+    )
+    diagonals = (t[0, 0, 0] * t[1, 1, 0] * t[1, 0, 1] * t[0, 1, 1]
+                 + t[1, 1, 1] * t[0, 0, 1] * t[0, 1, 0] * t[1, 0, 0])
+    return squares - 2 * pairs + 4 * diagonals
+
+
+def _slocc_image(rng, amp, unitary=False):
+    """``A (x) B (x) C`` applied to ``amp`` and renormalized, with complex
+    Gaussian ``A, B, C`` (or Haar unitaries)."""
+    ops = [rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)) for _ in range(3)]
+    if unitary:
+        ops = [np.linalg.qr(op)[0] for op in ops]
+    return ek.PureState.normalized(np.kron(np.kron(ops[0], ops[1]), ops[2]) @ amp, (2, 2, 2))
+
+
+def test_hyperdet3_matches_monomial_expansion():
+    """The slice-determinant discriminant against the 20-monomial expansion
+    on Haar states, LU images of GHZ, SLOCC images of W and the table states."""
+    rng = np.random.default_rng(11)
+    w, ghz = ek.w_state().amplitudes, ek.ghz_state(3, 2).amplitudes
+    states = [ek.random_pure_state([2, 2, 2], rng=rng) for _ in range(200)]
+    states += [_slocc_image(rng, ghz, unitary=True) for _ in range(50)]
+    states += [_slocc_image(rng, w) for _ in range(50)]
+    states += [row[0] for row in _table_rows()]
+    for psi in states:
+        assert abs(ek.hyperdet3(psi.amplitudes) - _hyperdet_monomials(psi.amplitudes)) < 1e-14
+        assert abs(ek.hyperdet3(psi.reshaped()) - _hyperdet_monomials(psi.amplitudes)) < 1e-14
 
 
 def test_kempe_symmetric():
@@ -120,6 +168,24 @@ def test_record_bounds_and_identities_random():
         # the three tangles are tied by tau1 = 2 tau2 + tau3
         assert rec.tau2 == pytest.approx(1 - i_av - np.sqrt(rec.i6), abs=1e-8)
         assert ek.monogamy_gap(psi) >= -1e-9
+
+
+def test_tangle_identities_near_w_class():
+    """SLOCC images of W + eps GHZ obey ``tau1 = 2 tau2 + tau3`` and ``tau2 =
+    1 - I_av - sqrt(I6)`` to 1e-12, with a non-negative monogamy gap.  On
+    them the smaller eigenvalue of a pair's ``rho rho~`` can fall below 1e-12
+    of the larger, so a relative zeroing of those eigenvalues would break
+    both identities."""
+    rng = np.random.default_rng(12)
+    w, ghz = ek.w_state().amplitudes, ek.ghz_state(3, 2).amplitudes
+    for eps in (1e-4, 1e-6, 1e-8):
+        for _ in range(100):
+            psi = _slocc_image(rng, w + eps * ghz)
+            rec = ek.lu_invariants(psi)
+            i_av = (rec.i2 + rec.i3 + rec.i4) / 3
+            assert abs(rec.tau1 - 2 * rec.tau2 - rec.tau3) < 1e-12
+            assert abs(rec.tau2 - (1 - i_av - np.sqrt(rec.i6))) < 1e-12
+            assert ek.monogamy_gap(psi) >= -1e-12
 
 
 def test_invariants_equal_under_conjugation():
