@@ -27,7 +27,13 @@ from .invariants import (
     wootters_concurrence,
 )
 from .measures import geometric_measure
-from .partitions import Partition, _ppt_sweep, classify_pure, single_party_bipartition
+from .partitions import (
+    Partition,
+    _ppt_sweep,
+    as_bipartition,
+    classify_pure,
+    single_party_bipartition,
+)
 from .protocols import teleport, unlock_smolin
 from .schmidt import RANK_TOL, find_catalyst, majorizes, schmidt_vector
 from .serialize import load_state, to_document
@@ -97,14 +103,8 @@ def _parse_floats(text: str) -> list[float]:
 
 def _parse_bipartition(text: str, n: int) -> Partition:
     # "0,1|2" style
-    sides = text.split("|")
-    if len(sides) != 2:
-        raise ValueError(f"bipartition must have two blocks, got {text!r}")
-    blocks = tuple(tuple(int(i) for i in s.split(",") if i.strip() != "") for s in sides)
-    part = Partition(blocks)
-    if part.n_parties != n:
-        raise ValueError(f"bipartition covers {part.n_parties} parties, state has {n}")
-    return part
+    blocks = [[int(i) for i in s.split(",") if i.strip() != ""] for s in text.split("|")]
+    return as_bipartition(blocks, n)
 
 
 # ---------------------------------------------------------------------------

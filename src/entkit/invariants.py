@@ -281,11 +281,8 @@ class AcinCanonicalForm:
     roots: int = field(default=1, repr=False)
 
 
-#: Pauli matrices, identity first, and the six axis points of the Bloch sphere
-#: as first-qubit vectors.
+#: Pauli matrices, identity first.
 _PAULI = np.array([np.eye(2), [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], np.diag([1.0, -1.0])])
-_AXES = np.array([[1, 0], [0, 1], [1, 1], [1, -1], [1, 1j], [1, -1j]])
-_AXES = _AXES / np.linalg.norm(_AXES, axis=1, keepdims=True)
 
 #: Chebyshev points, least-squares fit matrix and the colleague matrix of
 #: ``T_12`` with the scale of its last column, as in ``numpy``'s ``chebroots``.
@@ -386,10 +383,12 @@ def _candidates(beta, c, b, quad):
     ``(B^T B - nu) n = -(mu beta + B^T c)``; in the eigenbasis ``d, V`` of
     ``B^T B``, ``n_k = -(mu p_k + q_k) / (d_k - nu)`` with ``mu^2 = R(nu)``,
     at each real root ``nu`` of :func:`_secular`.  Add the hard case ``nu =
-    d_k``, where ``n_k`` takes what the unit norm leaves, ``+-beta/|beta|``,
-    the roots when ``B = 0``, and the root with ``r4 = 0`` of the W class.
-    Every seed turns with the state.  A seed whose ``|n|`` misses 1 by half or
-    more (the wrong sign of ``mu``) is dropped.
+    d_k``, where ``n_k`` takes what the unit norm leaves, with either sign;
+    ``+-beta/|beta|``, the roots when ``B = 0`` (if ``c = 0`` too, as on
+    ``|a> (x) Bell``, no Newton step moves); and the null vector of ``Q``,
+    the root with ``r4 = 0`` of the W class.  Every seed turns with the
+    state.  A seed whose ``|n|`` misses 1 by half or more (the wrong sign of
+    ``mu``) is dropped.
     """
     d, v = np.linalg.eigh(b.T @ b)
     d = np.maximum(d, 0.0)
@@ -493,24 +492,16 @@ def _newton(a, order, forms, steps=6):
 
 
 def _roots(t):
-    """Every root the seeds of :func:`_candidates` reach, as :func:`_rotate`
-    gives it (rows with a residual below ``1e-12``), the smallest residual and
-    the Newton steps of the seeds that reached them.
-
-    The six axis points are seeds only when no candidate converges: on the
-    biseparable B|AC and C|AB states every first-qubit vector is a root, and
-    elsewhere frame-fixed seeds would make the root chosen depend on the frame.
-    """
-    best = np.inf
+    """Every root the seeds of :func:`_candidates` reach after :func:`_newton`,
+    as :func:`_rotate` gives it (rows with a residual below ``1e-12``), the
+    smallest residual of all seeds and the Newton steps taken."""
     forms = _slice_forms(t)
-    for a, order in (_candidates(*forms[1:]), (np.repeat(_AXES, 2, 0), np.tile([True, False], 6))):
-        a, steps = _newton(a, order, forms)
-        *unitaries, x = _rotate(t, a, order)
-        res = np.abs(x[:, 0, 1, 1])
-        best = min(best, res.min(initial=np.inf))
-        if (res < 1e-12).any():
-            break
-    return [u[res < 1e-12] for u in unitaries], x[res < 1e-12], best, steps
+    a, order = _candidates(*forms[1:])
+    a, steps = _newton(a, order, forms)
+    *unitaries, x = _rotate(t, a, order)
+    res = np.abs(x[:, 0, 1, 1])
+    found = res < 1e-12
+    return [u[found] for u in unitaries], x[found], res.min(), steps
 
 
 def _theta(x):
@@ -554,14 +545,16 @@ def acin_canonical_form(psi: PureState, tol: float = 1e-8) -> AcinCanonicalForm:
     ``M M^dag`` (``M`` the lower slice), and their Lagrange multipliers are
     the real roots of one degree-12 secular polynomial, as in the constrained
     eigenvalue problem of Gander, Golub and von Matt, Linear Algebra Appl.
-    114/115, 815 (1989).  Newton steps on the singular value that ``|111>``
-    takes, with an analytic Hessian and no SVD, polish the candidates, at
-    most six (``newton_steps``); among the distinct ``roots`` reached, the
-    one minimizing ``(r4, r3, r2, r1)`` lexicographically is returned.  Diagonal local phases then make ``r1..r4
-    >= 0`` with one phase ``theta`` left on ``r0``.  Those phases fix
-    ``theta`` only mod pi, so it is folded into ``(-pi/2, pi/2]``, which makes
-    it a local-unitary invariant of the root; it is 0 when one of the five
-    amplitudes vanishes.  ``tol`` must be finite and >= 0.  If no root
+    114/115, 815 (1989).  Those roots, the multiplier's hard case, the
+    extrema of ``Tr M M^dag`` and the zero of ``det M`` of the W class seed
+    one batch of Newton steps on the singular value that ``|111>`` takes,
+    with an analytic Hessian and no SVD, at most six (``newton_steps``);
+    among the distinct ``roots`` reached, the one minimizing ``(r4, r3, r2,
+    r1)`` lexicographically is returned.  Diagonal local phases then make
+    ``r1..r4 >= 0`` with one phase ``theta`` left on ``r0``.  Those phases
+    fix ``theta`` only mod pi, so it is folded into ``(-pi/2, pi/2]``, which
+    makes it a local-unitary invariant of the root; it is 0 when one of the
+    five amplitudes vanishes.  ``tol`` must be finite and >= 0.  If no root
     reaches it, the :class:`ConvergenceError` carries the smallest
     off-support amplitude of the roots, or the smallest Newton residual if
     none converged.

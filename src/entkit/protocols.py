@@ -10,6 +10,7 @@ asymptotic rate formulas close the module.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from math import prod
 from typing import Iterable, Sequence
 
@@ -172,7 +173,9 @@ def entanglement_swap(rho_xa: DensityMatrix, d: int | None = None) -> DensityMat
 # local filtering
 # ---------------------------------------------------------------------------
 
-def _prepare_filters(state_dims, filters, rescale):
+def _prepare_filters(state_dims, filters, rescale) -> np.ndarray:
+    """The checked (and, with ``rescale``, normalized) filters as one
+    operator ``(x)_i L_i`` on the whole state."""
     filters = [np.asarray(f, dtype=complex) for f in filters]
     if len(filters) != len(state_dims):
         raise ValueError(
@@ -190,7 +193,7 @@ def _prepare_filters(state_dims, filters, rescale):
                 "filter violates L^dag L <= I; pass rescale=True to normalize"
             )
         out.append(f)
-    return out
+    return reduce(np.kron, out)
 
 
 def local_filter(
@@ -203,10 +206,7 @@ def local_filter(
     probability, which makes the pair trace preserving.
     """
     rho = as_density(state)
-    filters = _prepare_filters(rho.dims, filters, rescale)
-    m = filters[0]
-    for f in filters[1:]:
-        m = np.kron(m, f)
+    m = _prepare_filters(rho.dims, filters, rescale)
     sigma = m @ rho.matrix @ m.conj().T
     p1 = float(np.trace(sigma).real)
     d = rho.dim
@@ -229,10 +229,7 @@ def local_filter_pure(
     Returns the filtered pure state (or ``None`` when the filters annihilate
     the state) together with the success probability.
     """
-    filters = _prepare_filters(psi.dims, filters, rescale)
-    m = filters[0]
-    for f in filters[1:]:
-        m = np.kron(m, f)
+    m = _prepare_filters(psi.dims, filters, rescale)
     v = m @ psi.amplitudes
     p = float(np.vdot(v, v).real)
     if p < 1e-24:

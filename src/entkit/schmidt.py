@@ -65,14 +65,11 @@ def tangle_pure(psi: PureState, bipartition=None) -> float:
 
     ``tau = (1 - sum lambda_i^2) * d/(d-1)`` with ``d`` the smaller side's
     dimension; for a qubit cut this is ``2(1 - sum lambda_i^2) = 4 |det G|^2``,
-    and the concurrence is ``sqrt(tau)``.
+    and the concurrence is ``sqrt(tau)``.  A batch of one of
+    :func:`_tangle_terms`; 0 when one side is a single level.
     """
     g = _cut_matrix(psi, as_bipartition(bipartition, psi.n_parties).blocks[0])
-    d = min(g.shape)
-    if d < 2:
-        return 0.0
-    lam = np.linalg.svd(g, compute_uv=False) ** 2
-    return float(np.clip((1.0 - (lam**2).sum()) * d / (d - 1), 0.0, 1.0))
+    return float(np.clip(_tangle_terms(g[None])[0], 0.0, 1.0))
 
 
 def _tangle_terms(g: np.ndarray) -> tuple[float, np.ndarray]:

@@ -296,6 +296,39 @@ def test_acin_canonical_form_random_states():
         assert -np.pi / 2 < form.theta <= np.pi / 2 + 1e-9
 
 
+def test_acin_canonical_form_product_and_biseparable_states():
+    """Seeded local-unitary images of product states and of A|BC, B|AC and
+    C|AB states, with a Bell or a random pair on the cut, and ``|a> (x)
+    Bell`` with ``|0>`` or a random ``|a>``: the form zeroes the three
+    amplitudes and keeps the invariants.  On ``|a> (x) Bell`` the slice
+    forms have ``B = c = 0`` exactly, where no Newton step moves, so only
+    the ``+-beta/|beta|`` seeds reach the root."""
+    rng = np.random.default_rng(31)
+    bell = ek.bell_state(2).amplitudes.reshape(2, 2)
+
+    def qubit():
+        v = rng.normal(size=2) + 1j * rng.normal(size=2)
+        return v / np.linalg.norm(v)
+
+    states = [ek.PureState(np.kron(a, bell.ravel()), (2, 2, 2))
+              for a in [np.array([1.0, 0.0])] + [qubit() for _ in range(20)]]
+    for _ in range(20):
+        amps = [np.kron(np.kron(qubit(), qubit()), qubit())]
+        for pair in (bell, np.outer(qubit(), qubit()) + 0.5 * np.outer(qubit(), qubit())):
+            # the single party first, then moved to A, B or C
+            amps += [np.moveaxis(np.multiply.outer(qubit(), pair), 0, k).ravel() for k in range(3)]
+        states += [_slocc_image(rng, amp, unitary=True) for amp in amps]
+    for psi in states:
+        form = ek.acin_canonical_form(psi)
+        u = np.kron(np.kron(form.local_unitaries[0], form.local_unitaries[1]),
+                    form.local_unitaries[2])
+        amp = u @ psi.amplitudes
+        assert max(abs(amp[0b011]), abs(amp[0b101]), abs(amp[0b110])) < 1e-8
+        a, b = ek.lu_invariants(psi), ek.lu_invariants(ek.PureState.normalized(amp, (2, 2, 2)))
+        for name in ("i1", "i2", "i3", "i4", "i5", "i6"):
+            assert getattr(a, name) == pytest.approx(getattr(b, name), abs=1e-8)
+
+
 def test_canonical_form_chart_derivatives_match_central_differences():
     """Gradient, Hessian and value of ``log sigma^2`` in the Newton chart
     against central differences of the singular values of the lower slice,

@@ -230,6 +230,11 @@ def test_cli_exit_codes(tmp_path):
     good = tmp_path / "ghz.json"
     assert main(["make", "ghz", "--out", str(good)]) == 0
     assert main(["analyze", str(good), "--which", "bogus"]) == 2
+    # a cut of three blocks, and one over two of the state's three parties
+    for cut in ("0|1|2", "0|1"):
+        assert main(["analyze", str(good), "--which", "schmidt", "--bipartition", cut]) == 2
+        pair = ["--source", str(good), "--target", str(good)]
+        assert main(["convert-check", *pair, "--bipartition", cut]) == 2
     # a tolerance the geometric measure cannot stop on is refused at once,
     # not run to the sweep cap and reported as unconverged (exit 3)
     for tol in ("nan", "inf", "-1"):
