@@ -9,6 +9,12 @@ with optional ``"name"`` and ``"note"`` string fields.  Amplitudes are flat
 and row-major; matrix rows are lists of ``[re, im]`` pairs.  Floats are
 emitted with ``repr`` precision, so a round trip is lossless at double
 precision.
+
+Documents are read as strict RFC 8259 JSON: a ``NaN`` or ``Infinity``
+literal, or a lone surrogate escape in a string, is a ``ValueError``.
+``load_state`` parses with ``orjson``, a few times faster than ``json`` on
+dense matrices; writing stays on ``json``, whose ``indent=1`` layout is the
+documented output.
 """
 
 from __future__ import annotations
@@ -17,6 +23,7 @@ import json
 from typing import IO
 
 import numpy as np
+import orjson
 
 from .states import DensityMatrix, PureState, State
 
@@ -82,4 +89,4 @@ def dump_state(state: State, fp: IO[str], name: str | None = None) -> None:
 
 
 def load_state(fp: IO[str]) -> State:
-    return from_document(json.load(fp))
+    return from_document(orjson.loads(fp.read()))

@@ -115,7 +115,12 @@ class PureState:
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """Hermitian, PSD, unit-trace operator over local dimensions."""
+    """Hermitian, PSD, unit-trace operator over local dimensions.
+
+    Positivity is checked by a Cholesky factorization of the matrix with its
+    diagonal raised by 1e-10, which fails when the least eigenvalue is below
+    -1e-10.  Rounding can move this boundary by about ``d * eps * ||rho||``.
+    """
 
     matrix: np.ndarray = field(repr=False)
     dims: tuple[int, ...]
@@ -133,8 +138,12 @@ class DensityMatrix:
             raise ValueError("density matrix is not Hermitian within 1e-10")
         if not abs(np.trace(mat).real - 1.0) <= HERMITIAN_ATOL:
             raise ValueError(f"trace {np.trace(mat)!r} is not 1 within 1e-10")
-        if not np.linalg.eigvalsh(mat).min() >= -HERMITIAN_ATOL:
-            raise ValueError("density matrix has an eigenvalue below -1e-10")
+        shifted = mat.copy()
+        shifted.flat[:: d + 1] += HERMITIAN_ATOL
+        try:
+            np.linalg.cholesky(shifted)
+        except np.linalg.LinAlgError:
+            raise ValueError("density matrix has an eigenvalue below -1e-10") from None
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
         object.__setattr__(self, "dims", dims)

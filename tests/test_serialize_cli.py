@@ -39,6 +39,14 @@ def test_dump_and_load_file_helpers(tmp_path):
         back = load_state(fh)
     assert back.isclose(psi, atol=0)
     assert json.loads(path.read_text())["name"] == "five-qubit"
+    # a mixed document read back from a file, bit for bit
+    rho = ek.random_density_matrix([2, 3, 4], rank=3, rng=2)
+    with open(path, "w") as fh:
+        dump_state(rho, fh)
+    with open(path) as fh:
+        back = load_state(fh)
+    assert isinstance(back, ek.DensityMatrix) and back.dims == rho.dims
+    assert np.array_equal(back.matrix, rho.matrix)
 
 
 def test_document_validation():
@@ -70,6 +78,11 @@ _MALFORMED_DOCUMENTS = [
     # an integer too large for a float
     {"dims": [2], "type": "pure", "amplitudes": [[10**400, 0], [0, 0]]},
     {"dims": [2], "type": "mixed", "matrix": [[[10**400, 0], [0, 0]], [[0, 0], [0, 0]]]},
+]
+#: Raw texts that the stdlib ``json`` accepts but RFC 8259 does not.
+_NON_STRICT_DOCUMENTS = [
+    '{"dims": [2], "type": "pure", "amplitudes": [[Infinity, 0], [0, 0]]}',
+    '{"dims": [2], "type": "pure", "amplitudes": [[1, 0], [0, 0]], "name": "\\ud800"}',
 ]
 
 
@@ -251,6 +264,11 @@ def test_cli_exit_codes(tmp_path):
     nan_doc = tmp_path / "nan.json"
     nan_doc.write_text(json.dumps(_NAN_DOCUMENT))    # json writes a bare NaN
     assert main(["analyze", str(nan_doc)]) == 2
+    # documents are strict JSON: no Infinity literal, no lone surrogate
+    for k, text in enumerate(_NON_STRICT_DOCUMENTS):
+        path = tmp_path / f"non-strict{k}.json"
+        path.write_text(text)
+        assert main(["analyze", str(path)]) == 2
     for k, doc in enumerate(_MALFORMED_DOCUMENTS):
         path = tmp_path / f"malformed{k}.json"
         path.write_text(json.dumps(doc))

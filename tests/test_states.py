@@ -72,6 +72,22 @@ def test_density_matrix_validation():
             ek.DensityMatrix(np.array([[0.5, np.nan], [np.nan, 0.5]]), (2,))
         with pytest.raises(ValueError):
             ek.DensityMatrix(np.array([[0.5, np.inf], [np.inf, 0.5]]), (2,))
+    # the positivity boundary at -1e-10 holds on the Cholesky route
+    rng = np.random.default_rng(58)
+    for d in (4, 64, 512):
+        q, _ = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+        for least, accepted in ((-2e-10, False), (-5e-11, True)):
+            spectrum = rng.uniform(0.5, 1.5, d)
+            spectrum[0] = 0.0
+            spectrum *= (1 - least) / spectrum.sum()
+            spectrum[0] = least
+            mat = (q * spectrum) @ q.conj().T
+            mat = (mat + mat.conj().T) / 2
+            if accepted:
+                ek.DensityMatrix(mat, (d,))
+            else:
+                with pytest.raises(ValueError, match="eigenvalue below -1e-10"):
+                    ek.DensityMatrix(mat, (d,))
 
 
 def test_bell_state():
