@@ -68,13 +68,27 @@ def _check_indices(indices: Iterable[int]) -> list[int]:
         raise ValueError(f"subsystem indices must be integers, got {indices}") from None
 
 
-def _check_count(value, name: str, lo: int = 1, hi: int = 1000) -> int:
-    """``value`` as a Python int in ``lo..hi``, by default a restart count; a
-    non-integer such as ``4.7`` is rejected, not truncated."""
+def _check_keep(keep: Iterable[int], n: int, name: str = "keep") -> list[int]:
+    """The distinct indices of ``keep``, sorted: a non-empty set in ``0..n-1``."""
+    keep = sorted(set(_check_indices(keep)))
+    if not keep:
+        raise ValueError(f"{name} must be a non-empty set of subsystem indices")
+    if keep[0] < 0 or keep[-1] >= n:
+        raise ValueError(f"{name} {keep} out of range for {n} subsystems")
+    return keep
+
+
+def _as_int(value, name: str) -> int:
+    """``value`` as a Python int; a non-integer such as ``4.7`` is rejected."""
     try:
-        value = operator.index(value)
+        return operator.index(value)
     except TypeError:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
+def _check_count(value, name: str, lo: int = 1, hi: int = 1000) -> int:
+    """``value`` as a Python int in ``lo..hi``, by default a restart count."""
+    value = _as_int(value, name)
     if not lo <= value <= hi:
         raise ValueError(f"{name} must be in {lo}..{hi}, got {value}")
     return value
@@ -108,11 +122,7 @@ def partial_trace_matrix(
     """
     dims = _check_dims(dims)
     n = len(dims)
-    keep = sorted(set(_check_indices(keep)))
-    if not keep:
-        raise ValueError("keep must be a non-empty set of subsystem indices")
-    if keep[0] < 0 or keep[-1] >= n:
-        raise ValueError(f"keep {keep} out of range for {n} subsystems")
+    keep = _check_keep(keep, n)
     mat = np.asarray(mat, dtype=complex)
     d = prod(dims)
     if mat.shape != (d, d):

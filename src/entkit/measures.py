@@ -19,7 +19,7 @@ import numpy as np
 
 from .core import _check_count, _check_tol
 from .partitions import as_bipartition
-from .schmidt import _tangle_terms, tangle_pure
+from .schmidt import tangle_pure
 from .states import DensityMatrix, PureState, _marginal_spectrum
 
 _GM_DIM_CAP = 1024
@@ -285,6 +285,30 @@ def _members(u: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     mixes from the ``r`` columns of ``b``."""
     s = b @ u[:, : b.shape[1]].conj().T
     return (np.abs(s) ** 2).sum(axis=0), s
+
+
+def _tangle_terms(g: np.ndarray) -> tuple[float, np.ndarray]:
+    """Weighted tangle ``sum_j p_j tau(g_j / sqrt(p_j))`` of a batch of
+    unnormalized cut matrices ``g`` ``(m, dA, dB)`` with ``p_j = |g_j|^2``,
+    and its gradient with respect to ``conj(g)``.
+
+    With ``rho_j = g_j g_j^dag``, ``P_j = tr rho_j^2`` and ``k = d/(d-1)``
+    the value is ``k sum_j (p_j - P_j/p_j)`` and the gradient is
+    ``k (g_j - 2 rho_j g_j / p_j + P_j g_j / p_j^2)``; members with
+    ``p_j <= 1e-14`` add nothing to either.
+    """
+    d = min(g.shape[1:])
+    grad = np.zeros_like(g)
+    if d < 2:
+        return 0.0, grad
+    p = (np.abs(g) ** 2).sum(axis=(1, 2))
+    keep = p > 1e-14
+    g, p = g[keep], p[keep, None, None]
+    rho = g @ g.conj().transpose(0, 2, 1)
+    big_p = (np.abs(rho) ** 2).sum(axis=(1, 2))[:, None, None]
+    k = d / (d - 1)
+    grad[keep] = k * (g - 2.0 * (rho @ g) / p + big_p * g / p**2)
+    return k * float((p - big_p / p).sum()), grad
 
 
 def _tangle_roof(x: np.ndarray, b: np.ndarray, dims, low: np.ndarray) -> tuple[float, np.ndarray]:

@@ -17,7 +17,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .core import SizeLimitError, _check_indices, _check_tol
+from .core import SizeLimitError, _as_int, _check_indices, _check_keep, _check_tol
 from .states import PureState, State, _marginal_spectrum, as_density
 
 _PARTITION_ENUM_CAP = 8
@@ -94,6 +94,7 @@ def enumerate_partitions(n: int) -> list[Partition]:
     Generated from restricted growth strings in lexicographic order, which is
     the canonical enumeration used across the package.
     """
+    n = _as_int(n, "n")
     if n < 1:
         raise ValueError("n must be >= 1")
     if n > _PARTITION_ENUM_CAP:
@@ -116,6 +117,7 @@ def enumerate_partitions(n: int) -> list[Partition]:
 
 def all_bipartitions(n: int) -> list[Partition]:
     """The ``2^(n-1) - 1`` two-block partitions, ordered by the block holding party 0."""
+    n = _as_int(n, "n")
     if n < 2:
         raise ValueError("need at least 2 parties")
     out = []
@@ -212,11 +214,9 @@ def partial_transpose(rho: State, subset: Iterable[int]) -> np.ndarray:
     """
     rho = as_density(rho)
     n = rho.n_parties
-    subset = sorted(set(_check_indices(subset)))
-    if not subset or len(subset) >= n:
-        raise ValueError("subset must be non-empty and proper")
-    if subset[0] < 0 or subset[-1] >= n:
-        raise ValueError(f"subset {subset} out of range")
+    subset = _check_keep(subset, n, "subset")
+    if len(subset) == n:
+        raise ValueError("subset must be a proper subset of the parties")
     dims = rho.dims
     t = rho.matrix.reshape(dims + dims)
     perm = list(range(2 * n))
@@ -246,7 +246,7 @@ def ppt_check(rho: State, bipartition=None) -> tuple[bool, float]:
         lam = _marginal_spectrum(rho, part.blocks[0])
         if lam.size > 1:
             min_eig = float(-np.sqrt(lam[0] * lam[1])) or 0.0  # no negative zero
-        else:  # the left side is one-dimensional: no entry of lam is paired
+        else:  # one side is one-dimensional: no entry of lam is paired
             min_eig = 1.0 if rho.dim == 1 else 0.0
     else:
         pt = partial_transpose(rho, part.blocks[1])

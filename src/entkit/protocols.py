@@ -22,13 +22,13 @@ from .states import (
     DensityMatrix,
     PureState,
     State,
+    _entropy_on,
     as_density,
     bell_basis_2q,
     bell_state,
     conditional_entropy,
     partial_trace,
     smolin_state,
-    von_neumann_entropy,
 )
 
 _COMPLETENESS_ATOL = 1e-9
@@ -59,10 +59,10 @@ class Instrument:
             kraus = tuple(np.asarray(k, dtype=complex) for k in kraus)
             for k in kraus:
                 if k.ndim != 2 or k.shape[1] != d:
-                    raise ValueError(
-                        f"Kraus operator shape {k.shape} is not (m, {d})"
-                    )
+                    raise ValueError(f"Kraus operator shape {k.shape} is not (m, {d})")
                 total += k.conj().T @ k
+            if len({k.shape[0] for k in kraus}) > 1:
+                raise ValueError(f"branch {label!r} mixes Kraus output dimensions")
             branches.append((label, kraus))
         if np.abs(total - np.eye(d)).max() > _COMPLETENESS_ATOL:
             raise ValueError("instrument is not trace preserving within 1e-9")
@@ -101,15 +101,10 @@ def shift_multiply_unitary(m: int, n: int, d: int) -> np.ndarray:
 
 def generalized_bell_basis(d: int) -> list[PureState]:
     """The ``d^2`` maximally entangled states ``(U_mn (x) I)|psi^{+,d}>``."""
-    if d < 2:
-        raise ValueError(f"local dimension must be >= 2, got {d}")
     # (U (x) I)|psi+> reshaped to d x d is U @ B, with B the reshaped |psi+>
     bell = bell_state(d).amplitudes.reshape(d, d)
-    return [
-        PureState((shift_multiply_unitary(m, n, d) @ bell).ravel(), (d, d))
-        for m in range(d)
-        for n in range(d)
-    ]
+    return [PureState((shift_multiply_unitary(m, n, d) @ bell).ravel(), (d, d))
+            for m in range(d) for n in range(d)]
 
 
 def teleportation_kraus(d: int) -> list[tuple[tuple[int, int], np.ndarray]]:
@@ -119,18 +114,11 @@ def teleportation_kraus(d: int) -> list[tuple[tuple[int, int], np.ndarray]]:
     applies ``U_mn`` on Bob; each effective operator maps the input space
     directly to Bob's space.
     """
-    if d < 2:
-        raise ValueError(f"local dimension must be >= 2, got {d}")
     bell = bell_state(d).amplitudes.reshape(d, d)
-    out = []
-    for m in range(d):
-        for n in range(d):
-            u = shift_multiply_unitary(m, n, d)
-            proj = u @ bell  # (U (x) I)|psi+>, reshaped to d x d
-            # M[b, a'] = sum_a conj(proj[a', a]) bell[a, b]
-            m_eff = (proj.conj() @ bell).T
-            out.append(((m, n), u @ m_eff))
-    return out
+    # branch (m, n) projects on (U (x) I)|psi+>, reshaped to proj = u @ bell;
+    # then M[b, a'] = sum_a conj(proj[a', a]) bell[a, b], and Bob applies u
+    us = [((m, n), shift_multiply_unitary(m, n, d)) for m in range(d) for n in range(d)]
+    return [(mn, u @ ((u @ bell).conj() @ bell).T) for mn, u in us]
 
 
 def teleport(input_state: State, d: int | None = None) -> list[BranchOutcome]:
@@ -142,9 +130,7 @@ def teleport(input_state: State, d: int | None = None) -> list[BranchOutcome]:
     """
     if d is None:
         d = input_state.dim
-    branches = tuple(
-        (label, (k,)) for label, k in teleportation_kraus(d)
-    )
+    branches = tuple((label, (k,)) for label, k in teleportation_kraus(d))
     return Instrument(branches=branches, dims=(d,)).apply(input_state)
 
 
@@ -264,9 +250,7 @@ def unlock_smolin(pair: Iterable[int | str]) -> list[BranchOutcome]:
         proj = np.kron(np.outer(b.amplitudes, b.amplitudes.conj()), np.eye(4))
         sigma = proj @ rho.matrix @ proj
         p = float(np.trace(sigma).real)
-        post = partial_trace(
-            DensityMatrix(sigma / p, (2, 2, 2, 2)), [2, 3]
-        )
+        post = partial_trace(DensityMatrix(sigma / p, (2, 2, 2, 2)), [2, 3])
         out.append(BranchOutcome(label=i, probability=p, post_state=post))
     return out
 
@@ -291,13 +275,14 @@ def combing_entropy_profile(
 
     Pure bookkeeping for the combing identity ``sum_k S(rho_{A_k}) = S(rho_A)``:
     the per-block entropies bound the achievable pair profile, and the total
-    on the distinguished party is returned alongside.
+    on the distinguished party is returned alongside.  Each entropy is read
+    from the cut spectrum of its block, with no reduced state built.
     """
     blocks = [tuple(b) for b in b_blocks]
     part = Partition(((a,), *blocks))
     if part.n_parties != psi.n_parties:
         raise ValueError(f"A party plus blocks cover {part.n_parties} parties, "
                          f"state has {psi.n_parties}")
-    profile = [von_neumann_entropy(partial_trace(psi, block)) for block in blocks]
-    total = von_neumann_entropy(partial_trace(psi, [a]))
+    profile = [_entropy_on(psi, block) for block in blocks]
+    total = _entropy_on(psi, [a])
     return (profile, float(total))

@@ -14,7 +14,7 @@ import numpy as np
 
 from .core import _check_count, _check_tol
 from .partitions import Partition, as_bipartition
-from .states import PureState, _cut_matrix, shannon_entropy
+from .states import PureState, _cut_matrix, _marginal_spectrum, shannon_entropy
 
 RANK_TOL = 1e-10
 _MAJ_SLACK = 1e-12
@@ -49,10 +49,9 @@ def schmidt(psi: PureState, bipartition=None) -> SchmidtData:
 
 
 def schmidt_vector(psi: PureState, bipartition=None) -> np.ndarray:
-    """Just the non-increasing Schmidt probability vector."""
-    part = as_bipartition(bipartition, psi.n_parties)
-    s = np.linalg.svd(_cut_matrix(psi, part.blocks[0]), compute_uv=False)
-    return s**2
+    """Just the non-increasing Schmidt probability vector, the cut spectrum of
+    :func:`~entkit.states._marginal_spectrum`: ``min(d_left, d_right)`` entries."""
+    return _marginal_spectrum(psi, as_bipartition(bipartition, psi.n_parties).blocks[0])
 
 
 def entanglement_entropy(psi: PureState, bipartition=None, base: float | None = None) -> float:
@@ -63,37 +62,16 @@ def entanglement_entropy(psi: PureState, bipartition=None, base: float | None = 
 def tangle_pure(psi: PureState, bipartition=None) -> float:
     """Tangle of a pure state across a cut, normalized to ``[0, 1]``.
 
-    ``tau = (1 - sum lambda_i^2) * d/(d-1)`` with ``d`` the smaller side's
-    dimension; for a qubit cut this is ``2(1 - sum lambda_i^2) = 4 |det G|^2``,
-    and the concurrence is ``sqrt(tau)``.  A batch of one of
-    :func:`_tangle_terms`; 0 when one side is a single level.
+    ``tau = (1 - sum lambda_i^2) * d/(d-1)`` with ``lambda`` the Schmidt
+    vector and ``d`` its length, the smaller side's dimension; for a qubit cut
+    this is ``2(1 - sum lambda_i^2) = 4 |det G|^2``, and the concurrence is
+    ``sqrt(tau)``.  Clipped to ``[0, 1]``; 0 when one side is a single level.
     """
-    g = _cut_matrix(psi, as_bipartition(bipartition, psi.n_parties).blocks[0])
-    return float(np.clip(_tangle_terms(g[None])[0], 0.0, 1.0))
-
-
-def _tangle_terms(g: np.ndarray) -> tuple[float, np.ndarray]:
-    """Weighted tangle ``sum_j p_j tau(g_j / sqrt(p_j))`` of a batch of
-    unnormalized cut matrices ``g`` ``(m, dA, dB)`` with ``p_j = |g_j|^2``,
-    and its gradient with respect to ``conj(g)``.
-
-    With ``rho_j = g_j g_j^dag``, ``P_j = tr rho_j^2`` and ``k = d/(d-1)``
-    the value is ``k sum_j (p_j - P_j/p_j)`` and the gradient is
-    ``k (g_j - 2 rho_j g_j / p_j + P_j g_j / p_j^2)``; members with
-    ``p_j <= 1e-14`` add nothing to either.
-    """
-    d = min(g.shape[1:])
-    grad = np.zeros_like(g)
+    lam = schmidt_vector(psi, bipartition)
+    d = lam.size
     if d < 2:
-        return 0.0, grad
-    p = (np.abs(g) ** 2).sum(axis=(1, 2))
-    keep = p > 1e-14
-    g, p = g[keep], p[keep, None, None]
-    rho = g @ g.conj().transpose(0, 2, 1)
-    big_p = (np.abs(rho) ** 2).sum(axis=(1, 2))[:, None, None]
-    k = d / (d - 1)
-    grad[keep] = k * (g - 2.0 * (rho @ g) / p + big_p * g / p**2)
-    return k * float((p - big_p / p).sum()), grad
+        return 0.0
+    return float(np.clip((1.0 - lam @ lam) * d / (d - 1), 0.0, 1.0))
 
 
 def concurrence_pure(psi: PureState, bipartition=None) -> float:

@@ -12,21 +12,23 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations
+from math import prod
 
 import numpy as np
 
-from .core import _check_tol
+from .core import _as_int, _check_tol
 from .states import PureState, _marginal_spectrum, ghz_state
 
 
 def _maximally_mixed_on(psi: PureState, blocks, tol: float) -> bool:
     """True iff each block's reduced state is within trace distance ``tol`` of
-    ``I/d``: half the 1-norm of its spectrum minus ``1/d``.  ``tol`` must be
-    finite and >= 0."""
+    ``I/d``: half the 1-norm of its cut spectrum, padded with zeros to ``d``
+    entries, minus ``1/d``.  ``tol`` must be finite and >= 0."""
     _check_tol(tol)
     for block in blocks:
         lam = _marginal_spectrum(psi, block)
-        if 0.5 * np.abs(lam - 1.0 / lam.size).sum() > tol:
+        d = prod(psi.dims[i] for i in block)
+        if 0.5 * np.abs(np.pad(lam, (0, d - lam.size)) - 1.0 / d).sum() > tol:
             return False
     return True
 
@@ -48,7 +50,6 @@ def is_ame(psi: PureState, tol: float = 1e-8) -> bool:
 # ---------------------------------------------------------------------------
 
 _SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-_SZ = np.diag([1.0, -1.0]).astype(complex)
 
 
 def stabilizes(unitary: np.ndarray, psi: PureState, tol: float = 1e-10) -> bool:
@@ -64,12 +65,8 @@ def ghz_stabilizer_elements(phi1: float, phi2: float) -> tuple[np.ndarray, np.nd
     """The flip element ``sx (x) sx (x) sx`` and the phase-family element
     ``e^{i phi1 sz} (x) e^{i phi2 sz} (x) e^{-i (phi1+phi2) sz}``."""
     flip = np.kron(np.kron(_SX, _SX), _SX)
-
-    def rot(phi):
-        return np.diag([np.exp(1j * phi), np.exp(-1j * phi)])
-
-    phase = np.kron(np.kron(rot(phi1), rot(phi2)), rot(-(phi1 + phi2)))
-    return flip, phase
+    rot = [np.diag([np.exp(1j * p), np.exp(-1j * p)]) for p in (phi1, phi2, -(phi1 + phi2))]
+    return flip, np.kron(np.kron(rot[0], rot[1]), rot[2])
 
 
 def ghz_stabilizer_check(phi1: float, phi2: float, tol: float = 1e-10) -> bool:
@@ -118,26 +115,21 @@ def ame_feasibility(n: int, d: int) -> AmeVerdict:
     ``sum_i |i, i>`` for ``n = 2`` and ``sum_{i,j} |i, j, i+j mod d>`` for
     ``n = 3`` at any ``d``, else ``UNKNOWN``.
     """
+    n, d = _as_int(n, "n"), _as_int(d, "d")
     if n < 2 or d < 2:
         raise ValueError(f"need n >= 2 parties and d >= 2 levels, got ({n}, {d})")
-    if n % 2 == 0 and n > 2 * (d * d - 1):
-        return AmeVerdict(n, d, Feasibility.NOT_EXISTS, "even-party-bound")
-    if n % 2 == 1 and n > 2 * (d * (d + 1) - 1):
-        return AmeVerdict(n, d, Feasibility.NOT_EXISTS, "odd-party-bound")
-    if d == 2 and n == 4:
-        return AmeVerdict(n, d, Feasibility.NOT_EXISTS, "no-four-qubit-ame")
-    if d == 2 and n >= 7:
-        return AmeVerdict(n, d, Feasibility.NOT_EXISTS, "no-seven-plus-qubit-ame")
-    if d == 2 and n in (2, 3, 5, 6):
-        return AmeVerdict(n, d, Feasibility.EXISTS, "qubit-graph-state")
-    if n <= d and _is_prime_power(d):
-        return AmeVerdict(n, d, Feasibility.EXISTS, "prime-power-construction")
-    if n == 4 and d == 6:
-        return AmeVerdict(n, d, Feasibility.EXISTS, "four-party-dim-six")
-    if n == 4 and d >= 7:
-        return AmeVerdict(n, d, Feasibility.EXISTS, "four-party-large-dim")
-    if n == 2:
-        return AmeVerdict(n, d, Feasibility.EXISTS, "bell-state")
-    if n == 3:
-        return AmeVerdict(n, d, Feasibility.EXISTS, "three-party-sum-state")
-    return AmeVerdict(n, d, Feasibility.UNKNOWN, "open")
+    rules = (  # (applies, verdict, rule), in the order above
+        (n % 2 == 0 and n > 2 * (d * d - 1), Feasibility.NOT_EXISTS, "even-party-bound"),
+        (n % 2 == 1 and n > 2 * (d * (d + 1) - 1), Feasibility.NOT_EXISTS, "odd-party-bound"),
+        (d == 2 and n == 4, Feasibility.NOT_EXISTS, "no-four-qubit-ame"),
+        (d == 2 and n >= 7, Feasibility.NOT_EXISTS, "no-seven-plus-qubit-ame"),
+        (d == 2 and n in (2, 3, 5, 6), Feasibility.EXISTS, "qubit-graph-state"),
+        (n <= d and _is_prime_power(d), Feasibility.EXISTS, "prime-power-construction"),
+        (n == 4 and d == 6, Feasibility.EXISTS, "four-party-dim-six"),
+        (n == 4 and d >= 7, Feasibility.EXISTS, "four-party-large-dim"),
+        (n == 2, Feasibility.EXISTS, "bell-state"),
+        (n == 3, Feasibility.EXISTS, "three-party-sum-state"),
+        (True, Feasibility.UNKNOWN, "open"),
+    )
+    feasible, reason = next((f, r) for hit, f, r in rules if hit)
+    return AmeVerdict(n, d, feasible, reason)

@@ -19,8 +19,9 @@ from .core import (
     DIM_CAP,
     HERMITIAN_ATOL,
     SizeLimitError,
+    _as_int,
     _check_dims,
-    _check_indices,
+    _check_keep,
     partial_trace_matrix,
     permute_matrix,
 )
@@ -188,27 +189,22 @@ def _cut_matrix(psi: PureState, block: Sequence[int]) -> np.ndarray:
 
 
 def _marginal_spectrum(psi: PureState, block: Sequence[int]) -> np.ndarray:
-    """Non-increasing spectrum of the reduced state of ``psi`` on ``block``: the
-    squared singular values of the cut matrix, zero-padded to the block's dimension."""
-    m = _cut_matrix(psi, block)
-    lam = np.linalg.svd(m, compute_uv=False) ** 2
-    return np.pad(lam, (0, m.shape[0] - lam.size))
+    """Non-increasing squared singular values of the cut matrix, the Schmidt
+    vector of ``block | rest``: ``min(d_block, d_rest)`` entries, the spectrum
+    of the reduced state on ``block`` less the zeros past them.  The one place
+    that takes the spectrum of a cut."""
+    return np.linalg.svd(_cut_matrix(psi, block), compute_uv=False) ** 2
 
 
 def partial_trace(state: State, keep: Iterable[int]) -> DensityMatrix:
     """Reduced state on the subsystems in ``keep`` (original order preserved)."""
-    keep = sorted(set(_check_indices(keep)))
-    if isinstance(state, PureState):
-        n = state.n_parties
-        if not keep:
-            raise ValueError("keep must be a non-empty set of subsystem indices")
-        if keep[0] < 0 or keep[-1] >= n:
-            raise ValueError(f"keep {keep} out of range for {n} subsystems")
-        m = _cut_matrix(state, keep)
-        return DensityMatrix(m @ m.conj().T, tuple(state.dims[i] for i in keep))
-    rho = as_density(state)
-    red = partial_trace_matrix(rho.matrix, rho.dims, keep)
-    return DensityMatrix(red, tuple(rho.dims[i] for i in keep))
+    rho = state if isinstance(state, PureState) else as_density(state)
+    keep = _check_keep(keep, rho.n_parties)
+    dims = tuple(rho.dims[i] for i in keep)
+    if isinstance(rho, PureState):
+        m = _cut_matrix(rho, keep)
+        return DensityMatrix(m @ m.conj().T, dims)
+    return DensityMatrix(partial_trace_matrix(rho.matrix, rho.dims, keep), dims)
 
 
 # ---------------------------------------------------------------------------
@@ -218,7 +214,7 @@ def partial_trace(state: State, keep: Iterable[int]) -> DensityMatrix:
 def basis_state(dims: Sequence[int], occupation: Sequence[int]) -> PureState:
     """Computational basis state ``|occupation[0], occupation[1], ...>``."""
     dims = _check_dims(dims)
-    occ = list(occupation)
+    occ = [_as_int(o, f"occupation[{i}]") for i, o in enumerate(occupation)]
     if len(occ) != len(dims) or any(not 0 <= o < d for o, d in zip(occ, dims)):
         raise ValueError(f"occupation {occ} invalid for dims {dims}")
     amp = np.zeros(prod(dims), dtype=complex)
@@ -285,6 +281,7 @@ def ghz_state(n: int = 3, d: int = 2, lam: Sequence[float] | None = None) -> Pur
 
     ``lam`` is a ``d``-point probability vector; it defaults to the flat one.
     """
+    n, d = _as_int(n, "n"), _as_int(d, "d")
     if n < 2:
         raise ValueError(f"need at least 2 parties, got {n}")
     if d < 2:
@@ -469,16 +466,24 @@ def von_neumann_entropy(rho: State, base: float | None = None) -> float:
     return shannon_entropy(np.clip(vals, 0.0, None), base=base)
 
 
+def _entropy_on(state: State, block: Iterable[int], base: float | None = None) -> float:
+    """Entropy of the reduced state on ``block``, a checked index list: from
+    the cut spectrum of a pure state, which builds no matrix (``[1]`` when
+    ``block`` is every party), and from the partial trace of a mixed one."""
+    if isinstance(state, PureState):
+        return shannon_entropy(_marginal_spectrum(state, block), base=base)
+    return von_neumann_entropy(partial_trace(state, block), base)
+
+
 def conditional_entropy(
     state: State, a: Iterable[int], b: Iterable[int], base: float | None = None
 ) -> float:
-    """Conditional entropy ``S(A|B) = S(rho_AB) - S(rho_B)``; may be negative."""
-    a = sorted(set(_check_indices(a)))
-    b = sorted(set(_check_indices(b)))
+    """Conditional entropy ``S(A|B) = S(rho_AB) - S(rho_B)``; may be negative.
+
+    A pure state's entropies come from its cut spectra (:func:`_entropy_on`).
+    """
+    state = state if isinstance(state, PureState) else as_density(state)
+    a, b = _check_keep(a, state.n_parties, "a"), _check_keep(b, state.n_parties, "b")
     if set(a) & set(b):
         raise ValueError(f"index sets overlap: {a} and {b}")
-    if not a or not b:
-        raise ValueError("both index sets must be non-empty")
-    rho_ab = partial_trace(state, a + b)
-    rho_b = partial_trace(state, b)
-    return von_neumann_entropy(rho_ab, base) - von_neumann_entropy(rho_b, base)
+    return _entropy_on(state, a + b, base) - _entropy_on(state, b, base)

@@ -89,3 +89,25 @@ def test_public_tolerances_are_checked(call, valid):
         with pytest.raises(ValueError, match="tol must be finite"):
             call(tol)
     assert call(1e-9) == valid
+
+
+@pytest.mark.parametrize("fn, bad, good, name", [
+    (ek.ame_feasibility, (4.5, 6), (np.int64(4), np.int64(6)), "n"),
+    (ek.ame_feasibility, (float("nan"), 3), (3, 3), "n"),
+    (ek.ame_feasibility, (4.0, 6), (4, 6), "n"),
+    (ek.ame_feasibility, (4, 6.0), (4, 6), "d"),
+    (ek.enumerate_partitions, (2.5,), (np.int64(3),), "n"),
+    (ek.all_bipartitions, (2.5,), (np.int64(3),), "n"),
+    (ek.ghz_state, (3.5,), (np.int64(3),), "n"),
+    (ek.ghz_state, (3, 2.5), (3, np.int64(2)), "d"),
+    (ek.basis_state, ([2, 2], [0.5, 0]), ([2, 2], [np.int64(1), 0]), r"occupation\[0\]"),
+], ids=["ame-4.5", "ame-nan", "ame-4.0", "ame-d", "enumerate_partitions", "all_bipartitions",
+        "ghz-n", "ghz-d", "basis_state"])
+def test_counts_reject_non_integers(fn, bad, good, name):
+    """A count or occupation that is not an integer raises ``ValueError``
+    naming the argument: ``ame_feasibility(4.5, 6)`` used to answer "open",
+    and ``enumerate_partitions(2.5)`` to recurse without end.  NumPy integers
+    are accepted."""
+    with pytest.raises(ValueError, match=rf"^{name} must be an integer"):
+        fn(*bad)
+    fn(*good)

@@ -459,7 +459,7 @@ def _scipy_tangle_roof(x, b, dims):
     from scipy.linalg import expm_frechet
 
     from entkit.measures import _generator
-    from entkit.schmidt import _tangle_terms
+    from entkit.measures import _tangle_terms
 
     m = int(np.sqrt(x.size))
     h = _generator(x, np.tri(m, k=-1, dtype=bool))
@@ -529,7 +529,7 @@ def _tangle_roof_tril(x, b, dims):
     """The tangle roof cost and gradient with the generator and the gradient
     fold on ``np.tril`` and ``np.triu``."""
     from entkit.measures import _members, expm
-    from entkit.schmidt import _tangle_terms
+    from entkit.measures import _tangle_terms
 
     m = int(np.sqrt(x.size))
     u, lam, v = expm(_generator_tril(x, m))

@@ -177,6 +177,20 @@ def test_merging_rate():
     assert ek.merging_rate(prod, [0], [1]) == pytest.approx(0.0, abs=1e-10)
     with pytest.raises(ValueError):
         ek.merging_rate(ghz, [0], [0, 1])
+    for state in (ghz, ek.random_density_matrix([2, 2, 2], rng=5)):
+        for a, b in (([0], [5]), ([0], [-1])):
+            with pytest.raises(ValueError, match="out of range"):
+                ek.merging_rate(state, a, b)
+    # from the cut spectra, as the entropies of the reduced states
+    rng = np.random.default_rng(21)
+    for n in range(2, 9):
+        psi = ek.random_pure_state([2] * n, rng=rng)
+        order = [int(i) for i in rng.permutation(n)]
+        k = int(rng.integers(1, n))
+        for a, b in ((order[:k], order[k:]), (order[:1], order[1:k + 1])):
+            expect = (ek.von_neumann_entropy(ek.partial_trace(psi, a + b))
+                      - ek.von_neumann_entropy(ek.partial_trace(psi, b)))
+            assert abs(ek.merging_rate(psi, a, b) - expect) < 1e-10
 
 
 def test_combing_entropy_profile():
@@ -224,6 +238,11 @@ def test_instrument_rejects_bad_dims_and_kraus_shapes():
         ek.Instrument((("id", (np.ones(2),)),), dims=(2,))
     with pytest.raises(ValueError, match="shape"):
         ek.Instrument((("id", (np.eye(3),)),), dims=(2,))
+    # a trace-preserving branch whose Kraus operators map to 2 and 3 levels
+    # used to fail only in apply, inside numpy's broadcasting
+    wide = np.sqrt(0.5) * np.eye(3, 2)
+    with pytest.raises(ValueError, match="'mixed' mixes Kraus output dimensions"):
+        ek.Instrument((("mixed", (np.sqrt(0.5) * np.eye(2), wide)),), dims=(2,))
     # a pure input is teleported as its projector
     psi = ek.random_pure_state([3], rng=4)
     for br in ek.teleport(psi):

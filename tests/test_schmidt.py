@@ -86,6 +86,11 @@ def test_tangle_pure():
     assert ek.tangle_pure(ek.ghz_state(3, 2), ek.Partition(((0,), (1, 2)))) == pytest.approx(
         1.0, abs=1e-12
     )
+    # d is the smaller side's dimension: a qutrit pair of Schmidt vector
+    # (1/2, 1/2, 0) has (1 - 1/2) * 3/2; one level on a side gives 0
+    rank_two = ek.PureState(np.array([1, 0, 0, 0, 1, 0, 0, 0, 0]) / np.sqrt(2), (3, 3))
+    assert ek.tangle_pure(rank_two) == pytest.approx(0.75, abs=1e-12)
+    assert ek.tangle_pure(ek.random_pure_state([1, 4], rng=9)) == 0.0
     # determinant form agrees with the purity form for two qubits
     rng = np.random.default_rng(8)
     for _ in range(50):

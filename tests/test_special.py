@@ -15,6 +15,8 @@ def test_is_lme():
     lopsided = ek.PureState(np.array([1, 0, 0, 1, 0, 0, 0, 0]) / np.sqrt(2), (4, 2))
     assert not ek.is_lme(lopsided)
     assert not ek.is_ame(lopsided)
+    # its trace distance to I/4 is 1/2, of which the two zeros carry half
+    assert ek.is_lme(lopsided, tol=0.51) and not ek.is_lme(lopsided, tol=0.3)
 
 
 def test_ghz_stabilizer():

@@ -284,6 +284,24 @@ def test_conditional_entropy():
     for state in (prod, ghz):
         with pytest.raises(ValueError, match="integers"):
             ek.partial_trace(state, [0.5])
+    # indices out of range are refused on the pure route, which builds no
+    # reduced state, as on the mixed one
+    for state in (ghz, ek.random_density_matrix([2, 3, 2], rng=rng)):
+        for a, b in (([0], [5]), ([0], [-1])):
+            with pytest.raises(ValueError, match="out of range"):
+                ek.conditional_entropy(state, a, b)
+    # pure states of 2 to 8 parties: the cut spectra give the entropies of
+    # the reduced states, with A and B covering every party or not
+    for n in range(2, 9):
+        dims = [int(d) for d in rng.choice([2, 3], size=n)] if n <= 5 else [2] * n
+        psi = ek.random_pure_state(dims, rng=rng)
+        order = [int(i) for i in rng.permutation(n)]
+        k = int(rng.integers(1, n))
+        for a, b in ((order[:k], order[k:]), (order[:1], order[1:k + 1])):
+            for base in (None, 2):
+                expect = (ek.von_neumann_entropy(ek.partial_trace(psi, a + b), base)
+                          - ek.von_neumann_entropy(ek.partial_trace(psi, b), base))
+                assert abs(ek.conditional_entropy(psi, a, b, base) - expect) < 1e-10
 
 
 def test_random_and_mixed_constructors_check_dims_first():
