@@ -36,7 +36,7 @@ from .partitions import (
 )
 from .protocols import teleport, unlock_smolin
 from .schmidt import RANK_TOL, find_catalyst, majorizes, schmidt_vector
-from .serialize import load_state, to_document
+from .serialize import _dumps, load_state
 from .special import ame_feasibility
 from .states import (
     DensityMatrix,
@@ -160,7 +160,7 @@ _STATES = {
 
 def cmd_make(args) -> int:
     state = _STATES[args.state](args)
-    _emit_json(to_document(state, name=args.state), args.out)
+    _write(_dumps(state, name=args.state), args.out)
     return EXIT_OK
 
 

@@ -100,6 +100,34 @@ def _check_tol(value, name: str = "tol") -> None:
         raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
 
 
+def _check_base(base) -> None:
+    """Reject a logarithm base that is not finite, > 0 and != 1; ``None``
+    (the natural log) passes."""
+    if base is not None and not (isfinite(base) and base > 0 and base != 1):
+        raise ValueError(f"base must be finite, > 0 and != 1, got {base!r}")
+
+
+def _check_probabilities(p, name: str = "p", slack: float = 0.0) -> np.ndarray:
+    """``p`` as a float array, every entry finite and >= ``-slack``; not
+    checked for normalization."""
+    p = np.asarray(p, dtype=float)
+    bad = p[~(np.isfinite(p) & (p >= -slack))]
+    if bad.size:
+        raise ValueError(f"{name} must have finite entries >= 0, got {float(bad[0])!r}")
+    return p
+
+
+def _rng(seed, name: str = "seed") -> np.random.Generator:
+    """``np.random.default_rng(seed)``; a seed it refuses, such as NaN, 2.5
+    or -1, is a ``ValueError`` naming the argument."""
+    try:
+        return np.random.default_rng(seed)
+    except (TypeError, ValueError):
+        raise ValueError(
+            f"{name} must be None, an integer >= 0 or a Generator, got {seed!r}"
+        ) from None
+
+
 def permute_matrix(mat: np.ndarray, dims: Sequence[int], perm: Sequence[int]) -> np.ndarray:
     """Apply a subsystem permutation to both sides of an operator."""
     dims = _check_dims(dims)

@@ -17,7 +17,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .core import _check_count, _check_tol
+from .core import _check_count, _check_tol, _rng
 from .partitions import as_bipartition
 from .schmidt import tangle_pure
 from .states import DensityMatrix, PureState, _marginal_spectrum
@@ -93,7 +93,7 @@ def geometric_measure(
     restarts = _check_count(restarts, "restarts")
     max_iterations = _check_count(max_iterations, "max_iterations", hi=_ITERATIONS_CAP)
     _check_tol(tol)
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     starts = [[_random_factor(d, rng) for d in psi.dims] for _ in range(restarts)]
     factors = [np.array(f) for f in zip(*starts)]  # factor k as (restarts, d_k)
     t = psi.reshaped()
@@ -193,7 +193,7 @@ def upb_unextendibility_check(
         raise ValueError("supported systems: up to 3 parties of qubits")
     restarts = _check_count(restarts, "restarts")
     _check_tol(tol)
-    rng = np.random.default_rng(rng)
+    rng = _rng(rng, "rng")
     starts = [[_random_factor(d, rng) for d in dims] for _ in range(restarts)]
     # factor k as (restarts, d_k), held conjugated
     conjugated = [np.array(f).conj() for f in zip(*starts)]
@@ -401,7 +401,7 @@ def convex_roof(
     )
     b = vecs * np.sqrt(vals)  # columns sqrt(p_i)|e_i>, so b @ b^dag = rho
     low = np.tri(m, k=-1, dtype=bool)
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
 
     def ensemble(x: np.ndarray) -> list[tuple[float, PureState]]:
         p, s = _members(expm(_generator(x, low))[0], b)
@@ -456,7 +456,7 @@ def tensor_rank_upper_bound(
     iterations = _check_count(iterations, "iterations", hi=_ITERATIONS_CAP)
     if psi.n_parties == 1:
         return 1
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     t = psi.reshaped()
     dims = psi.dims
     n = len(dims)

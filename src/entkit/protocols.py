@@ -134,13 +134,14 @@ def teleport(input_state: State, d: int | None = None) -> list[BranchOutcome]:
     return Instrument(branches=branches, dims=(d,)).apply(input_state)
 
 
-def entanglement_swap(rho_xa: DensityMatrix, d: int | None = None) -> DensityMatrix:
+def entanglement_swap(rho_xa: State, d: int | None = None) -> DensityMatrix:
     """Swap the second subsystem of ``rho_XA'`` onto Bob through ``|psi^{+,d}>``.
 
     Runs the teleportation instrument on the ``A'`` part, averages the
     corrected branches, and returns the state of ``X, B``, which reproduces
-    the input up to relabeling.
+    the input up to relabeling.  A pure input is taken as its projector.
     """
+    rho_xa = as_density(rho_xa)
     if rho_xa.n_parties != 2:
         raise ValueError("expected a state on two subsystems X, A'")
     dx, da = rho_xa.dims

@@ -12,7 +12,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import _check_count, _check_tol
+from .core import _check_count, _check_probabilities, _check_tol
 from .partitions import Partition, as_bipartition
 from .states import PureState, _cut_matrix, _marginal_spectrum, shannon_entropy
 
@@ -87,14 +87,13 @@ def schmidt_rank(psi: PureState, bipartition=None, tol: float = RANK_TOL) -> int
 def majorizes(p: Sequence[float], q: Sequence[float]) -> bool:
     """True iff sorted partial sums of ``p`` dominate those of ``q``.
 
-    Both arguments must be probability vectors normalized within 1e-10; the
-    comparison allows 1e-12 slack so equal vectors majorize each other.
+    Both arguments must be probability vectors: finite, >= -1e-12 and
+    normalized within 1e-10.  The comparison allows 1e-12 slack so equal
+    vectors majorize each other.
     """
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
+    p = _check_probabilities(p, "p", slack=_MAJ_SLACK)
+    q = _check_probabilities(q, "q", slack=_MAJ_SLACK)
     for name, v in (("p", p), ("q", q)):
-        if v.min() < -1e-12:
-            raise ValueError(f"{name} has negative entries")
         if abs(v.sum() - 1.0) > 1e-10:
             raise ValueError(f"{name} sums to {v.sum()!r}, not 1 within 1e-10")
     k = max(p.size, q.size)
@@ -172,6 +171,8 @@ def find_catalyst(
     """
     catalyst_dim = _check_count(catalyst_dim, "catalyst_dim", hi=4)
     grid_resolution = _check_count(grid_resolution, "grid_resolution", hi=200)
+    if psi.dims != phi.dims:
+        raise ValueError(f"dims mismatch: {psi.dims} vs {phi.dims}")
     part = as_bipartition(bipartition, psi.n_parties)
     lam_s = schmidt_vector(psi, part)
     lam_t = schmidt_vector(phi, part)

@@ -6,20 +6,19 @@ Schema::
     {"dims": [2, 2], "type": "mixed", "matrix": [[[re, im], ...], ...]}
 
 with optional ``"name"`` and ``"note"`` string fields.  Amplitudes are flat
-and row-major; matrix rows are lists of ``[re, im]`` pairs.  Floats are
-emitted with ``repr`` precision, so a round trip is lossless at double
-precision.
+and row-major; matrix rows are lists of ``[re, im]`` pairs.
 
-Documents are read as strict RFC 8259 JSON: a ``NaN`` or ``Infinity``
-literal, or a lone surrogate escape in a string, is a ``ValueError``.
-``load_state`` parses with ``orjson``, a few times faster than ``json`` on
-dense matrices; writing stays on ``json``, whose ``indent=1`` layout is the
-documented output.
+Documents are read and written with ``orjson``.  Reading is strict RFC 8259
+JSON: a ``NaN`` or ``Infinity`` literal, or a lone surrogate escape in a
+string, is a ``ValueError``; any whitespace layout is accepted.  Writing
+emits the compact layout (no whitespace) straight from a float view of the
+state's array, and each float in the shortest form that parses back to the
+same double (``0.00001`` for ``1e-05``), so a round trip is bit-exact.
+States refuse non-finite entries, so no ``null`` is ever written.
 """
 
 from __future__ import annotations
 
-import json
 from typing import IO
 
 import numpy as np
@@ -28,19 +27,21 @@ import orjson
 from .states import DensityMatrix, PureState, State
 
 
-def _pairs(values: np.ndarray) -> list[list[float]]:
-    return [[float(z.real), float(z.imag)] for z in values]
+def _pairs(values: np.ndarray) -> np.ndarray:
+    """The complex ``values`` as a float array of ``[re, im]`` pairs, a view
+    when they are already contiguous complex128."""
+    return np.ascontiguousarray(values, complex).view(float).reshape(*values.shape, 2)
 
 
-def to_document(state: State, name: str | None = None, note: str | None = None) -> dict:
-    """Serializable dict for a pure or mixed state."""
+def _document(state: State, name: str | None, note: str | None, pairs) -> dict:
+    """The document of ``state`` with ``pairs(values)`` as its number field."""
     doc: dict = {"dims": list(state.dims)}
     if isinstance(state, PureState):
         doc["type"] = "pure"
-        doc["amplitudes"] = _pairs(state.amplitudes)
+        doc["amplitudes"] = pairs(state.amplitudes)
     elif isinstance(state, DensityMatrix):
         doc["type"] = "mixed"
-        doc["matrix"] = [_pairs(row) for row in state.matrix]
+        doc["matrix"] = pairs(state.matrix)
     else:
         raise TypeError(f"expected PureState or DensityMatrix, got {type(state)!r}")
     if name is not None:
@@ -48,6 +49,11 @@ def to_document(state: State, name: str | None = None, note: str | None = None) 
     if note is not None:
         doc["note"] = str(note)
     return doc
+
+
+def to_document(state: State, name: str | None = None, note: str | None = None) -> dict:
+    """Serializable dict for a pure or mixed state, of plain lists and floats."""
+    return _document(state, name, note, lambda values: _pairs(values).tolist())
 
 
 def _complex_array(values, ndim: int, field: str) -> np.ndarray:
@@ -83,9 +89,18 @@ def from_document(doc: dict) -> State:
     raise ValueError(f"unknown state type {kind!r}")
 
 
+def _dumps(state: State, name: str | None = None) -> str:
+    """The document of ``state`` as compact JSON text with a final newline,
+    serialized from the array with no list tree built; the same text as
+    ``orjson.dumps(to_document(state, name))`` plus ``"\\n"``."""
+    doc = _document(state, name, None, _pairs)
+    option = orjson.OPT_SERIALIZE_NUMPY | orjson.OPT_APPEND_NEWLINE
+    return orjson.dumps(doc, option=option).decode()
+
+
 def dump_state(state: State, fp: IO[str], name: str | None = None) -> None:
-    json.dump(to_document(state, name=name), fp, indent=1)
-    fp.write("\n")
+    """Write the document of ``state`` to the text file ``fp`` (see :func:`_dumps`)."""
+    fp.write(_dumps(state, name))
 
 
 def load_state(fp: IO[str]) -> State:

@@ -8,7 +8,6 @@ of local dimensions and use the package-wide row-major basis convention.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, field
 from math import prod
 from typing import Iterable, Sequence
@@ -20,8 +19,11 @@ from .core import (
     HERMITIAN_ATOL,
     SizeLimitError,
     _as_int,
+    _check_base,
     _check_dims,
     _check_keep,
+    _check_probabilities,
+    _rng,
     partial_trace_matrix,
     permute_matrix,
 )
@@ -237,7 +239,7 @@ def product_state(*factors: PureState) -> PureState:
 def random_pure_state(dims: Sequence[int], rng=None) -> PureState:
     """Haar-random pure state."""
     dims = _check_dims(dims)
-    rng = np.random.default_rng(rng)
+    rng = _rng(rng, "rng")
     d = prod(dims)
     z = rng.standard_normal(d) + 1j * rng.standard_normal(d)
     return PureState(z / np.linalg.norm(z), dims)
@@ -245,10 +247,10 @@ def random_pure_state(dims: Sequence[int], rng=None) -> PureState:
 
 def random_density_matrix(dims: Sequence[int], rank: int | None = None, rng=None) -> DensityMatrix:
     """Random mixed state ``G G^dag / Tr`` with Ginibre factor of given rank."""
-    rng = np.random.default_rng(rng)
+    rng = _rng(rng, "rng")
     dims = _check_dims(dims)
     d = prod(dims)
-    r = d if rank is None else operator.index(rank)
+    r = d if rank is None else _as_int(rank, "rank")
     if not 1 <= r <= d:
         raise ValueError(f"rank must be in 1..{d}")
     g = rng.standard_normal((d, r)) + 1j * rng.standard_normal((d, r))
@@ -453,8 +455,13 @@ def purity(rho: State) -> float:
 
 
 def shannon_entropy(p: Sequence[float], base: float | None = None) -> float:
-    """Entropy of a probability vector; ``0 log 0 = 0``; natural log by default."""
-    p = np.asarray(p, dtype=float)
+    """Entropy of a probability vector; ``0 log 0 = 0``; natural log by default.
+
+    Every entry of ``p`` must be finite and >= 0, and ``base`` finite, > 0 and
+    not 1: each entropy of the package is taken here, so this is its one check.
+    """
+    _check_base(base)
+    p = _check_probabilities(p)
     p = p[p > 1e-15]
     h = float(-(p * np.log(p)).sum())
     return h / np.log(base) if base is not None else h

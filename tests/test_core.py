@@ -111,3 +111,32 @@ def test_counts_reject_non_integers(fn, bad, good, name):
     with pytest.raises(ValueError, match=rf"^{name} must be an integer"):
         fn(*bad)
     fn(*good)
+
+
+_BELL = ek.bell_state(2)
+_NAN, _INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("call, bad, good, expect, name", [
+    (lambda b: ek.von_neumann_entropy(ek.partial_trace(_BELL, [0]), base=b),
+     (1, _NAN, 0, -2.0, _INF), 2, 1.0, "base"),
+    (lambda b: ek.entanglement_entropy(_BELL, base=b), (0, 1.0, _NAN), 2, 1.0, "base"),
+    (lambda b: ek.conditional_entropy(_BELL, [0], [1], base=b), (1, -_INF), 2, -1.0, "base"),
+    (lambda b: ek.shannon_entropy([0.25, 0.75], base=b), (1, 0.0, _NAN), np.e,
+     -(0.25 * np.log(0.25) + 0.75 * np.log(0.75)), "base"),
+    (ek.shannon_entropy, ([_NAN, 1], [-0.5, 1.5], [_INF, 0], [0.5, -1e-300]), [0.5, 0.5],
+     np.log(2), "p"),
+    (lambda p: ek.majorizes(p, [0.5, 0.5]), ([_NAN, 0.5], [1.5, -0.5], [_INF, 0]), [1, 0], True,
+     "p"),
+    (lambda q: ek.majorizes([1, 0], q), ([0.5, _NAN], [-0.5, 1.5]), [0.5, 0.5], True, "q"),
+], ids=["von_neumann_entropy", "entanglement_entropy", "conditional_entropy",
+        "shannon_entropy-base", "shannon_entropy-p", "majorizes-p", "majorizes-q"])
+def test_entropy_bases_and_probability_vectors_are_checked(call, bad, good, expect, name):
+    """A log base must be finite, > 0 and not 1, and a probability vector
+    finite and >= 0: ``base=1`` used to give ``inf`` with a warning,
+    ``shannon_entropy([nan, 1])`` -0.0, ``shannon_entropy([-0.5, 1.5])``
+    -0.61, and ``majorizes([nan, 0.5], [0.5, 0.5])`` False."""
+    for value in bad:
+        with pytest.raises(ValueError, match=rf"^{name} must"):
+            call(value)
+    assert call(good) == pytest.approx(expect, abs=1e-12)

@@ -278,7 +278,8 @@ def test_upb_unextendibility_matches_one_restart_at_a_time():
 
 def test_geometric_measure_checks_iterations_and_tol():
     """A sweep cap outside 1..10,000 or a tolerance that is not finite and
-    non-negative is refused, not reported as a value after no sweep."""
+    non-negative is refused, not reported as a value after no sweep; a seed
+    that numpy refuses (NaN used to raise ``TypeError``) is a ``ValueError``."""
     w = ek.w_state()
     for max_iterations in (0, -3, 10_001, 2.5):
         with pytest.raises(ValueError, match="max_iterations"):
@@ -286,6 +287,9 @@ def test_geometric_measure_checks_iterations_and_tol():
     for tol in (float("nan"), float("inf"), -1e-3):
         with pytest.raises(ValueError, match="tol"):
             ek.geometric_measure(w, restarts=2, seed=0, tol=tol)
+    for seed in (float("nan"), 2.5, -1, "0"):
+        with pytest.raises(ValueError, match="^seed must be"):
+            ek.geometric_measure(w, restarts=2, seed=seed)
     res = ek.geometric_measure(w, restarts=2, seed=0, tol=0.0, max_iterations=1)
     assert res.evaluations == 2 and not res.converged and res.converged_restarts == 0
 

@@ -74,6 +74,8 @@ def test_entanglement_swap():
     bell_in = ek.bell_state(2).density()
     out = ek.entanglement_swap(bell_in, 2)
     assert out.isclose(bell_in, atol=1e-9)
+    # a pure state is taken as its projector (it used to raise AttributeError)
+    assert ek.entanglement_swap(ek.bell_state(2)).isclose(bell_in, atol=1e-9)
     rng = np.random.default_rng(1)
     prod = ek.DensityMatrix(
         np.kron(

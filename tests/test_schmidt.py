@@ -240,3 +240,6 @@ def test_find_catalyst():
     for dim, grid in ((5, 100), (0, 100), (-1, 100), (2.5, 100), (2, 0), (2, -1), (2, 201)):
         with pytest.raises(ValueError, match="catalyst_dim|grid_resolution"):
             ek.find_catalyst(src, tgt, catalyst_dim=dim, grid_resolution=grid)
+    # states of different dims are refused, not compared: this returned [1, 0]
+    with pytest.raises(ValueError, match="dims mismatch"):
+        ek.find_catalyst(ek.random_pure_state([2, 2], rng=0), ek.random_pure_state([2, 3], rng=0))

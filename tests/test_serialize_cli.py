@@ -1,14 +1,16 @@
+import io
 import json
 import os
 
 import numpy as np
+import orjson
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import entkit as ek
 from entkit.cli import main
-from entkit.serialize import from_document, to_document
+from entkit.serialize import dump_state, from_document, load_state, to_document
 
 
 def test_document_roundtrip_pure():
@@ -29,8 +31,6 @@ def test_document_roundtrip_mixed():
 
 
 def test_dump_and_load_file_helpers(tmp_path):
-    from entkit.serialize import dump_state, load_state
-
     path = tmp_path / "state.json"
     psi = ek.psi25_state()
     with open(path, "w") as fh:
@@ -47,6 +47,138 @@ def test_dump_and_load_file_helpers(tmp_path):
         back = load_state(fh)
     assert isinstance(back, ek.DensityMatrix) and back.dims == rho.dims
     assert np.array_equal(back.matrix, rho.matrix)
+
+
+#: Doubles at the edges of the format: signed zeros, the least subnormal, the
+#: least normal, the largest double, and two values whose shortest form
+#: changes notation between writers (``1e16``; ``1e-05`` against ``0.00001``).
+_EDGE_DOUBLES = [0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, 1e16, 1e-5]
+
+
+def _edge_states() -> list:
+    """A pure and a mixed state holding every edge double that a state can."""
+    amplitudes = [0.6, complex(-0.0, 5e-324), complex(2.2250738585072014e-308, -0.0), 1e-5 + 0.8j]
+    pure = ek.PureState(amplitudes, (2, 2))
+    m = np.diag([0.25, 0.25, 0.4, 0.1]).astype(complex)
+    m[0, 1], m[2, 3] = 1e-5 + 5e-324j, complex(-0.0, 2.2250738585072014e-308)
+    m[1, 0], m[3, 2] = np.conj(m[0, 1]), np.conj(m[2, 3])
+    return [pure, ek.DensityMatrix(m, (2, 2))]
+
+
+def _values(state) -> np.ndarray:
+    return state.amplitudes if isinstance(state, ek.PureState) else state.matrix
+
+
+def _bits(state) -> np.ndarray:
+    return _values(state).view(np.uint64)
+
+
+def test_dump_state_round_trip_is_bit_exact(tmp_path):
+    states = _edge_states() + [ek.random_pure_state([2, 3, 4], rng=3),
+                               ek.random_density_matrix([3, 4], rank=2, rng=4), ek.psi25_state()]
+    held = np.concatenate([_values(s).ravel().view(float) for s in _edge_states()])
+    assert {5e-324, 2.2250738585072014e-308, 1e-5} <= set(held)
+    assert ((held == 0) & np.signbit(held)).sum() >= 3  # -0.0 survives construction
+    path = tmp_path / "state.json"
+    for state in states:
+        with open(path, "w", encoding="utf-8") as fh:
+            dump_state(state, fh)
+        with open(path, encoding="utf-8") as fh:
+            back = load_state(fh)
+        assert type(back) is type(state) and back.dims == state.dims
+        assert np.array_equal(_bits(back), _bits(state))
+    # the doubles no state can hold parse back bit for bit in the writer's number format
+    edge = np.array(_EDGE_DOUBLES)
+    text = orjson.dumps(edge, option=orjson.OPT_SERIALIZE_NUMPY)
+    assert np.array_equal(np.array(orjson.loads(text)).view(np.uint64), edge.view(np.uint64))
+
+
+def test_dump_state_writes_one_compact_layout():
+    """``dump_state`` writes the text of ``orjson.dumps(to_document(...))``:
+    no whitespace, shortest round-trip floats, one final newline."""
+    for state in _edge_states() + [ek.random_density_matrix([2, 3], rng=5), ek.psi25_state()]:
+        buf = io.StringIO()
+        dump_state(state, buf, name="n")
+        text = buf.getvalue()
+        assert text == orjson.dumps(to_document(state, name="n")).decode() + "\n"
+        assert text.count("\n") == 1 and " " not in text
+
+
+def test_to_document_keeps_the_per_element_pairs():
+    """``to_document`` builds the same plain lists of Python floats as a loop
+    of ``[float(z.real), float(z.imag)]``, signed zeros included."""
+    def pairs(values):
+        return [[float(z.real), float(z.imag)] for z in values]
+
+    for state in _edge_states() + [ek.random_pure_state([3, 3], rng=6)]:
+        doc = to_document(state, name="x", note="y")
+        values = _values(state)
+        if isinstance(state, ek.PureState):
+            field, old = "amplitudes", pairs(values)
+        else:
+            field, old = "matrix", [pairs(row) for row in values]
+        expect = {"dims": list(state.dims), "type": doc["type"], field: old, "name": "x", "note": "y"}
+        assert json.dumps(doc) == json.dumps(expect)  # stdlib repr tells -0.0 from 0.0
+        first = doc[field][0] if field == "amplitudes" else doc[field][0][0]
+        assert type(first) is list and type(first[0]) is float
+
+
+#: A document in the ``indent=1`` layout that earlier releases wrote with
+#: ``json.dump``, where ``1e-05`` is spelled in exponent form.
+_INDENT1_DOCUMENT = """{
+ "dims": [
+  2
+ ],
+ "type": "mixed",
+ "matrix": [
+  [
+   [
+    0.75,
+    0.0
+   ],
+   [
+    0.0,
+    1e-05
+   ]
+  ],
+  [
+   [
+    -0.0,
+    -1e-05
+   ],
+   [
+    0.25,
+    0.0
+   ]
+  ]
+ ]
+}
+"""
+
+
+def test_indent1_documents_still_load_bit_exact():
+    back = load_state(io.StringIO(_INDENT1_DOCUMENT))
+    expect = ek.DensityMatrix([[0.75, 1e-05j], [-1e-05j, 0.25]], (2,))
+    assert np.array_equal(_bits(back), _bits(expect))
+    assert np.signbit(back.matrix[1, 0].real)
+    buf = io.StringIO()
+    dump_state(back, buf)
+    assert buf.getvalue() == '{"dims":[2],"type":"mixed","matrix":[[[0.75,0.0],[0.0,0.00001]],' \
+                             '[[-0.0,-0.00001],[0.25,0.0]]]}\n'
+
+
+@pytest.mark.parametrize("name, state", [("w", ek.w_state()), ("smolin", ek.smolin_state())])
+def test_cli_make_writes_the_dump_state_document(tmp_path, capsys, name, state):
+    path = tmp_path / "state.json"
+    assert main(["make", name, "--out", str(path)]) == 0
+    text = path.read_text()
+    assert orjson.loads(text) == to_document(state, name=name)
+    buf = io.StringIO()
+    dump_state(state, buf, name=name)
+    assert text == buf.getvalue()
+    capsys.readouterr()
+    assert main(["make", name]) == 0
+    assert capsys.readouterr().out == text
 
 
 def test_document_validation():

@@ -315,7 +315,7 @@ def test_random_and_mixed_constructors_check_dims_first():
         with pytest.raises(ValueError, match="integers"):
             make([2.5])
     # a fractional rank is rejected, not truncated
-    with pytest.raises(TypeError):
+    with pytest.raises(ValueError, match="^rank must be an integer"):
         ek.random_density_matrix([2, 2], rank=1.5)
     assert np.linalg.matrix_rank(ek.random_density_matrix([2, 2], rank=2, rng=0).matrix) == 2
 
