@@ -42,14 +42,12 @@ from .partitions import (
     ppt_all_bipartitions,
     ppt_check,
     refines,
-    separability_verdict,
 )
 from .protocols import (
     BranchOutcome,
     Instrument,
     combing_entropy_profile,
     entanglement_swap,
-    generalized_bell_basis,
     local_filter,
     local_filter_pure,
     merging_rate,
@@ -92,7 +90,6 @@ from .states import (
     conditional_entropy,
     ghz_state,
     graph_state,
-    maximally_mixed,
     partial_trace,
     phi_a_state,
     product_state,

@@ -18,7 +18,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .core import ConvergenceError, SizeLimitError
+from .core import ConvergenceError, SizeLimitError, _check_cap, _check_finite, _check_same_dims
 from .invariants import (
     lu_invariants,
     polytope_coords,
@@ -41,7 +41,7 @@ from .special import ame_feasibility
 from .states import (
     DensityMatrix,
     PureState,
-    _check_vertex_count,
+    _GRAPH_VERTEX_CAP,
     _marginal_spectrum,
     acin_state,
     bell_state,
@@ -123,7 +123,7 @@ def _parse_edges(text: str, vertices: int | None):
         edges.append((a, b))
         hi = max(hi, a, b)
     m = (hi + 1) if vertices is None else vertices
-    _check_vertex_count(m)
+    _check_cap(m, _GRAPH_VERTEX_CAP, "graph vertex count")
     if hi >= m:
         raise ValueError(f"edge endpoint {hi} outside the {m} vertices 0..{m - 1}")
     adj = np.zeros((m, m), dtype=int)
@@ -257,8 +257,7 @@ def cmd_convert_check(args) -> int:
     target = _read_state(args.target)
     if not isinstance(source, PureState) or not isinstance(target, PureState):
         raise ValueError("convert-check requires pure states")
-    if source.dims != target.dims:
-        raise ValueError(f"dims mismatch: {source.dims} vs {target.dims}")
+    _check_same_dims(source, target)
     part = (
         _parse_bipartition(args.bipartition, source.n_parties)
         if args.bipartition
@@ -299,20 +298,16 @@ def _grid_range(text: str) -> list[float]:
     parts = text.split(":")
     if len(parts) == 3:
         start, stop, step = (float(x) for x in parts)
-        if not np.isfinite([start, stop, step]).all():
-            raise ValueError(f"grid {text!r} has a non-finite start, stop or step")
+        _check_finite([start, stop, step], f"grid {text!r}")
         if step <= 0:
             raise ValueError("grid step must be positive")
         # a float count (a huge range cannot overflow int()); a reversed range is empty
         count = max(0.0, np.floor((stop - start) / step + 0.5) + 1)
-        if count > _GRID_CAP:
-            raise SizeLimitError(f"grid {text!r} has more than {_GRID_CAP} points")
+        _check_cap(count, _GRID_CAP, f"grid {text!r} point count")
         return [start + i * step for i in range(int(count))]
     values = [float(x) for x in text.split(",") if x.strip() != ""]
-    if not np.isfinite(values).all():
-        raise ValueError(f"grid {text!r} has a non-finite value")
-    if len(values) > _GRID_CAP:
-        raise SizeLimitError(f"grid has {len(values)} points, more than {_GRID_CAP}")
+    _check_finite(values, f"grid {text!r}")
+    _check_cap(len(values), _GRID_CAP, "grid point count")
     return values
 
 
@@ -411,8 +406,7 @@ def cmd_ame_table(args) -> int:
     ns, ds = _parse_span(args.n), _parse_span(args.d)
     # range lengths from the bounds: len() overflows past sys.maxsize
     count = max(0, ns.stop - ns.start) * max(0, ds.stop - ds.start)
-    if count > _GRID_CAP:
-        raise SizeLimitError(f"ame-table spans have {count} rows, more than {_GRID_CAP}")
+    _check_cap(count, _GRID_CAP, "ame-table row count")
     rows = []
     for n in ns:
         for d in ds:

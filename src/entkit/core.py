@@ -8,6 +8,14 @@ slowest index), and all higher modules inherit this convention.
 ``permute_matrix`` and ``partial_trace_matrix`` act on plain square matrices;
 they are pure functions, so concurrent use is safe.  Dense arrays only: the
 supported total Hilbert-space dimension is capped at ``DIM_CAP`` = 4096.
+
+Each kind of argument has one private checker here, which every public
+function calls where the argument enters: ``_check_dims``, ``_check_indices``,
+``_check_keep`` and ``_check_perm`` (subsystems), ``_as_int`` and
+``_check_count`` (counts), ``_check_tol``, ``_check_base``, ``_check_finite``,
+``_check_probabilities``, ``_check_same_dims``, ``_check_cap`` (size caps)
+and ``_rng`` (seeds).  Each raises ``ValueError``; ``_check_cap`` raises
+its subclass ``SizeLimitError``.
 """
 
 from __future__ import annotations
@@ -26,7 +34,8 @@ DIM_CAP = 4096
 
 
 class SizeLimitError(ValueError):
-    """Raised when an input exceeds a documented desk-scale size cap."""
+    """Raised by ``_check_cap``, and so by ``_check_dims``, when an input
+    exceeds a documented desk-scale size cap."""
 
 
 class ConvergenceError(RuntimeError):
@@ -51,10 +60,7 @@ def _check_dims(dims: Sequence[int]) -> tuple[int, ...]:
         raise ValueError(f"local dimensions must be integers, got {dims}") from None
     if not dims or any(d < 1 for d in dims):
         raise ValueError(f"local dimensions must all be >= 1, got {dims}")
-    if prod(dims) > DIM_CAP:
-        raise SizeLimitError(
-            f"total dimension {prod(dims)} exceeds the dense cap {DIM_CAP}"
-        )
+    _check_cap(prod(dims), DIM_CAP, "total dimension")
     return dims
 
 
@@ -66,6 +72,14 @@ def _check_indices(indices: Iterable[int]) -> list[int]:
         return [operator.index(i) for i in indices]
     except TypeError:
         raise ValueError(f"subsystem indices must be integers, got {indices}") from None
+
+
+def _check_perm(perm: Iterable[int], n: int) -> list[int]:
+    """``perm`` as a list of Python ints, a permutation of ``0..n-1``."""
+    perm = _check_indices(perm)
+    if sorted(perm) != list(range(n)):
+        raise ValueError(f"perm {perm} is not a permutation of 0..{n - 1}")
+    return perm
 
 
 def _check_keep(keep: Iterable[int], n: int, name: str = "keep") -> list[int]:
@@ -107,13 +121,35 @@ def _check_base(base) -> None:
         raise ValueError(f"base must be finite, > 0 and != 1, got {base!r}")
 
 
-def _check_probabilities(p, name: str = "p", slack: float = 0.0) -> np.ndarray:
-    """``p`` as a float array, every entry finite and >= ``-slack``; not
-    checked for normalization."""
+def _check_finite(value, name: str) -> None:
+    """Reject a number or array with a NaN or infinite entry."""
+    if not np.isfinite(value).all():
+        raise ValueError(f"{name} must be finite")
+
+
+def _check_cap(value, cap, what: str) -> None:
+    """Raise ``SizeLimitError`` when ``value`` exceeds the documented ``cap``."""
+    if value > cap:
+        raise SizeLimitError(f"{what} {value} exceeds the cap {cap}")
+
+
+def _check_same_dims(a, b) -> None:
+    """Reject two states over different local dimensions."""
+    if a.dims != b.dims:
+        raise ValueError(f"dims mismatch: {a.dims} vs {b.dims}")
+
+
+def _check_probabilities(
+    p, name: str = "p", slack: float = 0.0, normalized: bool = False
+) -> np.ndarray:
+    """``p`` as a float array, every entry finite and >= ``-slack``; with
+    ``normalized``, summing to 1 within ``HERMITIAN_ATOL``."""
     p = np.asarray(p, dtype=float)
     bad = p[~(np.isfinite(p) & (p >= -slack))]
     if bad.size:
         raise ValueError(f"{name} must have finite entries >= 0, got {float(bad[0])!r}")
+    if normalized and not abs(p.sum() - 1.0) <= HERMITIAN_ATOL:
+        raise ValueError(f"{name} sums to {float(p.sum())!r}, not 1 within 1e-10")
     return p
 
 
@@ -132,9 +168,7 @@ def permute_matrix(mat: np.ndarray, dims: Sequence[int], perm: Sequence[int]) ->
     """Apply a subsystem permutation to both sides of an operator."""
     dims = _check_dims(dims)
     n = len(dims)
-    perm = list(perm)
-    if sorted(perm) != list(range(n)):
-        raise ValueError(f"perm {perm} is not a permutation of 0..{n - 1}")
+    perm = _check_perm(perm, n)
     d = prod(dims)
     t = np.asarray(mat, dtype=complex).reshape(dims + dims)
     t = t.transpose(perm + [p + n for p in perm])

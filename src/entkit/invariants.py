@@ -18,7 +18,7 @@ from enum import Enum
 
 import numpy as np
 
-from .core import ConvergenceError, _check_tol
+from .core import ConvergenceError, _check_finite, _check_tol
 from .states import DensityMatrix, PureState
 
 #: Below this value of the three-tangle, a rank-(2,2,2) state is labeled W class.
@@ -109,8 +109,7 @@ def hyperdet3(tensor) -> complex:
     t = np.asarray(tensor, dtype=complex)
     if t.size != 8:
         raise ValueError(f"expected 8 amplitudes, got shape {t.shape}")
-    if not np.isfinite(t).all():
-        raise ValueError("tensor entries must be finite")
+    _check_finite(t, "tensor entries")
     d0, d1, x = _slice_dets(t.reshape(1, 8))
     return complex(4.0 * (x[0, 0] ** 2 - d0[0, 0] * d1[0, 0]))
 

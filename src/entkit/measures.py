@@ -17,7 +17,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .core import _check_count, _check_tol, _rng
+from .core import _check_cap, _check_count, _check_same_dims, _check_tol, _rng
 from .partitions import as_bipartition
 from .schmidt import tangle_pure
 from .states import DensityMatrix, PureState, _marginal_spectrum
@@ -88,8 +88,7 @@ def geometric_measure(
     max_iterations : int
         Sweeps per restart, 1 to 10,000.
     """
-    if psi.dim > _GM_DIM_CAP:
-        raise ValueError(f"total dimension {psi.dim} exceeds cap {_GM_DIM_CAP}")
+    _check_cap(psi.dim, _GM_DIM_CAP, "geometric measure dimension")
     restarts = _check_count(restarts, "restarts")
     max_iterations = _check_count(max_iterations, "max_iterations", hi=_ITERATIONS_CAP)
     _check_tol(tol)
@@ -186,9 +185,9 @@ def upb_unextendibility_check(
     """
     if not basis:
         raise ValueError("basis must be non-empty")
+    for v in basis:
+        _check_same_dims(basis[0], v)
     dims = basis[0].dims
-    if any(v.dims != dims for v in basis):
-        raise ValueError("basis members have inconsistent dims")
     if len(dims) > 3 or any(d != 2 for d in dims):
         raise ValueError("supported systems: up to 3 parties of qubits")
     restarts = _check_count(restarts, "restarts")
@@ -385,8 +384,7 @@ def convex_roof(
     maxiter : int
         L-BFGS-B iterations per restart, 1 to 10,000.
     """
-    if rho.dim > _ROOF_DIM_CAP:
-        raise ValueError(f"total dimension {rho.dim} exceeds cap {_ROOF_DIM_CAP}")
+    _check_cap(rho.dim, _ROOF_DIM_CAP, "convex roof dimension")
     restarts = _check_count(restarts, "restarts")
     maxiter = _check_count(maxiter, "maxiter", hi=_ITERATIONS_CAP)
     analytic = f is tangle_pure
@@ -449,8 +447,7 @@ def tensor_rank_upper_bound(
     tensor under the cap exceeds in rank; ``iterations``, the sweeps per
     restart, must be 1 to 10,000.
     """
-    if psi.dim > _RANK_DIM_CAP:
-        raise ValueError(f"total dimension {psi.dim} exceeds cap {_RANK_DIM_CAP}")
+    _check_cap(psi.dim, _RANK_DIM_CAP, "tensor rank dimension")
     max_rank = _check_count(max_rank, "max_rank", hi=_RANK_DIM_CAP)
     restarts = _check_count(restarts, "restarts")
     iterations = _check_count(iterations, "iterations", hi=_ITERATIONS_CAP)

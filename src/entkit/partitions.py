@@ -17,7 +17,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .core import SizeLimitError, _as_int, _check_indices, _check_keep, _check_tol
+from .core import _as_int, _check_cap, _check_indices, _check_keep, _check_tol
 from .states import PureState, State, _marginal_spectrum, as_density
 
 _PARTITION_ENUM_CAP = 8
@@ -97,8 +97,7 @@ def enumerate_partitions(n: int) -> list[Partition]:
     n = _as_int(n, "n")
     if n < 1:
         raise ValueError("n must be >= 1")
-    if n > _PARTITION_ENUM_CAP:
-        raise SizeLimitError(f"partition enumeration capped at n <= {_PARTITION_ENUM_CAP}")
+    _check_cap(n, _PARTITION_ENUM_CAP, "partition enumeration party count")
     out: list[Partition] = []
 
     def rec(code: list[int], used: int):
@@ -183,8 +182,7 @@ def classify_pure(psi: PureState, tol: float = 1e-9) -> ClassificationReport:
     """
     _check_tol(tol)
     n = psi.n_parties
-    if n > _PARTITION_ENUM_CAP:
-        raise SizeLimitError(f"classification capped at {_PARTITION_ENUM_CAP} parties")
+    _check_cap(n, _PARTITION_ENUM_CAP, "classification party count")
     flags = {
         bp: is_product_across(psi, bp, tol) for bp in all_bipartitions(n)
     } if n >= 2 else {}
@@ -260,23 +258,10 @@ def _ppt_sweep(state: State) -> dict[Partition, tuple[bool, float]]:
     The cap is checked before any cut is computed, so an input over it costs
     no eigensolve.
     """
-    if state.n_parties > _PPT_SWEEP_CAP:
-        raise SizeLimitError(f"PPT sweep capped at {_PPT_SWEEP_CAP} parties")
+    _check_cap(state.n_parties, _PPT_SWEEP_CAP, "PPT sweep party count")
     return {bp: ppt_check(state, bp) for bp in all_bipartitions(state.n_parties)}
 
 
 def ppt_all_bipartitions(rho: State) -> dict[Partition, bool]:
     """PPT flag for every bipartition of the parties."""
     return {bp: flag for bp, (flag, _) in _ppt_sweep(rho).items()}
-
-
-def separability_verdict(rho: State, bipartition=None) -> str:
-    """``"entangled"`` when the cut is NPT, else ``"inconclusive"``.
-
-    Deciding mixed-state separability is out of scope; a negative partial
-    transpose certifies entanglement across the cut, a positive one decides
-    nothing, and the verdict says so explicitly.
-    """
-    flag, _ = ppt_check(rho, bipartition)
-    return "inconclusive" if flag else "entangled"
-

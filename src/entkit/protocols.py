@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import _check_dims, _check_indices
+from .core import _as_int, _check_dims, _check_finite, _check_indices
 from .partitions import Partition
 from .states import (
     DensityMatrix,
@@ -60,11 +60,12 @@ class Instrument:
             for k in kraus:
                 if k.ndim != 2 or k.shape[1] != d:
                     raise ValueError(f"Kraus operator shape {k.shape} is not (m, {d})")
+                _check_finite(k, f"branch {label!r} Kraus operators")
                 total += k.conj().T @ k
             if len({k.shape[0] for k in kraus}) > 1:
                 raise ValueError(f"branch {label!r} mixes Kraus output dimensions")
             branches.append((label, kraus))
-        if np.abs(total - np.eye(d)).max() > _COMPLETENESS_ATOL:
+        if not np.abs(total - np.eye(d)).max() <= _COMPLETENESS_ATOL:
             raise ValueError("instrument is not trace preserving within 1e-9")
         object.__setattr__(self, "branches", tuple(branches))
         object.__setattr__(self, "dims", dims)
@@ -92,19 +93,12 @@ class Instrument:
 # ---------------------------------------------------------------------------
 
 def shift_multiply_unitary(m: int, n: int, d: int) -> np.ndarray:
-    """``U_mn = sum_k e^{2 pi i k n / d} |k><(k+m) mod d|``."""
+    """``U_mn = sum_k e^{2 pi i k n / d} |k><(k+m) mod d|``; integer arguments."""
+    m, n, d = _as_int(m, "m"), _as_int(n, "n"), _as_int(d, "d")
     u = np.zeros((d, d), dtype=complex)
     for k in range(d):
         u[k, (k + m) % d] = np.exp(2j * np.pi * k * n / d)
     return u
-
-
-def generalized_bell_basis(d: int) -> list[PureState]:
-    """The ``d^2`` maximally entangled states ``(U_mn (x) I)|psi^{+,d}>``."""
-    # (U (x) I)|psi+> reshaped to d x d is U @ B, with B the reshaped |psi+>
-    bell = bell_state(d).amplitudes.reshape(d, d)
-    return [PureState((shift_multiply_unitary(m, n, d) @ bell).ravel(), (d, d))
-            for m in range(d) for n in range(d)]
 
 
 def teleportation_kraus(d: int) -> list[tuple[tuple[int, int], np.ndarray]]:
@@ -172,6 +166,7 @@ def _prepare_filters(state_dims, filters, rescale) -> np.ndarray:
     for f, dim in zip(filters, state_dims):
         if f.shape != (dim, dim):
             raise ValueError(f"filter shape {f.shape} does not match local dim {dim}")
+        _check_finite(f, "filter")
         smax = np.linalg.svd(f, compute_uv=False).max()
         if rescale and smax > 0:
             f = f / smax

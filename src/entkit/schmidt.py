@@ -12,7 +12,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import _check_count, _check_probabilities, _check_tol
+from .core import _check_count, _check_probabilities, _check_same_dims, _check_tol
 from .partitions import Partition, as_bipartition
 from .states import PureState, _cut_matrix, _marginal_spectrum, shannon_entropy
 
@@ -91,11 +91,8 @@ def majorizes(p: Sequence[float], q: Sequence[float]) -> bool:
     normalized within 1e-10.  The comparison allows 1e-12 slack so equal
     vectors majorize each other.
     """
-    p = _check_probabilities(p, "p", slack=_MAJ_SLACK)
-    q = _check_probabilities(q, "q", slack=_MAJ_SLACK)
-    for name, v in (("p", p), ("q", q)):
-        if abs(v.sum() - 1.0) > 1e-10:
-            raise ValueError(f"{name} sums to {v.sum()!r}, not 1 within 1e-10")
+    p = _check_probabilities(p, "p", slack=_MAJ_SLACK, normalized=True)
+    q = _check_probabilities(q, "q", slack=_MAJ_SLACK, normalized=True)
     k = max(p.size, q.size)
     ps = np.sort(np.pad(p, (0, k - p.size)))[::-1].cumsum()
     qs = np.sort(np.pad(q, (0, k - q.size)))[::-1].cumsum()
@@ -109,8 +106,7 @@ def nielsen_convertible(psi: PureState, phi: PureState, bipartition=None) -> boo
     state converts to anything and nothing converts to a strictly better
     entangled state.
     """
-    if psi.dims != phi.dims:
-        raise ValueError(f"dims mismatch: {psi.dims} vs {phi.dims}")
+    _check_same_dims(psi, phi)
     part = as_bipartition(bipartition, psi.n_parties)
     return majorizes(schmidt_vector(phi, part), schmidt_vector(psi, part))
 
@@ -128,8 +124,7 @@ def catalysis_convertible(
     its second party the right block, so the joint Schmidt vector is the
     outer product of the individual ones.
     """
-    if psi.dims != phi.dims:
-        raise ValueError(f"dims mismatch: {psi.dims} vs {phi.dims}")
+    _check_same_dims(psi, phi)
     if eta.n_parties != 2:
         raise ValueError("catalyst must be a bipartite pure state")
     part = as_bipartition(bipartition, psi.n_parties)
@@ -171,8 +166,7 @@ def find_catalyst(
     """
     catalyst_dim = _check_count(catalyst_dim, "catalyst_dim", hi=4)
     grid_resolution = _check_count(grid_resolution, "grid_resolution", hi=200)
-    if psi.dims != phi.dims:
-        raise ValueError(f"dims mismatch: {psi.dims} vs {phi.dims}")
+    _check_same_dims(psi, phi)
     part = as_bipartition(bipartition, psi.n_parties)
     lam_s = schmidt_vector(psi, part)
     lam_t = schmidt_vector(phi, part)

@@ -16,7 +16,7 @@ from math import prod
 
 import numpy as np
 
-from .core import _as_int, _check_tol
+from .core import _as_int, _check_finite, _check_tol
 from .states import PureState, _marginal_spectrum, ghz_state
 
 
@@ -56,14 +56,19 @@ def stabilizes(unitary: np.ndarray, psi: PureState, tol: float = 1e-10) -> bool:
     """True iff ``unitary`` fixes ``psi`` up to a global phase within ``tol``,
     which must be finite and >= 0."""
     _check_tol(tol)
-    v = np.asarray(unitary, dtype=complex) @ psi.amplitudes
+    unitary = np.asarray(unitary, dtype=complex)
+    _check_finite(unitary, "unitary")
+    v = unitary @ psi.amplitudes
     phase = np.vdot(psi.amplitudes, v)
     return bool(np.abs(v - phase * psi.amplitudes).max() <= tol and abs(abs(phase) - 1.0) <= tol)
 
 
 def ghz_stabilizer_elements(phi1: float, phi2: float) -> tuple[np.ndarray, np.ndarray]:
     """The flip element ``sx (x) sx (x) sx`` and the phase-family element
-    ``e^{i phi1 sz} (x) e^{i phi2 sz} (x) e^{-i (phi1+phi2) sz}``."""
+    ``e^{i phi1 sz} (x) e^{i phi2 sz} (x) e^{-i (phi1+phi2) sz}``; both angles
+    must be finite."""
+    _check_finite(phi1, "phi1")
+    _check_finite(phi2, "phi2")
     flip = np.kron(np.kron(_SX, _SX), _SX)
     rot = [np.diag([np.exp(1j * p), np.exp(-1j * p)]) for p in (phi1, phi2, -(phi1 + phi2))]
     return flip, np.kron(np.kron(rot[0], rot[1]), rot[2])

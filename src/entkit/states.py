@@ -17,12 +17,15 @@ import numpy as np
 from .core import (
     DIM_CAP,
     HERMITIAN_ATOL,
-    SizeLimitError,
     _as_int,
     _check_base,
+    _check_cap,
     _check_dims,
+    _check_finite,
     _check_keep,
+    _check_perm,
     _check_probabilities,
+    _check_same_dims,
     _rng,
     partial_trace_matrix,
     permute_matrix,
@@ -48,7 +51,7 @@ class PureState:
         norm = np.linalg.norm(amp)
         if not abs(norm - 1.0) <= HERMITIAN_ATOL:
             raise ValueError(
-                f"state norm {norm!r} is not 1 within 1e-10; "
+                f"state norm {float(norm)!r} is not 1 within 1e-10; "
                 "use PureState.normalized to rescale"
             )
         # canonical global phase: first nonzero amplitude real positive;
@@ -72,8 +75,7 @@ class PureState:
         first, so the norm stays finite for any finite entries.
         """
         amp = np.asarray(amplitudes, dtype=complex).ravel()
-        if not np.isfinite(amp).all():
-            raise ValueError("amplitudes must be finite")
+        _check_finite(amp, "amplitudes")
         scale = np.abs(amp.view(float)).max(initial=0.0)  # real and imaginary parts
         # the norm is at least ``scale``: it can fall under 1e-14 only when
         # ``scale`` does, and then it cannot overflow
@@ -98,14 +100,11 @@ class PureState:
 
     def overlap(self, other: "PureState") -> complex:
         """Inner product ``<self|other>``."""
-        if self.dims != other.dims:
-            raise ValueError(f"dims mismatch: {self.dims} vs {other.dims}")
+        _check_same_dims(self, other)
         return complex(np.vdot(self.amplitudes, other.amplitudes))
 
     def permute(self, perm: Sequence[int]) -> "PureState":
-        perm = list(perm)
-        if sorted(perm) != list(range(self.n_parties)):
-            raise ValueError(f"perm {perm} is not a permutation")
+        perm = _check_perm(perm, self.n_parties)
         amp = self.reshaped().transpose(perm).ravel()
         return PureState(amp, tuple(self.dims[p] for p in perm))
 
@@ -135,12 +134,12 @@ class DensityMatrix:
         if mat.shape != (d, d):
             raise ValueError(f"matrix shape {mat.shape} does not match dims {dims}")
         # before any arithmetic, which would warn on inf - inf
-        if not np.isfinite(mat).all():
-            raise ValueError("density matrix has a NaN or infinite entry")
+        _check_finite(mat, "density matrix entries")
         if not np.abs(mat - mat.conj().T).max() <= HERMITIAN_ATOL:
             raise ValueError("density matrix is not Hermitian within 1e-10")
-        if not abs(np.trace(mat).real - 1.0) <= HERMITIAN_ATOL:
-            raise ValueError(f"trace {np.trace(mat)!r} is not 1 within 1e-10")
+        trace = float(np.trace(mat).real)
+        if not abs(trace - 1.0) <= HERMITIAN_ATOL:
+            raise ValueError(f"trace {trace!r} is not 1 within 1e-10")
         shifted = mat.copy()
         shifted.flat[:: d + 1] += HERMITIAN_ATOL
         try:
@@ -258,12 +257,6 @@ def random_density_matrix(dims: Sequence[int], rank: int | None = None, rng=None
     return DensityMatrix(m / np.trace(m).real, dims)
 
 
-def maximally_mixed(dims: Sequence[int]) -> DensityMatrix:
-    dims = _check_dims(dims)
-    d = prod(dims)
-    return DensityMatrix(np.eye(d) / d, dims)
-
-
 # ---------------------------------------------------------------------------
 # named states
 # ---------------------------------------------------------------------------
@@ -290,16 +283,12 @@ def ghz_state(n: int = 3, d: int = 2, lam: Sequence[float] | None = None) -> Pur
         raise ValueError(f"local dimension must be >= 2, got {d}")
     # d >= 2, so past DIM_CAP.bit_length() parties d^n exceeds the cap; this
     # check comes before the tuple of n dimensions is built
-    if n > DIM_CAP.bit_length():
-        raise SizeLimitError(f"{n} parties of dimension {d} exceed the dense cap {DIM_CAP}")
+    _check_cap(n, DIM_CAP.bit_length(), "GHZ party count")
     dims = _check_dims((d,) * n)
-    if lam is None:
-        lam = np.full(d, 1.0 / d)
-    lam = np.asarray(lam, dtype=float)
-    if lam.shape != (d,) or not lam.min() >= -1e-12:
-        raise ValueError(f"lambda must be {d} non-negative numbers")
-    if not abs(lam.sum() - 1.0) <= HERMITIAN_ATOL:
-        raise ValueError(f"lambda sums to {lam.sum()!r}, not 1 within 1e-10")
+    lam = np.full(d, 1.0 / d) if lam is None else np.asarray(lam, dtype=float)
+    if lam.shape != (d,):
+        raise ValueError(f"lambda must be {d} numbers")
+    lam = _check_probabilities(lam, "lambda", slack=1e-12, normalized=True)
     amp = np.zeros(d**n, dtype=complex)
     stride = (d**n - 1) // (d - 1)
     amp[[i * stride for i in range(d)]] = np.sqrt(np.clip(lam, 0.0, None))
@@ -317,11 +306,6 @@ def w_state() -> PureState:
 _GRAPH_VERTEX_CAP = 12
 
 
-def _check_vertex_count(m: int) -> None:
-    if not 1 <= m <= _GRAPH_VERTEX_CAP:
-        raise ValueError(f"vertex count {m} outside supported range 1..{_GRAPH_VERTEX_CAP}")
-
-
 def graph_state(adjacency) -> PureState:
     """Graph state: qubits in ``|+>`` with a controlled-phase gate per edge.
 
@@ -330,10 +314,10 @@ def graph_state(adjacency) -> PureState:
     the sign of the basis states where both endpoints are 1.
     """
     adj = np.asarray(adjacency)
+    if adj.ndim != 2 or adj.shape[0] != adj.shape[1] or not adj.size:
+        raise ValueError("adjacency must be a non-empty square matrix")
     m = adj.shape[0]
-    if adj.ndim != 2 or adj.shape != (m, m):
-        raise ValueError("adjacency must be a square matrix")
-    _check_vertex_count(m)
+    _check_cap(m, _GRAPH_VERTEX_CAP, "graph vertex count")
     if not np.array_equal(adj, adj.T) or np.any(np.diag(adj) != 0):
         raise ValueError("adjacency must be symmetric with zero diagonal")
     if not np.isin(adj, (0, 1)).all():
@@ -413,8 +397,7 @@ def psi25_state() -> PureState:
 def phi_a_state(a: complex) -> PureState:
     """Four-qubit family ``a(|0000>+|1111>) + |0011>+|0101>+|0110>``, normalized."""
     a = complex(a)
-    if not np.isfinite(a):
-        raise ValueError(f"a must be finite, got {a}")
+    _check_finite(a, "a")
     amp = np.zeros(16, dtype=complex)
     amp[0] = amp[15] = a
     amp[[3, 5, 6]] = 1.0
@@ -433,8 +416,7 @@ def acin_state(r: Sequence[float], theta: float = 0.0) -> PureState:
         total = float((r**2).sum())
     if not abs(total - 1.0) <= HERMITIAN_ATOL:
         raise ValueError(f"sum of squares {total!r} is not 1 within 1e-10")
-    if not np.isfinite(theta):
-        raise ValueError(f"theta must be finite, got {theta}")
+    _check_finite(theta, "theta")
     amp = np.zeros(8, dtype=complex)
     amp[0b000] = r[0] * np.exp(1j * theta)
     amp[0b100] = r[1]

@@ -133,9 +133,9 @@ def test_wootters_concurrence():
     red = ek.partial_trace(ek.w_state(), [0, 1])
     assert ek.wootters_concurrence(red) == pytest.approx(2 / 3, abs=1e-10)
     with pytest.raises(ValueError):
-        ek.wootters_concurrence(ek.maximally_mixed([2, 2, 2]))
+        ek.wootters_concurrence(ek.DensityMatrix(np.eye(8) / 8, (2, 2, 2)))
     with pytest.raises(ValueError):
-        ek.wootters_concurrence(ek.maximally_mixed([4]))  # 4 x 4, but not two qubits
+        ek.wootters_concurrence(ek.DensityMatrix(np.eye(4) / 4, (4,)))  # not two qubits
 
 
 def test_tangles_and_monogamy_examples():

@@ -239,13 +239,6 @@ def test_classify_pure_recovers_the_generating_partition():
             assert all(rep.bipartition_product_flags[bp] == ek.refines(gen, bp) for bp in cuts)
 
 
-def test_separability_verdict_is_only_necessary():
-    assert ek.separability_verdict(ek.bell_state(2).density()) == "entangled"
-    assert ek.separability_verdict(ek.maximally_mixed([2, 2])) == "inconclusive"
-    # PPT entangled state: the test cannot certify it, and says so
-    assert ek.separability_verdict(ek.upb_state(), ek.Partition(((0,), (1, 2)))) == "inconclusive"
-
-
 def test_ppt_all_bipartitions():
     flags = ek.ppt_all_bipartitions(ek.smolin_state())
     for bp, flag in flags.items():
@@ -253,7 +246,7 @@ def test_ppt_all_bipartitions():
         assert flag == (sizes == [2, 2])
     ghz = ek.ghz_state(3, 2).density()
     assert not any(ek.ppt_all_bipartitions(ghz).values())
-    mixed = ek.maximally_mixed([2, 2, 2])
+    mixed = ek.DensityMatrix(np.eye(8) / 8, (2, 2, 2))
     assert all(ek.ppt_all_bipartitions(mixed).values())
 
 

@@ -5,26 +5,6 @@ import entkit as ek
 from entkit.protocols import shift_multiply_unitary
 
 
-def test_generalized_bell_basis():
-    for d in (2, 3):
-        basis = ek.generalized_bell_basis(d)
-        assert len(basis) == d * d
-        overlaps = np.array(
-            [[abs(a.overlap(b)) for b in basis] for a in basis]
-        )
-        assert np.abs(overlaps - np.eye(d * d)).max() < 1e-10
-        for b in basis:
-            lam = ek.schmidt_vector(b)
-            assert np.abs(lam - 1 / d).max() < 1e-10
-    two = ek.generalized_bell_basis(2)
-    classic = ek.bell_basis_2q()
-    # same span and same states up to phase/labeling
-    gram = np.array(
-        [[abs(a.overlap(b)) for b in two] for a in classic]
-    )
-    assert np.abs(np.sort(gram, axis=1)[:, -1] - 1.0).max() < 1e-10
-
-
 def test_instrument_completeness():
     kraus = ek.teleportation_kraus(2)
     inst = ek.Instrument(tuple((lab, (k,)) for lab, k in kraus), dims=(2,))
@@ -43,7 +23,7 @@ def test_teleport_pure_and_mixed():
         fid = np.vdot(phi.amplitudes, br.post_state.matrix @ phi.amplitudes).real
         assert fid == pytest.approx(1.0, abs=1e-9)
 
-    mm = ek.maximally_mixed([2])
+    mm = ek.DensityMatrix(np.eye(2) / 2, (2,))
     for br in ek.teleport(mm, 2):
         assert np.abs(br.post_state.matrix - np.eye(2) / 2).max() < 1e-10
 
@@ -110,6 +90,14 @@ def test_local_filter_identity_and_probabilities():
         ek.local_filter(ghz, [np.diag([2.0, 1.0])] * 3)
     rescaled, _ = ek.local_filter(ghz, [np.diag([2.0, 1.0])] * 3, rescale=True)
     assert rescaled.probability > 0
+    # a NaN filter used to raise LinAlgError, and an infinite one with
+    # rescale a RuntimeWarning
+    for bad, rescale in ((np.nan, False), (np.nan, True), (np.inf, True)):
+        filters = [np.diag([1.0, bad])] + [np.eye(2)] * 2
+        with pytest.raises(ValueError, match="^filter must be finite"):
+            ek.local_filter(ghz, filters, rescale=rescale)
+        with pytest.raises(ValueError, match="^filter must be finite"):
+            ek.local_filter_pure(ghz, filters, rescale=rescale)
 
 
 def test_local_filter_preserves_ghz_class():
@@ -220,17 +208,15 @@ def test_protocol_input_validation():
     kraus = ek.teleportation_kraus(2)
     inst = ek.Instrument(tuple((lab, (k,)) for lab, k in kraus), dims=(2,))
     with pytest.raises(ValueError):
-        inst.apply(ek.maximally_mixed([3]))
+        inst.apply(ek.DensityMatrix(np.eye(3) / 3, (3,)))
     with pytest.raises(ValueError):
-        ek.teleport(ek.maximally_mixed([3]), 2)
+        ek.teleport(ek.DensityMatrix(np.eye(3) / 3, (3,)), 2)
     with pytest.raises(ValueError):
-        ek.entanglement_swap(ek.maximally_mixed([2, 2, 2]), 2)
+        ek.entanglement_swap(ek.DensityMatrix(np.eye(8) / 8, (2, 2, 2)), 2)
     with pytest.raises(ValueError):
-        ek.entanglement_swap(ek.maximally_mixed([2, 3]), 2)
+        ek.entanglement_swap(ek.DensityMatrix(np.eye(6) / 6, (2, 3)), 2)
     with pytest.raises(ValueError):
         ek.local_filter(ek.ghz_state(3, 2), [np.eye(2)] * 2)
-    with pytest.raises(ValueError):
-        ek.generalized_bell_basis(1)
 
 
 def test_instrument_rejects_bad_dims_and_kraus_shapes():
@@ -245,6 +231,11 @@ def test_instrument_rejects_bad_dims_and_kraus_shapes():
     wide = np.sqrt(0.5) * np.eye(3, 2)
     with pytest.raises(ValueError, match="'mixed' mixes Kraus output dimensions"):
         ek.Instrument((("mixed", (np.sqrt(0.5) * np.eye(2), wide)),), dims=(2,))
+    # a NaN Kraus operator used to pass the completeness test, whose
+    # comparison is False on NaN; an infinite one raised a RuntimeWarning
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="^branch 'a' Kraus operators must be finite"):
+            ek.Instrument((("a", (np.full((2, 2), bad),)),), dims=(2,))
     # a pure input is teleported as its projector
     psi = ek.random_pure_state([3], rng=4)
     for br in ek.teleport(psi):
@@ -257,3 +248,7 @@ def test_shift_multiply_unitaries_are_unitary():
             for n in range(d):
                 u = shift_multiply_unitary(m, n, d)
                 assert np.abs(u @ u.conj().T - np.eye(d)).max() < 1e-12
+    # a fractional index used to raise IndexError
+    for args, name in (((1.5, 0, 2), "m"), ((0, 0.5, 2), "n"), ((0, 0, 2.0), "d")):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+            shift_multiply_unitary(*args)

@@ -417,6 +417,18 @@ def test_cli_exit_codes(tmp_path):
     assert main(["ame-table", "--n", "2:3", "--d", "2:" + "9" * 30]) == 2
 
 
+def test_cli_errors_print_plain_numbers(tmp_path, capsys):
+    """Error messages show Python numbers, not numpy 2 reprs such as
+    ``np.float64(1.8)`` or ``np.complex128(2+0j)``."""
+    assert main(["make", "ghz", "--lam", "0.9,0.9"]) == 2
+    assert capsys.readouterr().err == "entkit: error: lambda sums to 1.8, not 1 within 1e-10\n"
+    doc = tmp_path / "trace2.json"
+    doc.write_text(json.dumps({"dims": [2], "type": "mixed",
+                               "matrix": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]}))
+    assert main(["analyze", str(doc)]) == 2
+    assert capsys.readouterr().err == "entkit: error: trace 2.0 is not 1 within 1e-10\n"
+
+
 def _exit_code(argv) -> int:
     try:
         return main(argv)

@@ -31,6 +31,15 @@ def test_ghz_stabilizer():
         return np.diag([np.exp(1j * phi), np.exp(-1j * phi)])
     wrong = np.kron(np.kron(rot(np.pi / 7), rot(np.pi / 7)), rot(2 * np.pi / 7))
     assert not stabilizes(wrong, ghz)
+    # a NaN angle used to give False, an infinite one a RuntimeWarning, and
+    # a NaN unitary False
+    for phi1, phi2, name in ((np.nan, 0.0, "phi1"), (np.inf, 0.0, "phi1"), (0.0, -np.inf, "phi2")):
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            ek.ghz_stabilizer_check(phi1, phi2)
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            ghz_stabilizer_elements(phi1, phi2)
+    with pytest.raises(ValueError, match="^unitary must be finite"):
+        stabilizes(np.full((8, 8), np.nan), ghz)
 
 
 def test_is_ame():

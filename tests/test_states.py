@@ -25,6 +25,15 @@ def test_pure_state_validation_and_phase():
     for bad in (np.nan, np.inf):
         with pytest.raises(ValueError):
             ek.PureState(np.array([bad, 0.0]), (2,))
+    # the message shows a plain number, not a numpy repr
+    with pytest.raises(ValueError, match=r"^state norm 2\.0 is not 1 within 1e-10"):
+        ek.PureState(np.array([2.0, 0.0]), (2,))
+    # a float permutation used to raise TypeError, on either kind of state
+    for state in (ek.bell_state(2), ek.bell_state(2).density()):
+        with pytest.raises(ValueError, match="^subsystem indices must be integers"):
+            state.permute([1.0, 0.0])
+        with pytest.raises(ValueError, match="is not a permutation"):
+            state.permute([0, 0])
 
 
 def test_normalized_scales_huge_amplitudes_and_refuses_non_finite():
@@ -56,7 +65,7 @@ def test_states_do_not_alias_caller_arrays():
 
 
 def test_density_matrix_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^trace 2\.0 is not 1 within 1e-10"):
         ek.DensityMatrix(np.eye(4) / 2, (2, 2))
     with pytest.raises(ValueError):
         ek.DensityMatrix(np.array([[0.5, 0.5], [0.0, 0.5]]), (2,))
@@ -115,7 +124,7 @@ def test_ghz_state():
     degenerate = ek.ghz_state(3, 2, [1.0, 0.0])
     assert degenerate.isclose(ek.basis_state([2, 2, 2], [0, 0, 0]))
     assert ek.tangles(degenerate)[2] == pytest.approx(0.0, abs=1e-12)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^lambda sums to 1\.4, not 1 within 1e-10"):
         ek.ghz_state(3, 2, [0.7, 0.7])
     for n, d in ((13, 2), (40, 2), (10**15, 2), (2, 65)):
         with pytest.raises(ek.SizeLimitError):
@@ -241,7 +250,7 @@ def test_acin_state():
 
 
 def test_purity():
-    assert ek.purity(ek.maximally_mixed([2])) == pytest.approx(0.5, abs=1e-12)
+    assert ek.purity(ek.DensityMatrix(np.eye(2) / 2, (2,))) == pytest.approx(0.5, abs=1e-12)
     psi = ek.random_pure_state([2, 2], rng=9)
     assert ek.purity(psi.density()) == pytest.approx(1.0, abs=1e-10)
     assert ek.purity(ek.partial_trace(ek.w_state(), [0])) == pytest.approx(5 / 9, abs=1e-12)
@@ -251,7 +260,7 @@ def test_von_neumann_entropy():
     psi = ek.random_pure_state([2, 3], rng=10)
     assert ek.von_neumann_entropy(psi.density()) == pytest.approx(0.0, abs=1e-9)
     for d in (2, 3, 4):
-        assert ek.von_neumann_entropy(ek.maximally_mixed([d])) == pytest.approx(
+        assert ek.von_neumann_entropy(ek.DensityMatrix(np.eye(d) / d, (d,))) == pytest.approx(
             np.log(d), abs=1e-10
         )
     rho = ek.DensityMatrix(np.diag([2 / 3, 1 / 3]), (2,))
@@ -306,12 +315,11 @@ def test_conditional_entropy():
 
 def test_random_and_mixed_constructors_check_dims_first():
     # each would otherwise ask numpy for terabytes before any check
-    for make in (ek.maximally_mixed, ek.random_density_matrix):
-        with pytest.raises(ek.SizeLimitError):
-            make([10**6])
+    with pytest.raises(ek.SizeLimitError):
+        ek.random_density_matrix([10**6])
     with pytest.raises(ek.SizeLimitError):
         ek.random_pure_state([10**6, 10**6])
-    for make in (ek.maximally_mixed, ek.random_density_matrix, ek.random_pure_state):
+    for make in (ek.random_density_matrix, ek.random_pure_state):
         with pytest.raises(ValueError, match="integers"):
             make([2.5])
     # a fractional rank is rejected, not truncated
