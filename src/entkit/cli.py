@@ -89,7 +89,7 @@ def _emit_rows(rows: list[dict], columns: list[str], fmt: str, out_path: str | N
 def _read_state(path: str):
     if path == "-":
         return load_state(sys.stdin)
-    with open(path, encoding="utf-8") as fh:
+    with open(path, "rb") as fh:
         return load_state(fh)
 
 
@@ -122,6 +122,8 @@ def _parse_edges(text: str, vertices: int | None):
         a, b = int(a), int(b)
         edges.append((a, b))
         hi = max(hi, a, b)
+    if vertices is not None and vertices < 1:
+        raise ValueError(f"--vertices must be >= 1, got {vertices}")
     m = (hi + 1) if vertices is None else vertices
     _check_cap(m, _GRAPH_VERTEX_CAP, "graph vertex count")
     if hi >= m:

@@ -92,12 +92,18 @@ def _check_keep(keep: Iterable[int], n: int, name: str = "keep") -> list[int]:
     return keep
 
 
+def _plain(value):
+    """``value`` as it should read in a message: a NumPy scalar as the Python
+    number (or string) it holds, so ``np.float64(nan)`` reads ``nan``."""
+    return value.item() if isinstance(value, np.generic) else value
+
+
 def _as_int(value, name: str) -> int:
     """``value`` as a Python int; a non-integer such as ``4.7`` is rejected."""
     try:
         return operator.index(value)
     except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+        raise ValueError(f"{name} must be an integer, got {_plain(value)!r}") from None
 
 
 def _check_count(value, name: str, lo: int = 1, hi: int = 1000) -> int:
@@ -111,14 +117,14 @@ def _check_count(value, name: str, lo: int = 1, hi: int = 1000) -> int:
 def _check_tol(value, name: str = "tol") -> None:
     """Reject a tolerance (or weight) that is NaN, infinite or negative."""
     if not (isfinite(value) and value >= 0):
-        raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
+        raise ValueError(f"{name} must be finite and >= 0, got {_plain(value)!r}")
 
 
 def _check_base(base) -> None:
     """Reject a logarithm base that is not finite, > 0 and != 1; ``None``
     (the natural log) passes."""
     if base is not None and not (isfinite(base) and base > 0 and base != 1):
-        raise ValueError(f"base must be finite, > 0 and != 1, got {base!r}")
+        raise ValueError(f"base must be finite, > 0 and != 1, got {_plain(base)!r}")
 
 
 def _check_finite(value, name: str) -> None:
@@ -160,7 +166,7 @@ def _rng(seed, name: str = "seed") -> np.random.Generator:
         return np.random.default_rng(seed)
     except (TypeError, ValueError):
         raise ValueError(
-            f"{name} must be None, an integer >= 0 or a Generator, got {seed!r}"
+            f"{name} must be None, an integer >= 0 or a Generator, got {_plain(seed)!r}"
         ) from None
 
 

@@ -9,8 +9,11 @@ with optional ``"name"`` and ``"note"`` string fields.  Amplitudes are flat
 and row-major; matrix rows are lists of ``[re, im]`` pairs.
 
 Documents are read and written with ``orjson``.  Reading is strict RFC 8259
-JSON: a ``NaN`` or ``Infinity`` literal, or a lone surrogate escape in a
-string, is a ``ValueError``; any whitespace layout is accepted.  Writing
+JSON: a ``NaN`` or ``Infinity`` literal, a lone surrogate escape in a string,
+or bytes that are not UTF-8, is a ``ValueError``; any whitespace layout is
+accepted.  :func:`load_state` takes a text or a binary file (the command line
+passes document files as bytes), and builds and frees the parsed tree with
+the cyclic collector paused, restoring the caller's collector state.  Writing
 emits the compact layout (no whitespace) straight from a float view of the
 state's array, and each float in the shortest form that parses back to the
 same double (``0.00001`` for ``1e-05``), so a round trip is bit-exact.
@@ -19,6 +22,7 @@ States refuse non-finite entries, so no ``null`` is ever written.
 
 from __future__ import annotations
 
+import gc
 from typing import IO
 
 import numpy as np
@@ -103,5 +107,18 @@ def dump_state(state: State, fp: IO[str], name: str | None = None) -> None:
     fp.write(_dumps(state, name))
 
 
-def load_state(fp: IO[str]) -> State:
-    return from_document(orjson.loads(fp.read()))
+def load_state(fp: IO[str] | IO[bytes]) -> State:
+    """Read the document in the text or binary file ``fp`` as a state.
+
+    The parse, the conversion and the release of the parsed tree all run with
+    the cyclic collector paused: the tree holds no cycles, yet its hundreds of
+    thousands of pair lists would trigger collections that walk all of it.
+    The caller's collector state is restored on return and on error."""
+    data = fp.read()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return from_document(orjson.loads(data))
+    finally:
+        if enabled:
+            gc.enable()

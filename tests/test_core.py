@@ -117,6 +117,25 @@ _BELL = ek.bell_state(2)
 _NAN, _INF = float("nan"), float("inf")
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: ek.schmidt_rank(_BELL, tol=np.float64("nan")), "tol must be finite and >= 0, got nan"),
+    (lambda: ek.ghz_state(np.float64(3.5)), "n must be an integer, got 3.5"),
+    (lambda: ek.random_pure_state([2], rng=np.int64(-1)),
+     "rng must be None, an integer >= 0 or a Generator, got -1"),
+    (lambda: ek.entanglement_entropy(_BELL, base=np.float64(1.0)),
+     "base must be finite, > 0 and != 1, got 1.0"),
+    (lambda: ek.ghz_state(np.str_("3")), "n must be an integer, got '3'"),
+    (lambda: ek.random_pure_state([2], rng="a"),
+     "rng must be None, an integer >= 0 or a Generator, got 'a'"),
+], ids=["tol-float64", "n-float64", "rng-int64", "base-float64", "n-str_", "rng-str"])
+def test_messages_show_numpy_scalars_as_plain_numbers(call, message):
+    """A NumPy scalar argument reads as the number it holds, not as its
+    numpy 2 repr ``np.float64(nan)``; a string keeps its quotes."""
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message
+
+
 @pytest.mark.parametrize("call, bad, good, expect, name", [
     (lambda b: ek.von_neumann_entropy(ek.partial_trace(_BELL, [0]), base=b),
      (1, _NAN, 0, -2.0, _INF), 2, 1.0, "base"),

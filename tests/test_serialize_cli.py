@@ -1,6 +1,8 @@
+import gc
 import io
 import json
 import os
+import sys
 
 import numpy as np
 import orjson
@@ -165,6 +167,62 @@ def test_indent1_documents_still_load_bit_exact():
     dump_state(back, buf)
     assert buf.getvalue() == '{"dims":[2],"type":"mixed","matrix":[[[0.75,0.0],[0.0,0.00001]],' \
                              '[[-0.0,-0.00001],[0.25,0.0]]]}\n'
+
+
+@pytest.fixture
+def gc_restored():
+    """Leave the cyclic collector as the test found it."""
+    enabled = gc.isenabled()
+    yield
+    (gc.enable if enabled else gc.disable)()
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+def test_load_state_restores_the_collector_state(gc_restored, enabled):
+    """``load_state`` pauses the cyclic collector over the read and leaves it
+    as it found it: after a good document, after a malformed one that raises,
+    and when the caller had it disabled already."""
+    good = orjson.dumps(to_document(ek.random_density_matrix([2, 2], rng=3)))
+    for text in (good, b'{"dims": [2], "type": "pure", "amplitudes": [[1, 0], [1, 0]]}',
+                 b"{not json"):
+        (gc.enable if enabled else gc.disable)()
+        try:
+            load_state(io.BytesIO(text))
+        except ValueError:
+            assert text != good
+        assert gc.isenabled() is enabled
+
+
+def test_load_state_reads_text_and_binary_handles_alike():
+    rho = ek.random_density_matrix([2, 3], rank=2, rng=4)
+    text = io.StringIO()
+    dump_state(rho, text)
+    from_text = load_state(io.StringIO(text.getvalue()))
+    from_bytes = load_state(io.BytesIO(text.getvalue().encode()))
+    assert np.array_equal(_bits(from_text), _bits(from_bytes))
+    assert np.array_equal(_bits(from_bytes), _bits(rho))
+
+
+def test_cli_analyze_refuses_a_document_that_is_not_utf8(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes('{"dims": [2], "type": "pure", "amplitudes": [[1, 0], [0, 0]], '
+                     '"name": "\u00e9t\u00e9"}'.encode("latin-1"))
+    assert main(["analyze", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("entkit: error: ") and err.count("\n") == 1
+
+
+def test_cli_analyze_path_and_stdin_print_the_same_bytes(tmp_path, capsysbinary, monkeypatch):
+    path = tmp_path / "rho.json"
+    with open(path, "w") as fh:
+        dump_state(ek.random_density_matrix([2, 2, 2], rank=3, rng=5), fh)
+    tail = ["--which", "ppt,class", "--seed", "1"]
+    assert main(["analyze", str(path), *tail]) == 0
+    by_path = capsysbinary.readouterr().out
+    with open(path, "rb") as fh:
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(fh, encoding="utf-8"))
+        assert main(["analyze", "-", *tail]) == 0
+    assert by_path and capsysbinary.readouterr().out == by_path
 
 
 @pytest.mark.parametrize("name, state", [("w", ek.w_state()), ("smolin", ek.smolin_state())])
@@ -427,6 +485,11 @@ def test_cli_errors_print_plain_numbers(tmp_path, capsys):
                                "matrix": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]}))
     assert main(["analyze", str(doc)]) == 2
     assert capsys.readouterr().err == "entkit: error: trace 2.0 is not 1 within 1e-10\n"
+    # a vertex count below 1 is refused by name, not shown as the range 0..-6
+    for vertices in ("-5", "0"):
+        assert main(["make", "graph", "--edges", "0-1", "--vertices", vertices]) == 2
+        err = capsys.readouterr().err
+        assert err == f"entkit: error: --vertices must be >= 1, got {vertices}\n"
 
 
 def _exit_code(argv) -> int:
