@@ -118,8 +118,10 @@ def _parse_edges(text: str, vertices: int | None):
         token = token.strip()
         if not token:
             continue
-        a, b = token.split("-")
-        a, b = int(a), int(b)
+        try:
+            a, b = map(int, token.split("-"))
+        except ValueError:
+            raise ValueError(f"edge {token!r} is not of the form a-b, two vertex numbers") from None
         edges.append((a, b))
         hi = max(hi, a, b)
     if vertices is not None and vertices < 1:

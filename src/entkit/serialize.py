@@ -10,8 +10,9 @@ and row-major; matrix rows are lists of ``[re, im]`` pairs.
 
 Documents are read and written with ``orjson``.  Reading is strict RFC 8259
 JSON: a ``NaN`` or ``Infinity`` literal, a lone surrogate escape in a string,
-or bytes that are not UTF-8, is a ``ValueError``; any whitespace layout is
-accepted.  :func:`load_state` takes a text or a binary file (the command line
+or bytes that are not UTF-8 (named by the offset of the first bad byte), is a
+``ValueError``, and so is a ragged or over-deep number array; any whitespace
+layout is accepted.  :func:`load_state` takes a text or a binary file (the command line
 passes document files as bytes), and builds and frees the parsed tree with
 the cyclic collector paused, restoring the caller's collector state.  Writing
 emits the compact layout (no whitespace) straight from a float view of the
@@ -64,12 +65,13 @@ def _complex_array(values, ndim: int, field: str) -> np.ndarray:
     """``values``, an ``ndim``-dimensional array of ``[re, im]`` number pairs,
     as a complex array.  The pairs are viewed as complex, not summed, so every
     bit is kept."""
-    pairs = np.array(values)
+    expected = f"{field} must be a {ndim}-dimensional array of [re, im] number pairs"
+    try:
+        pairs = np.array(values)
+    except ValueError:  # ragged rows, or nesting past numpy's 64 dimensions
+        raise ValueError(f"{expected}, got ragged or over-deep nesting") from None
     if pairs.dtype.kind not in "biuf" or pairs.ndim != ndim + 1 or pairs.shape[-1] != 2:
-        raise ValueError(
-            f"{field} must be a {ndim}-dimensional array of [re, im] number pairs, "
-            f"got {pairs.dtype} entries of shape {pairs.shape}"
-        )
+        raise ValueError(f"{expected}, got {pairs.dtype} entries of shape {pairs.shape}")
     return np.ascontiguousarray(pairs, dtype=float).view(complex)[..., 0]
 
 
@@ -113,12 +115,21 @@ def load_state(fp: IO[str] | IO[bytes]) -> State:
     The parse, the conversion and the release of the parsed tree all run with
     the cyclic collector paused: the tree holds no cycles, yet its hundreds of
     thousands of pair lists would trigger collections that walk all of it.
-    The caller's collector state is restored on return and on error."""
+    The caller's collector state is restored on return and on error.
+    Bytes that are not UTF-8 are refused with the offset of the first bad
+    byte; the bytes are decoded for that only after the parse has failed."""
     data = fp.read()
     enabled = gc.isenabled()
     gc.disable()
     try:
         return from_document(orjson.loads(data))
+    except orjson.JSONDecodeError:
+        if isinstance(data, bytes):
+            try:
+                data.decode()
+            except UnicodeDecodeError as exc:
+                raise ValueError(f"document is not valid UTF-8 at byte {exc.start}") from None
+        raise
     finally:
         if enabled:
             gc.enable()

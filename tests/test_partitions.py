@@ -1,9 +1,14 @@
+import itertools
+
 import numpy as np
 import pytest
 
 import entkit as ek
+from entkit import partitions
+from entkit.cli import main
 from entkit.core import SizeLimitError
 from entkit.partitions import single_party_bipartition
+from entkit.serialize import dump_state
 
 from conftest import ptranspose_elements
 
@@ -208,6 +213,85 @@ def test_ppt_check_pure_matches_dense_partial_transpose():
     assert ek.ppt_check(ek.ghz_state(4, 2, lam=[1 - 1e-12, 1e-12]), ek.Partition(((0,), (1, 2, 3))))[
         1
     ] == pytest.approx(-1e-6, rel=1e-6)
+
+
+def _spy_certificates(monkeypatch) -> list[bool]:
+    """Record the outcome of every Cholesky certificate ``ppt_check`` runs."""
+    outcomes = []
+    certified = partitions._certified
+
+    def spy(h, theta):
+        outcomes.append(certified(h, theta))
+        return outcomes[-1]
+
+    monkeypatch.setattr(partitions, "_certified", spy)
+    return outcomes
+
+
+def test_ppt_check_lanczos_matches_eigvalsh_above_the_threshold(monkeypatch):
+    """Mixed states of rank 1, 4 and d above ``_LANCZOS_STEPS``, every cut:
+    the certified Lanczos value is within 1e-12 of the dense minimum."""
+    outcomes = _spy_certificates(monkeypatch)
+    rng = np.random.default_rng(24)
+    for dims in ((4, 4, 4, 4), (8, 8, 8), (2,) * 8):
+        d = int(np.prod(dims))
+        assert d > partitions._LANCZOS_STEPS
+        states = [ek.random_density_matrix(dims, rank=r, rng=rng) for r in (1, 4, d)]
+        cuts = ek.all_bipartitions(len(dims))
+        # every rank on every cut, but the 127 cuts of 2^8 take the ranks in turn
+        pairs = itertools.product(states, cuts) if len(cuts) < 10 else zip(itertools.cycle(states), cuts)
+        for rho, bp in pairs:
+            flag, mineig = ek.ppt_check(rho, bp)
+            dense = np.linalg.eigvalsh(ek.partial_transpose(rho, bp.blocks[1])).min()
+            assert abs(mineig - dense) < 1e-12
+            assert flag == (dense >= -1e-10)
+    # every cut took the Krylov route: the run converged and was certified
+    assert len(outcomes) == 3 * (7 + 3) + 127 and all(outcomes)
+
+
+def test_ppt_check_falls_back_on_a_spread_diagonal_spectrum(monkeypatch):
+    """Spread eigenvalues that crowd toward the least one leave it unresolved
+    within the step cap; the dense minimum is returned bit for bit."""
+    outcomes = _spy_certificates(monkeypatch)
+    diag = np.random.default_rng(3).permutation(1.0 + np.linspace(0.0, 1.0, 256) ** 2)
+    rho = ek.DensityMatrix(np.diag(diag / diag.sum()), (2,) * 8)
+    for bp in ek.all_bipartitions(8)[:8]:
+        pt = ek.partial_transpose(rho, bp.blocks[1])
+        assert partitions._lanczos_least(pt) is None
+        assert ek.ppt_check(rho, bp) == (True, float(np.linalg.eigvalsh(pt).min()))
+    assert outcomes == []
+    # at order _LANCZOS_STEPS or less, no Krylov run is tried
+    small = ek.random_density_matrix([4, 4, 8], rank=2, rng=0)
+    pt = ek.partial_transpose(small, [0])
+    assert ek.ppt_check(small, [[0], [1, 2]])[1] == float(np.linalg.eigvalsh(pt).min())
+    assert outcomes == []
+
+
+def test_ppt_check_falls_back_when_the_certificate_fails(monkeypatch):
+    """A value above the least eigenvalue by more than the margin fails the
+    Cholesky certificate, and the dense minimum is returned bit for bit."""
+    rho = ek.random_density_matrix([4, 8, 8], rank=4, rng=6)
+    pt = ek.partial_transpose(rho, [1, 2])
+    dense = float(np.linalg.eigvalsh(pt).min())
+    theta = partitions._lanczos_least(pt)
+    assert partitions._certified(pt, theta) and abs(theta - dense) < 1e-12
+    for above in (1e-9, 1e-3):
+        assert not partitions._certified(pt, dense + above)
+        monkeypatch.setattr(partitions, "_lanczos_least", lambda h, above=above: dense + above)
+        assert ek.ppt_check(rho, [[0], [1, 2]]) == (dense >= -1e-10, dense)
+
+
+def test_cli_analyze_mixed_lanczos_output_is_byte_identical(tmp_path, capsysbinary):
+    """The start vector is seeded: two runs on one d = 256 mixed document
+    print the same bytes."""
+    path = tmp_path / "mixed.json"
+    with open(path, "w") as fh:
+        dump_state(ek.random_density_matrix([4, 8, 8], rank=4, rng=7), fh)
+    outputs = []
+    for _ in range(2):
+        assert main(["analyze", str(path), "--which", "ppt"]) == 0
+        outputs.append(capsysbinary.readouterr().out)
+    assert outputs[0] and outputs[0] == outputs[1]
 
 
 def test_classify_pure_recovers_the_generating_partition():

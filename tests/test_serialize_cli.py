@@ -1,3 +1,4 @@
+import functools
 import gc
 import io
 import json
@@ -208,8 +209,8 @@ def test_cli_analyze_refuses_a_document_that_is_not_utf8(tmp_path, capsys):
     path.write_bytes('{"dims": [2], "type": "pure", "amplitudes": [[1, 0], [0, 0]], '
                      '"name": "\u00e9t\u00e9"}'.encode("latin-1"))
     assert main(["analyze", str(path)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("entkit: error: ") and err.count("\n") == 1
+    bad = path.read_bytes().index(b"\xe9")
+    assert capsys.readouterr().err == f"entkit: error: document is not valid UTF-8 at byte {bad}\n"
 
 
 def test_cli_analyze_path_and_stdin_print_the_same_bytes(tmp_path, capsysbinary, monkeypatch):
@@ -258,6 +259,18 @@ def test_document_validation():
             from_document(doc)
 
 
+def test_ragged_and_over_deep_documents_name_the_field():
+    """numpy's own text ("inhomogeneous shape", "maximum number of
+    dimension") never reaches the user; the field and its schema do."""
+    ragged, deep = _MALFORMED_DOCUMENTS[-2:]
+    for doc, field, ndim in ((ragged, "matrix", 2), (deep, "amplitudes", 1)):
+        message = (f"{field} must be a {ndim}-dimensional array of [re, im] number pairs, "
+                   "got ragged or over-deep nesting")
+        with pytest.raises(ValueError) as info:
+            from_document(doc)
+        assert str(info.value) == message
+
+
 _NAN_DOCUMENT = {"dims": [2], "type": "pure", "amplitudes": [[float("nan"), 0], [0, 0]]}
 #: Entries that are not [re, im] number pairs: ValueError (exit 2), not TypeError.
 _MALFORMED_DOCUMENTS = [
@@ -268,6 +281,10 @@ _MALFORMED_DOCUMENTS = [
     # an integer too large for a float
     {"dims": [2], "type": "pure", "amplitudes": [[10**400, 0], [0, 0]]},
     {"dims": [2], "type": "mixed", "matrix": [[[10**400, 0], [0, 0]], [[0, 0], [0, 0]]]},
+    # a ragged matrix row, and amplitudes nested 66 levels deep, past numpy's 64
+    {"dims": [2], "type": "mixed", "matrix": [[[1, 0], [0, 0]], [[0, 0]]]},
+    {"dims": [2], "type": "pure",
+     "amplitudes": functools.reduce(lambda inner, _: [inner], range(64), [[1, 0], [0, 0]])},
 ]
 #: Raw texts that the stdlib ``json`` accepts but RFC 8259 does not.
 _NON_STRICT_DOCUMENTS = [
@@ -490,6 +507,11 @@ def test_cli_errors_print_plain_numbers(tmp_path, capsys):
         assert main(["make", "graph", "--edges", "0-1", "--vertices", vertices]) == 2
         err = capsys.readouterr().err
         assert err == f"entkit: error: --vertices must be >= 1, got {vertices}\n"
+    # a malformed edge is named with the form it should have
+    for edge in ("0-1-2", "0-x"):
+        assert main(["make", "graph", "--edges", f"1-2,{edge}"]) == 2
+        err = capsys.readouterr().err
+        assert err == f"entkit: error: edge '{edge}' is not of the form a-b, two vertex numbers\n"
 
 
 def _exit_code(argv) -> int:
