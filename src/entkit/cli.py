@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -426,7 +427,10 @@ def cmd_ame_table(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``entkit`` argument parser, built on the first call; later calls,
+    and so every :func:`main` call of a process, share it."""
     parser = argparse.ArgumentParser(
         prog="entkit",
         description="Multipartite entanglement toolkit command line",

@@ -52,10 +52,18 @@ class ConvergenceError(RuntimeError):
         self.best_residual = best_residual
 
 
+def _index(value) -> int:
+    """``operator.index(value)``, but a ``bool`` is a ``TypeError`` too, so
+    ``True`` is not read as 1."""
+    if isinstance(value, bool):
+        raise TypeError(f"expected an integer, got {value!r}")
+    return operator.index(value)
+
+
 def _check_dims(dims: Sequence[int]) -> tuple[int, ...]:
     dims = tuple(dims)
     try:
-        dims = tuple(operator.index(d) for d in dims)
+        dims = tuple(map(_index, dims))
     except TypeError:
         raise ValueError(f"local dimensions must be integers, got {dims}") from None
     if not dims or any(d < 1 for d in dims):
@@ -65,11 +73,11 @@ def _check_dims(dims: Sequence[int]) -> tuple[int, ...]:
 
 
 def _check_indices(indices: Iterable[int]) -> list[int]:
-    """Subsystem indices as Python ints; a non-integer such as ``0.5`` is
-    rejected, not truncated."""
+    """Subsystem indices as Python ints; a non-integer such as ``0.5`` or
+    ``True`` is rejected, not truncated or read as 1."""
     indices = list(indices)
     try:
-        return [operator.index(i) for i in indices]
+        return list(map(_index, indices))
     except TypeError:
         raise ValueError(f"subsystem indices must be integers, got {indices}") from None
 
@@ -99,9 +107,10 @@ def _plain(value):
 
 
 def _as_int(value, name: str) -> int:
-    """``value`` as a Python int; a non-integer such as ``4.7`` is rejected."""
+    """``value`` as a Python int; a non-integer such as ``4.7`` or ``True``
+    is rejected."""
     try:
-        return operator.index(value)
+        return _index(value)
     except TypeError:
         raise ValueError(f"{name} must be an integer, got {_plain(value)!r}") from None
 

@@ -11,8 +11,14 @@ and row-major; matrix rows are lists of ``[re, im]`` pairs.
 Documents are read and written with ``orjson``.  Reading is strict RFC 8259
 JSON: a ``NaN`` or ``Infinity`` literal, a lone surrogate escape in a string,
 or bytes that are not UTF-8 (named by the offset of the first bad byte), is a
-``ValueError``, and so is a ragged or over-deep number array; any whitespace
-layout is accepted.  :func:`load_state` takes a text or a binary file (the command line
+``ValueError``; any whitespace layout is accepted.  The parsed tree of lists
+becomes an array in one pass with no shape discovery: each nesting level's
+lengths are checked, then every ``[re, im]`` pair is appended to a float
+``array("d")`` buffer that is viewed as complex.  A ragged row, a wrong
+shape, a pair that is not a list, a leaf that is not a number (a string,
+``null``, an object or a list) and an integer too large for a float are each
+a ``ValueError`` naming the field; ``true`` and ``false`` read as 1 and 0.
+:func:`load_state` takes a text or a binary file (the command line
 passes document files as bytes), and builds and frees the parsed tree with
 the cyclic collector paused, restoring the caller's collector state.  Writing
 emits the compact layout (no whitespace) straight from a float view of the
@@ -24,6 +30,9 @@ States refuse non-finite entries, so no ``null`` is ever written.
 from __future__ import annotations
 
 import gc
+from array import array
+from collections import deque
+from itertools import chain
 from typing import IO
 
 import numpy as np
@@ -63,16 +72,53 @@ def to_document(state: State, name: str | None = None, note: str | None = None) 
 
 def _complex_array(values, ndim: int, field: str) -> np.ndarray:
     """``values``, an ``ndim``-dimensional array of ``[re, im]`` number pairs,
-    as a complex array.  The pairs are viewed as complex, not summed, so every
-    bit is kept."""
+    as a complex array, in one strict pass over the tree of lists.
+
+    Each of the ``ndim + 1`` nesting levels must hold entries of one common
+    length, the last of length 2.  Each pair, which must be a list, is
+    appended to a float buffer with ``array.fromlist``; that takes ints,
+    floats and booleans (``true`` reads as 1) and refuses anything else, so
+    no string is parsed and no ``None`` read as NaN.  The buffer is then
+    viewed as complex, so every bit of each number is kept.  Ragged rows,
+    a wrong shape, a pair that is not a list, a leaf that is not a number
+    and an integer too large for a float are refused with the field named."""
     expected = f"{field} must be a {ndim}-dimensional array of [re, im] number pairs"
+    level, shape = [values], []
+    for depth in range(ndim + 1):
+        if depth:
+            level = list(chain.from_iterable(level))
+        try:
+            widths = set(map(len, level))
+        except TypeError:  # a number or None where a list belongs
+            raise ValueError(f"{expected}, got {_refusal(level, shape)}") from None
+        if len(widths) > 1:
+            raise ValueError(f"{expected}, got ragged or over-deep nesting")
+        shape += widths
+    flat = array("d")
     try:
-        pairs = np.array(values)
-    except ValueError:  # ragged rows, or nesting past numpy's 64 dimensions
-        raise ValueError(f"{expected}, got ragged or over-deep nesting") from None
-    if pairs.dtype.kind not in "biuf" or pairs.ndim != ndim + 1 or pairs.shape[-1] != 2:
-        raise ValueError(f"{expected}, got {pairs.dtype} entries of shape {pairs.shape}")
-    return np.ascontiguousarray(pairs, dtype=float).view(complex)[..., 0]
+        deque(map(flat.fromlist, level), maxlen=0)  # each pair's two numbers, in order
+    except (TypeError, OverflowError):
+        if not all(isinstance(pair, list) for pair in level):
+            raise ValueError(f"{expected}, got pairs that are not lists") from None
+        leaves = list(chain.from_iterable(level))
+        raise ValueError(f"{expected}, got {_refusal(leaves, shape)}") from None
+    if len(shape) != ndim + 1 or shape[-1] != 2:
+        raise ValueError(f"{expected}, got an array of shape {tuple(shape)}")
+    return np.frombuffer(flat, complex).reshape(shape[:-1])
+
+
+def _refusal(level: list, shape: list) -> str:
+    """Why ``level``, the entries under ``shape`` where all lists or all
+    numbers were expected, is refused: the end of the error message."""
+    if any(isinstance(entry, list) for entry in level):
+        return "ragged or over-deep nesting"
+    try:
+        array("d", level)
+    except TypeError:
+        return "entries that are not numbers"
+    except OverflowError:
+        return "an integer too large for a float"
+    return f"an array of shape {tuple(shape)}"
 
 
 def from_document(doc: dict) -> State:

@@ -63,12 +63,15 @@ def _three_qubit(name):
             r"^expected a 3-qubit state")
 
 
-#: name -> (call(value), good value, bad value, error, message pattern)
+#: name -> (call(value), good value, bad value, error, message pattern), or a
+#: list of such rows
 ROWS = {
     "DensityMatrix": (lambda m: ek.DensityMatrix(m, (2,)), np.eye(2) / 2,
                       np.diag([_NAN, 1.0]), ValueError, r"^density matrix entries must be finite"),
-    "PureState": (lambda a: ek.PureState(a, (2,)), [1.0, 0.0], [_NAN, 0.0], ValueError,
-                  r"^state norm nan is not 1"),
+    "PureState": [(lambda a: ek.PureState(a, (2,)), [1.0, 0.0], [_NAN, 0.0], ValueError,
+                   r"^state norm nan is not 1"),
+                  (lambda dims: ek.PureState([1.0, 0.0], dims), (1, 2), (True, 2), ValueError,
+                   r"^local dimensions must be integers, got \(True, 2\)")],
     "Instrument": (lambda k: ek.Instrument((("a", (k,)),), dims=(2,)), np.eye(2),
                    np.full((2, 2), _NAN), ValueError, r"^branch 'a' Kraus operators must be finite"),
     "Partition": (lambda b: ek.Partition(b), ((0,), (1,)), ((0,), (0.5,)), ValueError,
@@ -220,7 +223,8 @@ def test_public_callable_rejects_a_bad_argument(name):
     if name in EXEMPT:
         assert EXEMPT[name]
         return
-    call, good, bad, error, message = ROWS[name]
-    call(good)
-    with pytest.raises(error, match=message):
-        call(bad)
+    rows = ROWS[name] if isinstance(ROWS[name], list) else [ROWS[name]]
+    for call, good, bad, error, message in rows:
+        call(good)
+        with pytest.raises(error, match=message):
+            call(bad)

@@ -136,6 +136,23 @@ def test_messages_show_numpy_scalars_as_plain_numbers(call, message):
     assert str(exc.value) == message
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: ek.DensityMatrix(np.eye(2) / 2, (2, False)),
+     "local dimensions must be integers, got (2, False)"),
+    (lambda: ek.partial_trace(_BELL, [True]), "subsystem indices must be integers, got [True]"),
+    (lambda: ek.ghz_state(True), "n must be an integer, got True"),
+    (lambda: ek.basis_state([2, 2], [True, 0]), "occupation[0] must be an integer, got True"),
+], ids=["dims", "indices", "count", "occupation"])
+def test_booleans_are_not_integers(call, message):
+    """``True`` is refused where an integer is checked, not read as 1:
+    ``DensityMatrix(m, (2, False))`` used to be refused as dims ``(2, 0)``,
+    ``partial_trace(bell, [True])`` kept subsystem 1, and
+    ``PureState(amp, (True, 2))`` was a 1x2 system (see the contract row)."""
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message
+
+
 @pytest.mark.parametrize("call, bad, good, expect, name", [
     (lambda b: ek.von_neumann_entropy(ek.partial_trace(_BELL, [0]), base=b),
      (1, _NAN, 0, -2.0, _INF), 2, 1.0, "base"),

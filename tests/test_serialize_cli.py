@@ -1,3 +1,4 @@
+import argparse
 import functools
 import gc
 import io
@@ -12,8 +13,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import entkit as ek
+from entkit import cli
 from entkit.cli import main
-from entkit.serialize import dump_state, from_document, load_state, to_document
+from entkit.serialize import _complex_array, dump_state, from_document, load_state, to_document
 
 
 def test_document_roundtrip_pure():
@@ -271,8 +273,67 @@ def test_ragged_and_over_deep_documents_name_the_field():
         assert str(info.value) == message
 
 
+@pytest.mark.parametrize("amplitudes, got", [
+    ([None, [0, 0]], "ragged or over-deep nesting"),
+    (["ab", [0, 0]], "pairs that are not lists"),
+    ([{"re": 1, "im": 0}, [0, 0]], "pairs that are not lists"),
+    ([[1, None], [0, 0]], "entries that are not numbers"),
+    ([[10**400, 0], [0, 0]], "an integer too large for a float"),
+    ([], "an array of shape (0,)"),
+    ([[]], "an array of shape (1, 0)"),
+    ([[1, 0, 0], [0, 0, 0]], "an array of shape (2, 3)"),
+    ([1, 0], "an array of shape (2,)"),
+    (5, "an array of shape ()"),
+    ([[[1, 0], [0, 0]], [[0, 0], [0, 0]]], "ragged or over-deep nesting"),
+])
+def test_malformed_pairs_are_named_with_what_was_found(amplitudes, got):
+    """Leaves are taken as numbers only (no string is parsed, no ``None``
+    read as NaN), and each refusal says what the field holds instead."""
+    doc = {"dims": [2], "type": "pure", "amplitudes": amplitudes}
+    with pytest.raises(ValueError) as info:
+        from_document(json.loads(json.dumps(doc)))
+    assert str(info.value) == ("amplitudes must be a 1-dimensional array of [re, im] "
+                               f"number pairs, got {got}")
+
+
+#: Every double a document can hold at the edges of the format, integers up
+#: to 2**53 and booleans: JSON ``true`` and ``false`` read as 1 and 0.
+_LEAVES = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308,
+                     1.7976931348623157e308]),
+    st.integers(-(2**53), 2**53),
+    st.booleans(),
+)
+
+
+@st.composite
+def _pair_arrays(draw):
+    """A 1-D or 2-D array of ``[re, im]`` pairs as nested lists, and its ndim."""
+    ndim = draw(st.integers(1, 2))
+    shape = draw(st.lists(st.integers(1, 5), min_size=ndim, max_size=ndim))
+    pairs = st.lists(_LEAVES, min_size=2, max_size=2)
+    if ndim == 1:
+        return draw(st.lists(pairs, min_size=shape[0], max_size=shape[0])), 1
+    row = st.lists(pairs, min_size=shape[1], max_size=shape[1])
+    return draw(st.lists(row, min_size=shape[0], max_size=shape[0])), 2
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(case=_pair_arrays())
+def test_complex_array_matches_numpy_bit_for_bit(case):
+    """The one-pass conversion gives the bits that numpy's nested-sequence
+    conversion gives, signed zeros, subnormals and exact integers included."""
+    values, ndim = case
+    ours = _complex_array(values, ndim, "field")
+    numpy = np.ascontiguousarray(np.array(values), float).view(complex)[..., 0]
+    assert ours.dtype == complex and ours.shape == numpy.shape
+    assert np.array_equal(ours.view(np.uint64), numpy.view(np.uint64))
+
+
 _NAN_DOCUMENT = {"dims": [2], "type": "pure", "amplitudes": [[float("nan"), 0], [0, 0]]}
-#: Entries that are not [re, im] number pairs: ValueError (exit 2), not TypeError.
+#: Malformed documents, each a ValueError (exit 2), not a TypeError: entries
+#: that are not [re, im] number pairs, and Boolean dimensions.
 _MALFORMED_DOCUMENTS = [
     {"dims": [2], "type": "pure", "amplitudes": [["a", 0], [0, 0]]},
     {"dims": [2], "type": "pure", "amplitudes": 5},
@@ -281,6 +342,15 @@ _MALFORMED_DOCUMENTS = [
     # an integer too large for a float
     {"dims": [2], "type": "pure", "amplitudes": [[10**400, 0], [0, 0]]},
     {"dims": [2], "type": "mixed", "matrix": [[[10**400, 0], [0, 0]], [[0, 0], [0, 0]]]},
+    # a None, a string and an object as a pair, no pairs, an empty row, three numbers
+    {"dims": [2], "type": "pure", "amplitudes": [None, [0, 0]]},
+    {"dims": [2], "type": "pure", "amplitudes": ["ab", [0, 0]]},
+    {"dims": [2], "type": "pure", "amplitudes": [{"re": 1, "im": 0}, [0, 0]]},
+    {"dims": [2], "type": "pure", "amplitudes": []},
+    {"dims": [2], "type": "pure", "amplitudes": [[]]},
+    {"dims": [2], "type": "pure", "amplitudes": [[1, 0, 0], [0, 0, 0]]},
+    # true is not the dimension 1
+    {"dims": [True, 2], "type": "pure", "amplitudes": [[1, 0], [0, 0]]},
     # a ragged matrix row, and amplitudes nested 66 levels deep, past numpy's 64
     {"dims": [2], "type": "mixed", "matrix": [[[1, 0], [0, 0]], [[0, 0]]]},
     {"dims": [2], "type": "pure",
@@ -512,6 +582,38 @@ def test_cli_errors_print_plain_numbers(tmp_path, capsys):
         assert main(["make", "graph", "--edges", f"1-2,{edge}"]) == 2
         err = capsys.readouterr().err
         assert err == f"entkit: error: edge '{edge}' is not of the form a-b, two vertex numbers\n"
+
+
+def test_cli_builds_its_parser_once(tmp_path, monkeypatch, capsys):
+    """``main`` builds the ``entkit`` parser on its first call only; a later
+    call parses, refuses usage errors and prints the version alike."""
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def spy(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        if self.prog == "entkit":
+            built.append(self)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", spy)
+    cli.build_parser.cache_clear()
+    try:
+        out = tmp_path / "ghz.json"
+        assert main(["make", "ghz", "--out", str(out)]) == 0
+        assert main(["analyze", str(out), "--which", "ppt", "--out", os.devnull]) == 0
+        assert len(built) == 1
+        for argv, code in ((["make", "nonsense"], 2), (["--version"], 0)):
+            seen = []
+            for _ in range(2):
+                with pytest.raises(SystemExit) as exc:
+                    main(argv)
+                seen.append((exc.value.code, capsys.readouterr()))
+            assert seen[0] == seen[1] and seen[0][0] == code
+            assert (seen[0][1].err if code else seen[0][1].out).strip()
+        assert seen[0][1].out == f"entkit {ek.__version__}\n"
+        assert len(built) == 1
+    finally:
+        cli.build_parser.cache_clear()
 
 
 def _exit_code(argv) -> int:
