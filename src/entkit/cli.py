@@ -427,10 +427,7 @@ def cmd_ame_table(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
-@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The ``entkit`` argument parser, built on the first call; later calls,
-    and so every :func:`main` call of a process, share it."""
     parser = argparse.ArgumentParser(
         prog="entkit",
         description="Multipartite entanglement toolkit command line",
@@ -497,9 +494,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: The parser that every :func:`main` call of a process shares, built on the
+#: first call; :func:`build_parser` itself still returns a new parser.
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except ConvergenceError as exc:

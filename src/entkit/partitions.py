@@ -17,7 +17,7 @@ fallback (see :func:`ppt_check`); the route is numpy only.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import log, prod, sqrt
+from math import prod
 from typing import Iterable
 
 import numpy as np
@@ -35,10 +35,6 @@ _LANCZOS_CHECK = 4
 #: Width of the interval ``(theta - margin, theta]`` that the Cholesky
 #: certificate proves the least eigenvalue lies in; below the PPT flag's 1e-10.
 _LANCZOS_MARGIN = 1e-12
-#: From half its steps on, a run stops as hopeless when its residual, falling
-#: this many times faster than its average since the first check, would still
-#: miss its bound at the last step.
-_LANCZOS_HOPE = 4
 
 
 @dataclass(frozen=True)
@@ -258,10 +254,9 @@ def ppt_check(rho: State, bipartition=None) -> tuple[bool, float]:
     order 128, the least Ritz value of at most 128 Lanczos steps, certified
     by a Cholesky factorization of the partial transpose shifted by that
     value less 1e-12, so the true minimum lies at most 1e-12 below it.  A
-    run that does not converge, gives up as hopeless or fails the
-    certificate, and any matrix of order 128 or less, takes the dense
-    ``eigvalsh`` minimum.  The Lanczos start vector is seeded, so the value
-    is the same from run to run.
+    run that does not converge or fails the certificate, and any matrix of
+    order 128 or less, takes the dense ``eigvalsh`` minimum.  The Lanczos
+    start vector is seeded, so the value is the same from run to run.
     """
     if not isinstance(rho, PureState):
         rho = as_density(rho)
@@ -286,9 +281,9 @@ def _least_eigenvalue(h: np.ndarray) -> float:
     factorization of ``h - (theta - _LANCZOS_MARGIN) I`` succeeds.  A Ritz
     value is never below the least eigenvalue, so the factorization proves
     that the least eigenvalue lies in ``(theta - _LANCZOS_MARGIN, theta]``.
-    A run that does not converge within its steps or gives up early, or a
-    failed factorization, falls back to the dense solve, which is also taken
-    at order ``_LANCZOS_STEPS`` or less, where no Krylov run of that many
+    A run that does not converge within its steps, or a failed
+    factorization, falls back to the dense solve, which is also taken at
+    order ``_LANCZOS_STEPS`` or less, where no Krylov run of that many
     steps is cheaper.
     """
     d = h.shape[0]
@@ -312,13 +307,6 @@ def _lanczos_least(h: np.ndarray) -> float | None:
     bound ``r = |beta y_last|`` is small: within a quarter margin of
     ``theta``, or with ``r^2 / gap`` (Kato-Temple, ``gap`` the distance to
     the next Ritz value) below it.
-
-    From step ``_LANCZOS_STEPS / 2`` on, a check also gives up, returning
-    ``None`` at once, when the run cannot plausibly converge in the steps
-    left: closing the gap from ``r`` to its bound would take the residual's
-    fall per step since the first check sped up more than ``_LANCZOS_HOPE``
-    times.  Runs whose least eigenvalues crowd together, as on every cut of
-    a product of mixed one-party states, end there instead of at the cap.
     """
     d = h.shape[0]
     rng = np.random.default_rng(0)
@@ -340,13 +328,6 @@ def _lanczos_least(h: np.ndarray) -> float | None:
             res = beta * abs(vecs[-1, 0])
             if res <= tol or res * res <= tol * (vals[1] - vals[0]):
                 return float(vals[0])
-            if j < _LANCZOS_CHECK:
-                first = res
-            elif 2 * j >= _LANCZOS_STEPS:
-                fall = log(first / res) / (j - _LANCZOS_CHECK + 1)  # per step, on average
-                needed = log(res / max(tol, sqrt(tol * (vals[1] - vals[0]))))
-                if needed > _LANCZOS_HOPE * fall * (_LANCZOS_STEPS - 1 - j):
-                    return None
         if j + 1 < _LANCZOS_STEPS:
             basis[j + 1] = w / beta
             t[j, j + 1] = t[j + 1, j] = beta

@@ -15,9 +15,10 @@ or bytes that are not UTF-8 (named by the offset of the first bad byte), is a
 becomes an array in one pass with no shape discovery: each nesting level's
 lengths are checked, then every ``[re, im]`` pair is appended to a float
 ``array("d")`` buffer that is viewed as complex.  A ragged row, a wrong
-shape, a pair that is not a list, a leaf that is not a number (a string,
-``null``, an object or a list) and an integer too large for a float are each
-a ``ValueError`` naming the field; ``true`` and ``false`` read as 1 and 0.
+shape, a row or pair that is not a list (a tuple or an array from a Python
+caller included), a leaf that is not a number (a string, ``null``, an
+object or a list) and an integer too large for a float are each a
+``ValueError`` naming the field; ``true`` and ``false`` read as 1 and 0.
 :func:`load_state` takes a text or a binary file (the command line
 passes document files as bytes), and builds and frees the parsed tree with
 the cyclic collector paused, restoring the caller's collector state.  Writing
@@ -74,55 +75,51 @@ def _complex_array(values, ndim: int, field: str) -> np.ndarray:
     """``values``, an ``ndim``-dimensional array of ``[re, im]`` number pairs,
     as a complex array, in one strict pass over the tree of lists.
 
-    Each of the ``ndim + 1`` nesting levels must hold entries of one common
-    length, the last of length 2.  Each pair, which must be a list, is
-    appended to a float buffer with ``array.fromlist``; that takes ints,
-    floats and booleans (``true`` reads as 1) and refuses anything else, so
-    no string is parsed and no ``None`` read as NaN.  The buffer is then
-    viewed as complex, so every bit of each number is kept.  Ragged rows,
-    a wrong shape, a pair that is not a list, a leaf that is not a number
-    and an integer too large for a float are refused with the field named."""
+    Every row and every pair must be a list, as a JSON parser builds them,
+    and each of the ``ndim + 1`` nesting levels must hold entries of one
+    common length, the last of length 2.  Each pair is appended to a float
+    buffer with ``array.fromlist``; that takes ints, floats and booleans
+    (``true`` reads as 1) and refuses anything else, so no string is parsed
+    and no ``None`` read as NaN.  The buffer is then viewed as complex, so
+    every bit of each number is kept.  A ragged row, or nesting deeper than
+    the field's, is refused as such; any other shape, a row or pair that is
+    not a list, and a leaf that is not a number (or an integer too large for
+    a float) share a second message.  Both name the field."""
     expected = f"{field} must be a {ndim}-dimensional array of [re, im] number pairs"
     level, shape = [values], []
     for depth in range(ndim + 1):
         if depth:
             level = list(chain.from_iterable(level))
+        if depth < ndim and set(map(type, level)) != {list}:
+            break  # a row that is not a list
         try:
             widths = set(map(len, level))
-        except TypeError:  # a number or None where a list belongs
-            raise ValueError(f"{expected}, got {_refusal(level, shape)}") from None
+        except TypeError:  # a number or None as a pair
+            break
         if len(widths) > 1:
             raise ValueError(f"{expected}, got ragged or over-deep nesting")
         shape += widths
-    flat = array("d")
-    try:
-        deque(map(flat.fromlist, level), maxlen=0)  # each pair's two numbers, in order
-    except (TypeError, OverflowError):
-        if not all(isinstance(pair, list) for pair in level):
-            raise ValueError(f"{expected}, got pairs that are not lists") from None
-        leaves = list(chain.from_iterable(level))
-        raise ValueError(f"{expected}, got {_refusal(leaves, shape)}") from None
-    if len(shape) != ndim + 1 or shape[-1] != 2:
-        raise ValueError(f"{expected}, got an array of shape {tuple(shape)}")
-    return np.frombuffer(flat, complex).reshape(shape[:-1])
-
-
-def _refusal(level: list, shape: list) -> str:
-    """Why ``level``, the entries under ``shape`` where all lists or all
-    numbers were expected, is refused: the end of the error message."""
-    if any(isinstance(entry, list) for entry in level):
-        return "ragged or over-deep nesting"
-    try:
-        array("d", level)
-    except TypeError:
-        return "entries that are not numbers"
-    except OverflowError:
-        return "an integer too large for a float"
-    return f"an array of shape {tuple(shape)}"
+    if len(shape) == ndim + 1 and shape[-1] == 2:
+        flat = array("d")
+        try:
+            deque(map(flat.fromlist, level), maxlen=0)  # each pair's two numbers, in order
+        except (TypeError, OverflowError):  # a pair that is not a list of numbers
+            pass
+        else:
+            return np.frombuffer(flat, complex).reshape(shape[:-1])
+    first = values
+    for _ in range(ndim + 1):
+        first = first[0] if type(first) is list and first else None
+    if type(first) is list:  # a list where the first number belongs
+        raise ValueError(f"{expected}, got ragged or over-deep nesting")
+    raise ValueError(f"{expected}, got another shape, or an entry that is not a list or a number")
 
 
 def from_document(doc: dict) -> State:
-    """Rebuild a state, revalidating all type invariants."""
+    """Rebuild a state, revalidating all type invariants.
+
+    The number field's rows and ``[re, im]`` pairs must be lists, as a JSON
+    parser builds them: tuples or arrays in their place are refused."""
     if not isinstance(doc, dict):
         raise ValueError("state document must be a JSON object")
     try:

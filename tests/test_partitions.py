@@ -1,4 +1,3 @@
-import functools
 import itertools
 
 import numpy as np
@@ -265,31 +264,6 @@ def test_ppt_check_falls_back_on_a_spread_diagonal_spectrum(monkeypatch):
     small = ek.random_density_matrix([4, 4, 8], rank=2, rng=0)
     pt = ek.partial_transpose(small, [0])
     assert ek.ppt_check(small, [[0], [1, 2]])[1] == float(np.linalg.eigvalsh(pt).min())
-    assert outcomes == []
-
-
-def test_lanczos_gives_up_early_on_a_product_of_mixed_states(monkeypatch):
-    """On every cut of a product of mixed one-party states the least
-    eigenvalues crowd together: the run stops as hopeless before the step
-    cap, with fewer tridiagonal checks, and ``ppt_check`` returns the dense
-    minimum bit for bit."""
-    outcomes = _spy_certificates(monkeypatch)
-    checks = []
-    eigh = np.linalg.eigh
-    monkeypatch.setattr(np.linalg, "eigh", lambda a: checks.append(len(a)) or eigh(a))
-    rng = np.random.default_rng(12)
-    factors = []
-    for k in (4, 4, 4, 4):
-        g = rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
-        factors.append(ek.DensityMatrix(g @ g.conj().T / np.trace(g @ g.conj().T).real, (k,)))
-    rho = ek.DensityMatrix(functools.reduce(np.kron, [f.matrix for f in factors]), (4,) * 4)
-    cap = partitions._LANCZOS_STEPS
-    for bp in ek.all_bipartitions(4):
-        pt = ek.partial_transpose(rho, bp.blocks[1])
-        checks.clear()
-        assert partitions._lanczos_least(pt) is None
-        assert cap // 2 < max(checks) < cap and len(checks) < cap // partitions._LANCZOS_CHECK
-        assert ek.ppt_check(rho, bp) == (True, float(np.linalg.eigvalsh(pt).min()))
     assert outcomes == []
 
 
