@@ -11,7 +11,7 @@ import entkit as ek
 
 print("Teleportation moves an unknown qutrit through a shared Bell pair:")
 rho = ek.random_density_matrix([3], rng=2)
-for br in ek.teleport(rho, 3)[:3]:
+for br in ek.teleport(rho)[:3]:
     err = np.abs(br.post_state.matrix - rho.matrix).max()
     print(f"  outcome {br.label}: p = {br.probability:.4f}, "
           f"output deviation = {err:.2e}")
@@ -20,7 +20,7 @@ print("  ... all 9 outcomes reproduce the input exactly (p = 1/9 each)")
 print()
 print("Entanglement swapping relays the second subsystem to Bob:")
 rho_xa = ek.random_density_matrix([2, 2], rng=3)
-out = ek.entanglement_swap(rho_xa, 2)
+out = ek.entanglement_swap(rho_xa)
 print("  |out - in| =", f"{np.abs(out.matrix - rho_xa.matrix).max():.2e}",
       " (X never met Bob's particle)")
 

@@ -1,8 +1,9 @@
 """Command-line front end.
 
-Subcommands: ``make``, ``analyze``, ``convert-check``, ``sweep``,
-``teleport-demo``, ``unlock-demo``, ``ame-table``.  States travel as JSON
-documents (see :mod:`entkit.serialize`).  Exit codes: 0 success, 2 bad
+Subcommands: ``make <state>``, ``analyze``, ``convert-check``, ``sweep``,
+``teleport-demo``, ``unlock-demo``, ``ame-table``; each, and each ``make``
+state, takes ``--out`` and only the options its handler reads.  States travel
+as JSON documents (see :mod:`entkit.serialize`).  Exit codes: 0 success, 2 bad
 usage/input, 3 numerical non-convergence (best-effort output still emitted).
 No color, no network, no environment configuration.
 """
@@ -112,10 +113,10 @@ def _parse_bipartition(text: str, n: int) -> Partition:
 # make
 # ---------------------------------------------------------------------------
 
-def _parse_edges(text: str, vertices: int | None):
+def _make_graph(args):
     edges = []
     hi = -1
-    for token in text.split(","):
+    for token in args.edges.split(","):
         token = token.strip()
         if not token:
             continue
@@ -125,46 +126,35 @@ def _parse_edges(text: str, vertices: int | None):
             raise ValueError(f"edge {token!r} is not of the form a-b, two vertex numbers") from None
         edges.append((a, b))
         hi = max(hi, a, b)
-    if vertices is not None and vertices < 1:
-        raise ValueError(f"--vertices must be >= 1, got {vertices}")
-    m = (hi + 1) if vertices is None else vertices
+    if args.vertices is not None and args.vertices < 1:
+        raise ValueError(f"--vertices must be >= 1, got {args.vertices}")
+    m = (hi + 1) if args.vertices is None else args.vertices
     _check_cap(m, _GRAPH_VERTEX_CAP, "graph vertex count")
     if hi >= m:
         raise ValueError(f"edge endpoint {hi} outside the {m} vertices 0..{m - 1}")
     adj = np.zeros((m, m), dtype=int)
     for a, b in edges:
         adj[a, b] = adj[b, a] = 1
-    return adj
+    return graph_state(adj)
 
 
-def _make_graph(args):
-    if not args.edges:
-        raise ValueError("graph requires --edges, e.g. --edges 0-1,1-2")
-    return graph_state(_parse_edges(args.edges, args.vertices))
-
-
-def _make_acin(args):
-    if not args.r:
-        raise ValueError("acin requires --r r0,r1,r2,r3,r4")
-    return acin_state(_parse_floats(args.r), args.theta)
-
-
-#: state name -> constructor(args)
+#: state name -> (constructor(args), the options of ``_OPTIONS`` it reads)
 _STATES = {
-    "bell": lambda args: bell_state(args.d),
-    "ghz": lambda args: ghz_state(args.n, args.d, _parse_floats(args.lam) if args.lam else None),
-    "w": lambda args: w_state(),
-    "graph": _make_graph,
-    "smolin": lambda args: smolin_state(),
-    "upb": lambda args: upb_state(),
-    "psi25": lambda args: psi25_state(),
-    "phi-a": lambda args: phi_a_state(_parse_complex(args.a)),
-    "acin": _make_acin,
+    "bell": (lambda args: bell_state(args.d), ("--d",)),
+    "ghz": (lambda args: ghz_state(args.n, args.d, _parse_floats(args.lam) if args.lam else None),
+            ("--n", "--d", "--lam")),
+    "w": (lambda args: w_state(), ()),
+    "graph": (_make_graph, ("--edges", "--vertices")),
+    "smolin": (lambda args: smolin_state(), ()),
+    "upb": (lambda args: upb_state(), ()),
+    "psi25": (lambda args: psi25_state(), ()),
+    "phi-a": (lambda args: phi_a_state(_parse_complex(args.a)), ("--a",)),
+    "acin": (lambda args: acin_state(_parse_floats(args.r), args.theta), ("--r", "--theta")),
 }
 
 
 def cmd_make(args) -> int:
-    state = _STATES[args.state](args)
+    state = _STATES[args.state][0](args)
     _write(_dumps(state, name=args.state), args.out)
     return EXIT_OK
 
@@ -374,7 +364,7 @@ def cmd_teleport_demo(args) -> int:
     d = args.d
     rng = np.random.default_rng(args.seed)
     psi = random_pure_state([d], rng=rng)
-    outcomes = teleport(psi, d)
+    outcomes = teleport(psi)
     branches = []
     for br in outcomes:
         fid = float(np.vdot(psi.amplitudes, br.post_state.matrix @ psi.amplitudes).real)
@@ -427,70 +417,77 @@ def cmd_ame_table(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
+#: option -> add_argument keywords; each subcommand, and each ``make`` state,
+#: takes ``--out`` and the options its handler reads
+_OPTIONS = {
+    "--out": dict(default=None, help="output file (default: stdout)"),
+    "--seed": dict(type=int, default=0, help="random seed"),
+    "--tol": dict(type=float, default=1e-10, help="optimizer tolerance"),
+    "--format": dict(choices=("json", "csv"), default="csv", help="tabular output format"),
+    "--d": dict(type=int, default=2, help="local dimension"),
+    "--n": dict(type=int, default=3, help="party count"),
+    "--lam": dict(default=None, help="comma-separated probability vector"),
+    "--edges": dict(required=True, help="graph edges, e.g. 0-1,1-2"),
+    "--vertices": dict(type=int, default=None, help="vertex count override"),
+    "--a": dict(default="1", help="complex parameter, e.g. 1+0.5i"),
+    "--r": dict(required=True, help="five comma-separated amplitudes"),
+    "--theta": dict(type=float, default=0.0, help="phase"),
+}
+
+
+def _add_parser(sub, name: str, func, options=(), **kwargs) -> argparse.ArgumentParser:
+    """The parser of ``name`` under ``sub``: runs ``func``, takes ``--out`` and ``options``."""
+    p = sub.add_parser(name, **kwargs)
+    for flag in ("--out", *options):
+        p.add_argument(flag, **_OPTIONS[flag])
+    p.set_defaults(func=func)
+    return p
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="entkit",
         description="Multipartite entanglement toolkit command line",
     )
     parser.add_argument("--version", action="version", version=f"entkit {__version__}")
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0, help="random seed for optimizers")
-    common.add_argument("--tol", type=float, default=1e-10, help="optimizer tolerance")
-    common.add_argument("--out", default=None, help="output file (default: stdout)")
-    common.add_argument(
-        "--format", choices=("json", "csv"), default="csv",
-        help="tabular output format (sweep, ame-table)",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("make", parents=[common], help="construct a named state")
-    p.add_argument("state", choices=tuple(_STATES))
-    p.add_argument("--d", type=int, default=2, help="local dimension")
-    p.add_argument("--n", type=int, default=3, help="party count")
-    p.add_argument("--lam", default=None, help="comma-separated probability vector")
-    p.add_argument("--edges", default=None, help="graph edges, e.g. 0-1,1-2")
-    p.add_argument("--vertices", type=int, default=None, help="vertex count override")
-    p.add_argument("--a", default="1", help="complex parameter for phi-a")
-    p.add_argument("--r", default=None, help="five comma-separated amplitudes for acin")
-    p.add_argument("--theta", type=float, default=0.0, help="phase for acin")
-    p.set_defaults(func=cmd_make)
+    states = sub.add_parser("make", help="construct a named state").add_subparsers(
+        dest="state", required=True)
+    for name, (_, options) in _STATES.items():
+        _add_parser(states, name, cmd_make, options)
 
-    p = sub.add_parser("analyze", parents=[common], help="analyze a state document")
+    p = _add_parser(sub, "analyze", cmd_analyze, ("--seed", "--tol"),
+                    help="analyze a state document")
     p.add_argument("input", help="state document path, or - for stdin")
     p.add_argument("--which", default="class,schmidt,ppt", help="comma-separated sections")
     p.add_argument("--bipartition", default=None, help="cut, e.g. 0,1|2")
     p.add_argument("--restarts", type=int, default=32, help="geometric-measure restarts, 1-1000")
-    p.set_defaults(func=cmd_analyze)
 
-    p = sub.add_parser("convert-check", parents=[common], help="Nielsen convertibility")
+    p = _add_parser(sub, "convert-check", cmd_convert_check, help="Nielsen convertibility")
     p.add_argument("--source", required=True)
     p.add_argument("--target", required=True)
     p.add_argument("--bipartition", default=None)
     p.add_argument("--catalyst-dim", type=int, default=None)
     p.add_argument("--catalyst-grid", type=int, default=100)
-    p.set_defaults(func=cmd_convert_check)
 
-    p = sub.add_parser("sweep", parents=[common], help="parameter sweeps to CSV")
+    p = _add_parser(sub, "sweep", cmd_sweep, ("--format",), help="parameter sweeps to CSV")
     p.add_argument("--family", required=True, choices=("ghz-noise", "phi-a", "acin-grid"))
     p.add_argument(
         "--grid", required=True,
         help="grid specification; ghz-noise takes start:stop:step or a comma list "
         f"of at most {_GRID_CAP} points",
     )
-    p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("teleport-demo", parents=[common], help="teleportation outcome table")
-    p.add_argument("--d", type=int, default=2)
-    p.set_defaults(func=cmd_teleport_demo)
+    _add_parser(sub, "teleport-demo", cmd_teleport_demo, ("--seed", "--d"),
+                help="teleportation outcome table")
 
-    p = sub.add_parser("unlock-demo", parents=[common], help="Smolin unlocking outcomes")
+    p = _add_parser(sub, "unlock-demo", cmd_unlock_demo, help="Smolin unlocking outcomes")
     p.add_argument("--pair", default="CD", help="joined pair, e.g. CD")
-    p.set_defaults(func=cmd_unlock_demo)
 
-    p = sub.add_parser("ame-table", parents=[common], help="AME feasibility table")
+    p = _add_parser(sub, "ame-table", cmd_ame_table, ("--format",), help="AME feasibility table")
     p.add_argument("--n", default="2:8", help="party range lo:hi")
     p.add_argument("--d", default="2:8", help=f"dimension range lo:hi; {_GRID_CAP} rows at most")
-    p.set_defaults(func=cmd_ame_table)
     return parser
 
 

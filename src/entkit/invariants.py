@@ -19,12 +19,11 @@ from enum import Enum
 import numpy as np
 
 from .core import ConvergenceError, _check_finite, _check_tol
+from .schmidt import RANK_TOL
 from .states import DensityMatrix, PureState
 
 #: Below this value of the three-tangle, a rank-(2,2,2) state is labeled W class.
 TAU3_CLASS_TOL = 1e-8
-
-_RANK_TOL = 1e-10
 
 
 class SloccClass(Enum):
@@ -65,6 +64,8 @@ class InvariantRecord:
 
 
 def _require_3qubit(psi: PureState) -> None:
+    if not isinstance(psi, PureState):
+        raise ValueError(f"expected a 3-qubit state, got {type(psi).__name__}")
     if psi.dims != (2, 2, 2):
         raise ValueError(f"expected a 3-qubit state, got dims {psi.dims}")
 
@@ -128,6 +129,8 @@ def wootters_concurrence(rho: DensityMatrix) -> float:
     square-root noise.  The zeroing is on this mixed-state route only: the
     pair tangles of a 3-qubit pure state have a closed form.
     """
+    if not isinstance(rho, DensityMatrix):
+        raise ValueError(f"expected a 2-qubit DensityMatrix, got {type(rho).__name__}")
     if rho.dims != (2, 2):
         raise ValueError(f"expected a 2-qubit state, got dims {rho.dims}")
     m = rho.matrix
@@ -169,7 +172,7 @@ def _records(amps: np.ndarray, tau3_tol: float = TAU3_CLASS_TOL) -> list[Invaria
     p, q = one[..., 0, 0].real, one[..., 1, 1].real
     root = np.hypot(p - q, 2.0 * abs(one[..., 0, 1]))
     spectra = ((p + q)[..., None] + root[..., None] * [-1.0, 1.0]) / 2
-    ranks = (spectra > _RANK_TOL).sum(-1)
+    ranks = (spectra > RANK_TOL).sum(-1)
     hyper = 4.0 * (x[:, 0] ** 2 - d0[:, 0] * d1[:, 0])
     # indices into SloccClass in declaration order: GHZ or W by the three-tangle
     # 4 |hyperdet3|, unless one marginal is pure (the biseparable cut) or all are

@@ -115,21 +115,22 @@ def teleportation_kraus(d: int) -> list[tuple[tuple[int, int], np.ndarray]]:
     return [(mn, u @ ((u @ bell).conj() @ bell).T) for mn, u in us]
 
 
-def teleport(input_state: State, d: int | None = None) -> list[BranchOutcome]:
-    """Teleport a ``d``-level state through ``|psi^{+,d}>``; all branches return it.
+def teleport(input_state: State) -> list[BranchOutcome]:
+    """Teleport a state of total dimension ``d`` through ``|psi^{+,d}>``; all
+    branches return it.
 
     Outcome probabilities are ``1/d^2`` regardless of the input.  The
     channel, and with it the dense cap on ``d``, comes before a pure input
     becomes a projector.
     """
-    if d is None:
-        d = input_state.dim
+    d = input_state.dim
     branches = tuple((label, (k,)) for label, k in teleportation_kraus(d))
     return Instrument(branches=branches, dims=(d,)).apply(input_state)
 
 
-def entanglement_swap(rho_xa: State, d: int | None = None) -> DensityMatrix:
-    """Swap the second subsystem of ``rho_XA'`` onto Bob through ``|psi^{+,d}>``.
+def entanglement_swap(rho_xa: State) -> DensityMatrix:
+    """Swap the second subsystem of ``rho_XA'``, of dimension ``d``, onto Bob
+    through ``|psi^{+,d}>``.
 
     Runs the teleportation instrument on the ``A'`` part, averages the
     corrected branches, and returns the state of ``X, B``, which reproduces
@@ -138,11 +139,7 @@ def entanglement_swap(rho_xa: State, d: int | None = None) -> DensityMatrix:
     rho_xa = as_density(rho_xa)
     if rho_xa.n_parties != 2:
         raise ValueError("expected a state on two subsystems X, A'")
-    dx, da = rho_xa.dims
-    if d is None:
-        d = da
-    if da != d:
-        raise ValueError(f"second subsystem has dimension {da}, expected {d}")
+    dx, d = rho_xa.dims
     out = np.zeros((dx * d, dx * d), dtype=complex)
     for _, k in teleportation_kraus(d):
         big = np.kron(np.eye(dx), k)

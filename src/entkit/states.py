@@ -183,7 +183,9 @@ def as_density(state: State) -> DensityMatrix:
 def _cut_matrix(psi: PureState, block: Sequence[int]) -> np.ndarray:
     """Amplitudes of ``psi`` with rows over ``block``, in its order, and columns
     over the other parties; ``M M^dag`` is the reduced state on ``block``.
-    ``block`` must already be a valid list of distinct indices: no check here."""
+    ``block`` must already be valid distinct indices; only ``psi`` is checked here."""
+    if not isinstance(psi, PureState):
+        raise ValueError(f"expected a PureState, got {type(psi).__name__}")
     rest = [i for i in range(psi.n_parties) if i not in block]
     t = psi.reshaped().transpose(list(block) + rest)
     return t.reshape(prod(psi.dims[i] for i in block), -1)

@@ -245,7 +245,7 @@ def test_c08_teleportation():
             choi += big @ ident @ big.conj().T
         assert np.abs(choi - ident).max() < 1e-8
         rho = ek.random_density_matrix([d], rng=rng)
-        for br in ek.teleport(rho, d):
+        for br in ek.teleport(rho):
             assert abs(br.probability - 1 / d**2) < 1e-10
     print("criterion 8 PASS: teleportation is the identity channel for d = 2, 3, 4")
 

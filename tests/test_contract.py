@@ -58,9 +58,15 @@ EXEMPT = {
 }
 
 
-def _three_qubit(name):
-    return (lambda psi: getattr(ek, name)(psi), _GHZ, _BELL, ValueError,
-            r"^expected a 3-qubit state")
+def _mixed_for_pure(call, good=_GHZ, message=r"^expected a PureState, got DensityMatrix"):
+    """The row that passes the projector of a pure state where a ``PureState`` belongs."""
+    return (call, good, good.density(), ValueError, message)
+
+
+def _three_qubit(name, row=None):
+    call = getattr(ek, name)
+    return [row or (call, _GHZ, _BELL, ValueError, r"^expected a 3-qubit state"),
+            _mixed_for_pure(call, message=r"^expected a 3-qubit state, got DensityMatrix")]
 
 
 #: name -> (call(value), good value, bad value, error, message pattern), or a
@@ -76,8 +82,8 @@ ROWS = {
                    np.full((2, 2), _NAN), ValueError, r"^branch 'a' Kraus operators must be finite"),
     "Partition": (lambda b: ek.Partition(b), ((0,), (1,)), ((0,), (0.5,)), ValueError,
                   r"^subsystem indices must be integers"),
-    "acin_canonical_form": (lambda t: ek.acin_canonical_form(_GHZ, t), 1e-8, _NAN, ValueError,
-                            r"^tol must be finite"),
+    "acin_canonical_form": _three_qubit("acin_canonical_form", (
+        lambda t: ek.acin_canonical_form(_GHZ, t), 1e-8, _NAN, ValueError, r"^tol must be finite")),
     "acin_state": (lambda t: ek.acin_state([1, 0, 0, 0, 0], t), 0.0, _NAN, ValueError,
                    r"^theta must be finite"),
     "all_bipartitions": (ek.all_bipartitions, 3, 2.5, ValueError, r"^n must be an integer"),
@@ -86,29 +92,36 @@ ROWS = {
     "basis_state": (lambda o: ek.basis_state([2, 2], o), [0, 1], [0.5, 0], ValueError,
                     r"^occupation\[0\] must be an integer"),
     "bell_state": (ek.bell_state, 2, 65, _SIZE, r"^total dimension 4225 exceeds the cap 4096"),
-    "catalysis_convertible": (lambda phi: ek.catalysis_convertible(_BELL, phi, _BELL), _BELL,
-                              ek.bell_state(3), ValueError, r"^dims mismatch"),
-    "classify_pure": (ek.classify_pure, _GHZ, ek.ghz_state(9, 2), _SIZE,
-                      r"^classification party count 9 exceeds the cap 8"),
+    "catalysis_convertible": [(lambda phi: ek.catalysis_convertible(_BELL, phi, _BELL), _BELL,
+                               ek.bell_state(3), ValueError, r"^dims mismatch"),
+                              _mixed_for_pure(
+                                  lambda psi: ek.catalysis_convertible(psi, _BELL, _BELL), _BELL)],
+    "classify_pure": [(ek.classify_pure, _GHZ, ek.ghz_state(9, 2), _SIZE,
+                       r"^classification party count 9 exceeds the cap 8"),
+                      _mixed_for_pure(ek.classify_pure)],
     "combing_entropy_profile": (lambda a: ek.combing_entropy_profile(_GHZ, a, [[1], [2]]), 0,
                                 0.5, ValueError, r"^subsystem indices must be integers"),
-    "concurrence_pure": (lambda p: ek.concurrence_pure(_GHZ, p), _CUT, _TWO_OF_THREE,
-                         ValueError, r"^partition covers 2 parties, state has 3"),
+    "concurrence_pure": [(lambda p: ek.concurrence_pure(_GHZ, p), _CUT, _TWO_OF_THREE,
+                          ValueError, r"^partition covers 2 parties, state has 3"),
+                         _mixed_for_pure(lambda psi: ek.concurrence_pure(psi, _CUT))],
     "conditional_entropy": (lambda b: ek.conditional_entropy(_BELL, [0], b), [1], [5],
                             ValueError, r"^b \[5\] out of range"),
     "convex_roof": (lambda rho: ek.convex_roof(rho, ek.tangle_pure, restarts=1, maxiter=1,
                                                seed=0),
                     _BELL.density(), ek.random_density_matrix([2] * 5, rank=1, rng=0), _SIZE,
                     r"^convex roof dimension 32 exceeds the cap 16"),
-    "entanglement_entropy": (lambda b: ek.entanglement_entropy(_BELL, base=b), 2, 1,
-                             ValueError, r"^base must be finite"),
-    "entanglement_swap": (lambda d: ek.entanglement_swap(_BELL, d), 2, 3, ValueError,
-                          r"^second subsystem has dimension 2, expected 3"),
+    "entanglement_entropy": [(lambda b: ek.entanglement_entropy(_BELL, base=b), 2, 1,
+                              ValueError, r"^base must be finite"),
+                             _mixed_for_pure(ek.entanglement_entropy, _BELL)],
+    "entanglement_swap": (ek.entanglement_swap, _BELL, _GHZ, ValueError,
+                          r"^expected a state on two subsystems"),
     "enumerate_partitions": (ek.enumerate_partitions, 3, 9, _SIZE,
                              r"^partition enumeration party count 9 exceeds the cap 8"),
-    "find_catalyst": (lambda phi: ek.find_catalyst(_BELL, phi, grid_resolution=4),
-                      ek.basis_state([2, 2], [0, 0]), ek.bell_state(3), ValueError,
-                      r"^dims mismatch"),
+    "find_catalyst": [(lambda phi: ek.find_catalyst(_BELL, phi, grid_resolution=4),
+                       ek.basis_state([2, 2], [0, 0]), ek.bell_state(3), ValueError,
+                       r"^dims mismatch"),
+                      _mixed_for_pure(lambda psi: ek.find_catalyst(
+                          psi, ek.basis_state([2, 2], [0, 0]), grid_resolution=4), _BELL)],
     "from_document": (ek.from_document, _BELL_DOC, dict(_BELL_DOC, dims=[2.5, 2]), ValueError,
                       r"^local dimensions must be integers"),
     "geometric_measure": (lambda psi: ek.geometric_measure(psi, restarts=1, max_iterations=1,
@@ -125,10 +138,13 @@ ROWS = {
                     r"^graph vertex count 13 exceeds the cap 12"),
     "hyperdet3": (ek.hyperdet3, np.zeros(8), [_NAN] * 8, ValueError,
                   r"^tensor entries must be finite"),
-    "is_ame": (lambda t: ek.is_ame(_GHZ, t), 1e-8, _NAN, ValueError, r"^tol must be finite"),
-    "is_lme": (lambda t: ek.is_lme(_GHZ, t), 1e-8, -1.0, ValueError, r"^tol must be finite"),
-    "is_product_across": (lambda p: ek.is_product_across(_GHZ, p), _CUT, _TWO_OF_THREE,
-                          ValueError, r"^partition does not match"),
+    "is_ame": [(lambda t: ek.is_ame(_GHZ, t), 1e-8, _NAN, ValueError, r"^tol must be finite"),
+               _mixed_for_pure(ek.is_ame)],
+    "is_lme": [(lambda t: ek.is_lme(_GHZ, t), 1e-8, -1.0, ValueError, r"^tol must be finite"),
+               _mixed_for_pure(ek.is_lme)],
+    "is_product_across": [(lambda p: ek.is_product_across(_GHZ, p), _CUT, _TWO_OF_THREE,
+                           ValueError, r"^partition does not match"),
+                          _mixed_for_pure(lambda psi: ek.is_product_across(psi, _CUT))],
     "kempe_invariant": _three_qubit("kempe_invariant"),
     "kempe_symmetric_check": _three_qubit("kempe_symmetric_check"),
     "load_state": (lambda text: ek.load_state(io.StringIO(text)),
@@ -145,13 +161,16 @@ ROWS = {
                   r"^p sums to 1\.1, not 1 within 1e-10"),
     "merging_rate": (lambda a: ek.merging_rate(_GHZ, a, [1]), [0], [0.5], ValueError,
                      r"^subsystem indices must be integers"),
-    "meyer_wallach": (ek.meyer_wallach, _GHZ, ek.bell_state(3), ValueError,
-                      r"^qubit systems only"),
+    "meyer_wallach": [(ek.meyer_wallach, _GHZ, ek.bell_state(3), ValueError,
+                       r"^qubit systems only"),
+                      _mixed_for_pure(ek.meyer_wallach)],
     "monogamy_gap": _three_qubit("monogamy_gap"),
     "multipartite_concurrence": (lambda w: ek.multipartite_concurrence(_BELL, {(-1, -1): w}),
                                  1.0, _NAN, ValueError, r"^weight must be finite"),
-    "nielsen_convertible": (lambda phi: ek.nielsen_convertible(_BELL, phi), _BELL,
-                            ek.bell_state(3), ValueError, r"^dims mismatch"),
+    "nielsen_convertible": [(lambda phi: ek.nielsen_convertible(_BELL, phi), _BELL,
+                             ek.bell_state(3), ValueError, r"^dims mismatch"),
+                            _mixed_for_pure(lambda psi: ek.nielsen_convertible(psi, _BELL),
+                                            _BELL)],
     "partial_trace": (lambda k: ek.partial_trace(_GHZ, k), [0], [3], ValueError,
                       r"^keep \[3\] out of range"),
     "partial_trace_matrix": (lambda k: ek.partial_trace_matrix(np.eye(4) / 4, (2, 2), k), [0],
@@ -173,23 +192,28 @@ ROWS = {
     "refines": (lambda a: ek.refines(_TWO_OF_THREE, a), ek.Partition(((0, 1),)),
                 ek.Partition(((0,), (1,), (2,))), ValueError,
                 r"^partitions are over different party sets"),
-    "schmidt": (lambda p: ek.schmidt(_GHZ, p), _CUT, None, ValueError,
-                r"^bipartition may be omitted only"),
-    "schmidt_rank": (lambda t: ek.schmidt_rank(_BELL, tol=t), 1e-10, _INF, ValueError,
-                     r"^tol must be finite"),
-    "schmidt_vector": (lambda p: ek.schmidt_vector(_GHZ, p), _CUT, [[0], [1], [2]], ValueError,
-                       r"^expected 2 blocks"),
+    "schmidt": [(lambda p: ek.schmidt(_GHZ, p), _CUT, None, ValueError,
+                 r"^bipartition may be omitted only"),
+                _mixed_for_pure(lambda psi: ek.schmidt(psi, _CUT))],
+    "schmidt_rank": [(lambda t: ek.schmidt_rank(_BELL, tol=t), 1e-10, _INF, ValueError,
+                      r"^tol must be finite"),
+                     _mixed_for_pure(ek.schmidt_rank, _BELL)],
+    "schmidt_vector": [(lambda p: ek.schmidt_vector(_GHZ, p), _CUT, [[0], [1], [2]],
+                        ValueError, r"^expected 2 blocks"),
+                       _mixed_for_pure(lambda psi: ek.schmidt_vector(psi, _CUT))],
     "shannon_entropy": (ek.shannon_entropy, [0.5, 0.5], [_NAN, 1.0], ValueError,
                         r"^p must have finite entries"),
-    "slocc_class_3qubit": (lambda t: ek.slocc_class_3qubit(_GHZ, t), 1e-8, _NAN, ValueError,
-                           r"^tau3_tol must be finite"),
+    "slocc_class_3qubit": _three_qubit("slocc_class_3qubit", (
+        lambda t: ek.slocc_class_3qubit(_GHZ, t), 1e-8, _NAN, ValueError,
+        r"^tau3_tol must be finite")),
     "stabilizes": (lambda u: ek.stabilizes(u, _GHZ), np.eye(8), np.full((8, 8), _NAN),
                    ValueError, r"^unitary must be finite"),
-    "tangle_pure": (lambda p: ek.tangle_pure(_GHZ, p), _CUT, _TWO_OF_THREE, ValueError,
-                    r"^partition covers 2 parties, state has 3"),
+    "tangle_pure": [(lambda p: ek.tangle_pure(_GHZ, p), _CUT, _TWO_OF_THREE, ValueError,
+                     r"^partition covers 2 parties, state has 3"),
+                    _mixed_for_pure(lambda psi: ek.tangle_pure(psi, _CUT))],
     "tangles": _three_qubit("tangles"),
-    "teleport": (lambda d: ek.teleport(_ZERO, d), 2, 3, ValueError,
-                 r"^state dimension does not match the instrument"),
+    "teleport": (ek.teleport, _ZERO, ek.basis_state([1], [0]), ValueError,
+                 r"^local dimension must be >= 2"),
     "teleportation_kraus": (ek.teleportation_kraus, 2, 1, ValueError,
                             r"^local dimension must be >= 2"),
     "tensor_rank_upper_bound": (lambda psi: ek.tensor_rank_upper_bound(
@@ -205,9 +229,11 @@ ROWS = {
                                   r"^dims mismatch"),
     "von_neumann_entropy": (lambda b: ek.von_neumann_entropy(_BELL, b), 2, 1, ValueError,
                             r"^base must be finite"),
-    "wootters_concurrence": (ek.wootters_concurrence, _BELL.density(),
-                             ek.DensityMatrix(np.eye(8) / 8, (2, 2, 2)), ValueError,
-                             r"^expected a 2-qubit state"),
+    "wootters_concurrence": [(ek.wootters_concurrence, _BELL.density(),
+                              ek.DensityMatrix(np.eye(8) / 8, (2, 2, 2)), ValueError,
+                              r"^expected a 2-qubit state"),
+                             (ek.wootters_concurrence, _BELL.density(), _BELL, ValueError,
+                              r"^expected a 2-qubit DensityMatrix, got PureState")],
 }
 
 

@@ -4,7 +4,9 @@ import gc
 import io
 import json
 import os
+import shlex
 import sys
+from pathlib import Path
 
 import numpy as np
 import orjson
@@ -520,8 +522,10 @@ def test_cli_exit_codes(tmp_path):
     # not run to the sweep cap and reported as unconverged (exit 3)
     for tol in ("nan", "inf", "-1"):
         assert main(["analyze", str(good), "--which", "geometric-measure", "--tol", tol]) == 2
-    assert main(["make", "graph"]) == 2          # --edges required
-    assert main(["make", "acin"]) == 2           # --r required
+    for state in ("graph", "acin"):              # --edges, --r required
+        with pytest.raises(SystemExit) as exc:
+            main(["make", state])
+        assert exc.value.code == 2
     assert main(["make", "acin", "--r", "1,1,0,0,0"]) == 2
     assert main(["make", "ghz", "--lam", "0.9,0.9"]) == 2
     assert main(["make", "graph", "--edges", "0-5", "--vertices", "3"]) == 2
@@ -619,6 +623,81 @@ def _csv(values):
     return st.lists(values, max_size=6).map(lambda xs: ",".join(map(str, xs)))
 
 
+#: command line -> the options its handler reads besides --out.  The parser
+#: once gave every subcommand --seed, --tol, --out and --format, and every
+#: make state all eight make options, read or not.
+_READS = {
+    "make bell": ("--d",),
+    "make ghz": ("--n", "--d", "--lam"),
+    "make w": (),
+    "make graph --edges 0-1": ("--edges", "--vertices"),
+    "make smolin": (),
+    "make upb": (),
+    "make psi25": (),
+    "make phi-a": ("--a",),
+    "make acin --r 1,0,0,0,0": ("--r", "--theta"),
+    "analyze doc.json": ("--seed", "--tol", "--which", "--bipartition", "--restarts"),
+    "convert-check --source a.json --target b.json": (
+        "--source", "--target", "--bipartition", "--catalyst-dim", "--catalyst-grid"),
+    "sweep --family phi-a --grid 1": ("--format", "--family", "--grid"),
+    "teleport-demo": ("--seed", "--d"),
+    "unlock-demo": ("--pair",),
+    "ame-table": ("--format", "--n", "--d"),
+}
+_MAKE_READS = {cmd.split()[1]: reads for cmd, reads in _READS.items() if cmd.startswith("make")}
+_SHARED = ("--out", "--seed", "--tol", "--format")
+_MAKE_OPTIONS = ("--d", "--n", "--lam", "--edges", "--vertices", "--a", "--r", "--theta")
+#: (command line, flag the parser once took there, whether the handler reads it)
+_FLAG_CASES = [
+    (cmd, flag, flag in ("--out", *reads))
+    for cmd, reads in _READS.items()
+    for flag in sorted({*_SHARED, *(_MAKE_OPTIONS if cmd.startswith("make") else reads)})
+]
+
+
+def _leaf_options(parser, words=()) -> dict:
+    """Command words -> the options of the parser that runs them; argparse
+    keeps the sub-parsers in an action of its own."""
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        return {words: {f for a in parser._actions for f in a.option_strings} - {"-h", "--help"}}
+    return {key: flags for name, sub in subs[0].choices.items()
+            for key, flags in _leaf_options(sub, (*words, name)).items()}
+
+
+def test_each_parser_takes_only_the_options_read():
+    """``make`` went from 108 (state, option) pairs to 18, and the other six
+    subcommands from 38 options to 25."""
+    leaves = _leaf_options(cli.build_parser())
+    assert leaves == {tuple(cmd.split()[:2 if cmd.startswith("make") else 1]): {"--out", *reads}
+                      for cmd, reads in _READS.items()}
+    make = sum(len(flags) for words, flags in leaves.items() if words[0] == "make")
+    assert (make, sum(map(len, leaves.values())) - make) == (18, 25)
+
+
+@pytest.mark.parametrize("command, flag, read", _FLAG_CASES)
+def test_each_option_is_read_or_refused(command, flag, read, capsys):
+    """A subcommand, or a ``make`` state, parses the options its handler reads;
+    any other flag is a usage error (exit 2, no traceback)."""
+    value = {"--format": "json", "--family": "phi-a"}.get(flag, "2")
+    argv = [*command.split(), flag, value]
+    if read:
+        assert cli.build_parser().parse_args(argv).func is not None
+        return
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"error: unrecognized arguments: {flag} {value}\n" in err and "Traceback" not in err
+
+
+def test_make_options_follow_the_state():
+    """Options come after the state: ``make --n 3 ghz`` is a usage error."""
+    with pytest.raises(SystemExit) as exc:
+        main(["make", "--n", "3", "ghz"])
+    assert exc.value.code == 2
+
+
 _MAKE_INTS = st.one_of(st.none(), st.integers(-10, 20), st.integers(-(10**15), 10**15))
 _MAKE_TEXTS = {
     "--lam": _csv(st.floats()),
@@ -642,9 +721,11 @@ _MAKE_TEXTS = {
     ),
 )
 def test_cli_make_exit_code_contract(name, ints, texts):
-    """``make`` exits with 0 or 2 for any arguments, and never raises."""
+    """``make`` exits with 0 or 2 for any values of its state's options, and
+    never raises."""
     argv = ["make", name, "--out", os.devnull]
-    argv += [f"{flag}={value}" for flag, value in {**ints, **texts}.items() if value is not None]
+    argv += [f"{flag}={value}" for flag, value in {**ints, **texts}.items()
+             if value is not None and flag in _MAKE_READS[name]]
     assert _exit_code(argv) in (0, 2)
 
 
@@ -902,3 +983,16 @@ def test_cli_roundtrip_bit_identical(tmp_path):
     assert main([*args, "--out", str(out1)]) == 0
     assert main([*args, "--out", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+def test_readme_command_lines_run(tmp_path, monkeypatch):
+    """Every ``entkit ...`` line of the README exits 0, run in a directory
+    that holds the ``a.json`` and ``b.json`` that ``convert-check`` reads."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    lines = [shlex.split(line)[1:] for line in readme.splitlines() if line.startswith("entkit ")]
+    assert len(lines) >= 11
+    monkeypatch.chdir(tmp_path)
+    assert main(["make", "bell", "--out", "a.json"]) == 0
+    assert main(["make", "ghz", "--n", "2", "--lam", "0.8,0.2", "--out", "b.json"]) == 0
+    for argv in lines:
+        assert main(argv) == 0, argv
