@@ -20,7 +20,16 @@ import sys
 import numpy as np
 
 from . import __version__
-from .core import ConvergenceError, SizeLimitError, _check_cap, _check_finite, _check_same_dims
+from .core import (
+    ConvergenceError,
+    SizeLimitError,
+    _check_cap,
+    _check_count,
+    _check_finite,
+    _check_same_dims,
+    _check_tol,
+    _rng,
+)
 from .invariants import (
     lu_invariants,
     polytope_coords,
@@ -229,6 +238,10 @@ _SECTIONS = {
 
 
 def cmd_analyze(args) -> int:
+    # the geometric measure's own checks, whichever sections run
+    _check_count(args.restarts, "restarts")
+    _check_tol(args.tol)
+    _rng(args.seed)
     state = _read_state(args.input)
     which = [w.strip() for w in args.which.split(",") if w.strip()]
     for w in which:
@@ -362,8 +375,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_teleport_demo(args) -> int:
     d = args.d
-    rng = np.random.default_rng(args.seed)
-    psi = random_pure_state([d], rng=rng)
+    psi = random_pure_state([d], rng=_rng(args.seed, "seed"))
     outcomes = teleport(psi)
     branches = []
     for br in outcomes:
@@ -437,7 +449,7 @@ _OPTIONS = {
 
 def _add_parser(sub, name: str, func, options=(), **kwargs) -> argparse.ArgumentParser:
     """The parser of ``name`` under ``sub``: runs ``func``, takes ``--out`` and ``options``."""
-    p = sub.add_parser(name, **kwargs)
+    p = sub.add_parser(name, allow_abbrev=False, **kwargs)
     for flag in ("--out", *options):
         p.add_argument(flag, **_OPTIONS[flag])
     p.set_defaults(func=func)
@@ -448,12 +460,13 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="entkit",
         description="Multipartite entanglement toolkit command line",
+        allow_abbrev=False,
     )
     parser.add_argument("--version", action="version", version=f"entkit {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    states = sub.add_parser("make", help="construct a named state").add_subparsers(
-        dest="state", required=True)
+    make = sub.add_parser("make", allow_abbrev=False, help="construct a named state")
+    states = make.add_subparsers(dest="state", required=True)
     for name, (_, options) in _STATES.items():
         _add_parser(states, name, cmd_make, options)
 

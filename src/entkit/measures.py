@@ -28,6 +28,13 @@ _RANK_DIM_CAP = 256
 _ITERATIONS_CAP = 10_000
 _RANK_RESIDUAL_TOL = 1e-6
 _RANK_TERM_NORM_CAP = 100.0
+#: Restart triage of :func:`geometric_measure`: the drift of the gain ratio
+#: allowed per sweep, relative to ``1 - r``; the sweeps it must stay steady;
+#: the factor on the Aitken gain to go; and the margin on the overlap.
+_GM_RATIO_DRIFT = 0.05
+_GM_STEADY_SWEEPS = 4
+_GM_AITKEN_SAFETY = 10.0
+_GM_MARGIN = 1e-6
 
 
 @dataclass(frozen=True)
@@ -39,6 +46,10 @@ class OptimizationResult:
     evaluations (or sweeps) of all restarts together, ``restart_values``
     holds the best value each restart reached, in order, and
     ``restart_iterations`` the iterations (or sweeps) each restart ran.
+    ``stopped_restarts`` counts the restarts :func:`geometric_measure` stopped
+    because they could not win; each counts as not converged, and its value
+    and sweeps are those it had reached when it stopped.  Always 0 for
+    :func:`convex_roof`.
     """
 
     value: float
@@ -49,6 +60,7 @@ class OptimizationResult:
     restart_values: tuple[float, ...]
     restart_iterations: tuple[int, ...]
     converged_restarts: int
+    stopped_restarts: int = 0
 
 
 def _random_factor(d: int, rng) -> np.ndarray:
@@ -71,6 +83,20 @@ def geometric_measure(
     run together, factor ``k`` of all of them held as one ``(restarts, d_k)``
     array; each restart stops on its own, and counts as converged, when its
     overlap gain per sweep drops below ``tol`` before ``max_iterations``.
+
+    A restart that cannot win stops early.  Alternating maximization
+    converges linearly (De Lathauwer, De Moor & Vandewalle, SIAM J. Matrix
+    Anal. Appl. 21, 1324 (2000)), so once the ratio ``r`` of a restart's gain
+    ``g`` to its gain the sweep before is steady, its overlap ``o`` tends to
+    the Aitken limit ``o + g r / (1 - r)``.  A restart stops when ``r`` has
+    stayed in (0, 1), moving by at most 5% of ``1 - r`` a sweep, for 4 sweeps
+    in a row, and ``o + 10 g r / (1 - r)`` lies more than 1e-6 below the
+    best overlap a converged restart has reached.  A ratio that creeps
+    toward 1, as on the way past a saddle point, is not steady.  A stopped
+    restart's overlap lies below a converged one, so the best restart is
+    never stopped; a stopped restart keeps the overlap, factors and sweeps it
+    had, counts as not converged and is counted in ``stopped_restarts``.
+
     ``evaluations`` counts the sweeps of all restarts, ``restart_iterations``
     those of each restart and ``restart_values`` the measure each restart
     reached.
@@ -101,6 +127,10 @@ def geometric_measure(
     converged = np.zeros(restarts, dtype=bool)
     # the factors of the live restarts, conjugated once, when they change
     live, last, cur = np.arange(restarts), np.zeros(restarts), [f.conj() for f in factors]
+    # per live restart: last gain, last gain ratio, sweeps of steady ratio;
+    # the best overlap a converged restart has reached, and restarts stopped
+    gain, ratio, steady = np.zeros(restarts), np.zeros(restarts), np.zeros(restarts, dtype=int)
+    reached, stopped = -np.inf, 0
     sweeps = np.zeros(restarts, dtype=int)
     for _ in range(max_iterations):
         sweeps[live] += 1
@@ -112,19 +142,39 @@ def geometric_measure(
             v = _contract_all_but(moved[k], cur, k)
             nv = np.linalg.norm(v, axis=1)
             zero = nv < 1e-15
+            if not zero.any():
+                cur[k], overlap = (v / nv[:, None]).conj(), nv
+                continue
+            # a vanishing contraction keeps the overlap and draws a fresh factor
             cur[k] = (v / np.where(zero, 1.0, nv)[:, None]).conj()
             for i in np.flatnonzero(zero):
                 cur[k][i] = _random_factor(d, rng).conj()
             overlap = np.where(zero, overlap, nv)
-        done = overlap - last < tol
+        step = overlap - last
+        done = step < tol
         if done.any():
-            retired = live[done]
-            converged[retired] = True
-            overlaps[retired] = overlap[done]
+            reached = max(reached, overlap[done].max())
+        # linear convergence: a steady gain ratio r puts the limit near the
+        # Aitken value overlap + step r / (1 - r)
+        r = step / np.where(gain > 0, gain, np.inf)
+        steady = np.where((r > 0) & (r < 1) & (abs(r - ratio) <= _GM_RATIO_DRIFT * (1.0 - r)),
+                          steady + 1, 0)
+        stop = (steady >= _GM_STEADY_SWEEPS) & ~done
+        if stop.any():
+            limit = overlap + _GM_AITKEN_SAFETY * step * r / (1.0 - r)
+            stop &= limit < reached - _GM_MARGIN
+            stopped += int(stop.sum())
+        retire = done | stop
+        if retire.any():
+            retired = live[retire]
+            converged[live[done]] = True
+            overlaps[retired] = overlap[retire]
             for f, c in zip(factors, cur):
-                f[retired] = c[done].conj()
-            live, overlap, cur = live[~done], overlap[~done], [c[~done] for c in cur]
-        last = overlap
+                f[retired] = c[retire].conj()
+            keep = ~retire
+            live, overlap, cur = live[keep], overlap[keep], [c[keep] for c in cur]
+            step, r, steady = step[keep], r[keep], steady[keep]
+        last, gain, ratio = overlap, step, r
         if not live.size:
             break
     # restarts still live at the sweep cap
@@ -144,6 +194,7 @@ def geometric_measure(
         restart_values=tuple(float(max(0.0, 1.0 - v**2)) for v in overlaps),
         restart_iterations=tuple(int(k) for k in sweeps),
         converged_restarts=int(converged.sum()),
+        stopped_restarts=stopped,
     )
 
 

@@ -379,6 +379,82 @@ def test_c12_canonical_under_local_rotations(c12_forms):
     )
 
 
+def _secular_roots_boyd_only(d, p, q, cc, bound):
+    """``invariants._secular_roots`` with the Boyd test as its only filter,
+    and the number of colleague matrices it solves."""
+    from entkit.invariants import (
+        _CHEB_FIT,
+        _CHEB_NODES,
+        _COLLEAGUE,
+        _COLLEAGUE_SCALE,
+        _CUTS,
+        _secular,
+    )
+
+    lo, hi = bound * _CUTS[:-1, None], bound * _CUTS[1:, None]
+    mid, half = (hi + lo) / 2, (hi - lo) / 2
+    coef = _secular(mid + half * _CHEB_NODES, d, p, q, cc) @ _CHEB_FIT.T
+    scale = np.abs(coef).max(1)
+    keep = (scale > 0) & (np.abs(coef[:, 0]) <= 1.001 * np.abs(coef[:, 1:]).sum(1))
+    mid, half, coef = mid[keep], half[keep], coef[keep] / scale[keep, None]
+    lead = np.where(np.abs(coef[:, -1:]) < 1e-16, 1e-16, coef[:, -1:])
+    mats = np.repeat(_COLLEAGUE[None], len(coef), 0)
+    mats[:, :, -1] -= coef[:, :-1] / lead * _COLLEAGUE_SCALE
+    x = np.linalg.eigvals(mats[:, ::-1, ::-1])
+    return (mid + half * x.real)[(np.abs(x.imag) < 1e-6) & (np.abs(x.real) <= 1.0)], len(coef)
+
+
+def test_c12_bernstein_test_drops_no_secular_root(c12_forms, monkeypatch):
+    """Skipping the secular intervals whose Bernstein coefficients all clear
+    the Boyd margin with one sign changes no bit of the roots, nor of ``r``,
+    ``theta``, ``roots`` and ``newton_steps``: on the states of criterion 12,
+    on SLOCC images of GHZ and W (seed 12) and on product states plus 1e-3
+    noise, against a copy of the filter with the Boyd test alone.  It solves
+    fewer colleague matrices."""
+    from entkit import invariants
+
+    rng = np.random.default_rng(12)
+
+    def image(amp):
+        ops = rng.standard_normal((3, 2, 2)) + 1j * rng.standard_normal((3, 2, 2))
+        return ek.PureState.normalized(np.kron(np.kron(ops[0], ops[1]), ops[2]) @ amp, (2, 2, 2))
+
+    def noisy_product():
+        amp = np.ones(1)
+        for _ in range(3):
+            amp = np.kron(amp, ek.random_pure_state([2], rng=rng).amplitudes)
+        noise = rng.standard_normal(8) + 1j * rng.standard_normal(8)
+        return ek.PureState.normalized(amp + 1e-3 * noise, (2, 2, 2))
+
+    ghz, w = ek.ghz_state(3, 2).amplitudes, ek.w_state().amplitudes
+    extra = ([image(ghz) for _ in range(60)] + [image(w) for _ in range(60)]
+             + [noisy_product() for _ in range(60)])
+    pairs = c12_forms + [(psi, ek.acin_canonical_form(psi)) for psi in extra]
+    library, eigvals = invariants._secular_roots, np.linalg.eigvals
+    solved = {"library": 0, "boyd": 0}
+
+    def counting(mats):
+        solved["library"] += len(mats)
+        return eigvals(mats)
+
+    def boyd_only(*args):
+        roots, count = _secular_roots_boyd_only(*args)
+        solved["boyd"] += count
+        with monkeypatch.context() as m:
+            m.setattr(np.linalg, "eigvals", counting)
+            assert library(*args).tobytes() == roots.tobytes()
+        return roots
+
+    monkeypatch.setattr(invariants, "_secular_roots", boyd_only)
+    for psi, form in pairs:
+        other = ek.acin_canonical_form(psi)
+        assert other.r.tobytes() == form.r.tobytes() and other.theta == form.theta
+        assert (other.roots, other.newton_steps) == (form.roots, form.newton_steps)
+    assert len(pairs) == 1180 and solved["library"] < solved["boyd"]
+    print(f"Bernstein test: {solved['boyd'] / len(pairs):.2f} -> "
+          f"{solved['library'] / len(pairs):.2f} colleague matrices a form, roots unchanged")
+
+
 def test_c13_lme_and_ame_facts():
     assert ek.is_lme(ek.psi25_state(), tol=1e-8)
     facts = {

@@ -1,5 +1,6 @@
 """Importing entkit, a PPT test of a mixed state, or ``entkit analyze`` of a
 mixed document, loads no scipy solver; the first convex roof loads L-BFGS-B.
+Importing entkit loads no ``numpy.polynomial`` either.
 
 No CLI command runs a roof, so a top-level scipy import would only make every
 start slower and larger, and the read path of a document is numpy only.  Each
@@ -48,6 +49,8 @@ def test_scipy_stays_off_the_import_path():
     heavy = ("scipy.linalg", "scipy.optimize", "scipy.sparse")
     assert "entkit.cli" in modules["import"]
     assert not [m for m in modules["import"] if m.startswith(heavy)]
+    # the canonical form builds its Chebyshev tables itself
+    assert not [m for m in modules["import"] if m.startswith("numpy.polynomial")]
     # the certified Lanczos route of a mixed PPT cut is numpy only
     assert not [m for m in modules["ppt"] if m.startswith(("scipy.linalg", "scipy.sparse"))]
     # and so is reading, checking and analyzing a d = 256 mixed document

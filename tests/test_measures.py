@@ -133,23 +133,77 @@ def _gm_one_restart_at_a_time(psi, restarts, seed, max_iterations):
 def test_geometric_measure_matches_one_restart_at_a_time(psi):
     """The restarts run as one batch, each stopping on its own, and reach what
     they reach one at a time from the same starts; a cap of 3 sweeps leaves
-    some of them unconverged."""
+    some of them unconverged.  A restart stopped because it cannot win runs
+    no more sweeps than it does alone, and its value is no lower."""
     for seed, max_iterations in ((0, 500), (1, 500), (2, 3)):
         values, flags, sweeps = _gm_one_restart_at_a_time(psi, 6, seed, max_iterations)
         res = ek.geometric_measure(psi, restarts=6, seed=seed, max_iterations=max_iterations)
-        np.testing.assert_allclose(res.restart_values, values, rtol=0, atol=1e-12)
+        _check_against_one_at_a_time(res, values, sweeps)
         assert res.value == pytest.approx(min(values), abs=1e-12)
-        assert res.restart_iterations == tuple(sweeps)
-        assert res.evaluations == sum(sweeps)
         # the best restart is the one of least value, up to rounding on ties
         assert res.converged in {f for v, f in zip(values, flags) if v <= min(values) + 1e-12}
+
+
+def _check_against_one_at_a_time(res, values, sweeps):
+    """A restart that ran fewer sweeps than alone was stopped, and ends no
+    lower than alone; every other one runs the same sweeps to the same value."""
+    short = [k < ref for k, ref in zip(res.restart_iterations, sweeps)]
+    assert sum(short) <= res.stopped_restarts
+    assert res.converged_restarts + res.stopped_restarts <= res.restarts_used
+    for x, k, ref, ref_k, cut in zip(res.restart_values, res.restart_iterations, values,
+                                     sweeps, short):
+        if cut:
+            assert x >= ref - 1e-12
+        else:
+            assert k == ref_k and x == pytest.approx(ref, abs=1e-12)
+    assert res.evaluations == sum(res.restart_iterations)
+
+
+def test_geometric_measure_stops_only_restarts_that_cannot_win():
+    """GHZ, W and Haar states of 3 to 8 qubits and qutrit states, at three
+    seeds: stopping the restarts that cannot win moves no value by more than
+    1e-12 from the least value of the restarts run one at a time, nor the
+    best restart's flag, and leaves every other restart as it runs alone.
+    Some restarts do stop."""
+    def w_state(n):
+        amp = np.zeros(2**n)
+        amp[[1 << k for k in range(n)]] = 1 / np.sqrt(n)
+        return ek.PureState(amp, (2,) * n)
+
+    corpus = [state for n in range(3, 9) for state in (
+        ek.ghz_state(n, 2), w_state(n), ek.random_pure_state([2] * n, rng=70 + n))]
+    corpus += [ek.random_pure_state(dims, rng=80 + k)
+               for k, dims in enumerate(([3, 3, 3], [3, 3, 3, 3], [2, 3, 3]))]
+    # on these two, restarts pass near a saddle point with a gain ratio that
+    # creeps toward 1 by about 1% of itself a sweep; a rule that took that
+    # ratio as steady stopped restarts that went on to the best overlap
+    runs = [(psi, 8, seed) for psi in corpus for seed in (0, 1, 2)]
+    runs += [(ek.random_pure_state([2] * 5, rng=5001), 16, 3),
+             (ek.random_pure_state([2] * 6, rng=6001), 16, 0)]
+    stopped = 0
+    for psi, restarts, seed in runs:
+        values, flags, sweeps = _gm_one_restart_at_a_time(psi, restarts, seed, 500)
+        res = ek.geometric_measure(psi, restarts=restarts, seed=seed)
+        assert res.value == pytest.approx(min(values), abs=1e-12)
+        assert res.converged == flags[int(np.argmin(values))]
+        _check_against_one_at_a_time(res, values, sweeps)
+        stopped += res.stopped_restarts
+    assert stopped > 0
 
 
 def _gm_conjugating_per_contraction(psi, restarts, seed, max_iterations, tol=1e-10):
     """The batched sweep as it was written before the factors were held
     conjugated: every contraction conjugates the other factors again, and
-    every sweep writes all live factors and overlaps back."""
-    from entkit.measures import _random_factor
+    every sweep writes all live factors and overlaps back.  Restarts that
+    cannot win stop by the rule of ``geometric_measure``, its Aitken limit
+    taken for every live restart."""
+    from entkit.measures import (
+        _GM_AITKEN_SAFETY,
+        _GM_MARGIN,
+        _GM_RATIO_DRIFT,
+        _GM_STEADY_SWEEPS,
+        _random_factor,
+    )
 
     def contract_all_but(tk, factors, k):
         r = len(factors[k])
@@ -170,6 +224,8 @@ def _gm_conjugating_per_contraction(psi, restarts, seed, max_iterations, tol=1e-
     overlaps = np.zeros(restarts)
     converged = np.zeros(restarts, dtype=bool)
     live, last, cur = np.arange(restarts), np.zeros(restarts), list(factors)
+    gain, ratio, steady = np.zeros(restarts), np.zeros(restarts), np.zeros(restarts, dtype=int)
+    stopped = 0
     sweeps = np.zeros(restarts, dtype=int)
     for _ in range(max_iterations):
         sweeps[live] += 1
@@ -185,9 +241,20 @@ def _gm_conjugating_per_contraction(psi, restarts, seed, max_iterations, tol=1e-
         for f, c in zip(factors, cur):
             f[live] = c
         overlaps[live] = overlap
-        done = overlap - last < tol
+        step = overlap - last
+        done = step < tol
         converged[live[done]] = True
-        live, last, cur = live[~done], overlap[~done], [c[~done] for c in cur]
+        r = step / np.where(gain > 0, gain, np.inf)
+        calm = (r > 0) & (r < 1) & (abs(r - ratio) <= _GM_RATIO_DRIFT * (1.0 - r))
+        steady = np.where(calm, steady + 1, 0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            limit = overlap + _GM_AITKEN_SAFETY * step * r / (1.0 - r)
+        reached = overlaps[converged].max(initial=-np.inf)
+        stop = (steady >= _GM_STEADY_SWEEPS) & ~done & (limit < reached - _GM_MARGIN)
+        stopped += int(stop.sum())
+        keep = ~(done | stop)
+        live, last, cur = live[keep], overlap[keep], [c[keep] for c in cur]
+        gain, ratio, steady = step[keep], r[keep], steady[keep]
         if not live.size:
             break
     best = int(np.argmax(overlaps))
@@ -196,30 +263,35 @@ def _gm_conjugating_per_contraction(psi, restarts, seed, max_iterations, tol=1e-
         closest = np.kron(closest, f[best])
     values = tuple(float(max(0.0, 1.0 - v**2)) for v in overlaps)
     argument = ek.PureState.normalized(closest, psi.dims)
-    return values[best], values, tuple(int(k) for k in sweeps), converged, best, argument
+    return values[best], values, tuple(int(k) for k in sweeps), converged, best, argument, stopped
 
 
 def test_geometric_measure_matches_the_sweep_conjugating_per_contraction():
-    """Holding the live factors conjugated, and writing factors back only when
-    a restart retires, changes no bit: value, per-restart values, sweeps,
-    evaluations, flags and argument, on GHZ, W and Haar states of 3 to 8
-    qubits, run to convergence and cut at 3 sweeps."""
+    """Holding the live factors conjugated, writing factors back only when a
+    restart retires, and skipping the bookkeeping of a vanishing contraction
+    when none vanishes change no bit: value, per-restart values, sweeps,
+    evaluations, flags, stopped restarts and argument, on GHZ, W and Haar
+    states of 3 to 8 qubits, run to convergence and cut at 3 sweeps."""
     def w_state(n):
         amp = np.zeros(2**n)
         amp[[1 << k for k in range(n)]] = 1 / np.sqrt(n)
         return ek.PureState(amp, (2,) * n)
 
+    total = 0
     for n in range(3, 9):
         for psi in (ek.ghz_state(n, 2), w_state(n), ek.random_pure_state([2] * n, rng=50 + n)):
             for seed, max_iterations in ((n, 500), (n + 10, 3)):
                 res = ek.geometric_measure(psi, restarts=16, seed=seed,
                                            max_iterations=max_iterations)
-                value, values, sweeps, flags, best, argument = _gm_conjugating_per_contraction(
-                    psi, 16, seed, max_iterations)
+                value, values, sweeps, flags, best, argument, stopped = (
+                    _gm_conjugating_per_contraction(psi, 16, seed, max_iterations))
                 assert res.value == value and res.restart_values == values
                 assert res.restart_iterations == sweeps and res.evaluations == sum(sweeps)
                 assert res.converged == flags[best] and res.converged_restarts == flags.sum()
+                assert res.stopped_restarts == stopped
                 assert np.array_equal(res.argument.amplitudes, argument.amplitudes)
+                total += stopped
+    assert total > 0
 
 
 def _upb_one_restart_at_a_time(basis, restarts, seed):

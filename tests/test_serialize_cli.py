@@ -698,6 +698,51 @@ def test_make_options_follow_the_state():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--seed", "-1", "seed must be None, an integer >= 0 or a Generator, got -1"),
+    ("--tol", "nan", "tol must be finite and >= 0, got nan"),
+    ("--tol", "-1e-3", "tol must be finite and >= 0, got -0.001"),
+    ("--restarts", "-5", "restarts must be in 1..1000, got -5"),
+    ("--restarts", "1001", "restarts must be in 1..1000, got 1001"),
+])
+@pytest.mark.parametrize("which", ["ppt", "class,schmidt", "invariants", "geometric-measure"])
+def test_cli_analyze_checks_the_solver_options_whatever_it_runs(
+        tmp_path, capsys, flag, value, message, which):
+    """``--seed``, ``--tol`` and ``--restarts`` are refused up front, with the
+    message the geometric measure gives, whichever sections ``--which`` asks
+    for, even those that do not read them."""
+    ghz = tmp_path / "ghz.json"
+    ghz.write_text(json.dumps(to_document(ek.ghz_state(3, 2))))
+    assert main(["analyze", str(ghz), "--which", which, f"{flag}={value}"]) == 2
+    assert capsys.readouterr() == ("", f"entkit: error: {message}\n")
+
+
+def test_cli_teleport_demo_names_a_bad_seed(capsys):
+    """``teleport-demo`` seeds as the library does, so a seed numpy refuses is
+    named in the message."""
+    assert main(["teleport-demo", "--seed", "-1"]) == 2
+    err = capsys.readouterr().err
+    assert err == "entkit: error: seed must be None, an integer >= 0 or a Generator, got -1\n"
+
+
+def test_cli_options_are_not_abbreviated(tmp_path):
+    """No parser takes a prefix of an option for the option: ``--r`` is not
+    ``--restarts`` to ``analyze``, nor ``--the`` ``--theta`` to ``make acin``,
+    and ``--ver`` is not ``--version``.  The full names parse."""
+    ghz = tmp_path / "ghz.json"
+    ghz.write_text(json.dumps(to_document(ek.ghz_state(3, 2))))
+    for argv in (["analyze", str(ghz), "--r", "3", "--which", "geometric-measure"],
+                 ["make", "acin", "--r", "1,0,0,0,0", "--the", "1"],
+                 ["--ver"]):
+        assert _exit_code(argv) == 2
+    parser = cli.build_parser()
+    args = parser.parse_args(["analyze", str(ghz), "--restarts", "3",
+                              "--which", "geometric-measure"])
+    assert (args.restarts, args.which) == (3, "geometric-measure")
+    args = parser.parse_args(["make", "acin", "--r", "1,0,0,0,0", "--theta", "1"])
+    assert (args.r, args.theta) == ("1,0,0,0,0", 1.0)
+
+
 _MAKE_INTS = st.one_of(st.none(), st.integers(-10, 20), st.integers(-(10**15), 10**15))
 _MAKE_TEXTS = {
     "--lam": _csv(st.floats()),
