@@ -1,14 +1,15 @@
 """Three-qubit algebra: local-unitary invariants, tangles, hyperdeterminant,
 Wootters concurrence, canonical form, polytope coordinates and SLOCC class.
 
-Two batched kernels over stacked amplitudes ``(N, 8)`` feed the invariants,
-with no eigensolve.  :func:`_reductions` builds the one- and two-qubit
-reductions: the norm, purities, Kempe invariant, single-party tangles and
-the closed-form marginal spectra (ranks, polytope point).
-:func:`_slice_dets` takes the 2 x 2 slice determinants along each qubit: the
-pair tangles and the hyperdeterminant, and so ``tau3`` and the class.  Each
-public function calls what it reads once per state; ``hyperdet3`` is a batch
-of one.  Only ``wootters_concurrence``, on a mixed state, runs ``eigvals``.
+Two kernels of one state's 8 amplitudes feed the invariants, with no
+eigensolve.  :func:`_reductions` builds the one- and two-qubit reductions:
+the norm, purities, Kempe invariant, single-party tangles and the
+closed-form marginal spectra (ranks, polytope point).  :func:`_slice_dets`
+takes the 2 x 2 slice determinants along each qubit: the pair tangles and
+the hyperdeterminant, and so ``tau3`` and the class.  :func:`_record`
+gathers the full record; ``monogamy_gap`` and the Kempe functions compute
+only what they return, and ``hyperdet3`` reads :func:`_slice_dets` of its
+tensor.  Only ``wootters_concurrence``, on a mixed state, runs ``eigvals``.
 """
 
 from __future__ import annotations
@@ -64,11 +65,13 @@ class InvariantRecord:
         }
 
 
-def _require_3qubit(psi: PureState) -> None:
+def _require_3qubit(psi: PureState) -> np.ndarray:
+    """The amplitudes ``(8,)`` of ``psi``, which must be a 3-qubit ``PureState``."""
     if not isinstance(psi, PureState):
         raise ValueError(f"expected a 3-qubit state, got {type(psi).__name__}")
     if psi.dims != (2, 2, 2):
         raise ValueError(f"expected a 3-qubit state, got dims {psi.dims}")
+    return psi.amplitudes
 
 
 #: Amplitude orders that put qubit A, B or C first, and the pair AB, AC or BC.
@@ -81,26 +84,21 @@ _PAIR_X, _PAIR_Y = [0, 0, 1], [1, 2, 2]
 
 
 def _reductions(amps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``rho_A, rho_B, rho_C`` as ``(N, 3, 2, 2)`` and ``rho_AB, rho_AC, rho_BC``
-    as ``(N, 3, 4, 4)`` of stacked 3-qubit amplitudes ``(N, 8)``."""
-    v1 = amps[:, _ONE_FIRST].reshape(-1, 3, 2, 4)
-    v2 = amps[:, _PAIR_FIRST].reshape(-1, 3, 4, 2)
-    return v1 @ v1.conj().swapaxes(-1, -2), v2 @ v2.conj().swapaxes(-1, -2)
-
-
-def _stack(psi: PureState) -> np.ndarray:
-    _require_3qubit(psi)
-    return psi.amplitudes[None]
+    """``rho_A, rho_B, rho_C`` as ``(3, 2, 2)`` and ``rho_AB, rho_AC, rho_BC``
+    as ``(3, 4, 4)`` of one 3-qubit state's amplitudes ``(8,)``."""
+    v1 = amps[_ONE_FIRST].reshape(3, 2, 4)
+    v2 = amps[_PAIR_FIRST].reshape(3, 4, 2)
+    return v1 @ v1.conj().swapaxes(1, 2), v2 @ v2.conj().swapaxes(1, 2)
 
 
 def _slice_dets(amps: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``D_0, D_1, x`` ``(N, 3)`` over Z = A, B, C of amplitudes ``(N, 8)``:
-    ``D_k = det M_k`` of the 2 x 2 slices along Z, ``x = (det(M_0 + M_1) - D_0
-    - D_1) / 2``, so ``det(s M_0 + t M_1) = D_0 s^2 + 2 x s t + D_1 t^2``."""
-    m = amps[:, _ONE_FIRST].reshape(-1, 3, 2, 2, 2)
-    m = np.concatenate([m, m[:, :, :1] + m[:, :, 1:]], 2)
+    """``D_0, D_1, x`` ``(3,)`` over Z = A, B, C of amplitudes ``(8,)``: ``D_k =
+    det M_k`` of the 2 x 2 slices along Z, ``x = (det(M_0 + M_1) - D_0 -
+    D_1) / 2``, so ``det(s M_0 + t M_1) = D_0 s^2 + 2 x s t + D_1 t^2``."""
+    m = amps[_ONE_FIRST].reshape(3, 2, 2, 2)
+    m = np.concatenate([m, m[:, :1] + m[:, 1:]], 1)
     det = m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
-    return det[..., 0], det[..., 1], (det[..., 2] - det[..., 0] - det[..., 1]) / 2
+    return det[:, 0], det[:, 1], (det[:, 2] - det[:, 0] - det[:, 1]) / 2
 
 
 def hyperdet3(tensor) -> complex:
@@ -112,8 +110,8 @@ def hyperdet3(tensor) -> complex:
     if t.size != 8:
         raise ValueError(f"expected 8 amplitudes, got shape {t.shape}")
     _check_finite(t, "tensor entries")
-    d0, d1, x = _slice_dets(t.reshape(1, 8))
-    return complex(4.0 * (x[0, 0] ** 2 - d0[0, 0] * d1[0, 0]))
+    d0, d1, x = _slice_dets(t.reshape(8))
+    return complex(4.0 * (x[0] ** 2 - d0[0] * d1[0]))
 
 
 _SY = np.array([[0.0, -1j], [1j, 0.0]])
@@ -142,61 +140,61 @@ def wootters_concurrence(rho: DensityMatrix) -> float:
 
 
 def _tangle_terms(one: np.ndarray, dets) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``4 det rho_X`` of a stack ``one`` ``(N, K, 2, 2)`` (X = A first), the
+    """``4 det rho_X`` of a stack ``one`` ``(K, 2, 2)`` (X = A first), the
     pair tangles AB, AC, BC and the monogamy gap ``tau_{A|BC} - tau_AB -
     tau_AC``.  The pair opposite Z has a reduction of rank two at most, and
     its squared concurrence is ``(s_1 - s_2)^2`` for the singular values of
     ``S = -2 [[D_0, x], [x, D_1]]`` from ``dets`` (:func:`_slice_dets`), that
     is ``|S|_F^2 - 2 |det S|`` (Wootters, PRL 80, 2245 (1998))."""
     d0, d1, x = dets
-    det = one[..., 0, 0] * one[..., 1, 1] - one[..., 0, 1] * one[..., 1, 0]
+    det = one[:, 0, 0] * one[:, 1, 1] - one[:, 0, 1] * one[:, 1, 0]
     single = np.clip(4.0 * det.real, 0.0, 1.0)
     pair = 4.0 * (abs(d0) ** 2 + 2.0 * abs(x) ** 2 + abs(d1) ** 2) - 8.0 * abs(x * x - d0 * d1)
-    pair = np.maximum(0.0, pair[:, ::-1])  # Z = C, B, A is the pair AB, AC, BC
-    return single, pair, single[:, 0] - pair[:, 0] - pair[:, 1]
+    pair = np.maximum(0.0, pair[::-1])  # Z = C, B, A is the pair AB, AC, BC
+    return single, pair, single[0] - pair[0] - pair[1]
 
 
 def _kempe_pairings(one: np.ndarray, two: np.ndarray) -> np.ndarray:
     """``3 Tr[(rho_X (x) rho_Y) rho_XY] - Tr rho_X^3 - Tr rho_Y^3``, XY = AB, AC, BC."""
-    cubes = np.einsum("nkij,nkjl,nkli->nk", one, one, one).real
-    factors = one[:, _PAIR_X], one[:, _PAIR_Y], two.reshape(-1, 3, 2, 2, 2, 2)
-    mixed = np.einsum("nkij,nkab,nkjbia->nk", *factors).real
-    return 3.0 * mixed - cubes[:, _PAIR_X] - cubes[:, _PAIR_Y]
+    cubes = np.einsum("kij,kjl,kli->k", one, one, one).real
+    factors = one[_PAIR_X], one[_PAIR_Y], two.reshape(3, 2, 2, 2, 2)
+    mixed = np.einsum("kij,kab,kjbia->k", *factors).real
+    return 3.0 * mixed - cubes[_PAIR_X] - cubes[_PAIR_Y]
 
 
-def _records(amps: np.ndarray, tau3_tol: float = TAU3_CLASS_TOL) -> list[InvariantRecord]:
-    """Invariant records of stacked 3-qubit amplitudes ``(N, 8)``."""
+#: The class of a state whose marginal on A, B or C alone is pure.
+_BISEPARABLE = (SloccClass.BISEP_A_BC, SloccClass.BISEP_B_AC, SloccClass.BISEP_C_AB)
+
+
+def _record(amps: np.ndarray, tau3_tol: float = TAU3_CLASS_TOL) -> InvariantRecord:
+    """Invariant record of one 3-qubit state's amplitudes ``(8,)``."""
     one, two = _reductions(amps)
     d0, d1, x = dets = _slice_dets(amps)
     single, pair, gap = _tangle_terms(one, dets)
     # ascending spectra (p + q -+ hypot(p - q, 2|z|)) / 2 of each [[p, z], [z*, q]]
-    p, q = one[..., 0, 0].real, one[..., 1, 1].real
-    root = np.hypot(p - q, 2.0 * abs(one[..., 0, 1]))
-    spectra = ((p + q)[..., None] + root[..., None] * [-1.0, 1.0]) / 2
-    ranks = (spectra > RANK_TOL).sum(-1)
-    hyper = 4.0 * (x[:, 0] ** 2 - d0[:, 0] * d1[:, 0])
-    # indices into SloccClass in declaration order: GHZ or W by the three-tangle
-    # 4 |hyperdet3|, unless one marginal is pure (the biseparable cut) or all are
-    pure = ranks == 1
-    label = np.where(4.0 * np.abs(hyper) > tau3_tol, 5, 4)
-    label = np.where(pure.sum(-1) == 1, 1 + pure.argmax(-1), label)
-    label = np.where(pure.all(-1), 0, label)
+    p, q = one[:, 0, 0].real, one[:, 1, 1].real
+    root = np.hypot(p - q, 2.0 * abs(one[:, 0, 1]))
+    low, high = ((p + q - root) / 2).tolist(), ((p + q + root) / 2).tolist()
+    ranks = tuple((lo > RANK_TOL) + (hi > RANK_TOL) for lo, hi in zip(low, high))
+    hyper = float(abs(4.0 * (x ** 2 - d0 * d1))[0])  # |hyperdet3|, along A
+    # GHZ or W by the three-tangle 4 |hyperdet3|, unless one marginal is pure
+    # (the biseparable cut) or all are
+    if ranks == (1, 1, 1):
+        label = SloccClass.PRODUCT
+    elif ranks.count(1) == 1:
+        label = _BISEPARABLE[ranks.index(1)]
+    elif 4.0 * hyper > tau3_tol:
+        label = SloccClass.GHZ
+    else:
+        label = SloccClass.W
     # i1, (i2, i3, i4), i5, i6, tau1, tau2, tau3: the record's field order
-    scalars = np.column_stack([
-        np.einsum("ni,ni->n", amps.conj(), amps).real,
-        np.einsum("nkij,nkji->nk", one, one).real,
-        _kempe_pairings(one, two)[:, 0],
-        4.0 * np.abs(hyper) ** 2,
-        single.sum(-1) / 3.0,
-        pair.sum(-1) / 3.0,
-        np.maximum(0.0, gap),
-    ])
-    polytope = spectra[..., 0].clip(0.0, 0.5)
-    classes = list(SloccClass)
-    return [
-        InvariantRecord(*s, tuple(r), tuple(p), classes[c])
-        for s, r, p, c in zip(scalars.tolist(), ranks.tolist(), polytope.tolist(), label.tolist())
-    ]
+    return InvariantRecord(
+        float(np.einsum("i,i->", amps.conj(), amps).real),
+        *np.einsum("kij,kji->k", one, one).real.tolist(),
+        float(_kempe_pairings(one, two)[0]), 4.0 * (hyper * hyper),
+        float(single.sum()) / 3.0, float(pair.sum()) / 3.0, max(0.0, float(gap)),
+        ranks, tuple(min(max(v, 0.0), 0.5) for v in low), label,
+    )
 
 
 def tangles(psi: PureState) -> tuple[float, float, float]:
@@ -207,21 +205,21 @@ def tangles(psi: PureState) -> tuple[float, float, float]:
     in closed form from the slice determinants, and ``tau3`` is the residual
     ``tau_{A|BC} - tau_{A|B} - tau_{A|C}``.  No eigensolve.
     """
-    rec = _records(_stack(psi))[0]
+    rec = _record(_require_3qubit(psi))
     return (rec.tau1, rec.tau2, rec.tau3)
 
 
 def monogamy_gap(psi: PureState) -> float:
     """``tau_{A|BC} - tau_{A|B} - tau_{A|C}``, from ``rho_A`` and the slice
     determinants; non-negative up to round-off."""
-    amps = _stack(psi)
-    v = amps.reshape(-1, 1, 2, 4)
-    return float(_tangle_terms(v @ v.conj().swapaxes(-1, -2), _slice_dets(amps))[2][0])
+    amps = _require_3qubit(psi)
+    v = amps.reshape(1, 2, 4)
+    return float(_tangle_terms(v @ v.conj().swapaxes(1, 2), _slice_dets(amps))[2])
 
 
 def kempe_invariant(psi: PureState) -> float:
     """Sixth-order invariant ``3 Tr[(rho_A (x) rho_B) rho_AB] - Tr rho_A^3 - Tr rho_B^3``."""
-    return float(_kempe_pairings(*_reductions(_stack(psi)))[0, 0])
+    return float(_kempe_pairings(*_reductions(_require_3qubit(psi)))[0])
 
 
 def kempe_symmetric_check(psi: PureState) -> tuple[float, float, float]:
@@ -230,12 +228,12 @@ def kempe_symmetric_check(psi: PureState) -> tuple[float, float, float]:
     All three values agree for any state; returning them exposes the symmetry
     for verification.
     """
-    return tuple(_kempe_pairings(*_reductions(_stack(psi)))[0].tolist())
+    return tuple(_kempe_pairings(*_reductions(_require_3qubit(psi))).tolist())
 
 
 def polytope_coords(psi: PureState) -> tuple[float, float, float]:
     """Smaller eigenvalue of each single-party reduction, each in ``[0, 1/2]``."""
-    return _records(_stack(psi))[0].polytope
+    return _record(_require_3qubit(psi)).polytope
 
 
 def slocc_class_3qubit(psi: PureState, tau3_tol: float = TAU3_CLASS_TOL) -> SloccClass:
@@ -247,7 +245,7 @@ def slocc_class_3qubit(psi: PureState, tau3_tol: float = TAU3_CLASS_TOL) -> Sloc
     >= 0) from the W orbit.
     """
     _check_tol(tau3_tol, "tau3_tol")
-    return _records(_stack(psi), tau3_tol)[0].class_label
+    return _record(_require_3qubit(psi), tau3_tol).class_label
 
 
 def lu_invariants(psi: PureState) -> InvariantRecord:
@@ -260,7 +258,7 @@ def lu_invariants(psi: PureState) -> InvariantRecord:
     ``I_av = (i2 + i3 + i4) / 3``.  The pair tangles, ``hyperdet3`` and the
     marginal spectra are closed forms, so no eigensolve's zeroing breaks these.
     """
-    return _records(_stack(psi))[0]
+    return _record(_require_3qubit(psi))
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ import numpy as np
 from .core import _check_cap, _check_count, _check_same_dims, _check_tol, _rng
 from .partitions import as_bipartition
 from .schmidt import tangle_pure
-from .states import DensityMatrix, PureState, _marginal_spectrum
+from .states import DensityMatrix, PureState, _marginal_spectrum, _require_pure
 
 _GM_DIM_CAP = 1024
 _ROOF_DIM_CAP = 16
@@ -114,6 +114,7 @@ def geometric_measure(
     max_iterations : int
         Sweeps per restart, 1 to 10,000.
     """
+    _require_pure(psi)
     _check_cap(psi.dim, _GM_DIM_CAP, "geometric measure dimension")
     restarts = _check_count(restarts, "restarts")
     max_iterations = _check_count(max_iterations, "max_iterations", hi=_ITERATIONS_CAP)
@@ -237,6 +238,7 @@ def upb_unextendibility_check(
     if not basis:
         raise ValueError("basis must be non-empty")
     for v in basis:
+        _require_pure(v)
         _check_same_dims(basis[0], v)
     dims = basis[0].dims
     if len(dims) > 3 or any(d != 2 for d in dims):
@@ -281,6 +283,7 @@ def multipartite_concurrence(
     acting on each doubled local space; every sign must be exactly -1 or +1
     and every weight finite and non-negative.
     """
+    _require_pure(psi)
     n = psi.n_parties
     weights = {}
     for pattern, w in p.items():
@@ -498,6 +501,7 @@ def tensor_rank_upper_bound(
     tensor under the cap exceeds in rank; ``iterations``, the sweeps per
     restart, must be 1 to 10,000.
     """
+    _require_pure(psi)
     _check_cap(psi.dim, _RANK_DIM_CAP, "tensor rank dimension")
     max_rank = _check_count(max_rank, "max_rank", hi=_RANK_DIM_CAP)
     restarts = _check_count(restarts, "restarts")

@@ -161,14 +161,17 @@ def is_product_across(psi: PureState, partition: Partition, tol: float = 1e-9) -
 
     A pure state is product across a partition iff the reduced state of every
     block is pure; block purity, the sum of the squared marginal eigenvalues,
-    is compared against ``1 - tol``, which must be finite and >= 0.
+    is compared against ``1 - tol``, which must be finite and >= 0.  The two
+    sides of a cut share their nonzero spectrum, so a two-block partition
+    reads its first block only.
     """
     _check_tol(tol)
     if partition.n_parties != psi.n_parties:
         raise ValueError("partition does not match the state's party count")
+    blocks = partition.blocks if partition.n_blocks > 2 else partition.blocks[:1]
     return all(
         (_marginal_spectrum(psi, block) ** 2).sum() >= 1.0 - tol
-        for block in partition.blocks
+        for block in blocks
         if len(block) < psi.n_parties
     )
 

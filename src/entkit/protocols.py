@@ -23,6 +23,7 @@ from .states import (
     PureState,
     State,
     _entropy_on,
+    _require_pure,
     as_density,
     bell_basis_2q,
     bell_state,
@@ -208,6 +209,7 @@ def local_filter_pure(
     Returns the filtered pure state (or ``None`` when the filters annihilate
     the state) together with the success probability.
     """
+    _require_pure(psi)
     m = _prepare_filters(psi.dims, filters, rescale)
     v = m @ psi.amplitudes
     p = float(np.vdot(v, v).real)

@@ -17,7 +17,7 @@ from math import prod
 import numpy as np
 
 from .core import _as_int, _check_finite, _check_tol
-from .states import PureState, _marginal_spectrum, ghz_state
+from .states import PureState, _marginal_spectrum, _require_pure, ghz_state
 
 
 def _maximally_mixed_on(psi: PureState, blocks, tol: float) -> bool:
@@ -55,6 +55,7 @@ _SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 def stabilizes(unitary: np.ndarray, psi: PureState, tol: float = 1e-10) -> bool:
     """True iff ``unitary`` fixes ``psi`` up to a global phase within ``tol``,
     which must be finite and >= 0."""
+    _require_pure(psi)
     _check_tol(tol)
     unitary = np.asarray(unitary, dtype=complex)
     _check_finite(unitary, "unitary")

@@ -180,12 +180,17 @@ def as_density(state: State) -> DensityMatrix:
     raise TypeError(f"expected PureState or DensityMatrix, got {type(state)!r}")
 
 
+def _require_pure(psi: PureState) -> None:
+    """Refuse anything but a ``PureState``, such as the projector of one."""
+    if not isinstance(psi, PureState):
+        raise ValueError(f"expected a PureState, got {type(psi).__name__}")
+
+
 def _cut_matrix(psi: PureState, block: Sequence[int]) -> np.ndarray:
     """Amplitudes of ``psi`` with rows over ``block``, in its order, and columns
     over the other parties; ``M M^dag`` is the reduced state on ``block``.
     ``block`` must already be valid distinct indices; only ``psi`` is checked here."""
-    if not isinstance(psi, PureState):
-        raise ValueError(f"expected a PureState, got {type(psi).__name__}")
+    _require_pure(psi)
     rest = [i for i in range(psi.n_parties) if i not in block]
     t = psi.reshaped().transpose(list(block) + rest)
     return t.reshape(prod(psi.dims[i] for i in block), -1)

@@ -124,10 +124,12 @@ ROWS = {
                           psi, ek.basis_state([2, 2], [0, 0]), grid_resolution=4), _BELL)],
     "from_document": (ek.from_document, _BELL_DOC, dict(_BELL_DOC, dims=[2.5, 2]), ValueError,
                       r"^local dimensions must be integers"),
-    "geometric_measure": (lambda psi: ek.geometric_measure(psi, restarts=1, max_iterations=1,
-                                                           seed=0),
-                          _GHZ, ek.ghz_state(11, 2), _SIZE,
-                          r"^geometric measure dimension 2048 exceeds the cap 1024"),
+    "geometric_measure": [(lambda psi: ek.geometric_measure(psi, restarts=1, max_iterations=1,
+                                                            seed=0),
+                           _GHZ, ek.ghz_state(11, 2), _SIZE,
+                           r"^geometric measure dimension 2048 exceeds the cap 1024"),
+                          _mixed_for_pure(lambda psi: ek.geometric_measure(
+                              psi, restarts=1, max_iterations=1, seed=0))],
     "ghz_stabilizer_check": (lambda p: ek.ghz_stabilizer_check(p, 0.0), 0.3, _NAN, ValueError,
                              r"^phi1 must be finite"),
     "ghz_stabilizer_elements": (lambda p: ek.ghz_stabilizer_elements(0.3, p), 0.5, _INF,
@@ -153,9 +155,11 @@ ROWS = {
                    r"^state norm 2\.0 is not 1"),
     "local_filter": (lambda f: ek.local_filter(_BELL, [f, np.eye(2)]), np.eye(2) / 2,
                      np.full((2, 2), _NAN), ValueError, r"^filter must be finite"),
-    "local_filter_pure": (lambda f: ek.local_filter_pure(_BELL, [f, np.eye(2)], rescale=True),
-                          2 * np.eye(2), np.full((2, 2), _INF), ValueError,
-                          r"^filter must be finite"),
+    "local_filter_pure": [(lambda f: ek.local_filter_pure(_BELL, [f, np.eye(2)], rescale=True),
+                           2 * np.eye(2), np.full((2, 2), _INF), ValueError,
+                           r"^filter must be finite"),
+                          _mixed_for_pure(lambda psi: ek.local_filter_pure(
+                              psi, [np.eye(2), np.eye(2)]), _BELL)],
     "lu_invariants": _three_qubit("lu_invariants"),
     "majorizes": (lambda p: ek.majorizes(p, [0.5, 0.5]), [1, 0], [0.6, 0.5], ValueError,
                   r"^p sums to 1\.1, not 1 within 1e-10"),
@@ -165,8 +169,10 @@ ROWS = {
                        r"^qubit systems only"),
                       _mixed_for_pure(ek.meyer_wallach)],
     "monogamy_gap": _three_qubit("monogamy_gap"),
-    "multipartite_concurrence": (lambda w: ek.multipartite_concurrence(_BELL, {(-1, -1): w}),
-                                 1.0, _NAN, ValueError, r"^weight must be finite"),
+    "multipartite_concurrence": [(lambda w: ek.multipartite_concurrence(_BELL, {(-1, -1): w}),
+                                  1.0, _NAN, ValueError, r"^weight must be finite"),
+                                 _mixed_for_pure(lambda psi: ek.multipartite_concurrence(
+                                     psi, {(-1, -1): 1.0}), _BELL)],
     "nielsen_convertible": [(lambda phi: ek.nielsen_convertible(_BELL, phi), _BELL,
                              ek.bell_state(3), ValueError, r"^dims mismatch"),
                             _mixed_for_pure(lambda psi: ek.nielsen_convertible(psi, _BELL),
@@ -206,8 +212,9 @@ ROWS = {
     "slocc_class_3qubit": _three_qubit("slocc_class_3qubit", (
         lambda t: ek.slocc_class_3qubit(_GHZ, t), 1e-8, _NAN, ValueError,
         r"^tau3_tol must be finite")),
-    "stabilizes": (lambda u: ek.stabilizes(u, _GHZ), np.eye(8), np.full((8, 8), _NAN),
-                   ValueError, r"^unitary must be finite"),
+    "stabilizes": [(lambda u: ek.stabilizes(u, _GHZ), np.eye(8), np.full((8, 8), _NAN),
+                    ValueError, r"^unitary must be finite"),
+                   _mixed_for_pure(lambda psi: ek.stabilizes(np.eye(8), psi))],
     "tangle_pure": [(lambda p: ek.tangle_pure(_GHZ, p), _CUT, _TWO_OF_THREE, ValueError,
                      r"^partition covers 2 parties, state has 3"),
                     _mixed_for_pure(lambda psi: ek.tangle_pure(psi, _CUT))],
@@ -216,17 +223,22 @@ ROWS = {
                  r"^local dimension must be >= 2"),
     "teleportation_kraus": (ek.teleportation_kraus, 2, 1, ValueError,
                             r"^local dimension must be >= 2"),
-    "tensor_rank_upper_bound": (lambda psi: ek.tensor_rank_upper_bound(
-                                    psi, max_rank=1, restarts=1, seed=0, iterations=1),
-                                _GHZ, ek.ghz_state(9, 2), _SIZE,
-                                r"^tensor rank dimension 512 exceeds the cap 256"),
+    "tensor_rank_upper_bound": [(lambda psi: ek.tensor_rank_upper_bound(
+                                     psi, max_rank=1, restarts=1, seed=0, iterations=1),
+                                 _GHZ, ek.ghz_state(9, 2), _SIZE,
+                                 r"^tensor rank dimension 512 exceeds the cap 256"),
+                                _mixed_for_pure(lambda psi: ek.tensor_rank_upper_bound(
+                                    psi, max_rank=1, restarts=1, seed=0, iterations=1))],
     "unlock_smolin": (ek.unlock_smolin, "CD", "CC", ValueError,
                       r"^pair must name two distinct parties"),
-    "upb_unextendibility_check": (lambda basis: ek.upb_unextendibility_check(basis, restarts=1,
-                                                                             rng=0),
-                                  [ek.basis_state([2, 2], [0, 0])],
-                                  [ek.basis_state([2, 2], [0, 0]), _ZERO], ValueError,
-                                  r"^dims mismatch"),
+    "upb_unextendibility_check": [(lambda basis: ek.upb_unextendibility_check(
+                                       basis, restarts=1, rng=0),
+                                   [ek.basis_state([2, 2], [0, 0])],
+                                   [ek.basis_state([2, 2], [0, 0]), _ZERO], ValueError,
+                                   r"^dims mismatch"),
+                                  _mixed_for_pure(lambda v: ek.upb_unextendibility_check(
+                                      [ek.basis_state([2, 2], [0, 0]), v], restarts=1, rng=0),
+                                      ek.basis_state([2, 2], [0, 1]))],
     "von_neumann_entropy": (lambda b: ek.von_neumann_entropy(_BELL, b), 2, 1, ValueError,
                             r"^base must be finite"),
     "wootters_concurrence": [(ek.wootters_concurrence, _BELL.density(),

@@ -486,13 +486,13 @@ def test_record_json_fields():
     assert js["class"] == "GHZ"
 
 
-def _oracle(psi):
+def _oracle(psi, concurrence=ek.wootters_concurrence):
     """Record fields, monogamy gap and Kempe triple from one validated
-    ``partial_trace`` per reduction and one concurrence per ``DensityMatrix``."""
+    ``partial_trace`` per reduction and one ``concurrence`` per ``DensityMatrix``."""
     one = [ek.partial_trace(psi, [k]).matrix for k in range(3)]
     pairs = ((0, 1), (0, 2), (1, 2))
     two = {xy: ek.partial_trace(psi, list(xy)) for xy in pairs}
-    c2 = {xy: ek.wootters_concurrence(two[xy]) ** 2 for xy in pairs}
+    c2 = {xy: concurrence(two[xy]) ** 2 for xy in pairs}
     single = [float(np.clip(4 * np.linalg.det(r).real, 0, 1)) for r in one]
     spectra = [np.linalg.eigvalsh(r) for r in one]
     ranks = tuple(int((s > 1e-10).sum()) for s in spectra)
@@ -551,3 +551,46 @@ def test_batched_kernel_matches_partial_trace_oracle():
         assert rec.class_label is label
         assert abs(ek.monogamy_gap(psi) - gap) < 1e-12
         assert np.abs(np.array(ek.kempe_symmetric_check(psi)) - triple).max() < 1e-12
+
+
+_YY = np.kron([[0, -1j], [1j, 0]], [[0, -1j], [1j, 0]])
+
+
+def _rank_two_concurrence(rho):
+    """Concurrence of a two-qubit state of rank two at most, from its ``eigh``
+    decomposition: over the subnormalized eigenvectors ``w_i``, the singular
+    values ``s_1 >= s_2`` of ``tau_ij = w_i^T (sy (x) sy) w_j`` give ``C = s_1 -
+    s_2`` (Wootters, PRL 80, 2245 (1998)).  Near the W class ``rho rho~`` has
+    an eigenvalue far below 1e-12 of the largest, whose square root
+    ``wootters_concurrence`` cannot resolve; ``tau`` holds its square root."""
+    p, e = np.linalg.eigh(rho.matrix)
+    w = e[:, 2:] * np.sqrt(np.maximum(p[2:], 0.0))
+    s = np.linalg.svd(w.T @ _YY @ w, compute_uv=False)
+    return s[0] - s[1]
+
+
+def test_public_three_qubit_functions_match_dense_reference():
+    """All eight public 3-qubit functions of one state against the dense
+    reference, on Haar states, SLOCC images of GHZ and of W + eps GHZ."""
+    rng = np.random.default_rng(14)
+    w, ghz = ek.w_state().amplitudes, ek.ghz_state(3, 2).amplitudes
+    states = [ek.random_pure_state([2, 2, 2], rng=rng) for _ in range(100)]
+    states += [_slocc_image(rng, ghz) for _ in range(100)]
+    states += [_slocc_image(rng, w + eps * ghz) for eps in (1e-2, 1e-4, 1e-6, 1e-8)
+               for _ in range(50)]
+    for psi in states:
+        floats, ranks, label, gap, triple = _oracle(psi, _rank_two_concurrence)
+        rec = ek.lu_invariants(psi)
+        got = np.array(
+            [rec.i1, rec.i2, rec.i3, rec.i4, rec.i5, rec.i6, rec.tau1, rec.tau2, rec.tau3,
+             *rec.polytope]
+        )
+        assert np.abs(got - floats).max() < 1e-12
+        assert rec.ranks == ranks
+        assert rec.class_label is label is ek.slocc_class_3qubit(psi)
+        assert np.abs(np.array(ek.tangles(psi)) - floats[6:9]).max() < 1e-12
+        assert np.abs(np.array(ek.polytope_coords(psi)) - floats[9:]).max() < 1e-12
+        assert abs(ek.monogamy_gap(psi) - gap) < 1e-12
+        assert abs(ek.kempe_invariant(psi) - triple[0]) < 1e-12
+        assert np.abs(np.array(ek.kempe_symmetric_check(psi)) - triple).max() < 1e-12
+        assert abs(ek.hyperdet3(psi.amplitudes) - _hyperdet_monomials(psi.amplitudes)) < 1e-12

@@ -111,6 +111,29 @@ def test_classify_pure_examples():
     assert rep.finest_product_partition == ek.Partition(((0,), (1, 2)))
 
 
+def test_classify_pure_reads_one_side_of_each_cut(monkeypatch):
+    """The flags equal those read from both sides of every cut, and each cut
+    takes one marginal spectrum."""
+    rng = np.random.default_rng(21)
+    one = [ek.random_pure_state([d], rng=rng) for d in (2, 3, 2, 2)]
+    states = [ek.random_pure_state(dims, rng=rng)
+              for dims in ([2, 2], [2, 2, 2], [2, 3, 2, 2], [2] * 5) for _ in range(5)]
+    states += [ek.product_state(*one), ek.product_state(one[0], ek.ghz_state(3, 2)),
+               ek.product_state(ek.bell_state(2), one[1], ek.bell_state(2)).permute([0, 3, 2, 1, 4]),
+               ek.product_state(ek.random_pure_state([2, 3], rng=rng), one[2], one[3]),
+               ek.product_state(ek.w_state(), ek.bell_state(2)).permute([0, 3, 1, 4, 2])]
+    spectrum = partitions._marginal_spectrum
+    for psi in states:
+        both = {bp: all((spectrum(psi, b) ** 2).sum() >= 1.0 - 1e-9 for b in bp.blocks)
+                for bp in ek.all_bipartitions(psi.n_parties)}
+        calls = []
+        monkeypatch.setattr(partitions, "_marginal_spectrum",
+                            lambda *args: calls.append(args) or spectrum(*args))
+        assert ek.classify_pure(psi).bipartition_product_flags == both
+        assert len(calls) == len(both) == 2 ** (psi.n_parties - 1) - 1
+        monkeypatch.undo()
+
+
 def _random_local_unitaries(dims, rng):
     us = []
     for d in dims:
