@@ -11,9 +11,10 @@ always report the best value found.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 from math import prod
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -35,6 +36,17 @@ _GM_RATIO_DRIFT = 0.05
 _GM_STEADY_SWEEPS = 4
 _GM_AITKEN_SAFETY = 10.0
 _GM_MARGIN = 1e-6
+#: L-BFGS of :func:`minimize`: the ``(s, y)`` pairs kept; the line search's
+#: sufficient-decrease and curvature constants and its trial points; the
+#: stopping rules of L-BFGS-B, a relative fall of ``f`` and a largest gradient
+#: entry; and the forward-difference step relative to ``max(1, |x_i|)``.
+_LBFGS_PAIRS = 10
+_WOLFE_C1 = 1e-3
+_WOLFE_C2 = 0.9
+_WOLFE_TRIALS = 20
+_LBFGS_FTOL = 1e7 * np.finfo(float).eps
+_LBFGS_GTOL = 1e-5
+_FD_STEP = np.sqrt(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -45,7 +57,8 @@ class OptimizationResult:
     the number of restarts that converged; ``evaluations`` counts the cost
     evaluations (or sweeps) of all restarts together, ``restart_values``
     holds the best value each restart reached, in order, and
-    ``restart_iterations`` the iterations (or sweeps) each restart ran.
+    ``restart_iterations`` the iterations (L-BFGS iterations of a roof,
+    sweeps of the geometric measure) each restart ran.
     ``stopped_restarts`` counts the restarts :func:`geometric_measure` stopped
     because they could not win; each counts as not converged, and its value
     and sweeps are those it had reached when it stopped.  Always 0 for
@@ -324,12 +337,120 @@ def expm(h: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return (v * np.exp(1j * lam)) @ v.conj().T, lam, v
 
 
-def minimize(*args, **kwargs):
-    """``scipy.optimize.minimize``, imported on the first call so that
-    importing entkit does not load scipy."""
-    from scipy.optimize import minimize as scipy_minimize
+class Minimum(NamedTuple):
+    """Where :func:`minimize` stopped: the point, its cost, the iterations and
+    cost evaluations it took, and whether a stopping rule (not the iteration
+    cap or a failed line search) ended it."""
 
-    return scipy_minimize(*args, **kwargs)
+    x: np.ndarray
+    fun: float
+    nit: int
+    nfev: int
+    success: bool
+
+
+def _lbfgs_direction(g: np.ndarray, pairs) -> np.ndarray:
+    """``-H g`` by the two-loop recursion over the ``(s, y, y.s)`` pairs, the
+    oldest first, with ``H_0 = (y.s / y.y) I`` from the newest pair."""
+    q = -g
+    alphas = []
+    for s, y, ys in reversed(pairs):
+        alphas.append(s @ q / ys)
+        q = q - alphas[-1] * y
+    if pairs:
+        _, y, ys = pairs[-1]
+        q = q * (ys / (y @ y))
+    for (s, y, ys), a in zip(pairs, reversed(alphas)):
+        q = q + (a - y @ q / ys) * s
+    return q
+
+
+def _wolfe_step(evaluate, x: np.ndarray, f0: float, d: np.ndarray, dg0: float, t: float):
+    """A step ``t`` along the descent direction ``d`` that meets the strong
+    Wolfe conditions, as ``(x + t d, f, g)``, or ``None`` when none of the
+    trial points does.  The trial step doubles until it brackets such a
+    step, and the bracket is then bisected."""
+    lo, f_lo, hi = 0.0, f0, np.inf
+    for _ in range(_WOLFE_TRIALS):
+        xt = x + t * d
+        f, g = evaluate(xt)
+        dg = g @ d
+        decrease = f <= f0 + _WOLFE_C1 * t * dg0 and f < f_lo
+        if decrease and abs(dg) <= -_WOLFE_C2 * dg0:
+            return xt, f, g
+        if decrease and dg < 0:
+            lo, f_lo = t, f
+        else:
+            hi = t
+        t = 2.0 * t if hi == np.inf else 0.5 * (lo + hi)
+    return None
+
+
+def minimize(fun: Callable, x0: np.ndarray, *, jac: bool, maxiter: int) -> Minimum:
+    """Minimize ``fun`` from ``x0`` by L-BFGS (Liu & Nocedal, Math. Program.
+    45, 503 (1989)).
+
+    ``fun(x)`` returns the cost and its gradient when ``jac`` is true, and the
+    cost alone otherwise; the gradient is then taken by forward differences,
+    with the step ``sqrt(eps) max(1, |x_i|)``, and ``nfev`` counts every cost
+    call.  The search direction comes from the last 10 ``(s, y)`` pairs with
+    ``y.s > 0``.  The line search (:func:`_wolfe_step`) takes at most 20
+    trial points, the first at ``min(1, 1/|g|)`` on the first iteration and
+    at 1 after it.  When it finds no step, the pairs are dropped and the
+    iteration is retried along ``-g``; a second failure ends the run, not
+    converged.  The stopping rules are those of L-BFGS-B (Byrd, Lu, Nocedal
+    & Zhu, SIAM J. Sci. Comput. 16, 1190 (1995)): converged once no
+    gradient entry exceeds 1e-5 or an iteration lowers ``f`` by at most
+    ``1e7 eps max(|f|, 1)``, and not converged after ``maxiter`` iterations,
+    a rule checked first.
+    """
+    nfev = 0
+
+    def evaluate(x: np.ndarray) -> tuple[float, np.ndarray]:
+        nonlocal nfev
+        if jac:
+            nfev += 1
+            f, g = fun(x)
+            return float(f), g
+        f = float(fun(x))
+        h = _FD_STEP * np.where(x >= 0, 1.0, -1.0) * np.maximum(1.0, np.abs(x))
+        h = (x + h) - x  # the step as represented
+        g = np.empty_like(x)
+        for i in range(x.size):
+            xi = x.copy()
+            xi[i] += h[i]
+            g[i] = (fun(xi) - f) / h[i]
+        nfev += 1 + x.size
+        return f, g
+
+    x = np.array(x0, dtype=float)
+    f, g = evaluate(x)
+    pairs: deque = deque(maxlen=_LBFGS_PAIRS)
+    nit = 0
+    if np.abs(g).max() <= _LBFGS_GTOL:
+        return Minimum(x, f, nit, nfev, True)
+    while True:
+        d = _lbfgs_direction(g, pairs)
+        dg = d @ g
+        t = min(1.0, 1.0 / np.linalg.norm(g)) if nit == 0 else 1.0
+        step = _wolfe_step(evaluate, x, f, d, dg, t) if dg < 0 else None
+        if step is None:
+            if not pairs:
+                return Minimum(x, f, nit, nfev, False)
+            pairs.clear()
+            continue
+        nit += 1
+        x_new, f_new, g_new = step
+        s, y = x_new - x, g_new - g
+        ys = y @ s
+        if ys > 0:
+            pairs.append((s, y, ys))
+        fall, scale = f - f_new, max(abs(f), abs(f_new), 1.0)
+        x, f, g = step
+        if nit >= maxiter:
+            return Minimum(x, f, nit, nfev, False)
+        if np.abs(g).max() <= _LBFGS_GTOL or fall <= _LBFGS_FTOL * scale:
+            return Minimum(x, f, nit, nfev, True)
 
 
 def _members(u: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -408,19 +529,19 @@ def convex_roof(
 
     Every size-``m`` decomposition of ``rho`` arises from an ``m x r`` isometry
     mixing the eigen-ensemble (``r`` the rank): the first ``r`` columns of
-    ``expm(iH)``.  L-BFGS-B optimizes the ``m^2`` real coordinates of the
-    Hermitian generator ``H`` (its diagonal, the real parts below it and the
-    imaginary parts above it) from random starts.  When ``f`` is
-    :func:`~entkit.schmidt.tangle_pure` (on a 2-party ``rho``) the cost comes
-    with its analytic gradient: one ``eigh`` of ``H`` per step gives the
-    isometry and the adjoint of its derivative, around one batched tangle
-    kernel over the members.  Any other callable is evaluated on each member,
-    built from the same ``eigh``, as a :class:`PureState` and differentiated
-    by finite differences.  ``scipy.optimize`` is imported on the first call.
-    The result is an upper bound that never increases with more restarts;
-    ``argument`` holds the best ensemble as ``(p_i, psi_i)`` pairs,
-    ``evaluations`` the cost evaluations of all restarts, ``restart_values``
-    the value each restart reached and ``restart_iterations`` the L-BFGS-B
+    ``expm(iH)``.  L-BFGS (:func:`minimize`) optimizes the ``m^2`` real
+    coordinates of the Hermitian generator ``H`` (its diagonal, the real
+    parts below it and the imaginary parts above it) from random starts.
+    When ``f`` is :func:`~entkit.schmidt.tangle_pure` (on a 2-party ``rho``)
+    the cost comes with its analytic gradient: one ``eigh`` of ``H`` per step
+    gives the isometry and the adjoint of its derivative, around one batched
+    tangle kernel over the members.  Any other callable is evaluated on each
+    member, built from the same ``eigh``, as a :class:`PureState` and
+    differentiated by forward differences.  The result is an upper bound
+    that never increases with more restarts; ``argument`` holds the best
+    ensemble as ``(p_i, psi_i)`` pairs, ``evaluations`` the cost evaluations
+    of all restarts, finite-difference ones included, ``restart_values`` the
+    value each restart reached and ``restart_iterations`` the L-BFGS
     iterations each restart took.
 
     Parameters
@@ -436,7 +557,7 @@ def convex_roof(
     restarts : int
         Number of independent starts, 1 to 1000; the best result is kept.
     maxiter : int
-        L-BFGS-B iterations per restart, 1 to 10,000.
+        L-BFGS iterations per restart, 1 to 10,000.
     """
     _check_cap(rho.dim, _ROOF_DIM_CAP, "convex roof dimension")
     restarts = _check_count(restarts, "restarts")
@@ -468,8 +589,7 @@ def convex_roof(
             return sum(pj * f(psi) for pj, psi in ensemble(x))
 
     starts = (0.7 * rng.standard_normal(m * m) for _ in range(restarts))
-    runs = [minimize(cost, x0, jac=analytic, method="L-BFGS-B",
-                     options={"maxiter": maxiter}) for x0 in starts]
+    runs = [minimize(cost, x0, jac=analytic, maxiter=maxiter) for x0 in starts]
     best = min(runs, key=lambda res: res.fun)
     return OptimizationResult(
         value=float(best.fun),
