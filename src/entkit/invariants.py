@@ -276,10 +276,17 @@ class AcinCanonicalForm:
     r: np.ndarray
     theta: float
     local_unitaries: tuple[np.ndarray, np.ndarray, np.ndarray] = field(repr=False)
-    #: Newton steps taken by the batch of seeds that reached the roots, 0 to 6.
+    #: Newton steps taken by the batch of seeds, 0 to 6: the polish stops
+    #: after the step that finds ``morse_count`` complete, or when no row moves.
     newton_steps: int = field(default=0, repr=False)
-    #: Distinct roots within ``tol``, told apart by their rounded ``(r, |theta|)``.
+    #: Distinct roots within ``tol`` among the rows of the step where the
+    #: polish stopped, told apart by their rounded ``(r, |theta|)``.
     roots: int = field(default=1, repr=False)
+    #: ``((extrema, saddles), (extrema, saddles))`` among the roots reached
+    #: before the last step, on the upper sheet and on the lower one; complete
+    #: when extrema less saddles is 2 and 0, with two roots or more on each.
+    morse_count: tuple[tuple[int, int], tuple[int, int]] = field(
+        default=((0, 0), (0, 0)), repr=False)
 
 
 #: Pauli matrices, identity first.
@@ -494,7 +501,43 @@ def _chart_terms(a, mu, alpha, beta, c, b, quad):
     return mu * gs + 2.0 * low * f1, mu * diag - 4.0 * low, mu * off + 2.0 * low * f2, sigma
 
 
-def _newton(a, order, forms, steps=6):
+#: Newton steps at most per canonical form.
+_NEWTON_STEPS = 6
+
+
+def _morse_count(a, order, z, grad, diag, off, sigma):
+    """Extrema and saddles among the distinct roots that the rows of ``a``
+    have reached, as ``((extrema, saddles), (extrema, saddles))`` on the
+    upper sheet (a true ``order``) and on the lower one, and whether a row
+    is still closing in on a root that no row has reached.
+
+    A row has reached a root when ``sigma |G|`` is below ``1e-12``, half the
+    acceptance of :func:`_roots`, since ``sigma |G| / 2`` tracks the
+    residual; where the Hessian is large, rounding keeps ``sigma |G|`` of a
+    root's rows above ``1e-13``.  A row whose Bloch vector lies within
+    ``1e-6 + 4|z|`` of a row of its sheet that reached a root, ``z`` its
+    Newton step, which moves the Bloch vector by about ``2|z|``, is on that
+    root.  Each root is an extremum when ``A^2 > |C|^2`` (a definite
+    Hessian) and a saddle otherwise.  A row closes in on another root when
+    its step is below ``1e-3`` and it is on no root yet.  On the sphere,
+    extrema less saddles is the Euler characteristic 2 (Milnor, *Morse
+    Theory*, 1963); on the lower sheet it is 0, since ``log sigma`` is
+    singular at the two zeros of ``det M``.
+    """
+    done = sigma * abs(grad) < 1e-12
+    step = abs(z)
+    # |n_i - n_j|^2 = 4 (1 - |a_i^dag a_j|^2) for unit spinors
+    near = ((4.0 - 4.0 * abs(a.conj() @ a.T) ** 2 < ((1e-6 + 4.0 * step) ** 2)[:, None])
+            & (order[:, None] == order) & done)
+    # a row that reached a root is near itself; the lowest such row counts it
+    first = done & (near.argmax(1) == np.arange(len(a)))
+    closing = ~done & (step < 1e-3) & ~near.any(1)
+    saddle = diag * diag <= abs(off) ** 2
+    e_up, s_up, e_lo, s_lo = np.bincount(2 * ~order + saddle, first, 4).astype(int).tolist()
+    return ((e_up, s_up), (e_lo, s_lo)), bool(closing.any())
+
+
+def _newton(a, order, forms):
     """Newton steps on the Bloch sphere from each row of ``a`` at once, toward
     a critical point of the singular value of the lower slice that
     :func:`_rotate` puts on ``|111>``, the larger one on rows with a true
@@ -503,33 +546,46 @@ def _newton(a, order, forms, steps=6):
 
     A row stays where it is once ``sigma |G| / 2``, which tracks the residual,
     is below ``1e-15``, and so does a row with ``|w| = 0``, ``det M = 0`` or a
-    singular Hessian.  The steps stop when no row moves, or after ``steps``.
-    Returns the polished rows and the steps taken.
+    singular Hessian.  Before each step, :func:`_morse_count` counts the
+    roots the rows have reached.  The polish ends after the step whose count
+    is complete, which is extrema less saddles of 2 on the upper sheet and 0
+    on the lower one, with at least two roots on each; it must also find as
+    many roots as the count before, with no row closing in on another root.
+    It also ends when no row moves, and after ``_NEWTON_STEPS`` at most.
+    Returns the polished rows, the steps taken and the last count.
     """
     mu = np.where(order, 1.0, -1.0)
-    for taken in range(steps):
+    last = -1
+    for taken in range(_NEWTON_STEPS):
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             grad, diag, off, sigma = _chart_terms(a, mu, *forms)
             z = (off * grad.conj() - diag * grad).conj() / (diag * diag - abs(off) ** 2)
             move = np.isfinite(z) & (sigma * abs(grad) > 2e-15)
+            count, closing = _morse_count(a, order, z, grad, diag, off, sigma)
             if not move.any():
-                return a, taken
+                return a, taken, count
             moved = a + z[:, None] * np.column_stack([-a[:, 1].conj(), a[:, 0].conj()])
             a = np.where(move[:, None], moved / np.linalg.norm(moved, axis=1, keepdims=True), a)
-    return a, steps
+        found = sum(map(sum, count))
+        if ([e - s for e, s in count] == [2, 0] and min(map(sum, count)) >= 2
+                and found == last and not closing):
+            return a, taken + 1, count
+        last = found
+    return a, _NEWTON_STEPS, count
 
 
 def _roots(t):
     """Every root the seeds of :func:`_candidates` reach after :func:`_newton`,
     as :func:`_rotate` gives it (rows with a residual below ``1e-12``), the
-    smallest residual of all seeds and the Newton steps taken."""
+    smallest residual of all seeds, the Newton steps taken and the count of
+    :func:`_morse_count`."""
     forms = _slice_forms(t)
     a, order = _candidates(*forms[1:])
-    a, steps = _newton(a, order, forms)
+    a, steps, count = _newton(a, order, forms)
     *unitaries, x = _rotate(t, a, order)
     res = np.abs(x[:, 0, 1, 1])
     found = res < 1e-12
-    return [u[found] for u in unitaries], x[found], res.min(), steps
+    return [u[found] for u in unitaries], x[found], res.min(), steps, count
 
 
 def _theta(x):
@@ -576,9 +632,14 @@ def acin_canonical_form(psi: PureState, tol: float = 1e-8) -> AcinCanonicalForm:
     114/115, 815 (1989).  Those roots, the multiplier's hard case, the
     extrema of ``Tr M M^dag`` and the zero of ``det M`` of the W class seed
     one batch of Newton steps on the singular value that ``|111>`` takes,
-    with an analytic Hessian and no SVD, at most six (``newton_steps``);
-    among the distinct ``roots`` reached, the one minimizing ``(r4, r3, r2,
-    r1)`` lexicographically is returned.  Diagonal local phases then make
+    with an analytic Hessian and no SVD (``newton_steps``).  The steps stop
+    once the roots reached are complete by a signed count (``morse_count``):
+    on the sphere of the first-qubit vector, extrema less saddles is 2 on the
+    sheet of the larger singular value and 0 on the other.  The count must
+    also hold as many roots as one step earlier, with no seed closing in on
+    another root; short of that, the polish runs six steps.  Among the
+    distinct ``roots`` reached, the one minimizing ``(r4, r3, r2, r1)``
+    lexicographically is returned.  Diagonal local phases then make
     ``r1..r4 >= 0`` with one phase ``theta`` left on ``r0``.  Those phases
     fix ``theta`` only mod pi, so it is folded into ``(-pi/2, pi/2]``, which
     makes it a local-unitary invariant of the root; it is 0 when one of the
@@ -604,7 +665,7 @@ def acin_canonical_form(psi: PureState, tol: float = 1e-8) -> AcinCanonicalForm:
     """
     _check_tol(tol)
     _require_3qubit(psi)
-    (ua, ub, uc), x, best, steps = _roots(psi.reshaped())
+    (ua, ub, uc), x, best, steps, count = _roots(psi.reshaped())
     off = np.abs(x.reshape(-1, 8)[:, [0b011, 0b101, 0b110]]).max(1, initial=0.0)
     keep = off < tol
     if not keep.any():
@@ -620,5 +681,5 @@ def acin_canonical_form(psi: PureState, tol: float = 1e-8) -> AcinCanonicalForm:
     za, zb, zc = _phase_gauge(x[i], theta[i])
     return AcinCanonicalForm(
         r=r[i], theta=float(theta[i]), local_unitaries=(za @ ua[i], zb @ ub[i], zc @ uc[i]),
-        newton_steps=steps, roots=len(set(map(tuple, key.tolist()))),
+        newton_steps=steps, roots=len(set(map(tuple, key.tolist()))), morse_count=count,
     )

@@ -279,6 +279,7 @@ def upb_unextendibility_check(
 
 def meyer_wallach(psi: PureState) -> float:
     """Average single-qubit linear entropy ``(1/n) sum_k 2 (1 - Tr rho_k^2)``."""
+    _require_pure(psi)
     if any(d != 2 for d in psi.dims):
         raise ValueError(f"qubit systems only, got dims {psi.dims}")
     n = psi.n_parties

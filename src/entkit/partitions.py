@@ -23,7 +23,7 @@ from typing import Iterable
 import numpy as np
 
 from .core import _as_int, _check_cap, _check_indices, _check_keep, _check_tol
-from .states import PureState, State, _marginal_spectrum, as_density
+from .states import PureState, State, _marginal_spectrum, _require_pure, as_density
 
 _PARTITION_ENUM_CAP = 8
 _PPT_SWEEP_CAP = 6
@@ -166,6 +166,7 @@ def is_product_across(psi: PureState, partition: Partition, tol: float = 1e-9) -
     reads its first block only.
     """
     _check_tol(tol)
+    _require_pure(psi)
     if partition.n_parties != psi.n_parties:
         raise ValueError("partition does not match the state's party count")
     blocks = partition.blocks if partition.n_blocks > 2 else partition.blocks[:1]
@@ -197,6 +198,7 @@ def classify_pure(psi: PureState, tol: float = 1e-9) -> ClassificationReport:
     and >= 0.
     """
     _check_tol(tol)
+    _require_pure(psi)
     n = psi.n_parties
     _check_cap(n, _PARTITION_ENUM_CAP, "classification party count")
     flags = {
@@ -353,8 +355,10 @@ def _ppt_sweep(state: State) -> dict[Partition, tuple[bool, float]]:
     """:func:`ppt_check` on every bipartition, capped at ``_PPT_SWEEP_CAP`` parties.
 
     The cap is checked before any cut is computed, so an input over it costs
-    no eigensolve.
+    no eigensolve.  A pure state stays pure, as in :func:`ppt_check`.
     """
+    if not isinstance(state, PureState):
+        state = as_density(state)
     _check_cap(state.n_parties, _PPT_SWEEP_CAP, "PPT sweep party count")
     return {bp: ppt_check(state, bp) for bp in all_bipartitions(state.n_parties)}
 

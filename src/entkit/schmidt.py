@@ -15,7 +15,7 @@ import numpy as np
 
 from .core import _check_count, _check_probabilities, _check_same_dims, _check_tol
 from .partitions import Partition, as_bipartition
-from .states import PureState, _cut_matrix, _marginal_spectrum, shannon_entropy
+from .states import PureState, _cut_matrix, _marginal_spectrum, _require_pure, shannon_entropy
 
 RANK_TOL = 1e-10
 _MAJ_SLACK = 1e-12
@@ -39,6 +39,7 @@ class SchmidtData:
 
 def schmidt(psi: PureState, bipartition=None) -> SchmidtData:
     """Schmidt decomposition across a bipartition via SVD of the coefficient matrix."""
+    _require_pure(psi)
     part = as_bipartition(bipartition, psi.n_parties)
     g = _cut_matrix(psi, part.blocks[0])
     u, s, vh = np.linalg.svd(g, full_matrices=True)
@@ -53,7 +54,9 @@ def schmidt(psi: PureState, bipartition=None) -> SchmidtData:
 
 def schmidt_vector(psi: PureState, bipartition=None) -> np.ndarray:
     """Just the non-increasing Schmidt probability vector, the cut spectrum of
-    :func:`~entkit.states._marginal_spectrum`: ``min(d_left, d_right)`` entries."""
+    :func:`~entkit.states._marginal_spectrum`: ``min(d_left, d_right)`` entries.
+    A ``psi`` that is not a ``PureState`` is a ``ValueError``."""
+    _require_pure(psi)
     return _marginal_spectrum(psi, as_bipartition(bipartition, psi.n_parties).blocks[0])
 
 
@@ -109,6 +112,8 @@ def nielsen_convertible(psi: PureState, phi: PureState, bipartition=None) -> boo
     state converts to anything and nothing converts to a strictly better
     entangled state.
     """
+    _require_pure(psi)
+    _require_pure(phi)
     _check_same_dims(psi, phi)
     part = as_bipartition(bipartition, psi.n_parties)
     return majorizes(schmidt_vector(phi, part), schmidt_vector(psi, part))
@@ -127,6 +132,8 @@ def catalysis_convertible(
     its second party the right block, so the joint Schmidt vector is the
     outer product of the individual ones.
     """
+    for state in (psi, phi, eta):
+        _require_pure(state)
     _check_same_dims(psi, phi)
     if eta.n_parties != 2:
         raise ValueError("catalyst must be a bipartite pure state")
@@ -177,6 +184,8 @@ def find_catalyst(
     """
     catalyst_dim = _check_count(catalyst_dim, "catalyst_dim", hi=4)
     grid_resolution = _check_count(grid_resolution, "grid_resolution", hi=200)
+    _require_pure(psi)
+    _require_pure(phi)
     _check_same_dims(psi, phi)
     part = as_bipartition(bipartition, psi.n_parties)
     lam_s = schmidt_vector(psi, part)

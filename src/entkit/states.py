@@ -172,12 +172,13 @@ State = PureState | DensityMatrix
 
 
 def as_density(state: State) -> DensityMatrix:
-    """Coerce a pure state to its projector; pass density matrices through."""
+    """Coerce a pure state to its projector; pass density matrices through.
+    Anything else is a ``ValueError``."""
     if isinstance(state, PureState):
         return state.density()
     if isinstance(state, DensityMatrix):
         return state
-    raise TypeError(f"expected PureState or DensityMatrix, got {type(state)!r}")
+    raise ValueError(f"expected PureState or DensityMatrix, got {type(state).__name__}")
 
 
 def _require_pure(psi: PureState) -> None:

@@ -63,6 +63,11 @@ def _mixed_for_pure(call, good=_GHZ, message=r"^expected a PureState, got Densit
     return (call, good, good.density(), ValueError, message)
 
 
+def _array_for_state(call, good=_GHZ, message=r"^expected a PureState, got ndarray"):
+    """The row that passes the amplitudes of a state where the state belongs."""
+    return (call, good, good.amplitudes, ValueError, message)
+
+
 def _three_qubit(name, row=None):
     call = getattr(ek, name)
     return [row or (call, _GHZ, _BELL, ValueError, r"^expected a 3-qubit state"),
@@ -95,15 +100,18 @@ ROWS = {
     "catalysis_convertible": [(lambda phi: ek.catalysis_convertible(_BELL, phi, _BELL), _BELL,
                                ek.bell_state(3), ValueError, r"^dims mismatch"),
                               _mixed_for_pure(
-                                  lambda psi: ek.catalysis_convertible(psi, _BELL, _BELL), _BELL)],
+                                  lambda psi: ek.catalysis_convertible(psi, _BELL, _BELL), _BELL),
+                              _array_for_state(
+                                  lambda eta: ek.catalysis_convertible(_BELL, _BELL, eta), _BELL)],
     "classify_pure": [(ek.classify_pure, _GHZ, ek.ghz_state(9, 2), _SIZE,
                        r"^classification party count 9 exceeds the cap 8"),
-                      _mixed_for_pure(ek.classify_pure)],
+                      _mixed_for_pure(ek.classify_pure), _array_for_state(ek.classify_pure)],
     "combing_entropy_profile": (lambda a: ek.combing_entropy_profile(_GHZ, a, [[1], [2]]), 0,
                                 0.5, ValueError, r"^subsystem indices must be integers"),
     "concurrence_pure": [(lambda p: ek.concurrence_pure(_GHZ, p), _CUT, _TWO_OF_THREE,
                           ValueError, r"^partition covers 2 parties, state has 3"),
-                         _mixed_for_pure(lambda psi: ek.concurrence_pure(psi, _CUT))],
+                         _mixed_for_pure(lambda psi: ek.concurrence_pure(psi, _CUT)),
+                         _array_for_state(lambda psi: ek.concurrence_pure(psi, _CUT))],
     "conditional_entropy": (lambda b: ek.conditional_entropy(_BELL, [0], b), [1], [5],
                             ValueError, r"^b \[5\] out of range"),
     "convex_roof": (lambda rho: ek.convex_roof(rho, ek.tangle_pure, restarts=1, maxiter=1,
@@ -112,7 +120,8 @@ ROWS = {
                     r"^convex roof dimension 32 exceeds the cap 16"),
     "entanglement_entropy": [(lambda b: ek.entanglement_entropy(_BELL, base=b), 2, 1,
                               ValueError, r"^base must be finite"),
-                             _mixed_for_pure(ek.entanglement_entropy, _BELL)],
+                             _mixed_for_pure(ek.entanglement_entropy, _BELL),
+                             _array_for_state(ek.entanglement_entropy, _BELL)],
     "entanglement_swap": (ek.entanglement_swap, _BELL, _GHZ, ValueError,
                           r"^expected a state on two subsystems"),
     "enumerate_partitions": (ek.enumerate_partitions, 3, 9, _SIZE,
@@ -121,7 +130,9 @@ ROWS = {
                        ek.basis_state([2, 2], [0, 0]), ek.bell_state(3), ValueError,
                        r"^dims mismatch"),
                       _mixed_for_pure(lambda psi: ek.find_catalyst(
-                          psi, ek.basis_state([2, 2], [0, 0]), grid_resolution=4), _BELL)],
+                          psi, ek.basis_state([2, 2], [0, 0]), grid_resolution=4), _BELL),
+                      _array_for_state(lambda phi: ek.find_catalyst(
+                          _BELL, phi, grid_resolution=4), ek.basis_state([2, 2], [0, 0]))],
     "from_document": (ek.from_document, _BELL_DOC, dict(_BELL_DOC, dims=[2.5, 2]), ValueError,
                       r"^local dimensions must be integers"),
     "geometric_measure": [(lambda psi: ek.geometric_measure(psi, restarts=1, max_iterations=1,
@@ -146,7 +157,8 @@ ROWS = {
                _mixed_for_pure(ek.is_lme)],
     "is_product_across": [(lambda p: ek.is_product_across(_GHZ, p), _CUT, _TWO_OF_THREE,
                            ValueError, r"^partition does not match"),
-                          _mixed_for_pure(lambda psi: ek.is_product_across(psi, _CUT))],
+                          _mixed_for_pure(lambda psi: ek.is_product_across(psi, _CUT)),
+                          _array_for_state(lambda psi: ek.is_product_across(psi, _CUT))],
     "kempe_invariant": _three_qubit("kempe_invariant"),
     "kempe_symmetric_check": _three_qubit("kempe_symmetric_check"),
     "load_state": (lambda text: ek.load_state(io.StringIO(text)),
@@ -167,7 +179,7 @@ ROWS = {
                      r"^subsystem indices must be integers"),
     "meyer_wallach": [(ek.meyer_wallach, _GHZ, ek.bell_state(3), ValueError,
                        r"^qubit systems only"),
-                      _mixed_for_pure(ek.meyer_wallach)],
+                      _mixed_for_pure(ek.meyer_wallach), _array_for_state(ek.meyer_wallach)],
     "monogamy_gap": _three_qubit("monogamy_gap"),
     "multipartite_concurrence": [(lambda w: ek.multipartite_concurrence(_BELL, {(-1, -1): w}),
                                   1.0, _NAN, ValueError, r"^weight must be finite"),
@@ -176,7 +188,9 @@ ROWS = {
     "nielsen_convertible": [(lambda phi: ek.nielsen_convertible(_BELL, phi), _BELL,
                              ek.bell_state(3), ValueError, r"^dims mismatch"),
                             _mixed_for_pure(lambda psi: ek.nielsen_convertible(psi, _BELL),
-                                            _BELL)],
+                                            _BELL),
+                            _array_for_state(lambda phi: ek.nielsen_convertible(_BELL, phi),
+                                             _BELL)],
     "partial_trace": (lambda k: ek.partial_trace(_GHZ, k), [0], [3], ValueError,
                       r"^keep \[3\] out of range"),
     "partial_trace_matrix": (lambda k: ek.partial_trace_matrix(np.eye(4) / 4, (2, 2), k), [0],
@@ -185,8 +199,10 @@ ROWS = {
                           r"^subset must be a proper subset"),
     "phi_a_state": (ek.phi_a_state, 1.0, complex(_NAN, 0), ValueError, r"^a must be finite"),
     "polytope_coords": _three_qubit("polytope_coords"),
-    "ppt_all_bipartitions": (ek.ppt_all_bipartitions, _GHZ, ek.ghz_state(7, 2), _SIZE,
-                             r"^PPT sweep party count 7 exceeds the cap 6"),
+    "ppt_all_bipartitions": [(ek.ppt_all_bipartitions, _GHZ, ek.ghz_state(7, 2), _SIZE,
+                              r"^PPT sweep party count 7 exceeds the cap 6"),
+                             _array_for_state(ek.ppt_all_bipartitions, message=(
+                                 r"^expected PureState or DensityMatrix, got ndarray"))],
     "ppt_check": (lambda p: ek.ppt_check(_GHZ, p), _CUT, [[0], [1], [2]], ValueError,
                   r"^expected 2 blocks"),
     "product_state": (lambda fs: ek.product_state(*fs), [_BELL], [], ValueError,
@@ -200,13 +216,16 @@ ROWS = {
                 r"^partitions are over different party sets"),
     "schmidt": [(lambda p: ek.schmidt(_GHZ, p), _CUT, None, ValueError,
                  r"^bipartition may be omitted only"),
-                _mixed_for_pure(lambda psi: ek.schmidt(psi, _CUT))],
+                _mixed_for_pure(lambda psi: ek.schmidt(psi, _CUT)),
+                _array_for_state(lambda psi: ek.schmidt(psi, _CUT))],
     "schmidt_rank": [(lambda t: ek.schmidt_rank(_BELL, tol=t), 1e-10, _INF, ValueError,
                       r"^tol must be finite"),
-                     _mixed_for_pure(ek.schmidt_rank, _BELL)],
+                     _mixed_for_pure(ek.schmidt_rank, _BELL),
+                     _array_for_state(ek.schmidt_rank, _BELL)],
     "schmidt_vector": [(lambda p: ek.schmidt_vector(_GHZ, p), _CUT, [[0], [1], [2]],
                         ValueError, r"^expected 2 blocks"),
-                       _mixed_for_pure(lambda psi: ek.schmidt_vector(psi, _CUT))],
+                       _mixed_for_pure(lambda psi: ek.schmidt_vector(psi, _CUT)),
+                       _array_for_state(lambda psi: ek.schmidt_vector(psi, _CUT))],
     "shannon_entropy": (ek.shannon_entropy, [0.5, 0.5], [_NAN, 1.0], ValueError,
                         r"^p must have finite entries"),
     "slocc_class_3qubit": _three_qubit("slocc_class_3qubit", (
@@ -217,7 +236,8 @@ ROWS = {
                    _mixed_for_pure(lambda psi: ek.stabilizes(np.eye(8), psi))],
     "tangle_pure": [(lambda p: ek.tangle_pure(_GHZ, p), _CUT, _TWO_OF_THREE, ValueError,
                      r"^partition covers 2 parties, state has 3"),
-                    _mixed_for_pure(lambda psi: ek.tangle_pure(psi, _CUT))],
+                    _mixed_for_pure(lambda psi: ek.tangle_pure(psi, _CUT)),
+                    _array_for_state(lambda psi: ek.tangle_pure(psi, _CUT))],
     "tangles": _three_qubit("tangles"),
     "teleport": (ek.teleport, _ZERO, ek.basis_state([1], [0]), ValueError,
                  r"^local dimension must be >= 2"),

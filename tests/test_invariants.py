@@ -414,7 +414,7 @@ def test_canonical_form_matches_forward_difference_newton(monkeypatch):
         t = psi.reshaped()
         with monkeypatch.context() as m:
             m.setattr(invariants, "_newton",
-                      lambda a, order, forms: (_forward_difference_newton(t, a, order), 6))
+                      lambda a, order, forms: (_forward_difference_newton(t, a, order), 6, None))
             ref = ek.acin_canonical_form(psi)
         assert np.abs(form.r - ref.r).max() < 1e-10
         assert abs(form.theta - ref.theta) < 1e-10
