@@ -11,6 +11,7 @@ always report the best value found.
 
 from __future__ import annotations
 
+import functools
 from collections import deque
 from dataclasses import dataclass, field
 from math import prod
@@ -36,6 +37,20 @@ _GM_RATIO_DRIFT = 0.05
 _GM_STEADY_SWEEPS = 4
 _GM_AITKEN_SAFETY = 10.0
 _GM_MARGIN = 1e-6
+#: Newton finish of :func:`geometric_measure`: the gain per sweep below which
+#: a restart switches to it; the most complex chart coordinates it takes; how
+#: far below the best overlap a candidate may lie; the margin below 0 of the
+#: top Hessian eigenvalue of the squared overlap ``F``, relative to ``F``, and
+#: the gradient norm of ``F`` at a certified maximum; the fall of the overlap
+#: a step may show from rounding; and the distance in value within which
+#: restarts agree with the best.
+_GM_SWITCH = 1e-4
+_GM_CHART_CAP = 32
+_GM_NEAR = 1e-3
+_GM_CURVATURE = 1e-2
+_GM_GRADIENT = 1e-10
+_GM_ROUNDING = 1e-14
+_GM_AGREE = 1e-12
 #: L-BFGS of :func:`minimize`: the ``(s, y)`` pairs kept; the line search's
 #: sufficient-decrease and curvature constants and its trial points; the
 #: stopping rules of L-BFGS-B, a relative fall of ``f`` and a largest gradient
@@ -54,15 +69,26 @@ class OptimizationResult:
     """Best value over restarts, the optimizing argument, and bookkeeping.
 
     ``converged`` is the flag of the best restart and ``converged_restarts``
-    the number of restarts that converged; ``evaluations`` counts the cost
-    evaluations (or sweeps) of all restarts together, ``restart_values``
-    holds the best value each restart reached, in order, and
-    ``restart_iterations`` the iterations (L-BFGS iterations of a roof,
-    sweeps of the geometric measure) each restart ran.
-    ``stopped_restarts`` counts the restarts :func:`geometric_measure` stopped
-    because they could not win; each counts as not converged, and its value
-    and sweeps are those it had reached when it stopped.  Always 0 for
-    :func:`convex_roof`.
+    the number of restarts that converged: a roof restart that met a
+    stopping rule of L-BFGS-B, a geometric-measure restart certified as a
+    local maximum or whose sweep gain fell below ``tol``.  ``evaluations``
+    counts the cost evaluations of a roof's restarts together, and the
+    iterations (sweeps and Newton steps) of the geometric measure's;
+    ``restart_values`` holds the best value each restart reached, in order,
+    and ``restart_iterations`` the iterations (L-BFGS iterations of a roof,
+    sweeps and Newton steps of the geometric measure) each restart ran.
+
+    Only :func:`geometric_measure` sets the rest; a roof leaves the
+    defaults.  ``stopped_restarts`` counts the restarts it stopped because
+    they could not win; each counts as not converged, and its value and
+    iterations are those it had reached when it stopped.
+    ``agreeing_restarts`` counts the restarts whose value lies within 1e-12
+    of the best, the best one included: one of 16, say, calls for more
+    restarts.  ``gradient_norm`` and ``hessian_top_eigenvalue`` are the
+    gradient norm and the top Hessian eigenvalue of ``|<product|psi>|^2`` at
+    the argument, on the product of spheres; the eigenvalue lies below 0 at
+    an isolated local maximum and near 0 along a continuum of maxima, as on
+    W.  Both are ``None`` where the measure has no Newton finish.
     """
 
     value: float
@@ -74,11 +100,324 @@ class OptimizationResult:
     restart_iterations: tuple[int, ...]
     converged_restarts: int
     stopped_restarts: int = 0
+    agreeing_restarts: int = 0
+    gradient_norm: float | None = None
+    hessian_top_eigenvalue: float | None = None
 
 
-def _random_factor(d: int, rng) -> np.ndarray:
-    z = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-    return z / np.linalg.norm(z)
+def _random_factors(dims, count: int, rng) -> list[np.ndarray]:
+    """``count`` random unit vectors for each party, party ``k`` as a
+    ``(count, d_k)`` array, from one ``standard_normal`` call.  Row ``i``
+    reads the stream as drawing factor after factor of restart after
+    restart would: for each party in turn, ``d_k`` real parts, then ``d_k``
+    imaginary parts."""
+    z = rng.standard_normal((count, 2 * sum(dims)))
+    factors, at = [], 0
+    for d in dims:
+        f = z[:, at:at + d] + 1j * z[:, at + d:at + 2 * d]
+        factors.append(f / np.linalg.norm(f, axis=1, keepdims=True))
+        at += 2 * d
+    return factors
+
+
+def _reversed(t: np.ndarray) -> np.ndarray:
+    """The members ``t`` ``(m, d_0, ..., d_{n-1})`` with their parties in
+    reverse order, ``(m, d_{n-1}, ..., d_0)``, the layout of the sweep kernel."""
+    return np.ascontiguousarray(t.transpose(0, *range(t.ndim - 1, 0, -1)))
+
+
+def _right_environments(tr: np.ndarray, conjugated) -> list[np.ndarray]:
+    """``R_k``, the members ``tr`` (see :func:`_reversed`) contracted against
+    the conjugated factors ``k+1 .. n-1``, ``(r, d_j)`` each: ``(r, m, d_k
+    ... d_0)``, one row per restart, as ``(r, m, d_k P_k)`` with ``P_k`` the
+    product of ``d_0 .. d_{k-1}``.  ``R_{n-1}`` is ``tr`` itself, one row.
+    That is ``n - 1`` batched matrix products, each on the leading party."""
+    m = tr.shape[0]
+    dims = tr.shape[:0:-1]
+    right = [tr.reshape(1, m, -1)]
+    for k in range(len(dims) - 1, 0, -1):
+        env = right[-1].reshape(len(right[-1]), m, dims[k], -1)
+        right.append((conjugated[k][:, None, None, :] @ env).reshape(len(conjugated[k]), m, -1))
+    return right[::-1]
+
+
+def _sweep(tr: np.ndarray, conjugated: list, update) -> None:
+    """One alternating sweep over the parties of ``tr`` (see
+    :func:`_right_environments`).  For each party ``k`` in turn,
+    ``update(k, v)`` gets the contraction ``v`` ``(r, m, d_k)`` of the
+    members against every other factor, the new ones before ``k`` and the old
+    ones after it, and returns the new conjugated factor ``k``, which replaces
+    the old one in ``conjugated``.  The right environments come from the old
+    factors once a sweep, and the left product of the new factors, ``(r,
+    P_k)`` with the last party's index leading, grows by one broadcast
+    product a party, so each contraction is one batched ``(m d_k, P_k) @
+    (P_k, 1)`` product."""
+    m = tr.shape[0]
+    dims = tr.shape[:0:-1]
+    r = len(conjugated[0])
+    right = _right_environments(tr, conjugated)
+    conjugated[0] = update(0, np.broadcast_to(right[0], (r, m, dims[0])))
+    left = conjugated[0]
+    for k in range(1, len(dims)):
+        env = right[k]
+        v = env.reshape(len(env), m * dims[k], -1) @ left[:, :, None]
+        conjugated[k] = update(k, v.reshape(r, m, dims[k]))
+        if k < len(dims) - 1:
+            left = (conjugated[k][:, :, None] * left[:, None, :]).reshape(r, -1)
+
+
+def _overlaps(tr: np.ndarray, conjugated) -> np.ndarray:
+    """``|<a_0 ... a_{n-1}|psi>|`` for each restart's factors, held
+    conjugated, with ``tr`` the state as the one member (see
+    :func:`_reversed`)."""
+    return np.abs((_right_environments(tr, conjugated)[0][:, 0] * conjugated[0]).sum(1))
+
+
+def _completion(b: np.ndarray) -> np.ndarray:
+    """Unitaries ``[b | P]`` ``(..., d, d)`` whose first column is the unit
+    vector ``b`` ``(..., d)`` and whose others, ``P``, are an orthonormal
+    basis of its complement: those of the Householder reflection that maps
+    ``-e^{i arg b_0} e_0`` to ``b``, whose vector has norm at least sqrt(2)."""
+    v = -b
+    v[..., 0] -= np.exp(1j * np.angle(b[..., 0]))
+    u = np.eye(b.shape[-1]) - (2.0 / (np.abs(v) ** 2).sum(-1))[..., None, None] * (
+        v[..., :, None] * v.conj()[..., None, :])
+    u[..., 0] = b
+    return u
+
+
+def _by_dimension(dims, fn, *arrays) -> list:
+    """``fn`` applied, for each local dimension, to the stacked per-party
+    ``arrays`` of the parties of that dimension, its result split back into
+    one entry a party, in party order."""
+    out = [None] * len(dims)
+    for d in set(dims):
+        ks = [k for k, dk in enumerate(dims) if dk == d]
+        for k, res in zip(ks, fn(*(np.stack([a[k] for k in ks]) for a in arrays))):
+            out[k] = res
+    return out
+
+
+@functools.lru_cache(maxsize=16)
+def _chart_index(dims: tuple[int, ...]):
+    """Flat indices, into the state's amplitudes, of the entries with one
+    index off 0 (``(m,)``, ``m = sum(d_k - 1)``), and of those with two on
+    different parties (``(m, m)``; a pair on one party reads entry 0), with
+    the mask of one party's pairs; read-only, as every call shares them."""
+    strides = [prod(dims[k + 1:]) for k in range(len(dims))]
+    one = np.array([a * s for d, s in zip(dims, strides) for a in range(1, d)], dtype=int)
+    party = np.repeat(np.arange(len(dims)), [d - 1 for d in dims])
+    same = party[:, None] == party[None, :]
+    index = (one, np.where(same, 0, one[:, None] + one[None, :]), same)
+    for a in index:
+        a.setflags(write=False)
+    return index
+
+
+def _chart_terms(psi_t: np.ndarray, factors: list):
+    """The squared overlap ``F = |<b_0 ... b_{n-1}|psi>|^2`` near the product
+    states of ``factors`` ``(r, d_k)``, in the chart
+    ``b_k(z) = (b_k + P_k z_k) / sqrt(1 + |z_k|^2)`` with ``[b_k | P_k]`` from
+    :func:`_completion` (Absil, Mahony & Sepulchre, *Optimization Algorithms
+    on Matrix Manifolds*, 2008, ch. 6).
+
+    One change of basis gives every term: the state contracted with
+    ``[b_k | P_k]^dag`` on every party holds the overlap ``a0`` in its all-0
+    entry, the gradient amplitudes ``g`` in the entries with one index off 0
+    and the Hessian amplitudes ``h`` in those with two on different parties.
+    With the phase of ``a0`` divided out, ``s = |a0|`` and ``w = conj(z) =
+    x + iy``, to second order
+    ``F = s^2 + 2s Re(g.w) + |g.w|^2 + s Re(w^T h w) - s^2 |w|^2``.
+    Returns ``s`` ``(r,)``, the half-gradient ``s (Re g, -Im g)`` and
+    half-Hessian ``(r, 2m, 2m)`` of ``F`` in ``u = (x, y)``, the gradient
+    norm ``2 s |g|`` of ``F``, and the conjugated completions."""
+    dims = psi_t.shape
+    r = len(factors[0])
+    units = _by_dimension(dims, lambda b: _completion(b).conj(), factors)
+    x = psi_t.reshape(1, dims[0], -1)
+    for k, u in enumerate(units):
+        # contract the leading party, which moves to the back
+        x = x.transpose(0, 2, 1) @ u
+        if k + 1 < len(dims):
+            x = x.reshape(r, dims[k + 1], -1)
+    x = x.reshape(r, -1)
+    one, two, same = _chart_index(dims)
+    m = len(one)
+    a0 = x[:, 0]
+    s = np.abs(a0)
+    phase = a0.conj() / np.where(s > 0, s, 1.0)
+    g = x[:, one] * phase[:, None]
+    h = np.where(same, 0.0, x[:, two]) * (s * phase)[:, None, None]
+    grad = np.concatenate([g.real, -g.imag], axis=1)
+    ab = np.stack([grad, np.concatenate([g.imag, g.real], axis=1)], axis=2)
+    curv = ab @ ab.transpose(0, 2, 1)
+    curv[:, :m, :m] += h.real
+    curv[:, :m, m:] -= h.imag
+    curv[:, m:, :m] -= h.imag
+    curv[:, m:, m:] -= h.real
+    curv -= (s**2)[:, None, None] * np.eye(2 * m)
+    return s, s[:, None] * grad, curv, 2.0 * s * np.linalg.norm(g, axis=1), units
+
+
+def _negative_definite(curv: np.ndarray, margin: np.ndarray) -> np.ndarray:
+    """Which of the symmetric ``curv`` ``(r, k, k)`` have every eigenvalue
+    below ``-margin`` ``(r,)``: a Cholesky factorization of ``-curv - margin
+    I`` for all, and their eigenvalues only when one of them fails."""
+    shifted = -curv - margin[:, None, None] * np.eye(curv.shape[1])
+    try:
+        np.linalg.cholesky(shifted)
+    except np.linalg.LinAlgError:
+        return np.linalg.eigvalsh(shifted)[:, 0] > 0
+    return np.ones(len(curv), dtype=bool)
+
+
+def _chart_step(dims, units: list, u: np.ndarray) -> list:
+    """The factors at the chart point ``z = conj(x + iy)``, ``u = (x, y)``
+    ``(r, 2m)``, of the conjugated completions ``units`` (see
+    :func:`_chart_terms`), each renormalized."""
+    m = u.shape[1] // 2
+    w = u[:, :m] + 1j * u[:, m:]
+    at = np.cumsum([0] + [d - 1 for d in dims])
+
+    def move(unit: np.ndarray, wk: np.ndarray) -> np.ndarray:
+        # conj(b + P z) = conj(b) + conj(P) w
+        f = unit[..., 0] + (unit[..., 1:] @ wk[..., None])[..., 0]
+        return f.conj() / np.linalg.norm(f, axis=-1, keepdims=True)
+
+    return _by_dimension(dims, move, units, [w[:, at[k]:at[k + 1]] for k in range(len(dims))])
+
+
+def _aitken_limit(overlap, step, ratio, steady) -> np.ndarray:
+    """The triage's bound ``overlap + 10 step r / (1 - r)`` on the overlap a
+    restart tends to, where its gain ratio ``r`` has been steady for 4
+    sweeps, and ``+inf`` where it has not."""
+    calm = steady >= _GM_STEADY_SWEEPS
+    r = np.where(calm, ratio, 0.0)
+    return np.where(calm, overlap + _GM_AITKEN_SAFETY * step * r / (1.0 - r), np.inf)
+
+
+def _gm_sweeps(tr, factors, rows, last, iterations, cap, tol, switch, reached, rng):
+    """Alternating sweeps of the restarts ``rows``, factor ``k`` of each in
+    ``factors[k]`` ``(restarts, d_k)``, from the overlaps ``last`` they stand
+    at, until each leaves: its gain per sweep falls below ``tol`` (it met
+    ``tol``) or else below ``switch`` (it switches to the Newton finish), the
+    triage stops it because it cannot win, or its ``iterations`` reach
+    ``cap``.  ``factors`` and ``iterations`` are updated in place.
+
+    Returns, over ``rows``: the masks of the restarts that met ``tol``,
+    switched and were stopped, the overlap each left with and its triage
+    state (last gain, gain ratio, steady sweeps); and ``reached``, raised to
+    the best overlap a restart that met ``tol`` or switched has left with."""
+    size = len(rows)
+    met, switched, stopped = (np.zeros(size, dtype=bool) for _ in range(3))
+    left_at, trail = np.array(last, dtype=float), np.zeros((3, size))
+    # the factors of the live restarts, conjugated once, when they change,
+    # and the sweeps each may still run
+    live, cur, budget = np.arange(size), [f[rows].conj() for f in factors], cap - iterations[rows]
+    gain, ratio, steady = np.zeros(size), np.zeros(size), np.zeros(size, dtype=int)
+    last = left_at.copy()
+
+    def update(k: int, v: np.ndarray) -> np.ndarray:
+        # optimal factor k is the normalized contraction of the state
+        # against the other factors; the new overlap is the contraction norm
+        nonlocal overlap
+        v = v[:, 0]
+        parts = v.view(float)
+        nv = np.sqrt(np.add.reduce(parts * parts, axis=1))
+        if nv.min() >= 1e-15:
+            overlap = nv
+            c = v.conj()
+            c /= nv[:, None]
+            return c
+        # a vanishing contraction keeps the overlap and draws a fresh factor
+        zero = nv < 1e-15
+        c = v.conj() / np.where(zero, 1.0, nv)[:, None]
+        for i in np.flatnonzero(zero):
+            c[i] = _random_factors(v.shape[1:], 1, rng)[0][0].conj()
+        overlap = np.where(zero, overlap, nv)
+        return c
+
+    def retire(out: np.ndarray) -> None:
+        nonlocal live, last, cur, budget, gain, ratio, steady
+        gone = rows[live[out]]
+        for f, c in zip(factors, cur):
+            f[gone] = c[out].conj()
+        iterations[gone] = cap - budget[out]
+        left_at[live[out]] = last[out]
+        trail[:, live[out]] = gain[out], ratio[out], steady[out]
+        keep = ~out
+        live, last, cur, budget = live[keep], last[keep], [c[keep] for c in cur], budget[keep]
+        gain, ratio, steady = gain[keep], ratio[keep], steady[keep]
+
+    while live.size:
+        if budget.min() <= 0:
+            retire(budget <= 0)
+            continue
+        budget -= 1
+        overlap = last
+        _sweep(tr, cur, update)
+        step = overlap - last
+        done = step < tol
+        leave = step < max(tol, switch)
+        if leave.any():
+            reached = max(reached, overlap[leave].max())
+        # linear convergence: a ratio r of gains steady in (0, 1) puts the
+        # limit near the Aitken value overlap + step r / (1 - r)
+        r = step / np.where(gain > 0, gain, np.inf)
+        steady = (steady + 1) * ((r > 0) & (abs(r - ratio) < _GM_RATIO_DRIFT * (1.0 - r)))
+        last, gain, ratio = overlap, step, r
+        stop = np.zeros_like(done)
+        if steady.max() >= _GM_STEADY_SWEEPS:
+            stop = ~done & (_aitken_limit(overlap, step, r, steady) < reached - _GM_MARGIN)
+        leave |= stop
+        if leave.any():
+            met[live[done]], stopped[live[stop]] = True, True
+            switched[live[leave & ~done & ~stop]] = True
+            retire(leave)
+    return met, switched, stopped, left_at, trail, reached
+
+
+def _gm_polish(psi_t, factors, rows, iterations, cap):
+    """Guarded Newton steps (see :func:`_chart_terms`) from the factors of the
+    restarts ``rows``, each step one iteration toward ``cap``, until each
+    leaves: certified once the Hessian of the squared overlap ``F`` is
+    negative definite beyond ``_GM_CURVATURE F`` and its gradient norm is at
+    most ``_GM_GRADIENT``; back to the sweep when the Hessian is not, or a
+    step lowered the overlap by more than rounding (the step is then undone);
+    or at the cap.  ``factors`` and ``iterations`` are updated in place.
+
+    Returns, over ``rows``: the masks of the certified restarts and of those
+    sent back, the overlap each left with, and the gradient norm and
+    half-Hessian where each left."""
+    size, m = len(rows), sum(f.shape[1] - 1 for f in factors)
+    certified, back = np.zeros(size, dtype=bool), np.zeros(size, dtype=bool)
+    left_at, grad_norm, curv_at = np.zeros(size), np.zeros(size), np.zeros((size, 2 * m, 2 * m))
+    live, cur = np.arange(size), [f[rows] for f in factors]
+    prev, prev_s = cur, np.full(size, -np.inf)
+    while live.size:
+        s, grad, curv, gn, units = _chart_terms(psi_t, cur)
+        iterations[rows[live]] += 1
+        fell = s < prev_s - _GM_ROUNDING
+        if fell.any():
+            # an undone step leaves from the point before it
+            cur = [np.where(fell[:, None], p, c) for p, c in zip(prev, cur)]
+        curved = ~fell & _negative_definite(curv, 0.5 * _GM_CURVATURE * s**2)
+        sure = curved & (gn <= _GM_GRADIENT)
+        go = curved & ~sure & (iterations[rows[live]] < cap)
+        out = ~go
+        if out.any():
+            for f, c in zip(factors, cur):
+                f[rows[live[out]]] = c[out]
+            left_at[live[out]] = np.where(fell, prev_s, s)[out]
+            grad_norm[live[out]], curv_at[live[out]] = gn[out], curv[out]
+            certified[live[sure]], back[live[~curved]] = True, True
+        if not go.any():
+            break
+        u = np.linalg.solve(-curv[go], grad[go][:, :, None])[:, :, 0]
+        prev, prev_s = [c[go] for c in cur], s[go]
+        cur = _chart_step(psi_t.shape, [w[go] for w in units], u)
+        live = live[go]
+    return certified, back, left_at, grad_norm, curv_at
 
 
 def geometric_measure(
@@ -92,27 +431,55 @@ def geometric_measure(
 
     Alternating maximization: with all factors but one fixed, the optimal
     factor is the normalized contraction of the state against the others, so
-    each sweep is closed form.  Restarts draw fresh random product states and
-    run together, factor ``k`` of all of them held as one ``(restarts, d_k)``
-    array; each restart stops on its own, and counts as converged, when its
-    overlap gain per sweep drops below ``tol`` before ``max_iterations``.
+    each sweep is closed form.  Restarts draw random product states, all in
+    one ``standard_normal`` call, and run together, factor ``k`` of all of
+    them held as one ``(restarts, d_k)`` array.  A sweep contracts the state
+    once: the right partial contractions against the old factors are built
+    at its start, and each party's contraction is then one batched product
+    with the left product of the new factors.
 
-    A restart that cannot win stops early.  Alternating maximization
-    converges linearly (De Lathauwer, De Moor & Vandewalle, SIAM J. Matrix
-    Anal. Appl. 21, 1324 (2000)), so once the ratio ``r`` of a restart's gain
-    ``g`` to its gain the sweep before is steady, its overlap ``o`` tends to
-    the Aitken limit ``o + g r / (1 - r)``.  A restart stops when ``r`` has
-    stayed in (0, 1), moving by at most 5% of ``1 - r`` a sweep, for 4 sweeps
-    in a row, and ``o + 10 g r / (1 - r)`` lies more than 1e-6 below the
-    best overlap a converged restart has reached.  A ratio that creeps
+    The sweep converges linearly (De Lathauwer, De Moor & Vandewalle, SIAM
+    J. Matrix Anal. Appl. 21, 1324 (2000)), so it ends with a Newton finish.
+    A restart leaves the sweep once its overlap gain per sweep falls below
+    ``tol``, which counts as converged, or else below 1e-4, which makes it a
+    candidate for the finish.  A candidate more than 1e-3 below the best
+    overlap a restart has left the sweep with stays where it is, as stopped:
+    it cannot win unless it passes a saddle point, and restarts that do go on
+    to a lower maximum as a rule.  The others take guarded Newton steps on
+    the product of spheres, all together (see :func:`_chart_terms`), each
+    step one iteration.  A step is kept only if the Hessian of the squared
+    overlap ``F`` is negative definite, its top eigenvalue below ``-F / 100``,
+    and the step raises the overlap; the restart converges, as a certified
+    local maximum, once that holds and the gradient norm of ``F`` is at most
+    1e-10.  A
+    restart whose Hessian fails the test, as on W's continuum of closest
+    product states, or whose step lowers the overlap, goes back to sweeping
+    from where it stands, until its gain falls below ``tol``; it never
+    restarts.  Where the chart has more than 32 complex coordinates
+    (``sum(d_k - 1)``), or none, there is no finish and every restart sweeps
+    to ``tol``.
+
+    A restart that cannot win stops early.  Once the ratio ``r`` of a
+    restart's gain ``g`` to its gain the sweep before is steady, its overlap
+    ``o`` tends to the Aitken limit ``o + g r / (1 - r)``.  A restart stops
+    when ``r`` has stayed in (0, 1), moving by at most 5% of ``1 - r`` a
+    sweep, for 4 sweeps in a row, and ``o + 10 g r / (1 - r)`` lies more
+    than 1e-6 below the best overlap a restart has left the sweep with; a
+    candidate for the finish that fails this test against the best overlap
+    any restart left the sweep with is stopped too.  A ratio that creeps
     toward 1, as on the way past a saddle point, is not steady.  A stopped
-    restart's overlap lies below a converged one, so the best restart is
-    never stopped; a stopped restart keeps the overlap, factors and sweeps it
-    had, counts as not converged and is counted in ``stopped_restarts``.
+    restart keeps the factors and iterations it had, counts as not converged
+    and is counted in ``stopped_restarts``.
 
-    ``evaluations`` counts the sweeps of all restarts, ``restart_iterations``
-    those of each restart and ``restart_values`` the measure each restart
-    reached.
+    ``value`` and ``restart_values`` come from each restart's final factors,
+    so ``|<argument|psi>|^2 = 1 - value`` to rounding.  ``converged`` is true
+    when the best restart is a certified local maximum or met ``tol``.
+    ``restart_iterations`` counts each restart's sweeps and Newton steps,
+    each one iteration toward ``max_iterations``, and ``evaluations`` their
+    sum.  ``agreeing_restarts`` counts the restarts within 1e-12 of the best
+    value, the best one included; ``gradient_norm`` and
+    ``hessian_top_eigenvalue`` are those of ``|<product|psi>|^2`` in the
+    chart at the argument (``None`` where there is no finish).
 
     Parameters
     ----------
@@ -121,11 +488,12 @@ def geometric_measure(
     restarts : int
         Number of independent starts, 1 to 1000; the best result is kept.
     tol : float
-        Convergence threshold on the overlap improvement; finite, >= 0.
+        Gain per sweep below which a sweeping restart has converged; finite,
+        >= 0.
     seed
         Seed for the restart generator; fixed seed, fixed result.
     max_iterations : int
-        Sweeps per restart, 1 to 10,000.
+        Sweeps and Newton steps per restart, 1 to 10,000.
     """
     _require_pure(psi)
     _check_cap(psi.dim, _GM_DIM_CAP, "geometric measure dimension")
@@ -133,100 +501,56 @@ def geometric_measure(
     max_iterations = _check_count(max_iterations, "max_iterations", hi=_ITERATIONS_CAP)
     _check_tol(tol)
     rng = _rng(seed)
-    starts = [[_random_factor(d, rng) for d in psi.dims] for _ in range(restarts)]
-    factors = [np.array(f) for f in zip(*starts)]  # factor k as (restarts, d_k)
-    t = psi.reshaped()
-    moved = [np.ascontiguousarray(np.moveaxis(t, k, -1)) for k in range(t.ndim)]  # party k last
-    overlaps = np.zeros(restarts)
-    converged = np.zeros(restarts, dtype=bool)
-    # the factors of the live restarts, conjugated once, when they change
-    live, last, cur = np.arange(restarts), np.zeros(restarts), [f.conj() for f in factors]
-    # per live restart: last gain, last gain ratio, sweeps of steady ratio;
-    # the best overlap a converged restart has reached, and restarts stopped
-    gain, ratio, steady = np.zeros(restarts), np.zeros(restarts), np.zeros(restarts, dtype=int)
-    reached, stopped = -np.inf, 0
-    sweeps = np.zeros(restarts, dtype=int)
-    for _ in range(max_iterations):
-        sweeps[live] += 1
-        overlap = last
-        for k, d in enumerate(psi.dims):
-            # optimal factor k is the normalized contraction of the state
-            # against the other (conjugated) factors; the new overlap is
-            # the contraction norm
-            v = _contract_all_but(moved[k], cur, k)
-            nv = np.linalg.norm(v, axis=1)
-            zero = nv < 1e-15
-            if not zero.any():
-                cur[k], overlap = (v / nv[:, None]).conj(), nv
-                continue
-            # a vanishing contraction keeps the overlap and draws a fresh factor
-            cur[k] = (v / np.where(zero, 1.0, nv)[:, None]).conj()
-            for i in np.flatnonzero(zero):
-                cur[k][i] = _random_factor(d, rng).conj()
-            overlap = np.where(zero, overlap, nv)
-        step = overlap - last
-        done = step < tol
-        if done.any():
-            reached = max(reached, overlap[done].max())
-        # linear convergence: a steady gain ratio r puts the limit near the
-        # Aitken value overlap + step r / (1 - r)
-        r = step / np.where(gain > 0, gain, np.inf)
-        steady = np.where((r > 0) & (r < 1) & (abs(r - ratio) <= _GM_RATIO_DRIFT * (1.0 - r)),
-                          steady + 1, 0)
-        stop = (steady >= _GM_STEADY_SWEEPS) & ~done
-        if stop.any():
-            limit = overlap + _GM_AITKEN_SAFETY * step * r / (1.0 - r)
-            stop &= limit < reached - _GM_MARGIN
-            stopped += int(stop.sum())
-        retire = done | stop
-        if retire.any():
-            retired = live[retire]
-            converged[live[done]] = True
-            overlaps[retired] = overlap[retire]
-            for f, c in zip(factors, cur):
-                f[retired] = c[retire].conj()
-            keep = ~retire
-            live, overlap, cur = live[keep], overlap[keep], [c[keep] for c in cur]
-            step, r, steady = step[keep], r[keep], steady[keep]
-        last, gain, ratio = overlap, step, r
-        if not live.size:
-            break
-    # restarts still live at the sweep cap
-    overlaps[live] = last
-    for f, c in zip(factors, cur):
-        f[live] = c.conj()
+    dims = psi.dims
+    factors = _random_factors(dims, restarts, rng)  # factor k as (restarts, d_k)
+    tr = _reversed(psi.reshaped()[None])  # the state as the one member of the sweep kernel
+    chart = 0 < sum(d - 1 for d in dims) <= _GM_CHART_CAP
+    iterations = np.zeros(restarts, dtype=int)
+    converged, switched, stopped, overlap, trail, reached = _gm_sweeps(
+        tr, factors, np.arange(restarts), np.zeros(restarts), iterations, max_iterations, tol,
+        _GM_SWITCH if chart else -np.inf, -np.inf, rng)
+    # candidates far below the best, or that cannot win, stay where they are
+    late = switched & ((overlap < reached - _GM_NEAR)
+                       | (_aitken_limit(overlap, *trail) < reached - _GM_MARGIN))
+    stopped |= late
+    rows = np.flatnonzero(switched & ~late & (iterations < max_iterations))
+    certified, back, polished, grad_norm, curv = _gm_polish(
+        psi.reshaped(), factors, rows, iterations, max_iterations)
+    converged[rows[certified]] = True
+    if back.any():
+        more, _, stops, _, _, _ = _gm_sweeps(
+            tr, factors, rows[back], polished[back], iterations, max_iterations, tol, -np.inf,
+            max(reached, polished.max()), rng)
+        converged[rows[back]] |= more
+        stopped[rows[back]] |= stops
+    overlaps = _overlaps(tr, [f.conj() for f in factors])
     best = int(np.argmax(overlaps))
-    closest = factors[0][best]
-    for f in factors[1:]:
-        closest = np.kron(closest, f[best])
+    values = np.maximum(0.0, 1.0 - overlaps**2)
+    gradient = curvature = None
+    if chart:
+        at = np.flatnonzero(rows[certified] == best)
+        if at.size:  # the last Newton step's terms
+            gradient, curv = grad_norm[certified][at[0]], curv[certified][at[0]]
+        else:
+            _, _, curv, gn, _ = _chart_terms(psi.reshaped(), [f[best:best + 1] for f in factors])
+            gradient, curv = gn[0], curv[0]
+        curvature = 2.0 * np.linalg.eigvalsh(curv)[-1]
+    closest = functools.reduce(lambda a, b: np.multiply.outer(a, b).ravel(),
+                               [f[best] for f in factors])
     return OptimizationResult(
-        value=float(max(0.0, 1.0 - overlaps[best] ** 2)),
+        value=float(values[best]),
         argument=PureState.normalized(closest, psi.dims),
         restarts_used=restarts,
         converged=bool(converged[best]),
-        evaluations=int(sweeps.sum()),
-        restart_values=tuple(float(max(0.0, 1.0 - v**2)) for v in overlaps),
-        restart_iterations=tuple(int(k) for k in sweeps),
+        evaluations=int(iterations.sum()),
+        restart_values=tuple(float(v) for v in values),
+        restart_iterations=tuple(int(k) for k in iterations),
         converged_restarts=int(converged.sum()),
-        stopped_restarts=stopped,
+        stopped_restarts=int(stopped.sum()),
+        agreeing_restarts=int((values <= values[best] + _GM_AGREE).sum()),
+        gradient_norm=None if gradient is None else float(gradient),
+        hessian_top_eigenvalue=None if curvature is None else float(curvature),
     )
-
-
-def _contract_all_but(tk: np.ndarray, conjugated, k: int) -> np.ndarray:
-    """Contract ``tk`` (the other parties in order, then party ``k``, then any
-    trailing axes) against the other factors, ``(r, d_j)`` each, one row per
-    restart: ``(r, d_k * trailing)``, ``(r, d_k)`` with none.  The factors
-    come in ``conjugated`` already, so a caller conjugates each factor once,
-    when it changes, not once per contraction."""
-    r = len(conjugated[k])
-    others = [j for j in range(len(conjugated)) if j != k]
-    if not others:
-        return np.broadcast_to(tk.ravel(), (r, tk.size))
-    v = conjugated[others[0]] @ tk.reshape(tk.shape[0], -1)
-    for j in others[1:]:
-        f = conjugated[j][:, None, :]
-        v = (f @ v.reshape(r, f.shape[2], -1)).reshape(r, -1)
-    return v
 
 
 def upb_unextendibility_check(
@@ -241,9 +565,10 @@ def upb_unextendibility_check(
     product vectors: with all factors but one fixed, the residual is the
     quadratic form ``W W^dag`` in the free factor, ``W`` the contraction of the
     members against the others, so the lowest eigenvector minimizes it.
-    Restarts draw random product vectors and run together, factor ``k`` of all
-    of them held as one ``(restarts, d_k)`` array, until no residual falls by
-    1e-14 in a sweep, one falls below ``tol * 1e-3``, or 200 sweeps have run.
+    Restarts draw random product vectors, all in one ``standard_normal``
+    call, and run together on the sweep kernel of :func:`geometric_measure`,
+    the members its leading axis, until no residual falls by 1e-14 in a
+    sweep, one falls below ``tol * 1e-3``, or 200 sweeps have run.
     The basis is unextendible iff the smallest residual stays at or above
     ``tol``, which must be finite and >= 0.  Qubit systems with at most 3
     parties; ``restarts`` is 1 to 1000.
@@ -259,17 +584,20 @@ def upb_unextendibility_check(
     restarts = _check_count(restarts, "restarts")
     _check_tol(tol)
     rng = _rng(rng, "rng")
-    starts = [[_random_factor(d, rng) for d in dims] for _ in range(restarts)]
     # factor k as (restarts, d_k), held conjugated
-    conjugated = [np.array(f).conj() for f in zip(*starts)]
-    t = np.stack([v.reshaped() for v in basis], axis=-1)  # members last
-    moved = [np.ascontiguousarray(np.moveaxis(t, k, -2)) for k in range(len(dims))]
+    conjugated = [f.conj() for f in _random_factors(dims, restarts, rng)]
+    tr = _reversed(np.stack([v.reshaped() for v in basis]))
+    vals = None
+
+    def update(k: int, v: np.ndarray) -> np.ndarray:
+        # v is (restarts, members, d_k); W W^dag sums over the members
+        nonlocal vals
+        vals, vecs = np.linalg.eigh(v.transpose(0, 2, 1) @ v.conj())
+        return vecs[:, :, 0].conj()
+
     last = np.full(restarts, np.inf)
     for _ in range(200):
-        for k, d in enumerate(dims):
-            w = _contract_all_but(moved[k], conjugated, k).reshape(restarts, d, -1)
-            vals, vecs = np.linalg.eigh(w @ w.conj().transpose(0, 2, 1))
-            conjugated[k] = vecs[:, :, 0].conj()
+        _sweep(tr, conjugated, update)
         residual = vals[:, 0]
         if np.all(last - residual < 1e-14) or residual.min() < tol * 1e-3:
             break
@@ -366,24 +694,42 @@ def _lbfgs_direction(g: np.ndarray, pairs) -> np.ndarray:
     return q
 
 
+def _cubic_trial(a: float, fa: float, ga: float, b: float, fb: float, gb: float) -> float:
+    """The minimizer of the cubic with the values ``fa``, ``fb`` and slopes
+    ``ga``, ``gb`` at the ends ``a < b`` of a bracket (Nocedal & Wright,
+    *Numerical Optimization*, 2nd ed., eq. 3.59), clamped to the middle 80% of
+    the bracket; its midpoint where the cubic has no minimizer."""
+    d1 = ga + gb - 3.0 * (fa - fb) / (a - b)
+    disc = d1 * d1 - ga * gb
+    if disc >= 0.0:
+        d2 = disc**0.5
+        denom = gb - ga + 2.0 * d2
+        if denom != 0.0:
+            t = b - (b - a) * (gb + d2 - d1) / denom
+            return min(max(t, a + 0.1 * (b - a)), b - 0.1 * (b - a))
+    return 0.5 * (a + b)
+
+
 def _wolfe_step(evaluate, x: np.ndarray, f0: float, d: np.ndarray, dg0: float, t: float):
     """A step ``t`` along the descent direction ``d`` that meets the strong
     Wolfe conditions, as ``(x + t d, f, g)``, or ``None`` when none of the
     trial points does.  The trial step doubles until it brackets such a
-    step, and the bracket is then bisected."""
-    lo, f_lo, hi = 0.0, f0, np.inf
+    step; inside the bracket each trial is the safeguarded cubic step of
+    :func:`_cubic_trial` (Moré & Thuente, ACM Trans. Math. Softw. 20, 286
+    (1994))."""
+    lo, f_lo, dg_lo, hi, f_hi, dg_hi = 0.0, f0, float(dg0), np.inf, 0.0, 0.0
     for _ in range(_WOLFE_TRIALS):
         xt = x + t * d
         f, g = evaluate(xt)
-        dg = g @ d
+        dg = float(g @ d)
         decrease = f <= f0 + _WOLFE_C1 * t * dg0 and f < f_lo
         if decrease and abs(dg) <= -_WOLFE_C2 * dg0:
             return xt, f, g
         if decrease and dg < 0:
-            lo, f_lo = t, f
+            lo, f_lo, dg_lo = t, f, dg
         else:
-            hi = t
-        t = 2.0 * t if hi == np.inf else 0.5 * (lo + hi)
+            hi, f_hi, dg_hi = t, f, dg
+        t = 2.0 * t if hi == np.inf else _cubic_trial(lo, f_lo, dg_lo, hi, f_hi, dg_hi)
     return None
 
 

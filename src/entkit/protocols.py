@@ -122,8 +122,10 @@ def teleport(input_state: State) -> list[BranchOutcome]:
 
     Outcome probabilities are ``1/d^2`` regardless of the input.  The
     channel, and with it the dense cap on ``d``, comes before a pure input
-    becomes a projector.
+    becomes a projector; anything else is a ``ValueError``.
     """
+    if not isinstance(input_state, PureState):
+        input_state = as_density(input_state)
     d = input_state.dim
     branches = tuple((label, (k,)) for label, k in teleportation_kraus(d))
     return Instrument(branches=branches, dims=(d,)).apply(input_state)
@@ -273,6 +275,7 @@ def combing_entropy_profile(
     on the distinguished party is returned alongside.  Each entropy is read
     from the cut spectrum of its block, with no reduced state built.
     """
+    _require_pure(psi)
     blocks = [tuple(b) for b in b_blocks]
     part = Partition(((a,), *blocks))
     if part.n_parties != psi.n_parties:

@@ -39,7 +39,7 @@ from typing import IO
 import numpy as np
 import orjson
 
-from .states import DensityMatrix, PureState, State
+from .states import DensityMatrix, PureState, State, as_density
 
 
 def _pairs(values: np.ndarray) -> np.ndarray:
@@ -49,16 +49,14 @@ def _pairs(values: np.ndarray) -> np.ndarray:
 
 
 def _document(state: State, name: str | None, note: str | None, pairs) -> dict:
-    """The document of ``state`` with ``pairs(values)`` as its number field."""
-    doc: dict = {"dims": list(state.dims)}
+    """The document of ``state`` with ``pairs(values)`` as its number field;
+    anything but a state is refused by :func:`as_density`."""
     if isinstance(state, PureState):
-        doc["type"] = "pure"
-        doc["amplitudes"] = pairs(state.amplitudes)
-    elif isinstance(state, DensityMatrix):
-        doc["type"] = "mixed"
-        doc["matrix"] = pairs(state.matrix)
+        doc: dict = {"dims": list(state.dims), "type": "pure",
+                     "amplitudes": pairs(state.amplitudes)}
     else:
-        raise TypeError(f"expected PureState or DensityMatrix, got {type(state)!r}")
+        state = as_density(state)
+        doc = {"dims": list(state.dims), "type": "mixed", "matrix": pairs(state.matrix)}
     if name is not None:
         doc["name"] = str(name)
     if note is not None:

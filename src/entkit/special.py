@@ -35,11 +35,13 @@ def _maximally_mixed_on(psi: PureState, blocks, tol: float) -> bool:
 
 def is_lme(psi: PureState, tol: float = 1e-8) -> bool:
     """True iff every single-party reduction is maximally mixed within ``tol``."""
+    _require_pure(psi)
     return _maximally_mixed_on(psi, ([k] for k in range(psi.n_parties)), tol)
 
 
 def is_ame(psi: PureState, tol: float = 1e-8) -> bool:
     """True iff every reduction to at most ``floor(N/2)`` parties is maximally mixed."""
+    _require_pure(psi)
     n = psi.n_parties
     subsets = (s for k in range(1, n // 2 + 1) for s in combinations(range(n), k))
     return _maximally_mixed_on(psi, subsets, tol)

@@ -235,6 +235,8 @@ def product_state(*factors: PureState) -> PureState:
     """Tensor product of pure states."""
     if not factors:
         raise ValueError("need at least one factor")
+    for f in factors:
+        _require_pure(f)
     amp = factors[0].amplitudes
     dims: tuple[int, ...] = factors[0].dims
     for f in factors[1:]:

@@ -53,8 +53,6 @@ EXEMPT = {
     "w_state": _NO_ARGUMENT,
     "as_density": _STATE_ONLY,
     "purity": _STATE_ONLY,
-    "dump_state": _STATE_ONLY,
-    "to_document": _STATE_ONLY,
 }
 
 
@@ -106,8 +104,10 @@ ROWS = {
     "classify_pure": [(ek.classify_pure, _GHZ, ek.ghz_state(9, 2), _SIZE,
                        r"^classification party count 9 exceeds the cap 8"),
                       _mixed_for_pure(ek.classify_pure), _array_for_state(ek.classify_pure)],
-    "combing_entropy_profile": (lambda a: ek.combing_entropy_profile(_GHZ, a, [[1], [2]]), 0,
-                                0.5, ValueError, r"^subsystem indices must be integers"),
+    "combing_entropy_profile": [(lambda a: ek.combing_entropy_profile(_GHZ, a, [[1], [2]]), 0,
+                                 0.5, ValueError, r"^subsystem indices must be integers"),
+                                _array_for_state(lambda psi: ek.combing_entropy_profile(
+                                    psi, 0, [[1], [2]]))],
     "concurrence_pure": [(lambda p: ek.concurrence_pure(_GHZ, p), _CUT, _TWO_OF_THREE,
                           ValueError, r"^partition covers 2 parties, state has 3"),
                          _mixed_for_pure(lambda psi: ek.concurrence_pure(psi, _CUT)),
@@ -118,6 +118,8 @@ ROWS = {
                                                seed=0),
                     _BELL.density(), ek.random_density_matrix([2] * 5, rank=1, rng=0), _SIZE,
                     r"^convex roof dimension 32 exceeds the cap 16"),
+    "dump_state": _array_for_state(lambda s: ek.dump_state(s, io.StringIO()), message=(
+        r"^expected PureState or DensityMatrix, got ndarray")),
     "entanglement_entropy": [(lambda b: ek.entanglement_entropy(_BELL, base=b), 2, 1,
                               ValueError, r"^base must be finite"),
                              _mixed_for_pure(ek.entanglement_entropy, _BELL),
@@ -152,9 +154,9 @@ ROWS = {
     "hyperdet3": (ek.hyperdet3, np.zeros(8), [_NAN] * 8, ValueError,
                   r"^tensor entries must be finite"),
     "is_ame": [(lambda t: ek.is_ame(_GHZ, t), 1e-8, _NAN, ValueError, r"^tol must be finite"),
-               _mixed_for_pure(ek.is_ame)],
+               _mixed_for_pure(ek.is_ame), _array_for_state(ek.is_ame)],
     "is_lme": [(lambda t: ek.is_lme(_GHZ, t), 1e-8, -1.0, ValueError, r"^tol must be finite"),
-               _mixed_for_pure(ek.is_lme)],
+               _mixed_for_pure(ek.is_lme), _array_for_state(ek.is_lme)],
     "is_product_across": [(lambda p: ek.is_product_across(_GHZ, p), _CUT, _TWO_OF_THREE,
                            ValueError, r"^partition does not match"),
                           _mixed_for_pure(lambda psi: ek.is_product_across(psi, _CUT)),
@@ -205,8 +207,9 @@ ROWS = {
                                  r"^expected PureState or DensityMatrix, got ndarray"))],
     "ppt_check": (lambda p: ek.ppt_check(_GHZ, p), _CUT, [[0], [1], [2]], ValueError,
                   r"^expected 2 blocks"),
-    "product_state": (lambda fs: ek.product_state(*fs), [_BELL], [], ValueError,
-                      r"^need at least one factor"),
+    "product_state": [(lambda fs: ek.product_state(*fs), [_BELL], [], ValueError,
+                       r"^need at least one factor"),
+                      _array_for_state(lambda psi: ek.product_state(_BELL, psi))],
     "random_density_matrix": (lambda r: ek.random_density_matrix([2, 2], rank=r, rng=0), 2,
                               1.5, ValueError, r"^rank must be an integer"),
     "random_pure_state": (lambda rng: ek.random_pure_state([2], rng=rng), 0, _NAN, ValueError,
@@ -239,8 +242,10 @@ ROWS = {
                     _mixed_for_pure(lambda psi: ek.tangle_pure(psi, _CUT)),
                     _array_for_state(lambda psi: ek.tangle_pure(psi, _CUT))],
     "tangles": _three_qubit("tangles"),
-    "teleport": (ek.teleport, _ZERO, ek.basis_state([1], [0]), ValueError,
-                 r"^local dimension must be >= 2"),
+    "teleport": [(ek.teleport, _ZERO, ek.basis_state([1], [0]), ValueError,
+                  r"^local dimension must be >= 2"),
+                 _array_for_state(ek.teleport, _ZERO, message=(
+                     r"^expected PureState or DensityMatrix, got ndarray"))],
     "teleportation_kraus": (ek.teleportation_kraus, 2, 1, ValueError,
                             r"^local dimension must be >= 2"),
     "tensor_rank_upper_bound": [(lambda psi: ek.tensor_rank_upper_bound(
@@ -249,6 +254,8 @@ ROWS = {
                                  r"^tensor rank dimension 512 exceeds the cap 256"),
                                 _mixed_for_pure(lambda psi: ek.tensor_rank_upper_bound(
                                     psi, max_rank=1, restarts=1, seed=0, iterations=1))],
+    "to_document": _array_for_state(ek.to_document, message=(
+        r"^expected PureState or DensityMatrix, got ndarray")),
     "unlock_smolin": (ek.unlock_smolin, "CD", "CC", ValueError,
                       r"^pair must name two distinct parties"),
     "upb_unextendibility_check": [(lambda basis: ek.upb_unextendibility_check(
