@@ -17,7 +17,9 @@ for name, psi in (("GHZ", ek.ghz_state(3, 2)), ("W", ek.w_state())):
           f"top Hessian eigenvalue = {res.hessian_top_eigenvalue:+.2e})")
 print("  GHZ sits at 1/2, W at 5/9; the optimizing product state is returned too.")
 print("  GHZ's closest product states are isolated maxima (negative curvature); W's")
-print("  form a continuum, flat along it, where the finish hands back to the sweep")
+print("  form a continuum, flat along it, where the finish hands back to the sweep;")
+print("  'agreeing' counts restarts within 1e-12 of a certified best, or within")
+print("  2 tol of a best whose sweep met tol, as W's does")
 
 print()
 print("Multipartite concurrence with pairwise antisymmetric patterns:")

@@ -38,15 +38,14 @@ _GM_STEADY_SWEEPS = 4
 _GM_AITKEN_SAFETY = 10.0
 _GM_MARGIN = 1e-6
 #: Newton finish of :func:`geometric_measure`: the gain per sweep below which
-#: a restart switches to it; the most complex chart coordinates it takes; how
-#: far below the best overlap a candidate may lie; the margin below 0 of the
-#: top Hessian eigenvalue of the squared overlap ``F``, relative to ``F``, and
-#: the gradient norm of ``F`` at a certified maximum; the fall of the overlap
-#: a step may show from rounding; and the distance in value within which
-#: restarts agree with the best.
+#: a restart switches to it, once its gain ratio is steady; the most complex
+#: chart coordinates it takes; the margin below 0 of the top Hessian
+#: eigenvalue of the squared overlap ``F``, relative to ``F``, and the
+#: gradient norm of ``F`` at a certified maximum; the fall of the overlap a
+#: step may show from rounding; and the distance in value within which
+#: restarts agree with a certified best.
 _GM_SWITCH = 1e-4
 _GM_CHART_CAP = 32
-_GM_NEAR = 1e-3
 _GM_CURVATURE = 1e-2
 _GM_GRADIENT = 1e-10
 _GM_ROUNDING = 1e-14
@@ -82,11 +81,13 @@ class OptimizationResult:
     defaults.  ``stopped_restarts`` counts the restarts it stopped because
     they could not win; each counts as not converged, and its value and
     iterations are those it had reached when it stopped.
-    ``agreeing_restarts`` counts the restarts whose value lies within 1e-12
-    of the best, the best one included: one of 16, say, calls for more
-    restarts.  ``gradient_norm`` and ``hessian_top_eigenvalue`` are the
-    gradient norm and the top Hessian eigenvalue of ``|<product|psi>|^2`` at
-    the argument, on the product of spheres; the eigenvalue lies below 0 at
+    ``agreeing_restarts`` counts the restarts whose value agrees with the
+    best, the best one included: within 1e-12 of a certified local maximum,
+    and within ``2 tol`` of a best restart whose sweep met ``tol``.  One of
+    16, say, calls for more restarts.  ``gradient_norm`` and
+    ``hessian_top_eigenvalue`` are the gradient norm and the top Hessian
+    eigenvalue of ``|<product|psi>|^2`` at the argument, on the product of
+    spheres; the eigenvalue lies below 0 at
     an isolated local maximum and near 0 along a continuum of maxima, as on
     W.  Both are ``None`` where the measure has no Newton finish.
     """
@@ -156,14 +157,16 @@ def _sweep(tr: np.ndarray, conjugated: list, update) -> None:
     dims = tr.shape[:0:-1]
     r = len(conjugated[0])
     right = _right_environments(tr, conjugated)
-    conjugated[0] = update(0, np.broadcast_to(right[0], (r, m, dims[0])))
-    left = conjugated[0]
+    v = right[0]
+    if len(v) != r:  # one party: the members themselves
+        v = np.broadcast_to(v, (r, m, dims[0]))
+    conjugated[0] = left = update(0, v)
     for k in range(1, len(dims)):
         env = right[k]
         v = env.reshape(len(env), m * dims[k], -1) @ left[:, :, None]
-        conjugated[k] = update(k, v.reshape(r, m, dims[k]))
+        conjugated[k] = c = update(k, v.reshape(r, m, dims[k]))
         if k < len(dims) - 1:
-            left = (conjugated[k][:, :, None] * left[:, None, :]).reshape(r, -1)
+            left = (c[:, :, None] * left[:, None, :]).reshape(r, -1)
 
 
 def _overlaps(tr: np.ndarray, conjugated) -> np.ndarray:
@@ -177,7 +180,8 @@ def _completion(b: np.ndarray) -> np.ndarray:
     """Unitaries ``[b | P]`` ``(..., d, d)`` whose first column is the unit
     vector ``b`` ``(..., d)`` and whose others, ``P``, are an orthonormal
     basis of its complement: those of the Householder reflection that maps
-    ``-e^{i arg b_0} e_0`` to ``b``, whose vector has norm at least sqrt(2)."""
+    ``-e^{i arg b_0} e_0`` to ``b``, in closed form (an SVD per restart and
+    party took a third of a Newton step)."""
     v = -b
     v[..., 0] -= np.exp(1j * np.angle(b[..., 0]))
     u = np.eye(b.shape[-1]) - (2.0 / (np.abs(v) ** 2).sum(-1))[..., None, None] * (
@@ -198,20 +202,16 @@ def _by_dimension(dims, fn, *arrays) -> list:
     return out
 
 
-@functools.lru_cache(maxsize=16)
 def _chart_index(dims: tuple[int, ...]):
     """Flat indices, into the state's amplitudes, of the entries with one
     index off 0 (``(m,)``, ``m = sum(d_k - 1)``), and of those with two on
     different parties (``(m, m)``; a pair on one party reads entry 0), with
-    the mask of one party's pairs; read-only, as every call shares them."""
+    the mask of one party's pairs."""
     strides = [prod(dims[k + 1:]) for k in range(len(dims))]
     one = np.array([a * s for d, s in zip(dims, strides) for a in range(1, d)], dtype=int)
     party = np.repeat(np.arange(len(dims)), [d - 1 for d in dims])
     same = party[:, None] == party[None, :]
-    index = (one, np.where(same, 0, one[:, None] + one[None, :]), same)
-    for a in index:
-        a.setflags(write=False)
-    return index
+    return one, np.where(same, 0, one[:, None] + one[None, :]), same
 
 
 def _chart_terms(psi_t: np.ndarray, factors: list):
@@ -259,18 +259,6 @@ def _chart_terms(psi_t: np.ndarray, factors: list):
     return s, s[:, None] * grad, curv, 2.0 * s * np.linalg.norm(g, axis=1), units
 
 
-def _negative_definite(curv: np.ndarray, margin: np.ndarray) -> np.ndarray:
-    """Which of the symmetric ``curv`` ``(r, k, k)`` have every eigenvalue
-    below ``-margin`` ``(r,)``: a Cholesky factorization of ``-curv - margin
-    I`` for all, and their eigenvalues only when one of them fails."""
-    shifted = -curv - margin[:, None, None] * np.eye(curv.shape[1])
-    try:
-        np.linalg.cholesky(shifted)
-    except np.linalg.LinAlgError:
-        return np.linalg.eigvalsh(shifted)[:, 0] > 0
-    return np.ones(len(curv), dtype=bool)
-
-
 def _chart_step(dims, units: list, u: np.ndarray) -> list:
     """The factors at the chart point ``z = conj(x + iy)``, ``u = (x, y)``
     ``(r, 2m)``, of the conjugated completions ``units`` (see
@@ -287,44 +275,33 @@ def _chart_step(dims, units: list, u: np.ndarray) -> list:
     return _by_dimension(dims, move, units, [w[:, at[k]:at[k + 1]] for k in range(len(dims))])
 
 
-def _aitken_limit(overlap, step, ratio, steady) -> np.ndarray:
-    """The triage's bound ``overlap + 10 step r / (1 - r)`` on the overlap a
-    restart tends to, where its gain ratio ``r`` has been steady for 4
-    sweeps, and ``+inf`` where it has not."""
-    calm = steady >= _GM_STEADY_SWEEPS
-    r = np.where(calm, ratio, 0.0)
-    return np.where(calm, overlap + _GM_AITKEN_SAFETY * step * r / (1.0 - r), np.inf)
-
-
 def _gm_sweeps(tr, factors, rows, last, iterations, cap, tol, switch, reached, rng):
     """Alternating sweeps of the restarts ``rows``, factor ``k`` of each in
     ``factors[k]`` ``(restarts, d_k)``, from the overlaps ``last`` they stand
     at, until each leaves: its gain per sweep falls below ``tol`` (it met
-    ``tol``) or else below ``switch`` (it switches to the Newton finish), the
-    triage stops it because it cannot win, or its ``iterations`` reach
-    ``cap``.  ``factors`` and ``iterations`` are updated in place.
+    ``tol``), or else below ``switch`` with its gain ratio steady (it
+    switches to the Newton finish), the triage stops it because it cannot
+    win, or its ``iterations`` reach ``cap``.  ``factors`` and
+    ``iterations`` are updated in place.
 
     Returns, over ``rows``: the masks of the restarts that met ``tol``,
-    switched and were stopped, the overlap each left with and its triage
-    state (last gain, gain ratio, steady sweeps); and ``reached``, raised to
-    the best overlap a restart that met ``tol`` or switched has left with."""
+    switched and were stopped; and ``reached``, raised to the best overlap a
+    restart that met ``tol`` or switched has left with."""
     size = len(rows)
     met, switched, stopped = (np.zeros(size, dtype=bool) for _ in range(3))
-    left_at, trail = np.array(last, dtype=float), np.zeros((3, size))
     # the factors of the live restarts, conjugated once, when they change,
     # and the sweeps each may still run
     live, cur, budget = np.arange(size), [f[rows].conj() for f in factors], cap - iterations[rows]
     gain, ratio, steady = np.zeros(size), np.zeros(size), np.zeros(size, dtype=int)
-    last = left_at.copy()
+    last = np.array(last, dtype=float)
 
     def update(k: int, v: np.ndarray) -> np.ndarray:
         # optimal factor k is the normalized contraction of the state
         # against the other factors; the new overlap is the contraction norm
         nonlocal overlap
         v = v[:, 0]
-        parts = v.view(float)
-        nv = np.sqrt(np.add.reduce(parts * parts, axis=1))
-        if nv.min() >= 1e-15:
+        nv = np.hypot.reduce(np.abs(v), axis=1)
+        if np.minimum.reduce(nv) >= 1e-15:
             overlap = nv
             c = v.conj()
             c /= nv[:, None]
@@ -343,55 +320,59 @@ def _gm_sweeps(tr, factors, rows, last, iterations, cap, tol, switch, reached, r
         for f, c in zip(factors, cur):
             f[gone] = c[out].conj()
         iterations[gone] = cap - budget[out]
-        left_at[live[out]] = last[out]
-        trail[:, live[out]] = gain[out], ratio[out], steady[out]
         keep = ~out
         live, last, cur, budget = live[keep], last[keep], [c[keep] for c in cur], budget[keep]
         gain, ratio, steady = gain[keep], ratio[keep], steady[keep]
 
     while live.size:
-        if budget.min() <= 0:
+        if np.minimum.reduce(budget) <= 0:
             retire(budget <= 0)
             continue
         budget -= 1
         overlap = last
         _sweep(tr, cur, update)
         step = overlap - last
-        done = step < tol
-        leave = step < max(tol, switch)
-        if leave.any():
-            reached = max(reached, overlap[leave].max())
         # linear convergence: a ratio r of gains steady in (0, 1) puts the
         # limit near the Aitken value overlap + step r / (1 - r)
         r = step / np.where(gain > 0, gain, np.inf)
         steady = (steady + 1) * ((r > 0) & (abs(r - ratio) < _GM_RATIO_DRIFT * (1.0 - r)))
         last, gain, ratio = overlap, step, r
-        stop = np.zeros_like(done)
-        if steady.max() >= _GM_STEADY_SWEEPS:
-            stop = ~done & (_aitken_limit(overlap, step, r, steady) < reached - _GM_MARGIN)
-        leave |= stop
+        done = step < tol
+        # a restart whose ratio creeps, as on the way past a saddle point,
+        # sweeps on; one that switches is never stopped here
+        leave = done | ((step < switch) & (steady >= _GM_STEADY_SWEEPS))
+        out = leave
         if leave.any():
-            met[live[done]], stopped[live[stop]] = True, True
-            switched[live[leave & ~done & ~stop]] = True
-            retire(leave)
-    return met, switched, stopped, left_at, trail, reached
+            reached = max(reached, np.maximum.reduce(overlap[leave]))
+        if np.maximum.reduce(steady) >= _GM_STEADY_SWEEPS:
+            calm = ~leave & (steady >= _GM_STEADY_SWEEPS)
+            rc = np.where(calm, r, 0.0)
+            stop = calm & (overlap + _GM_AITKEN_SAFETY * step * rc / (1.0 - rc)
+                           < reached - _GM_MARGIN)
+            stopped[live[stop]] = True
+            out = leave | stop
+        if out.any():
+            met[live[done]] = True
+            switched[live[leave & ~done]] = True
+            retire(out)
+    return met, switched, stopped, reached
 
 
 def _gm_polish(psi_t, factors, rows, iterations, cap):
     """Guarded Newton steps (see :func:`_chart_terms`) from the factors of the
     restarts ``rows``, each step one iteration toward ``cap``, until each
-    leaves: certified once the Hessian of the squared overlap ``F`` is
-    negative definite beyond ``_GM_CURVATURE F`` and its gradient norm is at
-    most ``_GM_GRADIENT``; back to the sweep when the Hessian is not, or a
+    leaves: certified once the top Hessian eigenvalue of the squared overlap
+    ``F`` lies below ``-_GM_CURVATURE F`` and its gradient norm is at most
+    ``_GM_GRADIENT``; back to the sweep when the eigenvalue does not, or a
     step lowered the overlap by more than rounding (the step is then undone);
     or at the cap.  ``factors`` and ``iterations`` are updated in place.
 
     Returns, over ``rows``: the masks of the certified restarts and of those
-    sent back, the overlap each left with, and the gradient norm and
-    half-Hessian where each left."""
-    size, m = len(rows), sum(f.shape[1] - 1 for f in factors)
+    sent back, the overlap each left with, and the gradient norm and top
+    Hessian eigenvalue of ``F`` where each left."""
+    size = len(rows)
     certified, back = np.zeros(size, dtype=bool), np.zeros(size, dtype=bool)
-    left_at, grad_norm, curv_at = np.zeros(size), np.zeros(size), np.zeros((size, 2 * m, 2 * m))
+    left_at, grad_norm, top_at = np.zeros(size), np.zeros(size), np.zeros(size)
     live, cur = np.arange(size), [f[rows] for f in factors]
     prev, prev_s = cur, np.full(size, -np.inf)
     while live.size:
@@ -401,7 +382,8 @@ def _gm_polish(psi_t, factors, rows, iterations, cap):
         if fell.any():
             # an undone step leaves from the point before it
             cur = [np.where(fell[:, None], p, c) for p, c in zip(prev, cur)]
-        curved = ~fell & _negative_definite(curv, 0.5 * _GM_CURVATURE * s**2)
+        top = np.linalg.eigvalsh(curv)[:, -1]
+        curved = ~fell & (top < -0.5 * _GM_CURVATURE * s**2)
         sure = curved & (gn <= _GM_GRADIENT)
         go = curved & ~sure & (iterations[rows[live]] < cap)
         out = ~go
@@ -409,7 +391,7 @@ def _gm_polish(psi_t, factors, rows, iterations, cap):
             for f, c in zip(factors, cur):
                 f[rows[live[out]]] = c[out]
             left_at[live[out]] = np.where(fell, prev_s, s)[out]
-            grad_norm[live[out]], curv_at[live[out]] = gn[out], curv[out]
+            grad_norm[live[out]], top_at[live[out]] = gn[out], 2.0 * top[out]
             certified[live[sure]], back[live[~curved]] = True, True
         if not go.any():
             break
@@ -417,7 +399,7 @@ def _gm_polish(psi_t, factors, rows, iterations, cap):
         prev, prev_s = [c[go] for c in cur], s[go]
         cur = _chart_step(psi_t.shape, [w[go] for w in units], u)
         live = live[go]
-    return certified, back, left_at, grad_norm, curv_at
+    return certified, back, left_at, grad_norm, top_at
 
 
 def geometric_measure(
@@ -441,45 +423,46 @@ def geometric_measure(
     The sweep converges linearly (De Lathauwer, De Moor & Vandewalle, SIAM
     J. Matrix Anal. Appl. 21, 1324 (2000)), so it ends with a Newton finish.
     A restart leaves the sweep once its overlap gain per sweep falls below
-    ``tol``, which counts as converged, or else below 1e-4, which makes it a
-    candidate for the finish.  A candidate more than 1e-3 below the best
-    overlap a restart has left the sweep with stays where it is, as stopped:
-    it cannot win unless it passes a saddle point, and restarts that do go on
-    to a lower maximum as a rule.  The others take guarded Newton steps on
-    the product of spheres, all together (see :func:`_chart_terms`), each
-    step one iteration.  A step is kept only if the Hessian of the squared
-    overlap ``F`` is negative definite, its top eigenvalue below ``-F / 100``,
-    and the step raises the overlap; the restart converges, as a certified
-    local maximum, once that holds and the gradient norm of ``F`` is at most
-    1e-10.  A
-    restart whose Hessian fails the test, as on W's continuum of closest
-    product states, or whose step lowers the overlap, goes back to sweeping
-    from where it stands, until its gain falls below ``tol``; it never
-    restarts.  Where the chart has more than 32 complex coordinates
-    (``sum(d_k - 1)``), or none, there is no finish and every restart sweeps
-    to ``tol``.
+    ``tol``, which counts as converged, or else below 1e-4 with a steady
+    gain ratio (see below), which makes it a candidate for the finish.  A
+    restart whose ratio creeps, as on the way past a saddle point, sweeps
+    on.  Every candidate takes guarded Newton steps on the product of
+    spheres, all together (see :func:`_chart_terms`), each step one
+    iteration.  A step is kept only if the Hessian of the squared overlap
+    ``F`` is negative definite, its top eigenvalue below ``-F / 100``, and
+    the step raises the overlap; the restart converges, as a certified local
+    maximum, once that holds and the gradient norm of ``F`` is at most
+    1e-10.  A restart whose Hessian fails the test, as near a saddle point
+    or on W's continuum of closest product states, or whose step lowers the
+    overlap, goes back to sweeping from where it stands, until its gain
+    falls below ``tol``; it never restarts.  Where the chart has more than 32
+    complex coordinates (``sum(d_k - 1)``), or none, there is no finish and
+    every restart sweeps to ``tol``.
 
     A restart that cannot win stops early.  Once the ratio ``r`` of a
     restart's gain ``g`` to its gain the sweep before is steady, its overlap
-    ``o`` tends to the Aitken limit ``o + g r / (1 - r)``.  A restart stops
-    when ``r`` has stayed in (0, 1), moving by at most 5% of ``1 - r`` a
-    sweep, for 4 sweeps in a row, and ``o + 10 g r / (1 - r)`` lies more
-    than 1e-6 below the best overlap a restart has left the sweep with; a
-    candidate for the finish that fails this test against the best overlap
-    any restart left the sweep with is stopped too.  A ratio that creeps
-    toward 1, as on the way past a saddle point, is not steady.  A stopped
-    restart keeps the factors and iterations it had, counts as not converged
-    and is counted in ``stopped_restarts``.
+    ``o`` tends to the Aitken limit ``o + g r / (1 - r)``.  A sweeping
+    restart that is not a candidate stops when ``r`` has stayed in (0, 1),
+    moving by at most 5% of ``1 - r`` a sweep, for 4 sweeps in a row, and
+    ``o + 10 g r / (1 - r)`` lies more than 1e-6 below the best overlap a
+    restart has left the sweep with.  A candidate is never stopped: a
+    ratio can hold steady for a few sweeps on the way to a saddle point, past
+    which the restart may climb above the best, and the finish, which
+    certifies only a local maximum, tells the two apart.  A stopped restart
+    keeps the factors and iterations it had, counts as not converged and is
+    counted in ``stopped_restarts``.
 
     ``value`` and ``restart_values`` come from each restart's final factors,
     so ``|<argument|psi>|^2 = 1 - value`` to rounding.  ``converged`` is true
     when the best restart is a certified local maximum or met ``tol``.
     ``restart_iterations`` counts each restart's sweeps and Newton steps,
     each one iteration toward ``max_iterations``, and ``evaluations`` their
-    sum.  ``agreeing_restarts`` counts the restarts within 1e-12 of the best
-    value, the best one included; ``gradient_norm`` and
-    ``hessian_top_eigenvalue`` are those of ``|<product|psi>|^2`` in the
-    chart at the argument (``None`` where there is no finish).
+    sum.  ``agreeing_restarts`` counts the restarts whose value lies within
+    1e-12 of the best, the best one included, or within ``2 tol`` where the
+    best is not certified, the accuracy of a sweep that met ``tol``;
+    ``gradient_norm`` and ``hessian_top_eigenvalue`` are those of
+    ``|<product|psi>|^2`` in the chart at the argument (``None`` where there
+    is no finish).
 
     Parameters
     ----------
@@ -506,19 +489,15 @@ def geometric_measure(
     tr = _reversed(psi.reshaped()[None])  # the state as the one member of the sweep kernel
     chart = 0 < sum(d - 1 for d in dims) <= _GM_CHART_CAP
     iterations = np.zeros(restarts, dtype=int)
-    converged, switched, stopped, overlap, trail, reached = _gm_sweeps(
+    converged, switched, stopped, reached = _gm_sweeps(
         tr, factors, np.arange(restarts), np.zeros(restarts), iterations, max_iterations, tol,
         _GM_SWITCH if chart else -np.inf, -np.inf, rng)
-    # candidates far below the best, or that cannot win, stay where they are
-    late = switched & ((overlap < reached - _GM_NEAR)
-                       | (_aitken_limit(overlap, *trail) < reached - _GM_MARGIN))
-    stopped |= late
-    rows = np.flatnonzero(switched & ~late & (iterations < max_iterations))
-    certified, back, polished, grad_norm, curv = _gm_polish(
+    rows = np.flatnonzero(switched & (iterations < max_iterations))
+    certified, back, polished, grad_norm, top = _gm_polish(
         psi.reshaped(), factors, rows, iterations, max_iterations)
     converged[rows[certified]] = True
     if back.any():
-        more, _, stops, _, _, _ = _gm_sweeps(
+        more, _, stops, _ = _gm_sweeps(
             tr, factors, rows[back], polished[back], iterations, max_iterations, tol, -np.inf,
             max(reached, polished.max()), rng)
         converged[rows[back]] |= more
@@ -526,15 +505,17 @@ def geometric_measure(
     overlaps = _overlaps(tr, [f.conj() for f in factors])
     best = int(np.argmax(overlaps))
     values = np.maximum(0.0, 1.0 - overlaps**2)
+    at = np.flatnonzero(rows[certified] == best)
+    # restarts agree to rounding with a certified best, and to the accuracy
+    # of the sweep with one that met tol
+    agree = _GM_AGREE if at.size else max(_GM_AGREE, 2.0 * tol)
     gradient = curvature = None
     if chart:
-        at = np.flatnonzero(rows[certified] == best)
         if at.size:  # the last Newton step's terms
-            gradient, curv = grad_norm[certified][at[0]], curv[certified][at[0]]
+            gradient, curvature = grad_norm[certified][at[0]], top[certified][at[0]]
         else:
             _, _, curv, gn, _ = _chart_terms(psi.reshaped(), [f[best:best + 1] for f in factors])
-            gradient, curv = gn[0], curv[0]
-        curvature = 2.0 * np.linalg.eigvalsh(curv)[-1]
+            gradient, curvature = gn[0], 2.0 * np.linalg.eigvalsh(curv[0])[-1]
     closest = functools.reduce(lambda a, b: np.multiply.outer(a, b).ravel(),
                                [f[best] for f in factors])
     return OptimizationResult(
@@ -547,7 +528,7 @@ def geometric_measure(
         restart_iterations=tuple(int(k) for k in iterations),
         converged_restarts=int(converged.sum()),
         stopped_restarts=int(stopped.sum()),
-        agreeing_restarts=int((values <= values[best] + _GM_AGREE).sum()),
+        agreeing_restarts=int((values <= values[best] + agree).sum()),
         gradient_norm=None if gradient is None else float(gradient),
         hessian_top_eigenvalue=None if curvature is None else float(curvature),
     )
