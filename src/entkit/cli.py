@@ -50,10 +50,10 @@ from .schmidt import RANK_TOL, find_catalyst, majorizes, schmidt_vector
 from .serialize import _dumps, load_state
 from .special import ame_feasibility
 from .states import (
-    DensityMatrix,
     PureState,
     _GRAPH_VERTEX_CAP,
     _marginal_spectrum,
+    _trusted_density,
     acin_state,
     bell_state,
     ghz_state,
@@ -331,7 +331,7 @@ def cmd_sweep(args) -> int:
         for p in grid:
             if not 0.0 <= p <= 1.0:
                 raise ValueError(f"noise weight {p} outside [0, 1]")
-            rho = DensityMatrix((1 - p) * proj + p * np.eye(8) / 8, (2, 2, 2))
+            rho = _trusted_density((1 - p) * proj + p * np.eye(8) / 8, (2, 2, 2))
             row = {"p": p, "purity": purity(rho)}
             for part, (flag, mineig) in _ppt_sweep(rho).items():
                 row[f"ppt_{part}"] = int(flag)
@@ -349,7 +349,7 @@ def cmd_sweep(args) -> int:
             for k in range(psi.n_parties):
                 row[f"lambda_{k}"] = float(_marginal_spectrum(psi, [k]).min())
             rows.append(row)
-    elif family == "acin-grid":
+    else:  # "acin-grid"; argparse's choices refuse any other family
         points = [tok for tok in args.grid.split(";") if tok.strip() != ""]
         if not points:
             raise ValueError("empty grid")
@@ -363,8 +363,6 @@ def cmd_sweep(args) -> int:
             row = {f"r{i}": vals[i] for i in range(5)}
             row.update({"theta": theta, "tau1": t1, "tau2": t2, "tau3": t3})
             rows.append(row)
-    else:
-        raise ValueError(f"unknown family {family!r}")
     _emit_rows(rows, list(rows[0].keys()), args.format, args.out)
     return EXIT_OK
 

@@ -605,26 +605,36 @@ def multipartite_concurrence(
     tensor products of symmetric (``+1``) / antisymmetric (``-1``) projectors
     acting on each doubled local space; every sign must be exactly -1 or +1
     and every weight finite and non-negative.
+
+    ``(x)_k (1 + s_k SWAP_k) / 2 = 2^-N sum_T (prod_{k in T} s_k) SWAP_T``, and
+    ``<psi psi| SWAP_T |psi psi> = 1 - L_T``, the linear entropy on ``T``,
+    ``2 sum_{i<j} lam_i lam_j``: summed from its least terms, it is 0 on a product cut.
     """
     _require_pure(psi)
     n = psi.n_parties
-    weights = {}
+    live = [k for k in range(n) if psi.dims[k] > 1]
+    m = len(live)
+    c = np.zeros((2,) * m)  # axis j: the sign on party live[j], 0 for +1 and 1 for -1
     for pattern, w in p.items():
         pattern = tuple(pattern)
         if len(pattern) != n or any(s not in (-1, 1) for s in pattern):
             raise ValueError(f"pattern {pattern} is not a +-1 tuple of length {n}")
         _check_tol(w, "weight")
-        weights[tuple(int(s) for s in pattern)] = float(w)
-    doubled = np.tensordot(psi.reshaped(), psi.reshaped(), axes=0)
-    # axes: parties 0..n-1 of the first copy, then of the second copy
-    total = 0.0
-    for pattern, w in weights.items():
-        if w == 0.0:
-            continue
-        x = doubled
-        for k, s in enumerate(pattern):
-            x = (x + s * np.swapaxes(x, k, n + k)) / 2.0
-        total += w * float(np.vdot(doubled, x).real)
+        # psi (x) psi is even under the swap of all parties, which is prod_k s_k
+        # where a pattern projects, so an odd pattern adds 0; SWAP is 1 on a
+        # one-level party, where only +1 adds anything.  A repeated pattern:
+        # the last one wins.
+        if prod(pattern) == 1 and all(pattern[k] == 1 or k in live for k in range(n)):
+            c[tuple((1 - int(pattern[k])) // 2 for k in live)] = w
+    # sum_T c[T] = 2^N w_{+...+} times (Tr rho_T)^2 = |psi|^4, the rest of 1 - L_T
+    total = float(np.vdot(psi.amplitudes, psi.amplitudes).real) ** 2 * c[(0,) * m]
+    for j in range(m):  # Walsh-Hadamard transform: c[T] = sum_s w_s prod_{k in T} s_k
+        c = np.moveaxis(np.tensordot([[1.0, 1.0], [1.0, -1.0]], c, axes=(1, j)), 0, j)
+    for t, ct in np.ndenumerate(c):
+        block = [k for k, bit in zip(live, t) if bit]
+        if ct != 0.0 and 0 < len(block) < m:  # L is 0 on no party and on all
+            lam = _marginal_spectrum(psi, block)
+            total -= ct * 2.0 * (lam[:-1] @ np.cumsum(lam[::-1])[-2::-1]) / 2**m
     return float(2.0 * np.sqrt(max(0.0, total)))
 
 

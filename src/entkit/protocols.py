@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import _as_int, _check_dims, _check_finite, _check_indices
+from .core import DIM_CAP, _as_int, _check_cap, _check_dims, _check_finite, _check_indices
 from .partitions import Partition
 from .states import (
     DensityMatrix,
@@ -24,11 +24,11 @@ from .states import (
     State,
     _entropy_on,
     _require_pure,
+    _trusted_density,
     as_density,
     bell_basis_2q,
     bell_state,
     conditional_entropy,
-    partial_trace,
     smolin_state,
 )
 
@@ -42,6 +42,16 @@ class BranchOutcome:
     label: object
     probability: float
     post_state: DensityMatrix | None
+
+
+def _branch(label, sigma: np.ndarray, dims: tuple[int, ...]) -> BranchOutcome:
+    """The Born rule on an unnormalized post-state ``sigma`` over ``dims``: its
+    trace is the probability, and the branch holds ``sigma`` normalized, or
+    ``None`` at a probability of 1e-12 or less."""
+    p = float(np.trace(sigma).real)
+    if p > 1e-12:
+        return BranchOutcome(label, p, _trusted_density(sigma / p, dims))
+    return BranchOutcome(label, 0.0, None)
 
 
 @dataclass(frozen=True)
@@ -61,6 +71,7 @@ class Instrument:
             for k in kraus:
                 if k.ndim != 2 or k.shape[1] != d:
                     raise ValueError(f"Kraus operator shape {k.shape} is not (m, {d})")
+                _check_cap(k.shape[0], DIM_CAP, "Kraus output dimension")
                 _check_finite(k, f"branch {label!r} Kraus operators")
                 total += k.conj().T @ k
             if len({k.shape[0] for k in kraus}) > 1:
@@ -79,13 +90,8 @@ class Instrument:
         out = []
         for label, kraus in self.branches:
             sigma = sum(k @ rho.matrix @ k.conj().T for k in kraus)
-            p = float(np.trace(sigma).real)
-            if p > 1e-12:
-                dims_out = (sigma.shape[0],) if sigma.shape[0] != rho.dim else rho.dims
-                post = DensityMatrix(sigma / p, dims_out)
-            else:
-                p, post = 0.0, None
-            out.append(BranchOutcome(label=label, probability=p, post_state=post))
+            dims_out = (sigma.shape[0],) if sigma.shape[0] != rho.dim else rho.dims
+            out.append(_branch(label, sigma, dims_out))
         return out
 
 
@@ -143,11 +149,12 @@ def entanglement_swap(rho_xa: State) -> DensityMatrix:
     if rho_xa.n_parties != 2:
         raise ValueError("expected a state on two subsystems X, A'")
     dx, d = rho_xa.dims
-    out = np.zeros((dx * d, dx * d), dtype=complex)
-    for _, k in teleportation_kraus(d):
-        big = np.kron(np.eye(dx), k)
-        out += big @ rho_xa.matrix @ big.conj().T
-    return DensityMatrix(out, (dx, d))
+    # rho as a dx x dx grid of d x d blocks over A'; each branch acts on all
+    # blocks in one product.  Summing the d^2 branches into the channel first
+    # costs d^6, and stacking their products holds dx^2 d^4 numbers.
+    blocks = rho_xa.matrix.reshape(dx, d, dx, d).transpose(0, 2, 1, 3)
+    out = sum(k @ blocks @ k.conj().T for _, k in teleportation_kraus(d))
+    return _trusted_density(out.transpose(0, 2, 1, 3).reshape(dx * d, dx * d), (dx, d))
 
 
 # ---------------------------------------------------------------------------
@@ -190,17 +197,9 @@ def local_filter(
     rho = as_density(state)
     m = _prepare_filters(rho.dims, filters, rescale)
     sigma = m @ rho.matrix @ m.conj().T
-    p1 = float(np.trace(sigma).real)
-    d = rho.dim
-    if p1 > 1e-12:
-        first = BranchOutcome("filtered", p1, DensityMatrix(sigma / p1, rho.dims))
-    else:
-        first = BranchOutcome("filtered", 0.0, None)
-    p2 = max(0.0, 1.0 - p1)
-    second = BranchOutcome(
-        "depolarized", p2, DensityMatrix(np.eye(d) / d, rho.dims)
-    )
-    return (first, second)
+    p2 = max(0.0, 1.0 - float(np.trace(sigma).real))
+    mixed = _trusted_density(np.eye(rho.dim) / rho.dim, rho.dims)
+    return (_branch("filtered", sigma, rho.dims), BranchOutcome("depolarized", p2, mixed))
 
 
 def local_filter_pure(
@@ -241,15 +240,13 @@ def unlock_smolin(pair: Iterable[int | str]) -> list[BranchOutcome]:
         raise ValueError("pair must name two distinct parties among A, B, C, D")
     joined = sorted(idx)
     rest = [i for i in range(4) if i not in joined]
-    rho = smolin_state().permute(joined + rest)
-    out = []
-    for i, b in enumerate(bell_basis_2q(), start=1):
-        proj = np.kron(np.outer(b.amplitudes, b.amplitudes.conj()), np.eye(4))
-        sigma = proj @ rho.matrix @ proj
-        p = float(np.trace(sigma).real)
-        post = partial_trace(DensityMatrix(sigma / p, (2, 2, 2, 2)), [2, 3])
-        out.append(BranchOutcome(label=i, probability=p, post_state=post))
-    return out
+    # rho[a, r, a', r'] with the joined pair first; <b| (x) I_4 leaves the
+    # unnormalized state of the remaining pair
+    rho = smolin_state().permute(joined + rest).matrix.reshape(4, 4, 4, 4)
+    return [
+        _branch(i, np.einsum("a,arbs,b->rs", b.amplitudes.conj(), rho, b.amplitudes), (2, 2))
+        for i, b in enumerate(bell_basis_2q(), start=1)
+    ]
 
 
 # ---------------------------------------------------------------------------

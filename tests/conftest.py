@@ -105,3 +105,20 @@ def majorizes_loop(p, q) -> bool:
         if sp < sq - 1e-12:
             return False
     return True
+
+
+#: Single-qubit matrices that no entry point may take as a state, each with
+#: the start of the message that refuses it: one not positive, one not
+#: Hermitian and one not of trace 1.
+UNPHYSICAL_MATRICES = [
+    (np.diag([1.5, -0.5]), r"^density matrix has an eigenvalue below -1e-10"),
+    (np.array([[0.5, 0.5], [0.0, 0.5]]), r"^density matrix is not Hermitian within 1e-10"),
+    (np.eye(2), r"^trace 2\.0 is not 1 within 1e-10"),
+]
+
+
+def mixed_document(matrix: np.ndarray) -> dict:
+    """The document of a one-qubit mixed state, written here without the
+    library so that the matrix need not be a valid state."""
+    rows = [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(matrix)]
+    return {"dims": [2], "type": "mixed", "matrix": rows}

@@ -9,12 +9,15 @@ exemption fails the test.
 """
 
 import io
+import json
 import types
 
 import numpy as np
 import pytest
 
 import entkit as ek
+
+from conftest import UNPHYSICAL_MATRICES, mixed_document
 
 _NAN, _INF = float("nan"), float("inf")
 _BELL = ek.bell_state(2)
@@ -66,6 +69,13 @@ def _array_for_state(call, good=_GHZ, message=r"^expected a PureState, got ndarr
     return (call, good, good.amplitudes, ValueError, message)
 
 
+def _unphysical(call, good, as_input=lambda m: m):
+    """The rows that pass, through ``as_input``, a matrix that is not positive,
+    not Hermitian or not of trace 1 where a state's matrix enters."""
+    return [(call, good, as_input(m), ValueError, message)
+            for m, message in UNPHYSICAL_MATRICES]
+
+
 def _three_qubit(name, row=None):
     call = getattr(ek, name)
     return [row or (call, _GHZ, _BELL, ValueError, r"^expected a 3-qubit state"),
@@ -75,14 +85,20 @@ def _three_qubit(name, row=None):
 #: name -> (call(value), good value, bad value, error, message pattern), or a
 #: list of such rows
 ROWS = {
-    "DensityMatrix": (lambda m: ek.DensityMatrix(m, (2,)), np.eye(2) / 2,
-                      np.diag([_NAN, 1.0]), ValueError, r"^density matrix entries must be finite"),
+    "DensityMatrix": [(lambda m: ek.DensityMatrix(m, (2,)), np.eye(2) / 2,
+                       np.diag([_NAN, 1.0]), ValueError, r"^density matrix entries must be finite"),
+                      *_unphysical(lambda m: ek.DensityMatrix(m, (2,)), np.eye(2) / 2)],
     "PureState": [(lambda a: ek.PureState(a, (2,)), [1.0, 0.0], [_NAN, 0.0], ValueError,
                    r"^state norm nan is not 1"),
                   (lambda dims: ek.PureState([1.0, 0.0], dims), (1, 2), (True, 2), ValueError,
                    r"^local dimensions must be integers, got \(True, 2\)")],
-    "Instrument": (lambda k: ek.Instrument((("a", (k,)),), dims=(2,)), np.eye(2),
-                   np.full((2, 2), _NAN), ValueError, r"^branch 'a' Kraus operators must be finite"),
+    "Instrument": [(lambda k: ek.Instrument((("a", (k,)),), dims=(2,)), np.eye(2),
+                    np.full((2, 2), _NAN), ValueError, r"^branch 'a' Kraus operators must be finite"),
+                   (lambda k: ek.Instrument((("a", (k,)),), dims=(2,)), np.eye(2), np.eye(2) / 2,
+                    ValueError, r"^instrument is not trace preserving within 1e-9"),
+                   # an isometry into 5000 levels: refused when built, not when applied
+                   (lambda k: ek.Instrument((("a", (k,)),), dims=(2,)), np.eye(3, 2),
+                    np.eye(5000, 2), _SIZE, r"^Kraus output dimension 5000 exceeds the cap 4096")],
     "Partition": (lambda b: ek.Partition(b), ((0,), (1,)), ((0,), (0.5,)), ValueError,
                   r"^subsystem indices must be integers"),
     "acin_canonical_form": _three_qubit("acin_canonical_form", (
@@ -135,8 +151,9 @@ ROWS = {
                           psi, ek.basis_state([2, 2], [0, 0]), grid_resolution=4), _BELL),
                       _array_for_state(lambda phi: ek.find_catalyst(
                           _BELL, phi, grid_resolution=4), ek.basis_state([2, 2], [0, 0]))],
-    "from_document": (ek.from_document, _BELL_DOC, dict(_BELL_DOC, dims=[2.5, 2]), ValueError,
-                      r"^local dimensions must be integers"),
+    "from_document": [(ek.from_document, _BELL_DOC, dict(_BELL_DOC, dims=[2.5, 2]), ValueError,
+                       r"^local dimensions must be integers"),
+                      *_unphysical(ek.from_document, mixed_document(np.eye(2) / 2), mixed_document)],
     "geometric_measure": [(lambda psi: ek.geometric_measure(psi, restarts=1, max_iterations=1,
                                                             seed=0),
                            _GHZ, ek.ghz_state(11, 2), _SIZE,
@@ -163,10 +180,13 @@ ROWS = {
                           _array_for_state(lambda psi: ek.is_product_across(psi, _CUT))],
     "kempe_invariant": _three_qubit("kempe_invariant"),
     "kempe_symmetric_check": _three_qubit("kempe_symmetric_check"),
-    "load_state": (lambda text: ek.load_state(io.StringIO(text)),
-                   '{"dims": [2], "type": "pure", "amplitudes": [[1, 0], [0, 0]]}',
-                   '{"dims": [2], "type": "pure", "amplitudes": [[2, 0], [0, 0]]}', ValueError,
-                   r"^state norm 2\.0 is not 1"),
+    "load_state": [(lambda text: ek.load_state(io.StringIO(text)),
+                    '{"dims": [2], "type": "pure", "amplitudes": [[1, 0], [0, 0]]}',
+                    '{"dims": [2], "type": "pure", "amplitudes": [[2, 0], [0, 0]]}', ValueError,
+                    r"^state norm 2\.0 is not 1"),
+                   *_unphysical(lambda text: ek.load_state(io.StringIO(text)),
+                                json.dumps(mixed_document(np.eye(2) / 2)),
+                                lambda m: json.dumps(mixed_document(m)))],
     "local_filter": (lambda f: ek.local_filter(_BELL, [f, np.eye(2)]), np.eye(2) / 2,
                      np.full((2, 2), _NAN), ValueError, r"^filter must be finite"),
     "local_filter_pure": [(lambda f: ek.local_filter_pure(_BELL, [f, np.eye(2)], rescale=True),

@@ -15,6 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import entkit as ek
+from conftest import UNPHYSICAL_MATRICES, mixed_document
 from entkit import cli
 from entkit.cli import main
 from entkit.serialize import _complex_array, dump_state, from_document, load_state, to_document
@@ -544,6 +545,11 @@ def test_cli_exit_codes(tmp_path):
     for k, doc in enumerate(_MALFORMED_DOCUMENTS):
         path = tmp_path / f"malformed{k}.json"
         path.write_text(json.dumps(doc))
+        assert main(["analyze", str(path)]) == 2
+    # a matrix that is not positive, not Hermitian or not of trace 1
+    for k, (matrix, _) in enumerate(UNPHYSICAL_MATRICES):
+        path = tmp_path / f"unphysical{k}.json"
+        path.write_text(json.dumps(mixed_document(matrix)))
         assert main(["analyze", str(path)]) == 2
     # non-finite bounds, and a step whose point count is over the cap: the
     # count is checked before any point is built

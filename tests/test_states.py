@@ -99,6 +99,58 @@ def test_density_matrix_validation():
                     ek.DensityMatrix(mat, (d,))
 
 
+#: A pure state of norm ``1 + 0.8e-10``, inside the constructor's 1e-10, and
+#: the normalized state it stands for.  Its projector has trace ``1 + 1.6e-10``.
+_EDGE_PSI = ek.PureState(ek.random_pure_state([2, 2], rng=5).amplitudes * (1 + 0.8e-10), (2, 2))
+_CLEAN_PSI = ek.random_pure_state([2, 2], rng=5)
+#: A two-qubit matrix that is Hermitian within 0.9e-10 on two entries, whose
+#: reduced state on party 0 is off by 1.8e-10, and one whose two least
+#: eigenvalues, -0.9e-10 each, add to -1.8e-10 on party 0.
+_HERMITIAN_EDGE = np.eye(4, dtype=complex) / 4
+_HERMITIAN_EDGE[[0, 1], [2, 3]] += 0.9e-10
+_POSITIVE_EDGE = np.diag([-0.9e-10, -0.9e-10, 0.5, 0.5 + 1.8e-10])
+_EDGE_FACTOR = ek.PureState(np.array([0.6, 0.8j]) * (1 + 0.8e-10), (2,))
+_FILTERS = [np.diag([1.0, 0.6]), np.eye(2)]
+
+
+def _numbers(result) -> np.ndarray:
+    """Every number in a result: probabilities, matrices and amplitudes."""
+    if isinstance(result, (list, tuple)):
+        return np.concatenate([_numbers(r) for r in result])
+    if isinstance(result, ek.BranchOutcome):
+        return np.concatenate([[result.probability], _numbers(result.post_state)])
+    if isinstance(result, ek.DensityMatrix):
+        return result.matrix.ravel()
+    if isinstance(result, ek.PureState):
+        return result.amplitudes
+    return np.ravel(result)
+
+
+@pytest.mark.parametrize("call, edge, clean", [
+    (lambda psi: psi.density(), _EDGE_PSI, _CLEAN_PSI),
+    (ek.purity, _EDGE_PSI, _CLEAN_PSI),
+    (ek.von_neumann_entropy, _EDGE_PSI, _CLEAN_PSI),
+    (lambda psi: ek.partial_trace(psi, [0]), _EDGE_PSI, _CLEAN_PSI),
+    (lambda psi: ek.partial_transpose(psi, [0]), _EDGE_PSI, _CLEAN_PSI),
+    (ek.teleport, _EDGE_PSI, _CLEAN_PSI),
+    (lambda psi: ek.local_filter(psi, _FILTERS), _EDGE_PSI, _CLEAN_PSI),
+    (ek.entanglement_swap, _EDGE_PSI, _CLEAN_PSI),
+    (lambda m: ek.partial_trace(ek.DensityMatrix(m, (2, 2)), [0]), _HERMITIAN_EDGE,
+     np.eye(4) / 4),
+    (lambda m: ek.partial_trace(ek.DensityMatrix(m, (2, 2)), [0]), _POSITIVE_EDGE,
+     np.diag([0.0, 0.0, 0.5, 0.5])),
+    (lambda f: ek.product_state(f, f), _EDGE_FACTOR, ek.PureState([0.6, 0.8j], (2,))),
+], ids=["density", "purity", "von_neumann_entropy", "partial_trace", "partial_transpose",
+        "teleport", "local_filter", "entanglement_swap", "partial_trace_of_hermitian_edge",
+        "partial_trace_of_positive_edge", "product_state"])
+def test_a_valid_state_at_the_edge_of_a_tolerance_is_not_refused_later(call, edge, clean):
+    """A state that passed its check is validated once: what the library
+    derives from it is not checked again, so rounding that takes it past a
+    tolerance its input met, such as a trace of ``(1 + 0.8e-10)^2``, is no
+    error.  The result stays next to that of the valid state nearby."""
+    assert np.abs(_numbers(call(edge)) - _numbers(call(clean))).max() < 1e-9
+
+
 def test_bell_state():
     b = ek.bell_state(2)
     assert np.abs(b.amplitudes - np.array([1, 0, 0, 1]) / np.sqrt(2)).max() < 1e-15
