@@ -21,7 +21,6 @@ import numpy as np
 
 from . import __version__
 from .core import (
-    ConvergenceError,
     SizeLimitError,
     _check_cap,
     _check_count,
@@ -511,9 +510,6 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except ConvergenceError as exc:
-        print(f"entkit: no convergence: {exc}", file=sys.stderr)
-        return EXIT_NO_CONVERGENCE
     except (ValueError, SizeLimitError, OSError, json.JSONDecodeError, KeyError) as exc:
         print(f"entkit: error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -6,10 +6,12 @@ eigensolve.  :func:`_reductions` builds the one- and two-qubit reductions:
 the norm, purities, Kempe invariant, single-party tangles and the
 closed-form marginal spectra (ranks, polytope point).  :func:`_slice_dets`
 takes the 2 x 2 slice determinants along each qubit: the pair tangles and
-the hyperdeterminant, and so ``tau3`` and the class.  :func:`_record`
+the hyperdeterminant, and so ``tau3`` and the class, and the canonical
+form's quadratic form of ``det M`` (:func:`_slice_forms`).  :func:`_record`
 gathers the full record; ``monogamy_gap`` and the Kempe functions compute
 only what they return, and ``hyperdet3`` reads :func:`_slice_dets` of its
-tensor.  Only ``wootters_concurrence``, on a mixed state, runs ``eigvals``.
+tensor.  Among the invariants, only ``wootters_concurrence``, on a mixed
+state, runs ``eigvals``.
 """
 
 from __future__ import annotations
@@ -292,14 +294,14 @@ class AcinCanonicalForm:
 #: Pauli matrices, identity first.
 _PAULI = np.array([np.eye(2), [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], np.diag([1.0, -1.0])])
 
-#: Chebyshev points, and the values ``T_0 .. T_12`` there from the three-term
-#: recurrence ``T_k = 2x T_{k-1} - T_{k-2}``, as ``numpy``'s ``chebvander``
-#: builds them, whose pseudo-inverse is the least-squares fit matrix.
-_CHEB_NODES = np.cos(np.pi * (np.arange(25) + 0.5) / 25)
-_CHEB_VALUES = [np.ones(25), _CHEB_NODES]
-for _ in range(11):
-    _CHEB_VALUES.append(_CHEB_VALUES[-1] * (2 * _CHEB_NODES) - _CHEB_VALUES[-2])
-_CHEB_FIT = np.linalg.pinv(np.column_stack(_CHEB_VALUES))
+#: Chebyshev points ``cos theta_j``, ``theta_j = pi (j + 1/2) / 25``, where
+#: ``T_k = cos k theta_j``.  For ``k, l < 25``, ``sum_j T_k T_l`` is 25 at ``k
+#: = l = 0``, 25/2 at ``k = l > 0`` and 0 otherwise, so the least-squares fit
+#: of ``T_0 .. T_12`` there is ``(2/25) cos k theta_j``, its ``k = 0`` row halved.
+_CHEB_ANGLES = np.pi * (np.arange(25) + 0.5) / 25
+_CHEB_NODES = np.cos(_CHEB_ANGLES)
+_CHEB_FIT = np.cos(np.outer(np.arange(13), _CHEB_ANGLES)) * (2 / 25)
+_CHEB_FIT[0] /= 2
 #: The colleague matrix of ``T_12``, tridiagonal with ``sqrt(1/2)`` and then
 #: ``1/2`` beside the diagonal, and the scale of its last column, as in
 #: ``numpy``'s ``chebroots``.
@@ -401,11 +403,11 @@ def _slice_forms(t):
     """``alpha, beta, c, B`` of ``M M^dag = (alpha + beta.n) I + (c + B n).sigma``
     and the symmetric ``Q`` of ``det M = a^T Q a``, with ``M = a_0 t_0 + a_1
     t_1`` the lower slice of the first-qubit vector ``a`` and ``n`` its Bloch
-    vector.  ``det Q = -hyperdet3 / 4``."""
+    vector.  ``Q = [[D_0, x], [x, D_1]]`` along the first qubit from
+    :func:`_slice_dets`, so ``det Q = -hyperdet3 / 4``."""
     form = 0.25 * np.einsum("vij,mba,iac,jbc->vm", _PAULI, _PAULI, t, t.conj()).real
-    det0, det1 = np.linalg.det(t)
-    cross = (np.linalg.det(t[0] + t[1]) - det0 - det1) / 2
-    return form[0, 0], form[1:, 0], form[0, 1:], form[1:, 1:].T, np.array([[det0, cross], [cross, det1]])
+    d0, d1, x = (v[0] for v in _slice_dets(t.reshape(8)))
+    return form[0, 0], form[1:, 0], form[0, 1:], form[1:, 1:].T, np.array([[d0, x], [x, d1]])
 
 
 def _candidates(beta, c, b, quad):

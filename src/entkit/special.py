@@ -104,8 +104,7 @@ class AmeVerdict:
 
 
 def _is_prime_power(d: int) -> bool:
-    if d < 2:
-        return False
+    """Whether ``d >= 2`` is a power of a prime."""
     p = next(f for f in range(2, d + 1) if d % f == 0)
     while d % p == 0:
         d //= p

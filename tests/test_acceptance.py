@@ -482,15 +482,15 @@ def _six_step_newton(a, order, forms):
 #: SLOCC images of biseparable states plus 1e-2 noise and of GHZ + 1e-2 W.
 _NEWTON_STOP_FRAMES = [
     # dropping the check against the count one step earlier fails here
-    ([0.47082956478134397, -0.04478531618099346, -0.19783998559638577, 0.42127214436175126,
-      -0.24994441410057566, -0.048426264719585506, 0.2011457157223019, -0.010265161441999777],
-     [0.0, -0.10326489524825162, 0.13862187837057427, 0.3081790634421834,
-      -0.32649750871529176, 0.08847324715131326, 0.06361059092020677, -0.45933885780008465]),
+    ([0.12844612303993036, 0.07156906534257115, 0.00905482458067576, -0.23011854649731564,
+      0.03346636457075952, -0.050079057913138506, -0.14031994360282812, 0.16167125422134732],
+     [0.0, 0.22080093697409733, 0.46997285386474175, -0.7178700007958152,
+      0.03951829794011401, 0.08053254398226238, 0.12701301859297354, -0.258347378297308]),
     # dropping the check that no row closes in on another root fails on these two
-    ([0.7426494593252123, 0.249433757077558, -0.20899343844572385, -0.08018920352179157,
-      0.11623455061621635, 0.1829628046970797, -0.06775878623777305, -0.020793430903918005],
-     [0.0, -0.4602140721175923, 0.11156223576814364, 0.026389884756942785,
-      0.23705131933002815, 0.005635736840253735, -0.050107569438582446, -0.021473902662533805]),
+    ([0.5141182637568659, 0.04463798747852112, -0.5265680323495224, -0.2530083077176852,
+      0.025724390324298248, -0.013978687098965797, -0.18528930046452027, -0.007434813174716297],
+     [0.0, 0.06357513750978533, 0.5521936615897857, 0.00017186828846469377,
+      0.15106990306036958, 0.010408966812712256, -0.14089611755425335, -0.07359598850525696]),
     ([0.05537938302358943, 0.02784707451089509, 0.03922780346675262, 0.04955094324653658,
       -0.21850972505861269, -0.12807717029048368, 0.21019223177236124, -0.002363992621543531],
      [0.0, 0.00048748740605593333, 0.17662225135380782, 0.0821013747157175,

@@ -105,14 +105,19 @@ ROWS = {
         lambda t: ek.acin_canonical_form(_GHZ, t), 1e-8, _NAN, ValueError, r"^tol must be finite")),
     "acin_state": (lambda t: ek.acin_state([1, 0, 0, 0, 0], t), 0.0, _NAN, ValueError,
                    r"^theta must be finite"),
-    "all_bipartitions": (ek.all_bipartitions, 3, 2.5, ValueError, r"^n must be an integer"),
+    "all_bipartitions": [(ek.all_bipartitions, 3, 2.5, ValueError, r"^n must be an integer"),
+                         (ek.all_bipartitions, 2, 1, ValueError, r"^need at least 2 parties")],
     "ame_feasibility": (lambda n: ek.ame_feasibility(n, 2), 3, 4.5, ValueError,
                         r"^n must be an integer"),
-    "basis_state": (lambda o: ek.basis_state([2, 2], o), [0, 1], [0.5, 0], ValueError,
-                    r"^occupation\[0\] must be an integer"),
+    "basis_state": [(lambda o: ek.basis_state([2, 2], o), [0, 1], [0.5, 0], ValueError,
+                     r"^occupation\[0\] must be an integer"),
+                    (lambda o: ek.basis_state([2, 2], o), [1, 1], [0, 2], ValueError,
+                     r"^occupation \[0, 2\] invalid for dims \(2, 2\)")],
     "bell_state": (ek.bell_state, 2, 65, _SIZE, r"^total dimension 4225 exceeds the cap 4096"),
     "catalysis_convertible": [(lambda phi: ek.catalysis_convertible(_BELL, phi, _BELL), _BELL,
                                ek.bell_state(3), ValueError, r"^dims mismatch"),
+                              (lambda eta: ek.catalysis_convertible(_BELL, _BELL, eta), _BELL,
+                               _GHZ, ValueError, r"^catalyst must be a bipartite pure state"),
                               _mixed_for_pure(
                                   lambda psi: ek.catalysis_convertible(psi, _BELL, _BELL), _BELL),
                               _array_for_state(
@@ -122,6 +127,9 @@ ROWS = {
                       _mixed_for_pure(ek.classify_pure), _array_for_state(ek.classify_pure)],
     "combing_entropy_profile": [(lambda a: ek.combing_entropy_profile(_GHZ, a, [[1], [2]]), 0,
                                  0.5, ValueError, r"^subsystem indices must be integers"),
+                                (lambda b: ek.combing_entropy_profile(_GHZ, 0, b), [[1], [2]],
+                                 [[1]], ValueError,
+                                 r"^A party plus blocks cover 2 parties, state has 3"),
                                 _array_for_state(lambda psi: ek.combing_entropy_profile(
                                     psi, 0, [[1], [2]]))],
     "concurrence_pure": [(lambda p: ek.concurrence_pure(_GHZ, p), _CUT, _TWO_OF_THREE,
@@ -142,8 +150,9 @@ ROWS = {
                              _array_for_state(ek.entanglement_entropy, _BELL)],
     "entanglement_swap": (ek.entanglement_swap, _BELL, _GHZ, ValueError,
                           r"^expected a state on two subsystems"),
-    "enumerate_partitions": (ek.enumerate_partitions, 3, 9, _SIZE,
-                             r"^partition enumeration party count 9 exceeds the cap 8"),
+    "enumerate_partitions": [(ek.enumerate_partitions, 3, 9, _SIZE,
+                              r"^partition enumeration party count 9 exceeds the cap 8"),
+                             (ek.enumerate_partitions, 1, 0, ValueError, r"^n must be >= 1")],
     "find_catalyst": [(lambda phi: ek.find_catalyst(_BELL, phi, grid_resolution=4),
                        ek.basis_state([2, 2], [0, 0]), ek.bell_state(3), ValueError,
                        r"^dims mismatch"),
@@ -153,6 +162,9 @@ ROWS = {
                           _BELL, phi, grid_resolution=4), ek.basis_state([2, 2], [0, 0]))],
     "from_document": [(ek.from_document, _BELL_DOC, dict(_BELL_DOC, dims=[2.5, 2]), ValueError,
                        r"^local dimensions must be integers"),
+                      (ek.from_document, mixed_document(np.eye(2) / 2),
+                       {"dims": [2], "type": "mixed"}, ValueError,
+                       r"^mixed document lacks 'matrix'"),
                       *_unphysical(ek.from_document, mixed_document(np.eye(2) / 2), mixed_document)],
     "geometric_measure": [(lambda psi: ek.geometric_measure(psi, restarts=1, max_iterations=1,
                                                             seed=0),
@@ -164,10 +176,16 @@ ROWS = {
                              r"^phi1 must be finite"),
     "ghz_stabilizer_elements": (lambda p: ek.ghz_stabilizer_elements(0.3, p), 0.5, _INF,
                                 ValueError, r"^phi2 must be finite"),
-    "ghz_state": (lambda lam: ek.ghz_state(3, 2, lam), [0.5, 0.5], [0.6, 0.5], ValueError,
-                  r"^lambda sums to 1\.1, not 1 within 1e-10"),
-    "graph_state": (lambda m: ek.graph_state(np.zeros((m, m), dtype=int)), 3, 13, _SIZE,
-                    r"^graph vertex count 13 exceeds the cap 12"),
+    "ghz_state": [(lambda lam: ek.ghz_state(3, 2, lam), [0.5, 0.5], [0.6, 0.5], ValueError,
+                   r"^lambda sums to 1\.1, not 1 within 1e-10"),
+                  (lambda lam: ek.ghz_state(3, 2, lam), [0.5, 0.5], [1.0], ValueError,
+                   r"^lambda must be 2 numbers")],
+    "graph_state": [(lambda m: ek.graph_state(np.zeros((m, m), dtype=int)), 3, 13, _SIZE,
+                     r"^graph vertex count 13 exceeds the cap 12"),
+                    (ek.graph_state, [[0, 1], [1, 0]], np.zeros((0, 0), dtype=int), ValueError,
+                     r"^adjacency must be a non-empty square matrix"),
+                    (ek.graph_state, [[0, 1], [1, 0]], [[0, 2], [2, 0]], ValueError,
+                     r"^adjacency entries must be 0 or 1")],
     "hyperdet3": (ek.hyperdet3, np.zeros(8), [_NAN] * 8, ValueError,
                   r"^tensor entries must be finite"),
     "is_ame": [(lambda t: ek.is_ame(_GHZ, t), 1e-8, _NAN, ValueError, r"^tol must be finite"),
@@ -187,8 +205,10 @@ ROWS = {
                    *_unphysical(lambda text: ek.load_state(io.StringIO(text)),
                                 json.dumps(mixed_document(np.eye(2) / 2)),
                                 lambda m: json.dumps(mixed_document(m)))],
-    "local_filter": (lambda f: ek.local_filter(_BELL, [f, np.eye(2)]), np.eye(2) / 2,
-                     np.full((2, 2), _NAN), ValueError, r"^filter must be finite"),
+    "local_filter": [(lambda f: ek.local_filter(_BELL, [f, np.eye(2)]), np.eye(2) / 2,
+                      np.full((2, 2), _NAN), ValueError, r"^filter must be finite"),
+                     (lambda f: ek.local_filter(_BELL, [f, np.eye(2)]), np.eye(2) / 2, np.eye(3),
+                      ValueError, r"^filter shape \(3, 3\) does not match local dim 2")],
     "local_filter_pure": [(lambda f: ek.local_filter_pure(_BELL, [f, np.eye(2)], rescale=True),
                            2 * np.eye(2), np.full((2, 2), _INF), ValueError,
                            r"^filter must be finite"),
@@ -215,8 +235,11 @@ ROWS = {
                                              _BELL)],
     "partial_trace": (lambda k: ek.partial_trace(_GHZ, k), [0], [3], ValueError,
                       r"^keep \[3\] out of range"),
-    "partial_trace_matrix": (lambda k: ek.partial_trace_matrix(np.eye(4) / 4, (2, 2), k), [0],
-                             [0.5], ValueError, r"^subsystem indices must be integers"),
+    "partial_trace_matrix": [(lambda k: ek.partial_trace_matrix(np.eye(4) / 4, (2, 2), k), [0],
+                              [0.5], ValueError, r"^subsystem indices must be integers"),
+                             (lambda m: ek.partial_trace_matrix(m, (2, 2), [0]), np.eye(4) / 4,
+                              np.eye(3) / 3, ValueError,
+                              r"^matrix shape \(3, 3\) does not match dims \(2, 2\)")],
     "partial_transpose": (lambda s: ek.partial_transpose(_BELL, s), [0], [0, 1], ValueError,
                           r"^subset must be a proper subset"),
     "phi_a_state": (ek.phi_a_state, 1.0, complex(_NAN, 0), ValueError, r"^a must be finite"),
@@ -230,8 +253,10 @@ ROWS = {
     "product_state": [(lambda fs: ek.product_state(*fs), [_BELL], [], ValueError,
                        r"^need at least one factor"),
                       _array_for_state(lambda psi: ek.product_state(_BELL, psi))],
-    "random_density_matrix": (lambda r: ek.random_density_matrix([2, 2], rank=r, rng=0), 2,
-                              1.5, ValueError, r"^rank must be an integer"),
+    "random_density_matrix": [(lambda r: ek.random_density_matrix([2, 2], rank=r, rng=0), 2,
+                               1.5, ValueError, r"^rank must be an integer"),
+                              (lambda r: ek.random_density_matrix([2, 2], rank=r, rng=0), 4,
+                               0, ValueError, r"^rank must be in 1\.\.4")],
     "random_pure_state": (lambda rng: ek.random_pure_state([2], rng=rng), 0, _NAN, ValueError,
                           r"^rng must be None"),
     "refines": (lambda a: ek.refines(_TWO_OF_THREE, a), ek.Partition(((0, 1),)),
@@ -283,6 +308,15 @@ ROWS = {
                                    [ek.basis_state([2, 2], [0, 0])],
                                    [ek.basis_state([2, 2], [0, 0]), _ZERO], ValueError,
                                    r"^dims mismatch"),
+                                  (lambda basis: ek.upb_unextendibility_check(
+                                      basis, restarts=1, rng=0),
+                                   [ek.basis_state([2, 2], [0, 0])], [], ValueError,
+                                   r"^basis must be non-empty"),
+                                  (lambda basis: ek.upb_unextendibility_check(
+                                      basis, restarts=1, rng=0),
+                                   [ek.basis_state([2, 2], [0, 0])],
+                                   [ek.basis_state([2] * 4, [0] * 4)], ValueError,
+                                   r"^supported systems: up to 3 parties of qubits"),
                                   _mixed_for_pure(lambda v: ek.upb_unextendibility_check(
                                       [ek.basis_state([2, 2], [0, 0]), v], restarts=1, rng=0),
                                       ek.basis_state([2, 2], [0, 1]))],

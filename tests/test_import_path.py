@@ -1,7 +1,8 @@
 """Importing entkit, a PPT test of a mixed state, ``entkit analyze`` of a
 mixed document and a convex roof, on the analytic and on the
 finite-difference path, load no module of the ``scipy`` package.  Importing
-entkit loads no ``numpy.polynomial`` either.
+entkit loads no ``numpy.polynomial`` either, and ``import entkit.cli`` calls
+no ``numpy.linalg`` function.
 
 The convex roof runs on the package's own L-BFGS, so scipy is needed only by
 the tests' reference code, and the read path of a document is numpy only.
@@ -86,6 +87,30 @@ assert not [m for m in sys.modules if m == "scipy" or m.startswith("scipy.")]
 print("ok")
 """
 
+# every public function of numpy.linalg records its calls, before entkit loads
+_LINALG_CALLS = """
+import json
+import numpy as np
+calls = []
+
+
+def recording(name, f):
+    def call(*args, **kwargs):
+        calls.append(name)
+        return f(*args, **kwargs)
+    return call
+
+
+for name in np.linalg.__all__:
+    f = getattr(np.linalg, name)
+    if callable(f) and not isinstance(f, type):
+        setattr(np.linalg, name, recording(name, f))
+import entkit.cli  # noqa: F401
+at_import = list(calls)
+np.linalg.norm(np.ones(2))
+print(json.dumps({"import": at_import, "after": calls[len(at_import):]}))
+"""
+
 
 def _run(script: str) -> str:
     env = dict(os.environ)
@@ -121,3 +146,11 @@ def test_solvers_and_cli_run_with_scipy_refused():
     geometric measure and the canonical form solve, and ``entkit analyze``
     of a mixed document exits 0."""
     assert _run(_BLOCKED).strip() == "ok"
+
+
+def test_importing_the_cli_calls_no_linalg_function():
+    """``import entkit.cli`` makes no ``numpy.linalg`` call: the canonical
+    form's Chebyshev fit is a closed form, not a pseudo-inverse.  A call made
+    after the import is recorded, so the wrappers are in place."""
+    calls = json.loads(_run(_LINALG_CALLS))
+    assert calls == {"import": [], "after": ["norm"]}

@@ -477,6 +477,16 @@ def test_secular_roots_match_a_solve_of_every_interval(monkeypatch):
     assert sum(skipped) > 0.3 * 21 * len(calls)
 
 
+def test_chebyshev_fit_inverts_the_values_at_the_nodes():
+    """The fit of ``T_0 .. T_12`` from their discrete orthogonality at the 25
+    Chebyshev points, times their values there from ``numpy``'s recurrence,
+    is the 13 x 13 identity."""
+    from entkit.invariants import _CHEB_FIT, _CHEB_NODES
+
+    values = np.polynomial.chebyshev.chebvander(_CHEB_NODES, 12)
+    assert np.abs(_CHEB_FIT @ values - np.eye(13)).max() < 1e-14
+
+
 def test_record_json_fields():
     js = ek.lu_invariants(ek.ghz_state(3, 2)).to_json()
     assert set(js) == {

@@ -114,6 +114,53 @@ def test_geometric_measure_reports_its_finish():
         0, None, None)
 
 
+def test_geometric_measure_draws_a_fresh_factor_for_a_vanishing_contraction(monkeypatch):
+    """On ``|000>``, a restart that starts at ``|111>`` meets a zero
+    contraction in the first two parties it updates: each time it keeps its
+    overlap and draws a fresh factor from the restart generator, and it
+    climbs from there to overlap 1, beside a restart that starts there."""
+    from entkit import measures
+
+    draws, real = [], measures._random_factors
+
+    def starts(dims, count, rng):
+        draws.append(count)
+        if len(draws) > 1:
+            return real(dims, count, rng)
+        return [np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex) for _ in dims]
+
+    monkeypatch.setattr(measures, "_random_factors", starts)
+    res = ek.geometric_measure(ek.basis_state([2, 2, 2], [0, 0, 0]), restarts=2, seed=0)
+    assert draws == [2, 1, 1]
+    assert res.converged and max(res.restart_values) < 1e-15
+
+
+def test_gm_polish_undoes_a_step_that_lowers_the_overlap(monkeypatch):
+    """A Newton step of the finish that lowers the overlap is undone: the
+    restart goes back to the sweep from the factors it stood at before the
+    step, with the overlap it had there, and is not certified."""
+    from entkit import measures
+
+    psi = ek.PureState.normalized(np.eye(8)[0] + 0.3 * np.eye(8)[7], (2, 2, 2))
+    near = np.array([[1.0, 0.01]], dtype=complex) / np.hypot(1.0, 0.01)
+    factors, steps = [near.copy() for _ in range(3)], []
+
+    def away(dims, units, u):
+        # a step to |111>, far down the overlap
+        steps.append(u)
+        return [np.array([[0.0, 1.0]], dtype=complex) for _ in dims]
+
+    monkeypatch.setattr(measures, "_chart_step", away)
+    start = measures._chart_terms(psi.reshaped(), factors)[0][0]
+    iterations = np.zeros(1, dtype=int)
+    certified, back, left_at, _, _ = measures._gm_polish(
+        psi.reshaped(), factors, np.arange(1), iterations, 10)
+    assert len(steps) == 1 and iterations.tolist() == [2]
+    assert back.tolist() == [True] and certified.tolist() == [False]
+    assert left_at[0] == start
+    assert all(np.array_equal(f, near) for f in factors)
+
+
 def test_random_factors_read_the_stream_restart_by_restart():
     """The starts drawn in one ``standard_normal`` call are those drawn
     restart by restart, party by party, to rounding in the norm, and leave
@@ -1031,6 +1078,44 @@ def test_lbfgs_stops_at_maxiter():
     assert res.fun < _rosenbrock(np.array([-1.2, 1.0]))[0]
     res = minimize(_rosenbrock, np.ones(2), jac=True, maxiter=1)
     assert res.nit == 0 and res.nfev == 1 and res.success and res.fun == 0.0
+
+
+def test_lbfgs_retries_along_the_gradient_then_gives_up(monkeypatch):
+    """When the line search finds no Wolfe point, the pairs are dropped and
+    the iteration is retried along ``-g``; a second failure ends the run, not
+    converged, at the last point accepted."""
+    from entkit import measures
+
+    real, calls = measures._wolfe_step, []
+
+    def failing(evaluate, x, f0, d, dg0, t):
+        calls.append((x.copy(), d.copy()))
+        assert len(calls) <= 4, "the search went on after its second failure"
+        return real(evaluate, x, f0, d, dg0, t) if len(calls) <= 2 else None
+
+    monkeypatch.setattr(measures, "_wolfe_step", failing)
+    res = measures.minimize(_rosenbrock, np.array([-1.2, 1.0]), jac=True, maxiter=100)
+    assert not res.success and res.nit == 2 and len(calls) == 4
+    f, g = _rosenbrock(res.x)
+    assert res.fun == f
+    (x3, d3), (x4, d4) = calls[2:]
+    assert np.array_equal(x3, res.x) and np.array_equal(x4, res.x)
+    assert np.array_equal(d4, -g) and not np.allclose(d3, -g)
+
+
+def test_cubic_trial_takes_the_midpoint_where_the_cubic_has_no_minimizer():
+    """On ``[0, 1]`` with slope 1 at both ends, a rise of 2/3 gives the
+    cubic ``2/3 s^3 - s^2 + s``, whose slope never vanishes, and a rise of
+    1/3 gives ``4/3 s^3 - 2 s^2 + s``, whose slope only touches zero: both
+    take the midpoint, also with the first bracket stretched to ``[2, 4]``.
+    Slopes -1 and 2 with no rise give ``s^3 - s``, whose minimizer is
+    ``1/sqrt(3)``."""
+    from entkit.measures import _cubic_trial
+
+    assert _cubic_trial(0.0, 0.0, 1.0, 1.0, 2 / 3, 1.0) == 0.5
+    assert _cubic_trial(0.0, 0.0, 1.0, 1.0, 1 / 3, 1.0) == 0.5
+    assert _cubic_trial(0.0, 0.0, -1.0, 1.0, 0.0, 2.0) == pytest.approx(3 ** -0.5, abs=1e-15)
+    assert _cubic_trial(2.0, 0.0, 1.0, 4.0, 4 / 3, 1.0) == 3.0
 
 
 def test_convex_roof_ensemble_size_is_an_integer_up_to_dim_squared(monkeypatch):

@@ -120,6 +120,19 @@ def test_singular_filter_collapses_ghz():
     assert ek.schmidt_rank(collapsed, part) < ek.schmidt_rank(ghz, part)
 
 
+def test_a_filter_that_annihilates_the_state_leaves_no_post_state():
+    """Filtering ``|00>`` with ``|1><1|`` on the first party succeeds with
+    probability 0 and leaves no post-state; the depolarizing branch takes
+    all the probability.  The pure-state filter returns ``(None, 0.0)``."""
+    zero = ek.basis_state([2, 2], [0, 0])
+    kill = [np.diag([0.0, 1.0]), np.eye(2)]
+    filtered, depolarized = ek.local_filter(zero, kill)
+    assert (filtered.label, filtered.probability, filtered.post_state) == ("filtered", 0.0, None)
+    assert depolarized.probability == 1.0
+    assert np.array_equal(depolarized.post_state.matrix, np.eye(4) / 4)
+    assert ek.local_filter_pure(zero, kill) == (None, 0.0)
+
+
 def test_invertible_filters_preserve_slocc_class():
     rng = np.random.default_rng(2)
     for _ in range(200):
