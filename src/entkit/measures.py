@@ -22,7 +22,7 @@ import numpy as np
 from .core import _check_cap, _check_count, _check_same_dims, _check_tol, _rng
 from .partitions import as_bipartition
 from .schmidt import tangle_pure
-from .states import DensityMatrix, PureState, _marginal_spectrum, _require_pure
+from .states import DensityMatrix, PureState, _marginal_spectrum, _require_pure, as_density
 
 _GM_DIM_CAP = 1024
 _ROOF_DIM_CAP = 16
@@ -30,20 +30,17 @@ _RANK_DIM_CAP = 256
 _ITERATIONS_CAP = 10_000
 _RANK_RESIDUAL_TOL = 1e-6
 _RANK_TERM_NORM_CAP = 100.0
-#: Restart triage of :func:`geometric_measure`: the drift of the gain ratio
-#: allowed per sweep, relative to ``1 - r``; the sweeps it must stay steady;
-#: the factor on the Aitken gain to go; and the margin on the overlap.
-_GM_RATIO_DRIFT = 0.05
-_GM_STEADY_SWEEPS = 4
-_GM_AITKEN_SAFETY = 10.0
-_GM_MARGIN = 1e-6
-#: Newton finish of :func:`geometric_measure`: the gain per sweep below which
-#: a restart switches to it, once its gain ratio is steady; the most complex
+#: Newton finish of :func:`geometric_measure`: the drift of the gain ratio
+#: per sweep, relative to ``1 - r``, and the sweeps in a row it must keep
+#: within it to count as steady; the gain per sweep below which a restart
+#: switches to the finish, once its gain ratio is steady; the most complex
 #: chart coordinates it takes; the margin below 0 of the top Hessian
 #: eigenvalue of the squared overlap ``F``, relative to ``F``, and the
 #: gradient norm of ``F`` at a certified maximum; the fall of the overlap a
 #: step may show from rounding; and the distance in value within which
 #: restarts agree with a certified best.
+_GM_RATIO_DRIFT = 0.05
+_GM_STEADY_SWEEPS = 4
 _GM_SWITCH = 1e-4
 _GM_CHART_CAP = 32
 _GM_CURVATURE = 1e-2
@@ -78,18 +75,15 @@ class OptimizationResult:
     sweeps and Newton steps of the geometric measure) each restart ran.
 
     Only :func:`geometric_measure` sets the rest; a roof leaves the
-    defaults.  ``stopped_restarts`` counts the restarts it stopped because
-    they could not win; each counts as not converged, and its value and
-    iterations are those it had reached when it stopped.
-    ``agreeing_restarts`` counts the restarts whose value agrees with the
-    best, the best one included: within 1e-12 of a certified local maximum,
-    and within ``2 tol`` of a best restart whose sweep met ``tol``.  One of
-    16, say, calls for more restarts.  ``gradient_norm`` and
+    defaults.  ``agreeing_restarts`` counts the restarts whose value agrees
+    with the best, the best one included: within 1e-12 of a certified local
+    maximum, and within ``2 tol`` of a best restart whose sweep met ``tol``.
+    One of 16, say, calls for more restarts.  ``gradient_norm`` and
     ``hessian_top_eigenvalue`` are the gradient norm and the top Hessian
     eigenvalue of ``|<product|psi>|^2`` at the argument, on the product of
-    spheres; the eigenvalue lies below 0 at
-    an isolated local maximum and near 0 along a continuum of maxima, as on
-    W.  Both are ``None`` where the measure has no Newton finish.
+    spheres; the eigenvalue lies below 0 at an isolated local maximum and
+    near 0 along a continuum of maxima, as on W.  Both are ``None`` where
+    the measure has no Newton finish.
     """
 
     value: float
@@ -100,7 +94,6 @@ class OptimizationResult:
     restart_values: tuple[float, ...]
     restart_iterations: tuple[int, ...]
     converged_restarts: int
-    stopped_restarts: int = 0
     agreeing_restarts: int = 0
     gradient_norm: float | None = None
     hessian_top_eigenvalue: float | None = None
@@ -275,20 +268,19 @@ def _chart_step(dims, units: list, u: np.ndarray) -> list:
     return _by_dimension(dims, move, units, [w[:, at[k]:at[k + 1]] for k in range(len(dims))])
 
 
-def _gm_sweeps(tr, factors, rows, last, iterations, cap, tol, switch, reached, rng):
+def _gm_sweeps(tr, factors, rows, last, iterations, cap, tol, switch, rng):
     """Alternating sweeps of the restarts ``rows``, factor ``k`` of each in
     ``factors[k]`` ``(restarts, d_k)``, from the overlaps ``last`` they stand
     at, until each leaves: its gain per sweep falls below ``tol`` (it met
     ``tol``), or else below ``switch`` with its gain ratio steady (it
-    switches to the Newton finish), the triage stops it because it cannot
-    win, or its ``iterations`` reach ``cap``.  ``factors`` and
-    ``iterations`` are updated in place.
+    switches to the Newton finish), or its ``iterations`` reach ``cap``.
+    Each restart leaves on its own gains, as it would alone.  ``factors``
+    and ``iterations`` are updated in place.
 
-    Returns, over ``rows``: the masks of the restarts that met ``tol``,
-    switched and were stopped; and ``reached``, raised to the best overlap a
-    restart that met ``tol`` or switched has left with."""
+    Returns, over ``rows``, the masks of the restarts that met ``tol`` and
+    of those that switched."""
     size = len(rows)
-    met, switched, stopped = (np.zeros(size, dtype=bool) for _ in range(3))
+    met, switched = np.zeros(size, dtype=bool), np.zeros(size, dtype=bool)
     # the factors of the live restarts, conjugated once, when they change,
     # and the sweeps each may still run
     live, cur, budget = np.arange(size), [f[rows].conj() for f in factors], cap - iterations[rows]
@@ -332,30 +324,20 @@ def _gm_sweeps(tr, factors, rows, last, iterations, cap, tol, switch, reached, r
         overlap = last
         _sweep(tr, cur, update)
         step = overlap - last
-        # linear convergence: a ratio r of gains steady in (0, 1) puts the
-        # limit near the Aitken value overlap + step r / (1 - r)
+        # linear convergence, where the Newton finish pays: the ratio r of
+        # each gain to the one before steady in (0, 1)
         r = step / np.where(gain > 0, gain, np.inf)
         steady = (steady + 1) * ((r > 0) & (abs(r - ratio) < _GM_RATIO_DRIFT * (1.0 - r)))
         last, gain, ratio = overlap, step, r
         done = step < tol
         # a restart whose ratio creeps, as on the way past a saddle point,
-        # sweeps on; one that switches is never stopped here
-        leave = done | ((step < switch) & (steady >= _GM_STEADY_SWEEPS))
-        out = leave
-        if leave.any():
-            reached = max(reached, np.maximum.reduce(overlap[leave]))
-        if np.maximum.reduce(steady) >= _GM_STEADY_SWEEPS:
-            calm = ~leave & (steady >= _GM_STEADY_SWEEPS)
-            rc = np.where(calm, r, 0.0)
-            stop = calm & (overlap + _GM_AITKEN_SAFETY * step * rc / (1.0 - rc)
-                           < reached - _GM_MARGIN)
-            stopped[live[stop]] = True
-            out = leave | stop
+        # sweeps on
+        out = done | ((step < switch) & (steady >= _GM_STEADY_SWEEPS))
         if out.any():
             met[live[done]] = True
-            switched[live[leave & ~done]] = True
+            switched[live[out & ~done]] = True
             retire(out)
-    return met, switched, stopped, reached
+    return met, switched
 
 
 def _gm_polish(psi_t, factors, rows, iterations, cap):
@@ -424,33 +406,24 @@ def geometric_measure(
     J. Matrix Anal. Appl. 21, 1324 (2000)), so it ends with a Newton finish.
     A restart leaves the sweep once its overlap gain per sweep falls below
     ``tol``, which counts as converged, or else below 1e-4 with a steady
-    gain ratio (see below), which makes it a candidate for the finish.  A
-    restart whose ratio creeps, as on the way past a saddle point, sweeps
-    on.  Every candidate takes guarded Newton steps on the product of
-    spheres, all together (see :func:`_chart_terms`), each step one
-    iteration.  A step is kept only if the Hessian of the squared overlap
-    ``F`` is negative definite, its top eigenvalue below ``-F / 100``, and
-    the step raises the overlap; the restart converges, as a certified local
-    maximum, once that holds and the gradient norm of ``F`` is at most
-    1e-10.  A restart whose Hessian fails the test, as near a saddle point
-    or on W's continuum of closest product states, or whose step lowers the
-    overlap, goes back to sweeping from where it stands, until its gain
-    falls below ``tol``; it never restarts.  Where the chart has more than 32
-    complex coordinates (``sum(d_k - 1)``), or none, there is no finish and
-    every restart sweeps to ``tol``.
-
-    A restart that cannot win stops early.  Once the ratio ``r`` of a
-    restart's gain ``g`` to its gain the sweep before is steady, its overlap
-    ``o`` tends to the Aitken limit ``o + g r / (1 - r)``.  A sweeping
-    restart that is not a candidate stops when ``r`` has stayed in (0, 1),
-    moving by at most 5% of ``1 - r`` a sweep, for 4 sweeps in a row, and
-    ``o + 10 g r / (1 - r)`` lies more than 1e-6 below the best overlap a
-    restart has left the sweep with.  A candidate is never stopped: a
-    ratio can hold steady for a few sweeps on the way to a saddle point, past
-    which the restart may climb above the best, and the finish, which
-    certifies only a local maximum, tells the two apart.  A stopped restart
-    keeps the factors and iterations it had, counts as not converged and is
-    counted in ``stopped_restarts``.
+    gain ratio, which makes it a candidate for the finish: the ratio of its
+    gain to its gain the sweep before has stayed in (0, 1), moving by at
+    most 5% of ``1 - ratio`` a sweep, for 4 sweeps in a row.  A restart
+    whose ratio creeps, as on the way past a saddle point, sweeps on.  Each
+    restart leaves on its own gains, as it would alone; none is stopped for
+    lying below the others, since a restart may pass a saddle point on its
+    way to the best value.  Every candidate takes guarded Newton steps on
+    the product of spheres, all together (see :func:`_chart_terms`), each
+    step one iteration.  A step is kept only if the Hessian of the squared
+    overlap ``F`` is negative definite, its top eigenvalue below
+    ``-F / 100``, and the step raises the overlap; the restart converges, as
+    a certified local maximum, once that holds and the gradient norm of
+    ``F`` is at most 1e-10.  A restart whose Hessian fails the test, as near
+    a saddle point or on W's continuum of closest product states, or whose
+    step lowers the overlap, goes back to sweeping from where it stands,
+    until its gain falls below ``tol``; it never restarts.  Where the chart
+    has more than 32 complex coordinates (``sum(d_k - 1)``), or none, there
+    is no finish and every restart sweeps to ``tol``.
 
     ``value`` and ``restart_values`` come from each restart's final factors,
     so ``|<argument|psi>|^2 = 1 - value`` to rounding.  ``converged`` is true
@@ -489,19 +462,17 @@ def geometric_measure(
     tr = _reversed(psi.reshaped()[None])  # the state as the one member of the sweep kernel
     chart = 0 < sum(d - 1 for d in dims) <= _GM_CHART_CAP
     iterations = np.zeros(restarts, dtype=int)
-    converged, switched, stopped, reached = _gm_sweeps(
+    converged, switched = _gm_sweeps(
         tr, factors, np.arange(restarts), np.zeros(restarts), iterations, max_iterations, tol,
-        _GM_SWITCH if chart else -np.inf, -np.inf, rng)
+        _GM_SWITCH if chart else -np.inf, rng)
     rows = np.flatnonzero(switched & (iterations < max_iterations))
     certified, back, polished, grad_norm, top = _gm_polish(
         psi.reshaped(), factors, rows, iterations, max_iterations)
     converged[rows[certified]] = True
     if back.any():
-        more, _, stops, _ = _gm_sweeps(
+        converged[rows[back]] |= _gm_sweeps(
             tr, factors, rows[back], polished[back], iterations, max_iterations, tol, -np.inf,
-            max(reached, polished.max()), rng)
-        converged[rows[back]] |= more
-        stopped[rows[back]] |= stops
+            rng)[0]
     overlaps = _overlaps(tr, [f.conj() for f in factors])
     best = int(np.argmax(overlaps))
     values = np.maximum(0.0, 1.0 - overlaps**2)
@@ -527,7 +498,6 @@ def geometric_measure(
         restart_values=tuple(float(v) for v in values),
         restart_iterations=tuple(int(k) for k in iterations),
         converged_restarts=int(converged.sum()),
-        stopped_restarts=int(stopped.sum()),
         agreeing_restarts=int((values <= values[best] + agree).sum()),
         gradient_norm=None if gradient is None else float(gradient),
         hessian_top_eigenvalue=None if curvature is None else float(curvature),
@@ -611,6 +581,8 @@ def multipartite_concurrence(
     ``2 sum_{i<j} lam_i lam_j``: summed from its least terms, it is 0 on a product cut.
     """
     _require_pure(psi)
+    if not isinstance(p, Mapping):
+        raise ValueError(f"p must map sign patterns to weights, got {type(p).__name__}")
     n = psi.n_parties
     live = [k for k in range(n) if psi.dims[k] > 1]
     m = len(live)
@@ -856,7 +828,7 @@ def _tangle_roof(x: np.ndarray, b: np.ndarray, dims, low: np.ndarray) -> tuple[f
 
 
 def convex_roof(
-    rho: DensityMatrix,
+    rho: DensityMatrix | PureState,
     f: Callable[[PureState], float],
     ensemble_size: int | None = None,
     restarts: int = 8,
@@ -884,8 +856,9 @@ def convex_roof(
 
     Parameters
     ----------
-    rho : DensityMatrix
-        Mixed state, total dimension at most 16.
+    rho : DensityMatrix or PureState
+        State, total dimension at most 16; a pure state enters as its
+        projector.
     f : callable
         Pure-state functional being extended.
     ensemble_size : int, optional
@@ -897,6 +870,7 @@ def convex_roof(
     maxiter : int
         L-BFGS iterations per restart, 1 to 10,000.
     """
+    rho = as_density(rho)
     _check_cap(rho.dim, _ROOF_DIM_CAP, "convex roof dimension")
     restarts = _check_count(restarts, "restarts")
     maxiter = _check_count(maxiter, "maxiter", hi=_ITERATIONS_CAP)

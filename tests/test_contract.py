@@ -76,6 +76,10 @@ def _unphysical(call, good, as_input=lambda m: m):
             for m, message in UNPHYSICAL_MATRICES]
 
 
+def _roof(rho):
+    return ek.convex_roof(rho, ek.tangle_pure, restarts=1, maxiter=1, seed=0)
+
+
 def _three_qubit(name, row=None):
     call = getattr(ek, name)
     return [row or (call, _GHZ, _BELL, ValueError, r"^expected a 3-qubit state"),
@@ -87,7 +91,9 @@ def _three_qubit(name, row=None):
 ROWS = {
     "DensityMatrix": [(lambda m: ek.DensityMatrix(m, (2,)), np.eye(2) / 2,
                        np.diag([_NAN, 1.0]), ValueError, r"^density matrix entries must be finite"),
-                      *_unphysical(lambda m: ek.DensityMatrix(m, (2,)), np.eye(2) / 2)],
+                      *_unphysical(lambda m: ek.DensityMatrix(m, (2,)), np.eye(2) / 2),
+                      (lambda m: ek.DensityMatrix(m, (2, 2)), np.eye(4) / 4, np.eye(3) / 3,
+                       ValueError, r"^matrix shape \(3, 3\) does not match dims \(2, 2\)")],
     "PureState": [(lambda a: ek.PureState(a, (2,)), [1.0, 0.0], [_NAN, 0.0], ValueError,
                    r"^state norm nan is not 1"),
                   (lambda dims: ek.PureState([1.0, 0.0], dims), (1, 2), (True, 2), ValueError,
@@ -138,10 +144,12 @@ ROWS = {
                          _array_for_state(lambda psi: ek.concurrence_pure(psi, _CUT))],
     "conditional_entropy": (lambda b: ek.conditional_entropy(_BELL, [0], b), [1], [5],
                             ValueError, r"^b \[5\] out of range"),
-    "convex_roof": (lambda rho: ek.convex_roof(rho, ek.tangle_pure, restarts=1, maxiter=1,
-                                               seed=0),
-                    _BELL.density(), ek.random_density_matrix([2] * 5, rank=1, rng=0), _SIZE,
-                    r"^convex roof dimension 32 exceeds the cap 16"),
+    "convex_roof": [(_roof, _BELL.density(), ek.random_density_matrix([2] * 5, rank=1, rng=0),
+                     _SIZE, r"^convex roof dimension 32 exceeds the cap 16"),
+                    _array_for_state(_roof, _BELL, message=(
+                        r"^expected PureState or DensityMatrix, got ndarray")),
+                    (_roof, _BELL, _BELL.amplitudes.tolist(), ValueError,
+                     r"^expected PureState or DensityMatrix, got list")],
     "dump_state": _array_for_state(lambda s: ek.dump_state(s, io.StringIO()), message=(
         r"^expected PureState or DensityMatrix, got ndarray")),
     "entanglement_entropy": [(lambda b: ek.entanglement_entropy(_BELL, base=b), 2, 1,
@@ -226,7 +234,10 @@ ROWS = {
     "multipartite_concurrence": [(lambda w: ek.multipartite_concurrence(_BELL, {(-1, -1): w}),
                                   1.0, _NAN, ValueError, r"^weight must be finite"),
                                  _mixed_for_pure(lambda psi: ek.multipartite_concurrence(
-                                     psi, {(-1, -1): 1.0}), _BELL)],
+                                     psi, {(-1, -1): 1.0}), _BELL),
+                                 (lambda p: ek.multipartite_concurrence(_BELL, p),
+                                  {(-1, -1): 1.0}, [((-1, -1), 1.0)], ValueError,
+                                  r"^p must map sign patterns to weights, got list")],
     "nielsen_convertible": [(lambda phi: ek.nielsen_convertible(_BELL, phi), _BELL,
                              ek.bell_state(3), ValueError, r"^dims mismatch"),
                             _mixed_for_pure(lambda psi: ek.nielsen_convertible(psi, _BELL),

@@ -551,6 +551,10 @@ def test_cli_exit_codes(tmp_path):
         path = tmp_path / f"unphysical{k}.json"
         path.write_text(json.dumps(mixed_document(matrix)))
         assert main(["analyze", str(path)]) == 2
+    # a 3 x 3 matrix on one qubit
+    mismatched = tmp_path / "mismatched.json"
+    mismatched.write_text(json.dumps(mixed_document(np.eye(3) / 3)))
+    assert main(["analyze", str(mismatched)]) == 2
     # non-finite bounds, and a step whose point count is over the cap: the
     # count is checked before any point is built
     for grid in ("0:inf:0.1", "nan:1:0.1", "0,inf", "0:1:1e-12"):
