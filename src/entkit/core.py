@@ -61,7 +61,10 @@ def _index(value) -> int:
 
 
 def _check_dims(dims: Sequence[int]) -> tuple[int, ...]:
-    dims = tuple(dims)
+    try:
+        dims = tuple(dims)
+    except TypeError:
+        raise ValueError(f"dims must be a sequence of local dimensions, got {dims}") from None
     try:
         dims = tuple(map(_index, dims))
     except TypeError:

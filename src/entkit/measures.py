@@ -78,7 +78,10 @@ class OptimizationResult:
     defaults.  ``agreeing_restarts`` counts the restarts whose value agrees
     with the best, the best one included: within 1e-12 of a certified local
     maximum, and within ``2 tol`` of a best restart whose sweep met ``tol``.
-    One of 16, say, calls for more restarts.  ``gradient_norm`` and
+    A high count does not show that the global maximum was found: where 16
+    restarts on Haar states of 7 and 8 qubits missed it, 3 to 10 of them
+    agreed on the value they reached.  More restarts are the remedy; 32
+    missed on none of 100 seeds there.  ``gradient_norm`` and
     ``hessian_top_eigenvalue`` are the gradient norm and the top Hessian
     eigenvalue of ``|<product|psi>|^2`` at the argument, on the product of
     spheres; the eigenvalue lies below 0 at an isolated local maximum and

@@ -2,7 +2,8 @@
 
 These helpers deliberately avoid the library code paths they are used to
 check: partial traces by explicit index summation, partial transposition by
-element shuffling, and majorization by a plain partial-sum loop.
+element shuffling, majorization by a plain partial-sum loop, and the roots of
+the canonical form's secular polynomial by a solve of every fit interval.
 
 After the summary, the run prints the median time of the benchmark's
 reference kernel, so that a wall time of the suite can be read against the
@@ -105,6 +106,25 @@ def majorizes_loop(p, q) -> bool:
         if sp < sq - 1e-12:
             return False
     return True
+
+
+def secular_roots_every_interval(d, p, q, cc, bound):
+    """The real roots in ``[-bound, bound]`` of ``invariants._secular`` with
+    no interval screened: the colleague matrices of all 21 fit intervals go to
+    one ``eigvals``."""
+    from entkit.invariants import (_CHEB_FIT, _CHEB_NODES, _COLLEAGUE, _COLLEAGUE_SCALE, _CUTS,
+                                   _secular)
+
+    lo, hi = bound * _CUTS[:-1, None], bound * _CUTS[1:, None]
+    mid, half = (hi + lo) / 2, (hi - lo) / 2
+    coef = _secular(mid + half * _CHEB_NODES, d, p, q, cc) @ _CHEB_FIT.T
+    scale = np.abs(coef).max(1)
+    mid, half, coef = mid[scale > 0], half[scale > 0], coef[scale > 0] / scale[scale > 0, None]
+    lead = np.where(np.abs(coef[:, -1:]) < 1e-16, 1e-16, coef[:, -1:])
+    mats = np.repeat(_COLLEAGUE[None], len(coef), 0)
+    mats[:, :, -1] -= coef[:, :-1] / lead * _COLLEAGUE_SCALE
+    x = np.linalg.eigvals(mats[:, ::-1, ::-1])
+    return (mid + half * x.real)[(np.abs(x.imag) < 1e-6) & (np.abs(x.real) <= 1.0)]
 
 
 #: Single-qubit matrices that no entry point may take as a state, each with

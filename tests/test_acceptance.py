@@ -18,7 +18,7 @@ import pytest
 import entkit as ek
 from entkit.special import Feasibility
 
-from conftest import majorizes_loop
+from conftest import majorizes_loop, secular_roots_every_interval
 
 N_HAAR = 10_000
 
@@ -394,68 +394,53 @@ def _noisy_product(rng):
     return ek.PureState.normalized(amp + 1e-3 * noise, (2, 2, 2))
 
 
-def _secular_roots_boyd_only(d, p, q, cc, bound):
-    """``invariants._secular_roots`` with the Boyd test as its only filter,
-    and the number of colleague matrices it solves."""
-    from entkit.invariants import (
-        _CHEB_FIT,
-        _CHEB_NODES,
-        _COLLEAGUE,
-        _COLLEAGUE_SCALE,
-        _CUTS,
-        _secular,
-    )
-
-    lo, hi = bound * _CUTS[:-1, None], bound * _CUTS[1:, None]
-    mid, half = (hi + lo) / 2, (hi - lo) / 2
-    coef = _secular(mid + half * _CHEB_NODES, d, p, q, cc) @ _CHEB_FIT.T
-    scale = np.abs(coef).max(1)
-    keep = (scale > 0) & (np.abs(coef[:, 0]) <= 1.001 * np.abs(coef[:, 1:]).sum(1))
-    mid, half, coef = mid[keep], half[keep], coef[keep] / scale[keep, None]
-    lead = np.where(np.abs(coef[:, -1:]) < 1e-16, 1e-16, coef[:, -1:])
-    mats = np.repeat(_COLLEAGUE[None], len(coef), 0)
-    mats[:, :, -1] -= coef[:, :-1] / lead * _COLLEAGUE_SCALE
-    x = np.linalg.eigvals(mats[:, ::-1, ::-1])
-    return (mid + half * x.real)[(np.abs(x.imag) < 1e-6) & (np.abs(x.real) <= 1.0)], len(coef)
+def _noisy_bell_image(rng):
+    """An SLOCC image of ``|0> (x) Bell`` plus complex Gaussian noise of size
+    1e-2, renormalized."""
+    amp = _slocc_image(rng, np.kron([1, 0], ek.bell_state(2).amplitudes)).amplitudes
+    noise = rng.standard_normal(8) + 1j * rng.standard_normal(8)
+    return ek.PureState.normalized(amp + 1e-2 * noise, (2, 2, 2))
 
 
 def test_c12_bernstein_test_drops_no_secular_root(c12_forms, monkeypatch):
-    """Skipping the secular intervals whose Bernstein coefficients all clear
-    the Boyd margin with one sign changes no bit of the roots, nor of ``r``,
-    ``theta``, ``roots`` and ``newton_steps``: on the states of criterion 12,
-    on SLOCC images of GHZ and W (seed 12) and on product states plus 1e-3
-    noise, against a copy of the filter with the Boyd test alone.  It solves
-    fewer colleague matrices."""
+    """Skipping the secular intervals whose Bernstein coefficients keep one
+    sign leaves every bit of the roots as it is, and of ``r``, ``theta``,
+    ``roots``, ``newton_steps`` and ``morse_count``: on the states of
+    criterion 12, on SLOCC images of GHZ and W (seed 12), on product states
+    plus 1e-3 noise and on SLOCC images of ``|0> (x) Bell`` plus 1e-2 noise,
+    against a solve of every interval.  It solves fewer than a third of the
+    21 colleague matrices."""
     from entkit import invariants
 
     rng = np.random.default_rng(12)
     ghz, w = ek.ghz_state(3, 2).amplitudes, ek.w_state().amplitudes
     extra = ([_slocc_image(rng, ghz) for _ in range(60)] + [_slocc_image(rng, w) for _ in range(60)]
-             + [_noisy_product(rng) for _ in range(60)])
+             + [_noisy_product(rng) for _ in range(60)] + [_noisy_bell_image(rng) for _ in range(60)])
     pairs = c12_forms + [(psi, ek.acin_canonical_form(psi)) for psi in extra]
     library, eigvals = invariants._secular_roots, np.linalg.eigvals
-    solved = {"library": 0, "boyd": 0}
+    solved = {"calls": 0, "matrices": 0}
 
     def counting(mats):
-        solved["library"] += len(mats)
+        solved["matrices"] += len(mats)
         return eigvals(mats)
 
-    def boyd_only(*args):
-        roots, count = _secular_roots_boyd_only(*args)
-        solved["boyd"] += count
+    def every_interval(*args):
+        roots = secular_roots_every_interval(*args)
+        solved["calls"] += 1
         with monkeypatch.context() as m:
             m.setattr(np.linalg, "eigvals", counting)
             assert library(*args).tobytes() == roots.tobytes()
         return roots
 
-    monkeypatch.setattr(invariants, "_secular_roots", boyd_only)
+    monkeypatch.setattr(invariants, "_secular_roots", every_interval)
     for psi, form in pairs:
         other = ek.acin_canonical_form(psi)
         assert other.r.tobytes() == form.r.tobytes() and other.theta == form.theta
-        assert (other.roots, other.newton_steps) == (form.roots, form.newton_steps)
-    assert len(pairs) == 1180 and solved["library"] < solved["boyd"]
-    print(f"Bernstein test: {solved['boyd'] / len(pairs):.2f} -> "
-          f"{solved['library'] / len(pairs):.2f} colleague matrices a form, roots unchanged")
+        assert ((other.roots, other.newton_steps, other.morse_count)
+                == (form.roots, form.newton_steps, form.morse_count))
+    assert len(pairs) == 1240 and solved["matrices"] < 21 * solved["calls"] / 3
+    print(f"Bernstein test: {solved['matrices'] / len(pairs):.2f} of 21 colleague matrices "
+          "a form, roots unchanged")
 
 
 def _six_step_newton(a, order, forms):

@@ -76,6 +76,12 @@ def _unphysical(call, good, as_input=lambda m: m):
             for m, message in UNPHYSICAL_MATRICES]
 
 
+def _bare_dims(call, good, bad=2):
+    """The row that passes a bare integer, or ``None``, where the sequence of
+    local dimensions belongs."""
+    return (call, good, bad, ValueError, rf"^dims must be a sequence of local dimensions, got {bad}$")
+
+
 def _roof(rho):
     return ek.convex_roof(rho, ek.tangle_pure, restarts=1, maxiter=1, seed=0)
 
@@ -93,11 +99,13 @@ ROWS = {
                        np.diag([_NAN, 1.0]), ValueError, r"^density matrix entries must be finite"),
                       *_unphysical(lambda m: ek.DensityMatrix(m, (2,)), np.eye(2) / 2),
                       (lambda m: ek.DensityMatrix(m, (2, 2)), np.eye(4) / 4, np.eye(3) / 3,
-                       ValueError, r"^matrix shape \(3, 3\) does not match dims \(2, 2\)")],
+                       ValueError, r"^matrix shape \(3, 3\) does not match dims \(2, 2\)"),
+                      _bare_dims(lambda dims: ek.DensityMatrix(np.eye(2) / 2, dims), (2,))],
     "PureState": [(lambda a: ek.PureState(a, (2,)), [1.0, 0.0], [_NAN, 0.0], ValueError,
                    r"^state norm nan is not 1"),
                   (lambda dims: ek.PureState([1.0, 0.0], dims), (1, 2), (True, 2), ValueError,
-                   r"^local dimensions must be integers, got \(True, 2\)")],
+                   r"^local dimensions must be integers, got \(True, 2\)"),
+                  _bare_dims(lambda dims: ek.PureState([1.0, 0.0], dims), (2,))],
     "Instrument": [(lambda k: ek.Instrument((("a", (k,)),), dims=(2,)), np.eye(2),
                     np.full((2, 2), _NAN), ValueError, r"^branch 'a' Kraus operators must be finite"),
                    (lambda k: ek.Instrument((("a", (k,)),), dims=(2,)), np.eye(2), np.eye(2) / 2,
@@ -250,7 +258,9 @@ ROWS = {
                               [0.5], ValueError, r"^subsystem indices must be integers"),
                              (lambda m: ek.partial_trace_matrix(m, (2, 2), [0]), np.eye(4) / 4,
                               np.eye(3) / 3, ValueError,
-                              r"^matrix shape \(3, 3\) does not match dims \(2, 2\)")],
+                              r"^matrix shape \(3, 3\) does not match dims \(2, 2\)"),
+                             _bare_dims(lambda dims: ek.partial_trace_matrix(np.eye(4) / 4, dims, [0]),
+                                        (4,), 4)],
     "partial_transpose": (lambda s: ek.partial_transpose(_BELL, s), [0], [0, 1], ValueError,
                           r"^subset must be a proper subset"),
     "phi_a_state": (ek.phi_a_state, 1.0, complex(_NAN, 0), ValueError, r"^a must be finite"),
@@ -267,9 +277,12 @@ ROWS = {
     "random_density_matrix": [(lambda r: ek.random_density_matrix([2, 2], rank=r, rng=0), 2,
                                1.5, ValueError, r"^rank must be an integer"),
                               (lambda r: ek.random_density_matrix([2, 2], rank=r, rng=0), 4,
-                               0, ValueError, r"^rank must be in 1\.\.4")],
-    "random_pure_state": (lambda rng: ek.random_pure_state([2], rng=rng), 0, _NAN, ValueError,
-                          r"^rng must be None"),
+                               0, ValueError, r"^rank must be in 1\.\.4"),
+                              _bare_dims(lambda dims: ek.random_density_matrix(dims, rng=0), [3], 3)],
+    "random_pure_state": [(lambda rng: ek.random_pure_state([2], rng=rng), 0, _NAN, ValueError,
+                           r"^rng must be None"),
+                          _bare_dims(lambda dims: ek.random_pure_state(dims, rng=0), [2]),
+                          _bare_dims(lambda dims: ek.random_pure_state(dims, rng=0), [2], None)],
     "refines": (lambda a: ek.refines(_TWO_OF_THREE, a), ek.Partition(((0, 1),)),
                 ek.Partition(((0,), (1,), (2,))), ValueError,
                 r"^partitions are over different party sets"),

@@ -356,13 +356,14 @@ def _gm_one_restart_at_a_time(psi, restarts, seed, max_iterations, tol=1e-10):
     Newton finish.  A restart sweeps until its gain falls below ``tol``
     (converged) or switches (see :func:`_sweep_plainly_until`); a restart
     that switched takes the finish, and one that the finish sends back
-    sweeps to ``tol``.  Values come from the final factors."""
+    sweeps to ``tol``.  Returns the value, the converged flag, the iterations
+    and the final factors of each restart; values come from those factors."""
     from entkit.measures import _GM_CHART_CAP, _GM_SWITCH
 
     rng = np.random.default_rng(seed)
     t = psi.reshaped()
     switch = _GM_SWITCH if 0 < sum(d - 1 for d in psi.dims) <= _GM_CHART_CAP else -np.inf
-    values, flags, sweeps = [], [], []
+    values, flags, sweeps, finals = [], [], [], []
     for _ in range(restarts):
         factors = _draw_plainly(psi.dims, rng)
         state, overlap, iterations = _sweep_plainly_until(t, factors, 0.0, 0, max_iterations, tol,
@@ -375,7 +376,8 @@ def _gm_one_restart_at_a_time(psi, restarts, seed, max_iterations, tol=1e-10):
         values.append(max(0.0, 1.0 - abs(_contract_others(t, factors, None)) ** 2))
         flags.append(state in ("met", "certified"))
         sweeps.append(iterations)
-    return values, flags, sweeps
+        finals.append(factors)
+    return values, flags, sweeps, finals
 
 
 @pytest.mark.parametrize("psi", [
@@ -393,7 +395,7 @@ def test_geometric_measure_matches_one_restart_at_a_time(psi):
     they reach one at a time from the same starts, finish included; a cap of 3
     iterations leaves some of them unconverged."""
     for seed, max_iterations in ((0, 500), (1, 500), (2, 3)):
-        values, flags, sweeps = _gm_one_restart_at_a_time(psi, 6, seed, max_iterations)
+        values, flags, sweeps, _ = _gm_one_restart_at_a_time(psi, 6, seed, max_iterations)
         res = ek.geometric_measure(psi, restarts=6, seed=seed, max_iterations=max_iterations)
         _check_against_one_at_a_time(res, values, sweeps)
         assert res.value == pytest.approx(min(values), abs=1e-12)
@@ -426,7 +428,7 @@ def test_geometric_measure_runs_each_batched_restart_as_alone():
              (ek.random_pure_state([2] * 8, rng=78), 8, 3),
              (ek.random_pure_state([2] * 8, rng=78), 16, 5)]
     for psi, restarts, seed in runs:
-        values, flags, sweeps = _gm_one_restart_at_a_time(psi, restarts, seed, 500)
+        values, flags, sweeps, _ = _gm_one_restart_at_a_time(psi, restarts, seed, 500)
         res = ek.geometric_measure(psi, restarts=restarts, seed=seed)
         assert res.value == pytest.approx(min(values), abs=1e-12)
         assert res.converged == flags[int(np.argmin(values))]
@@ -450,7 +452,7 @@ def test_geometric_measure_keeps_a_restart_that_passes_a_saddle_point():
     finish hands it back to the sweep, which carries it past the saddle
     point to the best value, as when the restarts run one at a time."""
     psi = _fixed_haar8()
-    values, flags, sweeps = _gm_one_restart_at_a_time(psi, 16, 66, 500)
+    values, flags, sweeps, _ = _gm_one_restart_at_a_time(psi, 16, 66, 500)
     res = ek.geometric_measure(psi, restarts=16, seed=66)
     _check_against_one_at_a_time(res, values, sweeps)
     assert res.value == pytest.approx(min(values), abs=1e-12)
@@ -458,78 +460,20 @@ def test_geometric_measure_keeps_a_restart_that_passes_a_saddle_point():
     assert sorted(values)[1] > res.value + 1e-4
 
 
-def _gm_batched_tensordot(psi, restarts, seed, max_iterations, tol=1e-10):
-    """The solver of ``geometric_measure`` with every contraction a
-    per-restart ``tensordot`` (:func:`_sweep_plainly`) in place of the sweep
-    kernel's environments, and the finish written plainly: the same starts,
-    the same batched switch and return to the sweep.  Returns the values, the
-    iterations and the converged flag of each restart, and the factors."""
-    from entkit.measures import _GM_RATIO_DRIFT, _GM_STEADY_SWEEPS, _GM_SWITCH, _random_factors
-
-    t = psi.reshaped()
-    starts = _random_factors(psi.dims, restarts, np.random.default_rng(seed))
-    factors = [[f[i] for f in starts] for i in range(restarts)]
-    iterations, state, left_at = [0] * restarts, [None] * restarts, [0.0] * restarts
-
-    def sweeps(live, switch):
-        last = {i: left_at[i] for i in live}
-        gain, ratio, steady = (dict.fromkeys(live, x) for x in (0.0, 0.0, 0))
-        while live:
-            for i in live:
-                if iterations[i] >= max_iterations:
-                    state[i] = "capped"
-            live = [i for i in live if state[i] is None]
-            step = {}
-            for i in live:
-                iterations[i] += 1
-                now = _sweep_plainly(t, factors[i])
-                step[i] = now - last[i]
-                r = step[i] / gain[i] if gain[i] > 0 else 0.0
-                calm = 0 < r and abs(r - ratio[i]) < _GM_RATIO_DRIFT * (1.0 - r)
-                steady[i] = steady[i] + 1 if calm else 0
-                last[i], gain[i], ratio[i] = now, step[i], r
-            for i in live:
-                if step[i] < tol:
-                    state[i] = "met"
-                elif step[i] < switch and steady[i] >= _GM_STEADY_SWEEPS:
-                    state[i] = "switched"
-                else:
-                    continue
-                left_at[i] = last[i]
-            live = [i for i in live if state[i] is None]
-
-    sweeps(list(range(restarts)), _GM_SWITCH)
-    polish = [i for i in range(restarts)
-              if state[i] == "switched" and iterations[i] < max_iterations]
-    for i in polish:
-        state[i], left_at[i], iterations[i] = _polish_plainly(
-            t, factors[i], iterations[i], max_iterations)
-    back = [i for i in polish if state[i] == "back"]
-    if back:
-        for i in back:
-            state[i] = None
-        sweeps(back, -np.inf)
-    values = [max(0.0, 1.0 - abs(_contract_others(t, f, None)) ** 2) for f in factors]
-    flags = [s in ("met", "certified") for s in state]
-    return values, iterations, flags, factors
-
-
 def test_geometric_measure_environment_sweep_matches_tensordot_contractions():
     """The sweep kernel's environments (the state contracted once a sweep)
-    against per-party ``tensordot`` contractions, finish included: the same
-    iterations and flags, values within 1e-12 and the same argument up to
-    phase, on GHZ, W and Haar states of 3 to 8 qubits, run to convergence and
-    cut at 3 iterations."""
+    against per-party ``tensordot`` contractions, one restart at a time,
+    finish included: the same iterations and flags, values within 1e-12 and
+    the same argument up to phase, on GHZ, W and Haar states of 3 to 8
+    qubits, run to convergence and cut at 3 iterations."""
     for n in range(3, 9):
         for psi in (ek.ghz_state(n, 2), _w_state(n), ek.random_pure_state([2] * n, rng=50 + n)):
             for seed, max_iterations in ((n, 500), (n + 10, 3)):
                 res = ek.geometric_measure(psi, restarts=16, seed=seed,
                                            max_iterations=max_iterations)
-                values, iterations, flags, factors = _gm_batched_tensordot(
+                values, flags, sweeps, factors = _gm_one_restart_at_a_time(
                     psi, 16, seed, max_iterations)
-                assert res.restart_iterations == tuple(iterations)
-                assert res.evaluations == sum(iterations)
-                assert np.allclose(res.restart_values, values, rtol=0, atol=1e-12)
+                _check_against_one_at_a_time(res, values, sweeps)
                 assert res.value == pytest.approx(min(values), abs=1e-12)
                 assert res.converged in {f for v, f in zip(values, flags)
                                          if v <= min(values) + 1e-12}
