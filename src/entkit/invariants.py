@@ -1,17 +1,25 @@
 """Three-qubit algebra: local-unitary invariants, tangles, hyperdeterminant,
 Wootters concurrence, canonical form, polytope coordinates and SLOCC class.
 
-Two kernels of one state's 8 amplitudes feed the invariants, with no
-eigensolve.  :func:`_reductions` builds the one- and two-qubit reductions:
-the norm, purities, Kempe invariant, single-party tangles and the
-closed-form marginal spectra (ranks, polytope point).  :func:`_slice_dets`
-takes the 2 x 2 slice determinants along each qubit: the pair tangles and
-the hyperdeterminant, and so ``tau3`` and the class, and the canonical
-form's quadratic form of ``det M`` (:func:`_slice_forms`).  :func:`_record`
-gathers the full record; ``monogamy_gap`` and the Kempe functions compute
-only what they return, and ``hyperdet3`` reads :func:`_slice_dets` of its
-tensor.  Among the invariants, only ``wootters_concurrence``, on a mixed
-state, runs ``eigvals``.
+The invariants of one state's 8 amplitudes are closed forms, with no
+eigensolve.  :func:`_reductions` builds the one-party reductions ``rho_X =
+[[p, z], [z*, q]]`` and their determinants ``p q - |z|^2``: the purities
+``p^2 + q^2 + 2|z|^2``, ``Tr rho^3 = t^3 - 3 t det`` with ``t = p + q``, the
+single-party tangles ``4 det`` and the marginal spectra (ranks, polytope
+point).  :func:`_slice_dets` takes the 2 x 2 slice determinants along each
+qubit: the pair tangles and the hyperdeterminant, and so ``tau3`` and the
+class, and the canonical form's quadratic form of ``det M``
+(:func:`_slice_forms`).  The Kempe pairing ``XY`` reads ``Tr[(rho_X (x)
+rho_Y) rho_XY]`` as ``<psi| rho_X (x) rho_Y (x) 1 |psi>``, so no two-qubit
+reduction is built.  Each public function computes only what it returns:
+``lu_invariants`` (and ``tangles``, ``polytope_coords`` and
+``slocc_class_3qubit``, which read its record) takes the one-party
+reductions, the slice determinants and the Kempe pairing AB only;
+``kempe_invariant`` and ``kempe_symmetric_check`` the one-party reductions
+and the pairing AB or all three; ``monogamy_gap`` the determinant of
+``rho_A`` and the slice determinants along B and C; and ``hyperdet3`` the
+slice determinants of its tensor.  Among the invariants, only
+``wootters_concurrence``, on a mixed state, runs ``eigvals``.
 """
 
 from __future__ import annotations
@@ -81,16 +89,24 @@ _ONE_FIRST, _PAIR_FIRST = (
     np.array([np.arange(8).reshape(2, 2, 2).transpose(axes).ravel() for axes in orders])
     for orders in (((0, 1, 2), (1, 0, 2), (2, 0, 1)), ((0, 1, 2), (0, 2, 1), (1, 2, 0)))
 )
-#: The two qubits of each pair, in the order of the two-qubit stack.
-_PAIR_X, _PAIR_Y = [0, 0, 1], [1, 2, 2]
+#: The two qubits X, Y of each pair, in the order of ``_PAIR_FIRST``, and the
+#: entries ``rho_X[i, j] rho_Y[a, b]`` of ``rho_X (x) rho_Y`` ``(4, 4)``, row
+#: ``(i, a)`` and column ``(j, b)``, as indices into the flat ``rho_A, rho_B,
+#: rho_C`` ``(12,)``.
+_PAIR_X, _PAIR_Y = np.array([0, 0, 1]), np.array([1, 2, 2])
+_KRON_X, _KRON_Y = (4 * pair[:, None] + 2 * row + col for pair, row, col in
+                    zip((_PAIR_X, _PAIR_Y), *np.indices((2, 2, 2, 2)).reshape(2, 2, 16)))
 
 
-def _reductions(amps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``rho_A, rho_B, rho_C`` as ``(3, 2, 2)`` and ``rho_AB, rho_AC, rho_BC``
-    as ``(3, 4, 4)`` of one 3-qubit state's amplitudes ``(8,)``."""
-    v1 = amps[_ONE_FIRST].reshape(3, 2, 4)
-    v2 = amps[_PAIR_FIRST].reshape(3, 4, 2)
-    return v1 @ v1.conj().swapaxes(1, 2), v2 @ v2.conj().swapaxes(1, 2)
+def _reductions(amps: np.ndarray) -> tuple[np.ndarray, ...]:
+    """``rho_A, rho_B, rho_C`` ``(3, 2, 2)`` of one 3-qubit state's amplitudes
+    ``(8,)``, with ``p, q, |z|^2`` and ``det = p q - |z|^2`` ``(3,)`` of each
+    ``[[p, z], [z*, q]]``."""
+    v = amps[_ONE_FIRST].reshape(3, 2, 4)
+    one = v @ v.conj().swapaxes(1, 2)
+    p, q, z = one[:, 0, 0].real, one[:, 1, 1].real, one[:, 0, 1]
+    zz = (z * z.conj()).real
+    return one, p, q, zz, p * q - zz
 
 
 def _slice_dets(amps: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -141,27 +157,35 @@ def wootters_concurrence(rho: DensityMatrix) -> float:
     return float(max(0.0, mu[3] - mu[2] - mu[1] - mu[0]))
 
 
-def _tangle_terms(one: np.ndarray, dets) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``4 det rho_X`` of a stack ``one`` ``(K, 2, 2)`` (X = A first), the
-    pair tangles AB, AC, BC and the monogamy gap ``tau_{A|BC} - tau_AB -
-    tau_AC``.  The pair opposite Z has a reduction of rank two at most, and
-    its squared concurrence is ``(s_1 - s_2)^2`` for the singular values of
-    ``S = -2 [[D_0, x], [x, D_1]]`` from ``dets`` (:func:`_slice_dets`), that
-    is ``|S|_F^2 - 2 |det S|`` (Wootters, PRL 80, 2245 (1998))."""
+def _tangle_terms(det, dets) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Single-party tangles ``4 det rho_X``, clamped to ``[0, 1]``, of the
+    determinants ``det``; and over the Z of ``dets`` (:func:`_slice_dets`, or
+    some of its Z), the squared concurrence of the pair opposite Z and
+    ``|hyperdet3| = 4 |x^2 - D_0 D_1|``.  That pair has a reduction of rank
+    two at most, and its squared concurrence is ``(s_1 - s_2)^2`` for the
+    singular values of ``S = -2 [[D_0, x], [x, D_1]]``, that is ``|S|_F^2 - 2
+    |det S|`` (Wootters, PRL 80, 2245 (1998))."""
     d0, d1, x = dets
-    det = one[:, 0, 0] * one[:, 1, 1] - one[:, 0, 1] * one[:, 1, 0]
-    single = np.clip(4.0 * det.real, 0.0, 1.0)
-    pair = 4.0 * (abs(d0) ** 2 + 2.0 * abs(x) ** 2 + abs(d1) ** 2) - 8.0 * abs(x * x - d0 * d1)
-    pair = np.maximum(0.0, pair[::-1])  # Z = C, B, A is the pair AB, AC, BC
-    return single, pair, single[0] - pair[0] - pair[1]
+    single = np.minimum(np.maximum(4.0 * det, 0.0), 1.0)
+    hyper = 4.0 * abs(x * x - d0 * d1)
+    pair = 4.0 * (abs(d0) ** 2 + 2.0 * abs(x) ** 2 + abs(d1) ** 2) - 2.0 * hyper
+    return single, np.maximum(0.0, pair), hyper
 
 
-def _kempe_pairings(one: np.ndarray, two: np.ndarray) -> np.ndarray:
-    """``3 Tr[(rho_X (x) rho_Y) rho_XY] - Tr rho_X^3 - Tr rho_Y^3``, XY = AB, AC, BC."""
-    cubes = np.einsum("kij,kjl,kli->k", one, one, one).real
-    factors = one[_PAIR_X], one[_PAIR_Y], two.reshape(3, 2, 2, 2, 2)
-    mixed = np.einsum("kij,kab,kjbia->k", *factors).real
-    return 3.0 * mixed - cubes[_PAIR_X] - cubes[_PAIR_Y]
+def _kempe_pairings(amps: np.ndarray, one: np.ndarray, t: np.ndarray, det: np.ndarray,
+                    pairs: slice) -> np.ndarray:
+    """``3 Tr[(rho_X (x) rho_Y) rho_XY] - Tr rho_X^3 - Tr rho_Y^3`` over the
+    pairs ``XY`` of ``pairs``, a slice of AB, AC, BC, from the one-party
+    reductions ``one`` ``(3, 2, 2)`` with traces ``t`` and determinants
+    ``det``.  ``Tr rho^3 = t^3 - 3 t det``, and ``Tr[(rho_X (x) rho_Y)
+    rho_XY]`` is ``<psi| rho_X (x) rho_Y (x) 1 |psi>``, so no ``rho_XY`` is
+    built."""
+    flat = one.reshape(12)
+    kron = (flat[_KRON_X[pairs]] * flat[_KRON_Y[pairs]]).reshape(-1, 4, 4)
+    v = amps[_PAIR_FIRST[pairs]].reshape(-1, 4, 2)
+    mixed = (v.conj() * (kron @ v)).real.sum((1, 2))
+    cubes = t * (t * t - 3.0 * det)
+    return 3.0 * mixed - cubes[_PAIR_X[pairs]] - cubes[_PAIR_Y[pairs]]
 
 
 #: The class of a state whose marginal on A, B or C alone is pure.
@@ -170,15 +194,15 @@ _BISEPARABLE = (SloccClass.BISEP_A_BC, SloccClass.BISEP_B_AC, SloccClass.BISEP_C
 
 def _record(amps: np.ndarray, tau3_tol: float = TAU3_CLASS_TOL) -> InvariantRecord:
     """Invariant record of one 3-qubit state's amplitudes ``(8,)``."""
-    one, two = _reductions(amps)
-    d0, d1, x = dets = _slice_dets(amps)
-    single, pair, gap = _tangle_terms(one, dets)
-    # ascending spectra (p + q -+ hypot(p - q, 2|z|)) / 2 of each [[p, z], [z*, q]]
-    p, q = one[:, 0, 0].real, one[:, 1, 1].real
-    root = np.hypot(p - q, 2.0 * abs(one[:, 0, 1]))
-    low, high = ((p + q - root) / 2).tolist(), ((p + q + root) / 2).tolist()
+    one, p, q, zz, det = _reductions(amps)
+    single, pair, hyper = _tangle_terms(det, _slice_dets(amps))
+    # Z = C, B, A is the pair AB, AC, BC; |hyperdet3| along A
+    single, pair, hyper = single.tolist(), pair[::-1].tolist(), float(hyper[0])
+    # ascending spectra (t -+ sqrt((p - q)^2 + 4|z|^2)) / 2 of each [[p, z], [z*, q]]
+    t = p + q
+    root = np.sqrt((p - q) ** 2 + 4.0 * zz)
+    low, high = ((t - root) / 2).tolist(), ((t + root) / 2).tolist()
     ranks = tuple((lo > RANK_TOL) + (hi > RANK_TOL) for lo, hi in zip(low, high))
-    hyper = float(abs(4.0 * (x ** 2 - d0 * d1))[0])  # |hyperdet3|, along A
     # GHZ or W by the three-tangle 4 |hyperdet3|, unless one marginal is pure
     # (the biseparable cut) or all are
     if ranks == (1, 1, 1):
@@ -191,10 +215,9 @@ def _record(amps: np.ndarray, tau3_tol: float = TAU3_CLASS_TOL) -> InvariantReco
         label = SloccClass.W
     # i1, (i2, i3, i4), i5, i6, tau1, tau2, tau3: the record's field order
     return InvariantRecord(
-        float(np.einsum("i,i->", amps.conj(), amps).real),
-        *np.einsum("kij,kji->k", one, one).real.tolist(),
-        float(_kempe_pairings(one, two)[0]), 4.0 * (hyper * hyper),
-        float(single.sum()) / 3.0, float(pair.sum()) / 3.0, max(0.0, float(gap)),
+        float(np.vdot(amps, amps).real), *(p * p + q * q + 2.0 * zz).tolist(),
+        float(_kempe_pairings(amps, one, t, det, slice(1))[0]), 4.0 * (hyper * hyper),
+        sum(single) / 3.0, sum(pair) / 3.0, max(0.0, single[0] - pair[0] - pair[1]),
         ranks, tuple(min(max(v, 0.0), 0.5) for v in low), label,
     )
 
@@ -212,16 +235,21 @@ def tangles(psi: PureState) -> tuple[float, float, float]:
 
 
 def monogamy_gap(psi: PureState) -> float:
-    """``tau_{A|BC} - tau_{A|B} - tau_{A|C}``, from ``rho_A`` and the slice
-    determinants; non-negative up to round-off."""
+    """``tau_{A|BC} - tau_{A|B} - tau_{A|C}``, from ``rho_A`` and the B- and
+    C-slice determinants; non-negative up to round-off."""
     amps = _require_3qubit(psi)
-    v = amps.reshape(1, 2, 4)
-    return float(_tangle_terms(v @ v.conj().swapaxes(1, 2), _slice_dets(amps))[2])
+    d0, d1, x = _slice_dets(amps)
+    upper, lower = amps[:4], amps[4:]
+    det = np.vdot(upper, upper).real * np.vdot(lower, lower).real - abs(np.vdot(lower, upper)) ** 2
+    single, (ac, ab), _ = _tangle_terms(det, (d0[1:], d1[1:], x[1:]))
+    return float(single - ab - ac)
 
 
 def kempe_invariant(psi: PureState) -> float:
     """Sixth-order invariant ``3 Tr[(rho_A (x) rho_B) rho_AB] - Tr rho_A^3 - Tr rho_B^3``."""
-    return float(_kempe_pairings(*_reductions(_require_3qubit(psi)))[0])
+    amps = _require_3qubit(psi)
+    one, p, q, _, det = _reductions(amps)
+    return float(_kempe_pairings(amps, one, p + q, det, slice(1))[0])
 
 
 def kempe_symmetric_check(psi: PureState) -> tuple[float, float, float]:
@@ -230,7 +258,9 @@ def kempe_symmetric_check(psi: PureState) -> tuple[float, float, float]:
     All three values agree for any state; returning them exposes the symmetry
     for verification.
     """
-    return tuple(_kempe_pairings(*_reductions(_require_3qubit(psi))).tolist())
+    amps = _require_3qubit(psi)
+    one, p, q, _, det = _reductions(amps)
+    return tuple(_kempe_pairings(amps, one, p + q, det, slice(None)).tolist())
 
 
 def polytope_coords(psi: PureState) -> tuple[float, float, float]:

@@ -195,7 +195,9 @@ ROWS = {
     "ghz_state": [(lambda lam: ek.ghz_state(3, 2, lam), [0.5, 0.5], [0.6, 0.5], ValueError,
                    r"^lambda sums to 1\.1, not 1 within 1e-10"),
                   (lambda lam: ek.ghz_state(3, 2, lam), [0.5, 0.5], [1.0], ValueError,
-                   r"^lambda must be 2 numbers")],
+                   r"^lambda must be 2 numbers"),
+                  (lambda d: ek.ghz_state(3, d), 2, 1, ValueError,
+                   r"^local dimension must be >= 2, got 1")],
     "graph_state": [(lambda m: ek.graph_state(np.zeros((m, m), dtype=int)), 3, 13, _SIZE,
                      r"^graph vertex count 13 exceeds the cap 12"),
                     (ek.graph_state, [[0, 1], [1, 0]], np.zeros((0, 0), dtype=int), ValueError,

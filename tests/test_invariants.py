@@ -546,7 +546,25 @@ def test_batched_kernel_matches_partial_trace_oracle():
         assert rec.ranks == ranks
         assert rec.class_label is label
         assert abs(ek.monogamy_gap(psi) - gap) < 1e-12
+        assert abs(ek.kempe_invariant(psi) - triple[0]) < 1e-12
         assert np.abs(np.array(ek.kempe_symmetric_check(psi)) - triple).max() < 1e-12
+
+
+def test_three_qubit_kernels_call_no_einsum_or_clip(monkeypatch):
+    """The invariant record, the monogamy gap and the Kempe functions are
+    closed forms in plain array arithmetic: with ``np.einsum`` and ``np.clip``
+    refused, each returns its value on a Haar state."""
+    psi = ek.random_pure_state([2, 2, 2], rng=np.random.default_rng(37))
+    expected = (ek.lu_invariants(psi), ek.monogamy_gap(psi), ek.kempe_invariant(psi),
+                ek.kempe_symmetric_check(psi))
+
+    def refused(*args, **kwargs):
+        raise AssertionError("a three-qubit invariant kernel called einsum or clip")
+
+    monkeypatch.setattr(np, "einsum", refused)
+    monkeypatch.setattr(np, "clip", refused)
+    assert (ek.lu_invariants(psi), ek.monogamy_gap(psi), ek.kempe_invariant(psi),
+            ek.kempe_symmetric_check(psi)) == expected
 
 
 _YY = np.kron([[0, -1j], [1j, 0]], [[0, -1j], [1j, 0]])
